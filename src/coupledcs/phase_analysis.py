@@ -11,16 +11,17 @@ rates organize the phase diagram:
            threshold, reachable with seeding matrices).
 
 All three are located by bisection on predicates evaluated from log-grid
-curve scans.  Scans share one vector quadrature per curve, so a full
-2000-point scan costs well under a second.
+curve scans.  A scan evaluates its whole grid in one vectorized
+free-entropy call, so a full 2000-point scan costs well under a second.
 """
 
 import concurrent.futures
+import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, QuadratureError
 from .replica_core import Ensemble, free_entropy_grid, single_block_spec
 from .state_evolution import run_evolution
 
@@ -32,6 +33,9 @@ ALPHA_TOL = 1e-5
 # (Delta -> 1, Lambda -> 0 for eps > sigma2), so rate searches stop short
 _ALPHA_SEARCH_CAP = 1.0 - 1e-7
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# window seeds already found by the running `_phase_point`, keyed by the
+# search arguments; None outside a phase point
+_WINDOW_SEEDS = contextvars.ContextVar("window_seeds", default=None)
 
 
 class NoTransitionError(ValueError):
@@ -84,7 +88,7 @@ def _curve_f(rho, sigma2, alpha, kind):
 def _golden_max(f, lo, hi, rel_tol=GOLDEN_REL_TOL):
     """Golden-section maximization on [lo, hi] in log coordinates.
 
-    Near the top the height differences fall below quadrature noise and
+    Near the top the height differences fall below rounding noise and
     the golden bracket random-walks, so a Newton polish with a wide
     finite-difference stencil pins the stationary point afterwards.
     """
@@ -209,6 +213,12 @@ def _bisect_edge(pred, a_true, a_false, tol):
 
 
 def _window_seed(rho, sigma2, kind, hint=None):
+    # find_alpha_d and find_alpha_s of one phase point search the same
+    # window; the deterministic search runs once and the second reuses it
+    seeds = _WINDOW_SEEDS.get()
+    key = (rho, sigma2, kind, hint)
+    if seeds is not None and key in seeds:
+        return seeds[key]
     # rates are capped at 1: beyond it there is no compression, and
     # orthogonal blocks cannot select more rows than the block dimension
     lo, hi = 0.1 * rho, _ALPHA_SEARCH_CAP
@@ -219,6 +229,8 @@ def _window_seed(rho, sigma2, kind, hint=None):
     if seed is None:
         raise NoTransitionError(
             f"no two-maxima window found for sigma2={sigma2}, kind={kind.value}")
+    if seeds is not None:
+        seeds[key] = seed
     return seed
 
 
@@ -302,6 +314,7 @@ def bp_mse_at(rho: float, sigma2: float, alpha: float, kind: Ensemble) -> float:
 
 
 def _phase_point(rho, sigma2, kind, hint=None) -> PhasePoint:
+    token = _WINDOW_SEEDS.set({})
     try:
         a_d = find_alpha_d(rho, sigma2, kind, hint=hint)
         a_s = find_alpha_s(rho, sigma2, kind, hint=hint)
@@ -309,8 +322,12 @@ def _phase_point(rho, sigma2, kind, hint=None) -> PhasePoint:
         return PhasePoint(sigma2=sigma2, alpha_d=a_d, alpha_c=a_c, alpha_s=a_s, sharp=True)
     except NoTransitionError:
         return PhasePoint(sigma2=sigma2, sharp=False)
-    except Exception as exc:  # per-point failures must not abort the sweep
+    except (QuadratureError, ConvergenceError) as exc:
+        # a numeric failure at one noise level must not abort the sweep;
+        # anything else is a bug and propagates
         return PhasePoint(sigma2=sigma2, sharp=False, error=f"{type(exc).__name__}: {exc}")
+    finally:
+        _WINDOW_SEEDS.reset(token)
 
 
 def sweep_phase_diagram(rho: float, sigma2_grid, kind: Ensemble,

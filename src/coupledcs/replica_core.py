@@ -23,12 +23,12 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad_vec
 
-from .errors import ConvergenceError, QuadratureError
+from ._quadrature import integrate
+from .errors import ConvergenceError
 from .scalar_channel import BernoulliGaussianPrior
 
-_TAIL_CUTOFF = 40.0
+_CHANNEL_TOL = 1e-10
 _INNER_TOL = 1e-12
 _INNER_MAX_ITER = 10 ** 4
 _INNER_DAMPING = 0.5
@@ -67,6 +67,10 @@ class CouplingSpec:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "J", J)
+        for name, value in (("gamma", gamma), ("alpha", alpha), ("J", J),
+                            ("sigma2", self.sigma2)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if self.L_r < 1 or self.L_c < 1:
             raise ValueError("L_r and L_c must be >= 1")
         if gamma.shape != (self.L_c,):
@@ -132,16 +136,29 @@ class ConjugateState:
 # channel term
 # ----------------------------------------------------------------------
 
+def _log_sum_exp(x, y):
+    """log(e^x + e^y), as np.logaddexp computes it but several times faster."""
+    return np.maximum(x, y) + np.log1p(np.exp(-np.abs(x - y)))
+
+
 def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
     """E_y log E_x e^{-vs |y - x|^2} for an array of channel precisions.
 
     The inner expectation over the prior has the closed form
     (1-rho) e^{-vs u} + rho/(1+vs) e^{-vs u/(1+vs)} with u = |y|^2, and the
     outer law of u is the matching mixture of exponentials.  Each mixture
-    piece is integrated against its own Exp(1) substitution so every
-    component of the vector integrand is O(1)-scaled; breakpoints on a
-    log ladder let the adaptive rule resolve the log-sum elbow, whose
-    location varies over many decades across the batch.
+    piece is substituted to an Exp(1) variable s, so that the integrand is
+
+        e^{-s} (-s + (1-rho) logaddexp(c1, c2 + s vs/(1+vs))
+                   + rho logaddexp(c1 - s vs, c2)),
+
+    c1 = log(1-rho), c2 = log(rho) - log(1+vs).  Its two log-sum elbows
+    sit at s = gap (1+vs)/vs and s = gap/vs, gap = c1 - c2, with widths
+    (1+vs)/vs and 1/vs; the shared fixed rule (`coupledcs._quadrature`)
+    puts breakpoints around both.  Every precision is integrated on its
+    own layout, so a point's value does not depend on the rest of the
+    batch.  Raises QuadratureError when the rule's embedded check
+    disagrees by more than 1e-10.
     """
     vs = np.atleast_1d(np.asarray(varsigma, dtype=float))
     if np.any(~np.isfinite(vs)) or np.any(vs <= 0):
@@ -152,27 +169,18 @@ def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
     if rho == 1.0:
         # single Gaussian component: E log of one exponential is exact
         return -np.log1p(vs) - 1.0
-    lc1 = np.log1p(-rho)
-    lc2 = np.log(rho) - np.log1p(vs)
-    rate_a = vs
-    rate_b = vs / (1.0 + vs)
-    n = vs.size
+    c1 = np.log1p(-rho)
+    c2 = np.log(rho) - np.log1p(vs)
+    slope = vs / (1.0 + vs)
+    gap = c1 - c2
 
-    def integrand(s):
-        ua = s / rate_a
-        ub = s / rate_b
-        la = np.logaddexp(lc1 - vs * ua, lc2 - vs * ua / (1.0 + vs))
-        lb = np.logaddexp(lc1 - vs * ub, lc2 - vs * ub / (1.0 + vs))
-        return np.exp(-s) * np.concatenate([(1.0 - rho) * la, rho * lb])
+    def integrand(s, vs, slope, c2):
+        with np.errstate(over="ignore"):
+            return np.exp(-s) * (-s + (1.0 - rho) * _log_sum_exp(c1, c2 + slope * s)
+                                 + rho * _log_sum_exp(c1 - vs * s, c2))
 
-    points = list(np.geomspace(1e-9, 30.0, 24))
-    value, err = quad_vec(integrand, 0.0, _TAIL_CUTOFF, epsabs=1e-12, epsrel=1e-14,
-                          norm="max", points=points, limit=20000)
-    if err > 1e-10:
-        raise QuadratureError(
-            f"channel term quadrature error {err:.3e} above tolerance",
-            value=value, error_estimate=err)
-    return value[:n] + value[n:]
+    return integrate(integrand, [vs, slope, c2], [(gap, slope), (gap, vs)],
+                     atol=_CHANNEL_TOL, rtol=0.0, what="channel term", at=vs)
 
 
 def channel_term(varsigma_p: float, prior: BernoulliGaussianPrior) -> float:
@@ -364,8 +372,8 @@ def free_entropy_grid(eps_grid, spec: CouplingSpec, kind: Ensemble) -> np.ndarra
 
     Conjugates are set to their stationary values at each eps (partial
     extremization), so local maxima over eps coincide with state-evolution
-    fixed points.  All channel terms of the batch share one vector
-    quadrature, which keeps curve scans fast and internally consistent.
+    fixed points.  All channel terms of the batch go through one
+    vectorized `channel_term_batch` call.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if eps_grid.ndim != 2 or eps_grid.shape[1] != spec.L_c:

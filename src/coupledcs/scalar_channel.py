@@ -6,7 +6,8 @@ puts mass 1-rho at zero and draws the remaining entries from a standard
 complex Gaussian, so the prior second moment is rho.
 
 Provides the posterior mean, the exact scalar mmse by 1-D quadrature
-(the circularly-symmetric 2-D integral reduces to a radial one), and a
+(the circularly-symmetric 2-D integral reduces to a radial one, which
+the package's fixed Gauss-Legendre rule evaluates), and a
 Monte-Carlo estimator used as an independent cross-check of the
 quadrature.
 """
@@ -14,13 +15,9 @@ quadrature.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import QuadratureError
+from ._quadrature import integrate
 
-# e^{-T}(T+1) < 1e-16: the truncated exponential tail is below quadrature
-# tolerance for every integrand used here.
-_TAIL_CUTOFF = 40.0
 _QUAD_TOL = 1e-12
 
 
@@ -75,43 +72,45 @@ def posterior_mean(y, ch: ScalarChannel, prior: BernoulliGaussianPrior):
     return out if out.ndim else complex(out)
 
 
-def mmse(varsigma: float, prior: BernoulliGaussianPrior) -> float:
+def _mmse_integrand(t, vs, centre, scale):
+    # t e^{-t} (1 + vs * sigmoid(centre - vs t)), scaled by rho / (1 + vs)
+    with np.errstate(over="ignore"):
+        return scale * t * np.exp(-t) * (1.0 + vs / (1.0 + np.exp(vs * t - centre)))
+
+
+def mmse(varsigma, prior: BernoulliGaussianPrior):
     """Exact scalar mmse of the Bernoulli-Gaussian channel at precision varsigma.
 
-    The radial reduction turns the complex-plane Gaussian integral into a
-    1-D integral in t = |z|^2 ~ Exp(1).  The integrand is rearranged into
-    an everywhere-positive form, which avoids the catastrophic
-    cancellation of the direct ``rho - rho^2 (...) I`` evaluation at large
-    varsigma.
+    Accepts a scalar or an ndarray of precisions and returns a float or an
+    array of the same shape.  The radial reduction turns the complex-plane
+    Gaussian integral into a 1-D integral in t = |z|^2 ~ Exp(1):
+
+        mmse = rho / (1 + vs) E_t{ t (1 + vs sigmoid(u* - vs t)) },
+        u* = log((1 - rho)(1 + vs) / rho),
+
+    an everywhere-positive form without the catastrophic cancellation of
+    the direct ``rho - rho^2 (...) I`` evaluation at large varsigma.  The
+    sigmoid steps down at t = u*/vs over a width 1/vs, and the shared
+    fixed rule (`coupledcs._quadrature`) puts breakpoints there.  Raises
+    QuadratureError when the rule's embedded check disagrees by more than
+    max(1e-12, 1e-12 * mmse).
     """
-    if not np.isfinite(varsigma) or varsigma < 0:
-        raise ValueError(f"varsigma must be finite and >= 0, got {varsigma}")
+    vs = np.asarray(varsigma, dtype=float)
+    bad = ~(np.isfinite(vs) & (vs >= 0))
+    if np.any(bad):
+        raise ValueError(f"varsigma must be finite and >= 0, got {vs[bad].flat[0]}")
     rho = prior.rho
-    if varsigma == 0.0 or rho == 0.0:
-        return rho
-    c = varsigma + 1.0
-    one_m = 1.0 - rho
-
-    def integrand(t):
-        e = np.exp(-t * varsigma)
-        return t * np.exp(-t) * (rho + one_m * c * c * e) / (c * (rho + one_m * c * e))
-
-    points = None
-    if rho < 1.0:
-        # denominator switches from the Gaussian-dominated to the
-        # spike-dominated regime around t*; guide the adaptive rule there
-        with np.errstate(over="ignore"):
-            t_star = (np.log1p(-rho) + np.log(c) - np.log(rho)) / varsigma
-        if 0 < t_star < _TAIL_CUTOFF:
-            points = [p for p in (t_star, 3 * t_star, 9 * t_star) if p < _TAIL_CUTOFF]
-    value, err = quad(integrand, 0.0, _TAIL_CUTOFF, points=points, limit=300,
-                      epsabs=1e-13, epsrel=1e-13)
-    value *= rho
-    if err * rho > max(_QUAD_TOL, abs(value) * _QUAD_TOL):
-        raise QuadratureError(
-            f"mmse quadrature error {err * rho:.3e} above tolerance at varsigma={varsigma}",
-            value=value, error_estimate=err * rho)
-    return value
+    if rho == 1.0:
+        out = 1.0 / (1.0 + vs)
+    else:
+        out = np.full(vs.shape, rho)
+        live = vs > 0
+        if rho > 0 and np.any(live):
+            v = vs[live]
+            centre = np.log1p(-rho) + np.log1p(v) - np.log(rho)
+            out[live] = integrate(_mmse_integrand, [v, centre, rho / (1.0 + v)], [(centre, v)],
+                                  atol=_QUAD_TOL, rtol=_QUAD_TOL, what="mmse", at=v)
+    return out if out.ndim else float(out)
 
 
 def mmse_mc_oracle(varsigma: float, prior: BernoulliGaussianPrior,

@@ -60,7 +60,7 @@ def se_step(state: ConjugateState, spec: CouplingSpec, kind: Ensemble) -> Conjug
     Feeding a converged state returns it unchanged up to solver tolerance.
     """
     sig_p = state.varsigma.sum(axis=0)
-    eps_new = np.array([mmse(float(v), spec.prior) for v in sig_p])
+    eps_new = mmse(sig_p, spec.prior)
     new = conjugate_fixed_point(eps_new, spec, kind, Lambda0=state.Lambda)
     new.clamped = new.clamped or state.clamped
     return new

@@ -139,6 +139,16 @@ class TestEvolveCommand:
         assert res.exit_code == 2
         assert "gamma" in res.output
 
+    def test_spec_file_with_nan_exits_2(self, runner, tmp_path):
+        spec = build_seeding_spec(SeedingParams(L=2, W=1, alpha_seed=0.6, alpha_bulk=0.5, J=0.5),
+                                  0.4, 1e-4)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec_to_json(spec).replace('"sigma2": 0.0001', '"sigma2": NaN'))
+        res = runner.invoke(main, ["evolve", "--spec-file", str(spec_path),
+                                   "--ensemble", "gaussian", "-o", str(tmp_path / "t.csv")])
+        assert res.exit_code == 2
+        assert "sigma2 must be finite" in res.output
+
     def test_non_convergence_is_exit_0(self, runner, tmp_path):
         out = tmp_path / "t.csv"
         res = runner.invoke(main, ["evolve", "--L", "1", "--W", "1",

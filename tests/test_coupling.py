@@ -97,3 +97,16 @@ def test_json_rejects_bad_documents():
     del doc3["sigma2"]
     with pytest.raises(ValueError, match="sigma2"):
         spec_from_json(json.dumps(doc3))
+
+
+@pytest.mark.parametrize("field, literal", [("sigma2", "NaN"), ("alpha", "[[NaN, NaN], [0.5, 0.5]]"),
+                                            ("J", "[[Infinity, 0.5], [1.0, 1.0]]"),
+                                            ("gamma", "[NaN, 0.5]")])
+def test_json_rejects_non_finite_values(field, literal):
+    import json
+    spec = build_seeding_spec(SeedingParams(L=2, W=1, alpha_seed=0.7, alpha_bulk=0.5, J=0.5), 0.4, 1e-4)
+    doc = json.loads(spec_to_json(spec))
+    doc[field] = "PLACEHOLDER"
+    text = json.dumps(doc).replace('"PLACEHOLDER"', literal)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        spec_from_json(text)

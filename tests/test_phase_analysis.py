@@ -1,17 +1,21 @@
 """Curve scans and transition-rate location (single noise level; the full
 phase diagram facts live in the acceptance suite)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from coupledcs import (Ensemble, NoTransitionError, bp_mse_at, find_alpha_c, find_alpha_d,
-                       find_alpha_s, run_evolution, scan_curve, sharp_window_exists,
-                       single_block_spec)
+from coupledcs import (Ensemble, NoTransitionError, QuadratureError, bp_mse_at, find_alpha_c,
+                       find_alpha_d, find_alpha_s, free_entropy_grid, run_evolution, scan_curve,
+                       sharp_window_exists, single_block_spec, sweep_phase_diagram)
+from coupledcs import phase_analysis
 from coupledcs.phase_analysis import _maxima_gap, _two_maxima
 
 GAUSS = Ensemble.GAUSSIAN_IID
 ORTH = Ensemble.ROW_ORTHOGONAL
 RHO, SIGMA2 = 0.4, 1e-4
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +117,66 @@ class TestBpMse:
     def test_non_increasing_in_alpha(self):
         vals = [bp_mse_at(RHO, SIGMA2, a, ORTH) for a in (0.45, 0.56, 0.7)]
         assert vals[0] >= vals[1] >= vals[2]
+
+
+class TestCommittedResults:
+    """The figure data under results/ (rho 0.4, sigma2 1e-4) still comes out of the code."""
+
+    @pytest.mark.parametrize("kind", [GAUSS, ORTH])
+    def test_alpha_049_curve_and_maxima(self, kind):
+        base = RESULTS / f"free_entropy_{kind.value}_alpha0.49"
+        ref = np.loadtxt(f"{base}.csv", delimiter=",", skiprows=1)
+        ref_max = np.loadtxt(f"{base}.maxima.csv", delimiter=",", skiprows=1, ndmin=2)
+        spec = single_block_spec(RHO, SIGMA2, 0.49)
+        got = free_entropy_grid(ref[::10, :1], spec, kind)
+        assert np.abs(got - ref[::10, 1]).max() <= 1e-10
+        curve = scan_curve(RHO, SIGMA2, 0.49, kind, n_points=len(ref))
+        assert np.array_equal(curve.eps_grid, ref[:, 0])
+        maxima = np.array(curve.maxima)
+        assert maxima.shape == ref_max.shape
+        assert np.abs(maxima[:, 1] - ref_max[:, 1]).max() <= 1e-10
+        assert np.abs(maxima[:, 0] / ref_max[:, 0] - 1.0).max() <= 1e-8
+
+
+class TestPhasePointFailures:
+    @staticmethod
+    def _stub_searches(monkeypatch, calls):
+        """Replace the curve scans by a fixed window (0.45, 0.52) with alpha_c at 0.48."""
+        def find_two_max(*args, **kwargs):
+            calls.append(args)
+            return 0.5
+
+        monkeypatch.setattr(phase_analysis, "_find_two_max_alpha", find_two_max)
+        monkeypatch.setattr(phase_analysis, "_two_maxima",
+                            lambda rho, sigma2, alpha, kind: 0.45 < alpha < 0.52)
+        monkeypatch.setattr(phase_analysis, "_maxima_gap",
+                            lambda rho, sigma2, alpha, kind: alpha - 0.48)
+
+    def test_window_search_runs_once_per_phase_point(self, monkeypatch):
+        calls = []
+        self._stub_searches(monkeypatch, calls)
+        (pt,) = sweep_phase_diagram(RHO, [SIGMA2], GAUSS)
+        assert pt.sharp and pt.alpha_s < pt.alpha_c < pt.alpha_d
+        assert len(calls) == 1
+        # outside a phase point every search runs on its own
+        find_alpha_d(RHO, SIGMA2, GAUSS)
+        find_alpha_s(RHO, SIGMA2, GAUSS)
+        assert len(calls) == 3
+
+    def test_numeric_failure_becomes_an_error_row(self, monkeypatch):
+        self._stub_searches(monkeypatch, [])
+
+        def fail(*args, **kwargs):
+            raise QuadratureError("stub failure", value=0.0, error_estimate=1.0)
+
+        monkeypatch.setattr(phase_analysis, "_maxima_gap", fail)
+        (pt,) = sweep_phase_diagram(RHO, [SIGMA2], GAUSS)
+        assert not pt.sharp and pt.error == "QuadratureError: stub failure"
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("shape bug")
+
+        monkeypatch.setattr(phase_analysis, "find_alpha_d", broken)
+        with pytest.raises(TypeError, match="shape bug"):
+            sweep_phase_diagram(RHO, [SIGMA2], GAUSS)

@@ -1,0 +1,102 @@
+"""The fixed quadrature rule behind mmse and the channel term, against adaptive oracles."""
+
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+import pytest
+from scipy.integrate import IntegrationWarning, quad, quad_vec
+
+from coupledcs import BernoulliGaussianPrior, QuadratureError, mmse
+from coupledcs import _quadrature
+from coupledcs.replica_core import channel_term_batch
+
+SWEEP_RHO = (1e-3, 0.01, 0.1, 0.4, 0.5, 0.6, 0.9, 0.99, 0.995, 0.999)
+SWEEP_VS = np.geomspace(1e-6, 1e12, 25)
+
+
+def _mmse_quad_oracle(vs, rho):
+    """Adaptive mmse with breakpoints across the regime switch at t = u / vs."""
+    c = 1.0 + vs
+    e = lambda t: (1 - rho) * c * np.exp(-t * vs)
+    f = lambda t: t * np.exp(-t) * (rho + c * e(t)) / (c * (rho + e(t)))
+    u = np.log1p(-rho) + np.log(c) - np.log(rho)
+    points = [(u + k) / vs for k in range(-36, 37, 4) if 0 < (u + k) / vs < 40]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        value, _ = quad(f, 0.0, 40.0, points=points or None, limit=1000,
+                        epsabs=0.0, epsrel=1e-13)
+    return rho * value
+
+
+def _channel_quad_vec_oracle(vs, rho):
+    """The channel term by adaptive vector quadrature over an Exp(1) variable per piece."""
+    lc1, lc2 = np.log1p(-rho), np.log(rho) - np.log1p(vs)
+
+    def integrand(s):
+        ua, ub = s / vs, s * (1.0 + vs) / vs
+        la = np.logaddexp(lc1 - vs * ua, lc2 - vs * ua / (1.0 + vs))
+        lb = np.logaddexp(lc1 - vs * ub, lc2 - vs * ub / (1.0 + vs))
+        return np.exp(-s) * ((1.0 - rho) * la + rho * lb)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        value, _ = quad_vec(integrand, 0.0, 40.0, epsabs=1e-13, epsrel=1e-14, norm="max",
+                            points=list(np.geomspace(1e-9, 30.0, 24)), limit=20000)
+    return value
+
+
+class TestRule:
+    def test_nodes_and_weights_match_numpy(self):
+        x, w = np.polynomial.legendre.leggauss(17)
+        assert np.abs(_quadrature._NODES - (x + 1) / 2).max() <= 1e-15
+        assert np.abs(_quadrature._WEIGHTS - w / 2).max() <= 1e-15
+
+    def test_main_and_check_rules_are_exact_for_polynomials(self):
+        # 17-node Gauss-Legendre: degree 33; the centre-dropped check: degree 15
+        for k in range(34):
+            assert _quadrature._WEIGHTS @ _quadrature._NODES ** k == pytest.approx(1 / (k + 1),
+                                                                                   rel=1e-13)
+        for k in range(16):
+            assert _quadrature._CHECK_WEIGHTS @ _quadrature._NODES ** k == pytest.approx(
+                1 / (k + 1), rel=1e-13)
+        assert _quadrature._CHECK_WEIGHTS[_quadrature._NODES.size // 2] == 0.0
+
+    @pytest.mark.parametrize("rate", [5e-324, 1.1e-308, 1.0, 1e308])
+    def test_breakpoints_stay_finite_and_inside(self, rate):
+        centre = np.array([0.0, 3.0, -50.0, 700.0])
+        edges = _quadrature._edges([(centre, np.full(4, rate))], slice(0, 4))
+        assert np.all(np.isfinite(edges))
+        assert edges.min() == 0.0 and edges.max() == _quadrature.TAIL_CUTOFF
+        assert np.all(np.diff(edges, axis=1) >= 0)
+
+    def test_too_coarse_layout_trips_the_check(self, monkeypatch):
+        monkeypatch.setattr(_quadrature, "_LADDER", np.array([0.0, 40.0]))
+        monkeypatch.setattr(_quadrature, "_OFFSETS", np.array([0.0]))
+        prior = BernoulliGaussianPrior(0.4)
+        with pytest.raises(QuadratureError, match="mmse") as info:
+            mmse(1.0, prior)
+        assert info.value.error_estimate > 1e-12
+        with pytest.raises(QuadratureError, match="channel term"):
+            channel_term_batch([1.0], prior)
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = ("import sys, coupledcs; "
+                "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+class TestAgainstAdaptiveOracles:
+    @pytest.mark.parametrize("rho", SWEEP_RHO)
+    def test_mmse_matches_quad(self, rho):
+        prior = BernoulliGaussianPrior(rho)
+        got = mmse(SWEEP_VS, prior)
+        expect = np.array([_mmse_quad_oracle(v, rho) for v in SWEEP_VS])
+        assert np.all(np.abs(got - expect) <= 1e-12 * expect)
+
+    @pytest.mark.parametrize("rho", SWEEP_RHO)
+    def test_channel_term_matches_quad_vec(self, rho):
+        got = channel_term_batch(SWEEP_VS, BernoulliGaussianPrior(rho))
+        expect = np.array([_channel_quad_vec_oracle(v, rho) for v in SWEEP_VS])
+        assert np.abs(got - expect).max() <= 1e-12

@@ -13,6 +13,38 @@ from conftest import random_coupled_spec
 GAUSS = Ensemble.GAUSSIAN_IID
 ORTH = Ensemble.ROW_ORTHOGONAL
 
+# Frozen output of `_channel_mpmath_oracle(vs, rho)` below, keyed by (rho, vs).
+ORACLE_CHANNEL = {
+    (0.999, 1000.0): -7.9075470633679386,
+    (0.4, 1.0): -1.3307239272395504,
+    (0.4, 1e12): -12.725420113211594,
+    (0.001, 1e-06): -1.000000001,
+    (0.5, 0.001): -1.0004998750416199,
+    (0.9, 10.0): -3.2865451646767614,
+    (0.25, 1e6): -5.0161808406356005,
+}
+
+
+def _channel_mpmath_oracle(vs, rho):
+    """E_u log((1-rho) e^{-vs u} + rho/(1+vs) e^{-vs u/(1+vs)}) at 40 digits.
+
+    u = |y|^2 follows its two-exponential mixture law; the log-sum switches
+    branch at u = elbow over a width w.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        vs, rho = mp.mpf(vs), mp.mpf(rho)
+        b = vs / (1 + vs)
+        g = lambda u: mp.log((1 - rho) * mp.exp(-vs * u) + rho / (1 + vs) * mp.exp(-b * u))
+        dens = lambda u: (1 - rho) * vs * mp.exp(-vs * u) + rho * b * mp.exp(-b * u)
+        w = 1 / (vs - b)
+        elbow = (mp.log(1 - rho) - mp.log(rho) + mp.log(1 + vs)) * w
+        pts = {mp.mpf(0)} | {elbow + k * w for k in range(-40, 41, 2)}
+        pts |= {s / vs for s in (1, 2, 4, 8, 16, 32)} | {s / b for s in (1, 2, 4, 8, 16, 32)}
+        pts = sorted(p for p in pts if 0 <= p < 60 / b)
+        return float(mp.quad(lambda u: dens(u) * g(u), pts + [mp.inf]))
+
 
 def two_block_spec(rho=0.4, sigma2=1e-3):
     return CouplingSpec(
@@ -47,6 +79,16 @@ class TestCouplingSpecValidation:
             CouplingSpec(L_r=1, L_c=2, gamma=np.array([0.5, 0.5]),
                          alpha=np.full((1, 2), 0.5), J=np.array([[1.0, 0.0]]),
                          sigma2=0.0, prior=BernoulliGaussianPrior(0.4))
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", np.array([np.nan, 0.5])), ("alpha", np.full((1, 2), np.nan)),
+        ("J", np.array([[np.inf, 1.0]])), ("sigma2", np.inf), ("sigma2", np.nan)])
+    def test_non_finite_entries_rejected(self, field, value):
+        args = dict(L_r=1, L_c=2, gamma=np.array([0.5, 0.5]), alpha=np.full((1, 2), 0.5),
+                    J=np.ones((1, 2)), sigma2=1e-3, prior=BernoulliGaussianPrior(0.4))
+        args[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CouplingSpec(**args)
 
     def test_random_specs_validate(self, rng):
         for _ in range(20):
@@ -104,6 +146,21 @@ class TestChannelTerm:
     def test_rejects_zero_precision(self):
         with pytest.raises(ValueError):
             channel_term(0.0, BernoulliGaussianPrior(0.4))
+
+    @pytest.mark.parametrize("rho, vs", sorted(ORACLE_CHANNEL))
+    def test_matches_high_precision_oracle(self, rho, vs):
+        got = channel_term(vs, BernoulliGaussianPrior(rho))
+        assert got == pytest.approx(ORACLE_CHANNEL[rho, vs], rel=1e-14, abs=0)
+
+    def test_frozen_oracle_values_are_live(self):
+        for rho, vs in [(0.999, 1000.0), (0.9, 10.0)]:
+            assert _channel_mpmath_oracle(vs, rho) == pytest.approx(ORACLE_CHANNEL[rho, vs],
+                                                                    rel=1e-15, abs=0)
+
+    def test_subnormal_precision_is_the_pure_noise_limit(self):
+        # vs -> 0: y is pure noise and the channel term tends to -1
+        got = channel_term_batch([5e-324, 1.1e-308], BernoulliGaussianPrior(0.4))
+        assert np.all(np.abs(got + 1.0) <= 1e-15)
 
 
 class TestGOrth:

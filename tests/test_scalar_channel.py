@@ -13,6 +13,21 @@ RHO = BernoulliGaussianPrior(0.4)
 # Frozen output of `_posterior_mean_2d_oracle(1 + 0.5j, 2.0, 0.4)` below.
 ORACLE_PM = 0.3603720066546294 + 0.1801860033273147j
 
+# Frozen output of `_mmse_mpmath_oracle(vs, rho)` below, keyed by (rho, vs).  The
+# first three are the high-density points an adaptive rule once got wrong
+# (by 8.2e-4, 1.7e-6 and 6.8e-8 relative) while passing its own error check.
+ORACLE_MMSE = {
+    (0.999, 1000.0): 0.0009988224063360758,
+    (0.995, 631.0): 0.0015793865934393089,
+    (0.99, 501.0): 0.0019829770412882106,
+    (0.4, 1.0): 0.2707083052822194,
+    (0.4, 1e12): 4.000000001574669e-13,
+    (0.001, 1e-06): 0.000999999999,
+    (0.001, 1e6): 1.0002153478454992e-09,
+    (0.5, 0.001): 0.4997501248128434,
+    (0.9, 10.0): 0.08824820624339598,
+}
+
 
 def _posterior_mean_2d_oracle(y, vs, rho, lim=8.0):
     """Brute-force E{x|y} by direct 2-D integration of the posterior."""
@@ -28,6 +43,22 @@ def _posterior_mean_2d_oracle(y, vs, rho, lim=8.0):
     num_im = dblquad(lambda xi, xr: xi * like(xr, xi) * gauss(xr, xi), -lim, lim, -lim, lim, **kw)[0]
     p_y = (1 - rho) * (vs / np.pi) * np.exp(-vs * abs(y) ** 2) + rho * py_cont
     return rho * (num_re + 1j * num_im) / p_y
+
+
+def _mmse_mpmath_oracle(vs, rho):
+    """mmse at 40 digits from the defining radial integral over t in [0, inf)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        vs, rho = mp.mpf(vs), mp.mpf(rho)
+        c = vs + 1
+        on = lambda t: (1 - rho) * c * mp.exp(-t * vs)
+        f = lambda t: t * mp.exp(-t) * (rho + c * on(t)) / (c * (rho + on(t)))
+        # the integrand switches regime around t = u / vs, over a width 1 / vs
+        u = mp.log((1 - rho) * c / rho)
+        pts = {mp.mpf(0)} | {mp.mpf(t) for t in (1, 2, 4, 8, 16, 32)}
+        pts |= {(u + k) / vs for k in range(-40, 41, 2) if 0 < (u + k) / vs < 60}
+        return float(rho * mp.quad(f, sorted(pts) + [mp.inf]))
 
 
 class TestPosteriorMean:
@@ -96,6 +127,31 @@ class TestMmse:
             mmse(-1.0, RHO)
         with pytest.raises(ValueError):
             mmse(np.inf, RHO)
+        with pytest.raises(ValueError):
+            mmse(np.array([1.0, np.nan]), RHO)
+
+    @pytest.mark.parametrize("rho, vs", sorted(ORACLE_MMSE))
+    def test_matches_high_precision_oracle(self, rho, vs):
+        got = mmse(vs, BernoulliGaussianPrior(rho))
+        assert got == pytest.approx(ORACLE_MMSE[rho, vs], rel=1e-14, abs=0)
+
+    def test_frozen_oracle_values_are_live(self):
+        for rho, vs in [(0.999, 1000.0), (0.995, 631.0), (0.99, 501.0)]:
+            assert _mmse_mpmath_oracle(vs, rho) == pytest.approx(ORACLE_MMSE[rho, vs],
+                                                                 rel=1e-15, abs=0)
+
+    def test_array_input_matches_scalar_calls(self):
+        vs = np.array([[0.0, 1e-3, 2.0], [50.0, 1e4, 1e9]])
+        got = mmse(vs, RHO)
+        assert got.shape == vs.shape
+        expect = np.array([[mmse(float(v), RHO) for v in row] for row in vs])
+        np.testing.assert_allclose(got, expect, rtol=1e-15, atol=0)
+        assert isinstance(mmse(2.0, RHO), float)
+
+    @pytest.mark.parametrize("vs", [5e-324, 1.1e-308, 1e-300])
+    def test_subnormal_precision_gives_prior_variance(self, vs):
+        for rho in (1e-3, 0.4, 0.999):
+            assert mmse(vs, BernoulliGaussianPrior(rho)) == pytest.approx(rho, rel=1e-15)
 
     @settings(deadline=None, max_examples=30)
     @given(vs1=st.floats(0.0, 200.0), vs2=st.floats(0.0, 200.0), rho=st.floats(0.01, 1.0))
