@@ -10,9 +10,11 @@ rates organize the phase diagram:
   alpha_c  rate at which the two maxima have equal height (the optimal
            threshold, reachable with seeding matrices).
 
-All three are located by bisection on predicates evaluated from log-grid
-curve scans.  A scan evaluates its whole grid in one vectorized
-free-entropy call, so a full 2000-point scan costs well under a second.
+dF/deps = -phi(eps) varsigma'(eps) with varsigma' < 0, so the maxima
+are the + to - crossings of the state-evolution residual phi(eps) =
+mmse(varsigma(eps)) - eps.  Scans count them on a log grid without the
+channel-term quadrature of F and refine them as roots of phi; the three
+rates are located by bisection on predicates of such scans.
 """
 
 import concurrent.futures
@@ -22,17 +24,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, QuadratureError
-from .replica_core import Ensemble, free_entropy_grid, single_block_spec
+from .replica_core import Ensemble, _conjugates_batch, free_entropy_grid, single_block_spec
+from .scalar_channel import mmse
 from .state_evolution import run_evolution
 
 DEFAULT_GRID_POINTS = 2000
-MAXIMUM_MARGIN = 1e-10      # spurious-maximum suppression on grid values
-GOLDEN_REL_TOL = 1e-10
 ALPHA_TOL = 1e-5
+# root-find bracket width in log eps, relative to max(1, |log eps|): a few dozen ulps
+_ROOT_XTOL = 1e-14
+_ROOT_MAX_ITER = 100
 # at alpha = 1 exactly the orthogonal inner extremization degenerates
 # (Delta -> 1, Lambda -> 0 for eps > sigma2), so rate searches stop short
 _ALPHA_SEARCH_CAP = 1.0 - 1e-7
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # window seeds already found by the running `_phase_point`, keyed by the
 # search arguments; None outside a phase point
 _WINDOW_SEEDS = contextvars.ContextVar("window_seeds", default=None)
@@ -44,14 +47,16 @@ class NoTransitionError(ValueError):
 
 @dataclass
 class FreeEntropyCurve:
-    """Sampled F(eps) with refined interior local maxima.
+    """Log grid over eps with the interior local maxima of F as (eps, F), eps increasing.
 
-    maxima is a list of (eps, F) pairs sorted by eps; each entry exceeded
-    both grid neighbors by at least MAXIMUM_MARGIN before refinement.
+    A maximum is a grid interval where phi changes sign from + to -.  A
+    refined curve carries F on the grid in values and each maximum at its
+    root of phi; an unrefined one computes no F: values is None and each
+    maximum is the left end of its interval (the last phi > 0), height None.
     """
 
     eps_grid: np.ndarray
-    values: np.ndarray
+    values: np.ndarray | None
     maxima: list = field(default_factory=list)
 
     @property
@@ -76,78 +81,69 @@ def default_eps_floor(sigma2: float) -> float:
     return max(1e-10, sigma2 * 1e-3)
 
 
-def _curve_f(rho, sigma2, alpha, kind):
-    spec = single_block_spec(rho, sigma2, alpha)
-
-    def f(eps):
-        return float(free_entropy_grid(np.array([[eps]]), spec, kind)[0])
-
-    return spec, f
+def _residual(eps, spec, kind):
+    """phi(eps) = mmse(varsigma(eps)) - eps for single-block MSEs of shape (n,)."""
+    sig = _conjugates_batch(eps[:, None], spec, kind)[0]
+    return mmse(sig[:, 0, 0], spec.prior) - eps
 
 
-def _golden_max(f, lo, hi, rel_tol=GOLDEN_REL_TOL):
-    """Golden-section maximization on [lo, hi] in log coordinates.
-
-    Near the top the height differences fall below rounding noise and
-    the golden bracket random-walks, so a Newton polish with a wide
-    finite-difference stencil pins the stationary point afterwards.
-    """
-    a, b = np.log(lo), np.log(hi)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(np.exp(x1)), f(np.exp(x2))
-    while b - a > rel_tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(np.exp(x2))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(np.exp(x1))
-    ell = 0.5 * (a + b)
-    step = 1e-4
-    for _ in range(3):
-        fm = f(np.exp(ell))
-        fu = f(np.exp(ell + step))
-        fd = f(np.exp(ell - step))
-        slope = (fu - fd) / (2 * step)
-        curv = (fu - 2 * fm + fd) / step ** 2
-        if not np.isfinite(curv) or curv >= 0:
-            break
-        ell -= np.clip(slope / curv, -0.3, 0.3)
-    x = np.exp(ell)
-    return x, f(x)
-
-
-def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
-               n_points: int = DEFAULT_GRID_POINTS, eps_floor: float | None = None,
-               refine: bool = True) -> FreeEntropyCurve:
-    """Sample F on a log grid over [eps_floor, rho] and locate its maxima.
-
-    Interior grid maxima must beat both neighbors by MAXIMUM_MARGIN; each
-    one is then refined by golden section inside its bracketing triple.
-    refine=False skips the refinement when only the count matters.
-    """
+def _bracket_maxima(rho, sigma2, alpha, kind, n_points, eps_floor):
+    """(spec, grid, phi on the grid, indices i with phi[i] > 0 >= phi[i + 1])."""
     if n_points < 3:
         raise ValueError("need at least 3 grid points")
     floor = default_eps_floor(sigma2) if eps_floor is None else float(eps_floor)
     top = rho if rho > 0 else 1.0  # zero-density curves have no prior scale
     if not 0 < floor < top:
         raise ValueError(f"eps floor {floor} must lie in (0, {top})")
-    spec, f = _curve_f(rho, sigma2, alpha, kind)
+    spec = single_block_spec(rho, sigma2, alpha)
     grid = np.geomspace(floor, top, n_points)
-    values = free_entropy_grid(grid[:, None], spec, kind)
-    idx = [i for i in range(1, n_points - 1)
-           if values[i] > values[i - 1] + MAXIMUM_MARGIN
-           and values[i] > values[i + 1] + MAXIMUM_MARGIN]
-    maxima = []
-    if refine:
-        for i in idx:
-            maxima.append(_golden_max(f, grid[i - 1], grid[i + 1]))
+    phi = _residual(grid, spec, kind)
+    return spec, grid, phi, np.flatnonzero((phi[:-1] > 0) & (phi[1:] <= 0))
+
+
+def _refine_maxima(spec, kind, grid, phi, idx):
+    """(eps, F) at the root of phi in each bracket [grid[i], grid[i + 1]], i in idx.
+
+    Illinois regula falsi in log eps on all brackets at once: an end kept
+    twice in a row has its residual halved, for superlinear convergence.
+    """
+    if idx.size == 0:
+        return []
+    a, b, fa, fb = np.log(grid[idx]), np.log(grid[idx + 1]), phi[idx], phi[idx + 1]
+    moved = np.zeros(idx.size)   # +1: a moved last, -1: b moved last
+    for _ in range(_ROOT_MAX_ITER):
+        live = (fb != 0) & (b - a > _ROOT_XTOL * np.maximum(1.0, np.abs(a)))
+        if not live.any():
+            break
+        c = b - fb * (b - a) / (fb - fa)   # fa > 0 >= fb: the step is finite
+        c = np.where((a < c) & (c < b), c, 0.5 * (a + b))
+        fc = _residual(np.exp(c), spec, kind)
+        up, down = live & (fc > 0), live & (fc <= 0)
+        fa = np.where(up, fc, np.where(down & (moved < 0), 0.5 * fa, fa))
+        fb = np.where(down, fc, np.where(up & (moved > 0), 0.5 * fb, fb))
+        a, b = np.where(up, c, a), np.where(down, c, b)
+        moved = np.where(up, 1.0, np.where(down, -1.0, moved))
     else:
-        maxima = [(grid[i], float(values[i])) for i in idx]
-    return FreeEntropyCurve(eps_grid=grid, values=values, maxima=maxima)
+        raise ConvergenceError(f"phi root find did not converge in {_ROOT_MAX_ITER} steps",
+                               residual=float(np.minimum(fa, -fb).max()))
+    eps = np.exp(np.where(moved > 0, a, b))   # the last iterate
+    return list(zip(eps.tolist(), free_entropy_grid(eps[:, None], spec, kind).tolist()))
+
+
+def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
+               n_points: int = DEFAULT_GRID_POINTS, eps_floor: float | None = None,
+               refine: bool = True) -> FreeEntropyCurve:
+    """Locate the maxima of F on a log grid over [eps_floor, rho] from the signs of phi.
+
+    refine=True, the curve product, refines each maximum to its root of
+    phi and evaluates F on the grid and at the roots; refine=False, for
+    counting, evaluates no F (see FreeEntropyCurve).
+    """
+    spec, grid, phi, idx = _bracket_maxima(rho, sigma2, alpha, kind, n_points, eps_floor)
+    if refine:
+        return FreeEntropyCurve(grid, free_entropy_grid(grid[:, None], spec, kind),
+                                _refine_maxima(spec, kind, grid, phi, idx))
+    return FreeEntropyCurve(grid, None, [(float(grid[i]), None) for i in idx])
 
 
 def _two_maxima(rho, sigma2, alpha, kind, n_points=DEFAULT_GRID_POINTS) -> bool:
@@ -158,8 +154,8 @@ def _find_two_max_alpha(rho, sigma2, kind, lo, hi, hint=None, n_points=DEFAULT_G
     """Some alpha whose curve has two maxima, or None.
 
     Tries a local grid around the hint, then a coarse bracket grid.  If
-    neither hits, zooms on the pair of adjacent rates where the global
-    maximizer jumps between the small- and large-MSE branches: the
+    neither hits, zooms on the pair of adjacent rates where the single
+    maximum jumps between the small- and large-MSE branches: the
     bistable window, when it exists, always contains that jump.
     """
     checked = {}
@@ -168,8 +164,9 @@ def _find_two_max_alpha(rho, sigma2, kind, lo, hi, hint=None, n_points=DEFAULT_G
         a = float(a)
         if a not in checked:
             curve = scan_curve(rho, sigma2, a, kind, n_points=n_points, refine=False)
-            argmax = float(curve.eps_grid[int(np.argmax(curve.values))])
-            checked[a] = (curve.n_maxima == 2, argmax)
+            # with no + to - crossing of phi, F peaks at the floor
+            peak = curve.maxima[0][0] if curve.maxima else float(curve.eps_grid[0])
+            checked[a] = (curve.n_maxima == 2, peak)
         return checked[a]
 
     if hint is not None:
@@ -182,7 +179,7 @@ def _find_two_max_alpha(rho, sigma2, kind, lo, hi, hint=None, n_points=DEFAULT_G
     for a in np.linspace(lo, hi, 25):
         if two_max_at(a)[0]:
             return float(a)
-    # zoom on the largest jump of the global maximizer: the bistable
+    # zoom on the largest jump of the single maximum: the bistable
     # window, when present, always contains the jump between branches
     alphas = sorted(checked)
     for _ in range(8):
@@ -262,10 +259,10 @@ def find_alpha_s(rho: float, sigma2: float, kind: Ensemble, tol: float = ALPHA_T
 
 def _maxima_gap(rho, sigma2, alpha, kind):
     """F(small-MSE maximum) - F(large-MSE maximum); requires two maxima."""
-    curve = scan_curve(rho, sigma2, alpha, kind)
-    if curve.n_maxima != 2:
-        raise NoTransitionError(f"curve at alpha={alpha} has {curve.n_maxima} maxima")
-    (_, f_good), (_, f_bad) = curve.maxima
+    spec, grid, phi, idx = _bracket_maxima(rho, sigma2, alpha, kind, DEFAULT_GRID_POINTS, None)
+    if idx.size != 2:
+        raise NoTransitionError(f"curve at alpha={alpha} has {idx.size} maxima")
+    (_, f_good), (_, f_bad) = _refine_maxima(spec, kind, grid, phi, idx)
     return f_good - f_bad
 
 
@@ -276,7 +273,8 @@ def find_alpha_c(rho: float, sigma2: float, kind: Ensemble, tol: float = ALPHA_T
 
     Bisects the sign of the height gap inside (alpha_s, alpha_d), then
     keeps halving until the gap magnitude itself is below gap_tol so the
-    returned point satisfies |F(max1) - F(max2)| <= 1e-6.
+    returned point satisfies |F(max1) - F(max2)| <= 1e-6.  Raises
+    ConvergenceError when the bracket collapses first.
     """
     if window is None:
         a_s = find_alpha_s(rho, sigma2, kind, hint=hint)
@@ -298,8 +296,9 @@ def find_alpha_c(rho: float, sigma2: float, kind: Ensemble, tol: float = ALPHA_T
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-12:
-            break
+        if hi - lo < 1e-12 and best[0] > gap_tol:
+            raise ConvergenceError(f"alpha_c bracket collapsed with the maxima gap at best "
+                                   f"{best[0]:.3e} > gap_tol {gap_tol:g}", residual=best[0])
     return best[1]
 
 

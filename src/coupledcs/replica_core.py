@@ -208,11 +208,15 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None,
     computed without cancellation.
     """
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps[..., (spec.J > 0).any(axis=0)] <= 0):
-        raise ValueError("eps must be > 0 on every coupled block")
     gamma = spec.gamma
     J = spec.J
     active = J > 0
+    if np.any(spec.alpha[active] > 1.0):
+        # the replica counterpart of M_q <= N_p in `build_coupled_operator`
+        raise ValueError("row-orthogonal blocks need alpha[q, p] <= 1 wherever J[q, p] > 0: "
+                         "a block cannot have more orthogonal rows than columns")
+    if np.any(eps[..., active.any(axis=0)] <= 0):
+        raise ValueError("eps must be > 0 on every coupled block")
     alpha = spec.alpha
     sigma2 = spec.sigma2
     eps_b = eps[..., None, :]

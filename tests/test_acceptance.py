@@ -15,6 +15,7 @@ from coupledcs import (BernoulliGaussianPrior, Ensemble, SeedingParams, adjoint_
                        free_entropy, mmse, mmse_mc_oracle, overall_rate, run_evolution,
                        sharp_window_exists, single_block_spec)
 from coupledcs.measurement_ops import DftBlock
+from coupledcs.phase_analysis import ALPHA_TOL
 from coupledcs.state_evolution import iterations_to_good_mse
 
 from conftest import random_coupled_spec
@@ -159,6 +160,18 @@ def test_criterion_03_phase_ordering(transitions_low_noise):
             assert tr["runtime"] < 600.0, f"{kind}: {tr['runtime']:.0f}s over budget"
         print("  transitions:", {k.value: {n: round(v, 5) for n, v in d.items()}
                                  for k, d in transitions_low_noise.items()})
+
+
+# (alpha_s, alpha_c, alpha_d) at rho 0.4, sigma2 1e-4 as first recorded, to 5 decimals
+RECORDED_TRANSITIONS = {ORTH: (0.44249, 0.47388, 0.51432),
+                        GAUSS: (0.45289, 0.48097, 0.51486)}
+
+
+def test_recorded_transition_values(transitions_low_noise):
+    for kind, ref in RECORDED_TRANSITIONS.items():
+        tr = transitions_low_noise[kind]
+        got = (tr["alpha_s"], tr["alpha_c"], tr["alpha_d"])
+        assert np.abs(np.subtract(got, ref)).max() <= ALPHA_TOL, (kind.value, got, ref)
 
 
 def _bisect_vanishing_sigma2(kind, lo, hi):

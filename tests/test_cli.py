@@ -77,6 +77,13 @@ class TestFreeEntropyCommand:
         sidecar = json.loads((tmp_path / "f.csv.json").read_text())
         assert len(sidecar["maxima"]) == 1
 
+    def test_orthogonal_rate_above_one_exits_2(self, runner, tmp_path):
+        res = runner.invoke(main, ["free-entropy", "--rho", "0.4", "--sigma2", "1e-4",
+                                   "--alpha", "1.5", "--ensemble", "orthogonal",
+                                   "-o", str(tmp_path / "f.csv")])
+        assert res.exit_code == 2, res.output
+        assert "alpha" in res.output
+
     def test_deterministic_output(self, runner, tmp_path):
         args = ["free-entropy", "--rho", "0.4", "--sigma2", "1e-4", "--alpha", "0.45",
                 "--ensemble", "gaussian", "--points", "400"]

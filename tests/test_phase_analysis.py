@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coupledcs import (Ensemble, NoTransitionError, QuadratureError, bp_mse_at, find_alpha_c,
-                       find_alpha_d, find_alpha_s, free_entropy_grid, run_evolution, scan_curve,
-                       sharp_window_exists, single_block_spec, sweep_phase_diagram)
-from coupledcs import phase_analysis
+from coupledcs import (ConvergenceError, Ensemble, NoTransitionError, QuadratureError, bp_mse_at,
+                       conjugate_fixed_point, find_alpha_c, find_alpha_d, find_alpha_s,
+                       free_entropy_grid, mmse, run_evolution, scan_curve, sharp_window_exists,
+                       single_block_spec, sweep_phase_diagram)
+from coupledcs import phase_analysis, replica_core
 from coupledcs.phase_analysis import _maxima_gap, _two_maxima
 
 GAUSS = Ensemble.GAUSSIAN_IID
@@ -54,6 +55,28 @@ class TestScanCurve:
         fine = scan_curve(RHO, SIGMA2, alpha, GAUSS, n_points=4000, refine=False)
         assert base.n_maxima == fine.n_maxima
 
+    @pytest.mark.parametrize("kind", [GAUSS, ORTH])
+    @pytest.mark.parametrize("alpha", [0.40, 0.45, 0.47, 0.49, 0.51, 0.56])
+    def test_refined_maxima_are_roots_of_phi_and_maxima_of_f(self, kind, alpha):
+        curve = scan_curve(RHO, SIGMA2, alpha, kind)
+        assert curve.n_maxima == scan_curve(RHO, SIGMA2, alpha, kind, refine=False).n_maxima
+        spec = single_block_spec(RHO, SIGMA2, alpha)
+        for eps, height in curve.maxima:
+            # phi(eps) = mmse(varsigma(eps)) - eps, through the public single-point path
+            varsigma = conjugate_fixed_point(np.array([eps]), spec, kind).varsigma.sum()
+            assert abs(mmse(varsigma, spec.prior) - eps) <= 1e-12 * eps
+            around = free_entropy_grid(eps * np.array([[1 - 1e-4], [1 + 1e-4]]), spec, kind)
+            assert np.all(around < height)
+
+    def test_unrefined_scan_evaluates_no_free_entropy(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("channel term evaluated")
+
+        monkeypatch.setattr(replica_core, "channel_term_batch", forbidden)
+        curve = scan_curve(RHO, SIGMA2, 0.49, ORTH, refine=False)
+        assert curve.values is None
+        assert curve.n_maxima == 2 and all(f is None for _, f in curve.maxima)
+
     def test_grid_is_increasing_and_maxima_sorted(self):
         curve = scan_curve(RHO, SIGMA2, 0.49, ORTH)
         assert np.all(np.diff(curve.eps_grid) > 0)
@@ -79,6 +102,10 @@ class TestTransitions:
     def test_equal_heights_at_alpha_c(self, gauss_transitions):
         _, a_c, _ = gauss_transitions
         assert abs(_maxima_gap(RHO, SIGMA2, a_c, GAUSS)) <= 1e-6
+
+    def test_alpha_c_raises_when_gap_tol_is_out_of_reach(self):
+        with pytest.raises(ConvergenceError, match="gap"):
+            find_alpha_c(RHO, SIGMA2, GAUSS, gap_tol=1e-30, window=(0.4528967, 0.5148596))
 
     def test_single_maximum_below_window_sits_at_large_mse(self, gauss_transitions):
         a_s, _, _ = gauss_transitions

@@ -272,6 +272,21 @@ class TestConjugateFixedPoint:
         assert np.abs(np.where(act, recon, 0.0) - st.varsigma).max() <= 1e-10
 
 
+    def test_orthogonal_rate_above_one_is_rejected(self):
+        # a block cannot hold more orthogonal rows than columns (M_q <= N_p)
+        spec = single_block_spec(0.4, 1e-4, 1.5)
+        with pytest.raises(ValueError, match="alpha"):
+            conjugate_fixed_point(np.array([0.1]), spec, ORTH)
+        with pytest.raises(ValueError, match="alpha"):
+            free_entropy(np.array([0.1]), spec, ORTH)
+
+    def test_gaussian_rate_above_one_still_evaluates(self):
+        spec = single_block_spec(0.4, 1e-4, 1.5)
+        st = conjugate_fixed_point(np.array([0.1]), spec, GAUSS)
+        assert st.varsigma[0, 0] == pytest.approx(1.5 / (1e-4 + 0.1), rel=1e-14)
+        assert np.isfinite(free_entropy(np.array([0.1]), spec, GAUSS))
+
+
 class TestFreeEntropy:
     def test_permutation_invariance(self, rng):
         for _ in range(5):
