@@ -8,7 +8,8 @@ ensemble into results/.
 
 import os
 
-from coupledcs import Ensemble, SeedingParams, build_seeding_spec, overall_rate, run_evolution
+from coupledcs import Ensemble, SeedingParams, build_seeding_spec, run_evolution
+from coupledcs.cli import write_trace_csv
 from coupledcs.state_evolution import iterations_to_good_mse
 
 PARAMS = SeedingParams(L=10, W=2, alpha_seed=0.70, alpha_bulk=0.49, J=0.5)
@@ -20,14 +21,11 @@ OUT_DIR = "results"
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
     spec = build_seeding_spec(PARAMS, RHO, SIGMA2)
-    print(f"overall measurement rate: {overall_rate(spec):.4f}")
+    print(f"overall measurement rate: {spec.total_rate:.4f}")
     for kind in (Ensemble.ROW_ORTHOGONAL, Ensemble.GAUSSIAN_IID):
         trace = run_evolution(spec, kind)
         path = os.path.join(OUT_DIR, f"coupled_trace_{kind.value}.csv")
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(f"eps_{p + 1}" for p in range(spec.L_c)) + "\n")
-            for t, eps in enumerate(trace.history):
-                fh.write(f"{t}," + ",".join(repr(float(v)) for v in eps) + "\n")
+        write_trace_csv(path, trace.history)
         hit = iterations_to_good_mse(trace, SIGMA2)
         print(f"{kind.value}: converged={trace.converged} in {trace.iterations} "
               f"iterations, noise floor reached at t={hit} -> {path}")

@@ -8,6 +8,7 @@ Writes results/free_entropy_<ensemble>_alpha<alpha>.csv with columns
 import os
 
 from coupledcs import Ensemble, scan_curve
+from coupledcs.cli import write_curve_csv
 
 RHO = 0.4
 SIGMA2 = 1e-4
@@ -21,14 +22,8 @@ def main():
         for alpha in ALPHAS:
             curve = scan_curve(RHO, SIGMA2, alpha, kind)
             base = os.path.join(OUT_DIR, f"free_entropy_{kind.value}_alpha{alpha:g}")
-            with open(f"{base}.csv", "w") as fh:
-                fh.write("eps,free_entropy\n")
-                for e, f in zip(curve.eps_grid, curve.values):
-                    fh.write(f"{float(e)!r},{float(f)!r}\n")
-            with open(f"{base}.maxima.csv", "w") as fh:
-                fh.write("eps,free_entropy\n")
-                for e, f in curve.maxima:
-                    fh.write(f"{float(e)!r},{float(f)!r}\n")
+            write_curve_csv(f"{base}.csv", zip(curve.eps_grid, curve.values))
+            write_curve_csv(f"{base}.maxima.csv", curve.maxima)
             print(f"{kind.value} alpha={alpha}: {curve.n_maxima} maxima -> {base}.csv")
 
 

@@ -11,6 +11,7 @@ import os
 import numpy as np
 
 from coupledcs import Ensemble, sweep_phase_diagram
+from coupledcs.cli import write_phase_csv
 
 RHO = 0.4
 SIGMA2_GRID = np.geomspace(1e-6, 3e-3, 12)
@@ -23,16 +24,10 @@ def main():
     for kind in (Ensemble.ROW_ORTHOGONAL, Ensemble.GAUSSIAN_IID):
         points = sweep_phase_diagram(RHO, SIGMA2_GRID, kind, threads=THREADS)
         path = os.path.join(OUT_DIR, f"phase_{kind.value}.csv")
-        with open(path, "w") as fh:
-            fh.write("sigma2,alpha_d,alpha_c,alpha_s,sharp,status\n")
-            for pt in points:
-                cells = ["" if v is None else repr(float(v))
-                         for v in (pt.alpha_d, pt.alpha_c, pt.alpha_s)]
-                status = "ok" if pt.error is None else "error"
-                fh.write(f"{float(pt.sigma2)!r},{cells[0]},{cells[1]},{cells[2]},"
-                         f"{int(pt.sharp)},{status}\n")
-                print(f"{kind.value} sigma2={pt.sigma2:.2e} sharp={pt.sharp} "
-                      f"alpha_d={pt.alpha_d} alpha_c={pt.alpha_c}")
+        write_phase_csv(path, points)
+        for pt in points:
+            print(f"{kind.value} sigma2={pt.sigma2:.2e} sharp={pt.sharp} "
+                  f"alpha_d={pt.alpha_d} alpha_c={pt.alpha_c}")
         print(f"-> {path}")
 
 

@@ -1,8 +1,10 @@
 """Command-line frontend emitting figure-ready CSV data with JSON sidecars.
 
-Exit codes: 0 success, 2 parameter/validation failure, 3 numeric failure.
-Every command is deterministic for a fixed flag set; output files carry no
-timestamps so repeated runs are byte-identical.
+This module holds every file format the package writes; the experiment
+scripts write through the same functions.  Exit codes: 0 success,
+2 parameter/validation failure, 3 numeric failure.  Every command is
+deterministic for a fixed flag set; output files carry no timestamps so
+repeated runs are byte-identical.
 """
 
 import functools
@@ -13,10 +15,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .coupling import SeedingParams, build_seeding_spec, overall_rate, spec_from_json
+from .coupling import SeedingParams, build_seeding_spec, spec_from_json, spec_to_json
 from .errors import ConvergenceError, QuadratureError
-from .measurement_ops import (block_variance_report, build_coupled_operator,
-                              export_instance, gen_instance)
+from .measurement_ops import block_variance_report, build_coupled_operator, gen_instance
 from .phase_analysis import scan_curve, sweep_phase_diagram
 from .replica_core import Ensemble, single_block_spec
 from .scalar_channel import BernoulliGaussianPrior, mmse, mmse_mc_oracle
@@ -47,6 +48,58 @@ def _ensemble(name):
     return Ensemble.ROW_ORTHOGONAL if name == "orthogonal" else Ensemble.GAUSSIAN_IID
 
 
+def _num(v):
+    return repr(float(v))
+
+
+def _write_csv(path, header, rows):
+    """One header line, then one comma-joined line per row of formatted cells."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def write_curve_csv(path, points):
+    """(eps, F) pairs: a free-entropy curve or its maxima."""
+    _write_csv(path, "eps,free_entropy", ((_num(e), _num(f)) for e, f in points))
+
+
+def write_trace_csv(path, history):
+    """Per-block MSE of a state-evolution run, one row per iteration."""
+    header = "t," + ",".join(f"eps_{p + 1}" for p in range(history.shape[1]))
+    _write_csv(path, header, ((str(t), *map(_num, eps)) for t, eps in enumerate(history)))
+
+
+def write_phase_csv(path, points):
+    """One row per sweep point; rates of a point without them are empty cells."""
+    def row(pt):
+        rates = ("" if v is None else _num(v) for v in (pt.alpha_d, pt.alpha_c, pt.alpha_s))
+        status = "ok" if pt.error is None else "error"
+        return (_num(pt.sigma2), *rates, str(int(pt.sharp)), status)
+    _write_csv(path, "sigma2,alpha_d,alpha_c,alpha_s,sharp,status", map(row, points))
+
+
+def write_complex_csv(path, values):
+    """(re, im) column pairs, one complex entry per row."""
+    _write_csv(path, "re,im", ((_num(v.real), _num(v.imag)) for v in values))
+
+
+def read_complex_csv(path) -> np.ndarray:
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return data[:, 0] + 1j * data[:, 1]
+
+
+def export_instance(op, inst, prefix):
+    """Write <prefix>.json plus <prefix>_x.csv / <prefix>_y.csv."""
+    header = {"N": op.N, "M": op.M, "ensemble": op.kind.value, "sigma": inst.sigma,
+              "seed": inst.seed, "spec": json.loads(spec_to_json(op.spec))}
+    with open(f"{prefix}.json", "w") as fh:
+        json.dump(header, fh, indent=2)
+    write_complex_csv(f"{prefix}_x.csv", inst.x)
+    write_complex_csv(f"{prefix}_y.csv", inst.y)
+
+
 def _sidecar(path, command, config, extra=None):
     doc = {"tool": "coupledcs", "version": __version__, "command": command,
            "config": config}
@@ -61,8 +114,14 @@ def _apply_config(ctx, param, value):
     """--config JSON supplies defaults for any flag not given explicitly."""
     if value is None:
         return None
-    with open(value) as fh:
-        ctx.default_map = json.load(fh)
+    try:
+        with open(value) as fh:
+            defaults = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise click.BadParameter(f"unreadable JSON: {exc}") from None
+    if not isinstance(defaults, dict):
+        raise click.BadParameter("must hold a JSON object of flag defaults")
+    ctx.default_map = defaults
     return value
 
 
@@ -117,10 +176,7 @@ def cmd_mmse(rho, grid_text, samples, seed, output):
         else:
             mc, err = rho, 0.0
         rows.append((vs, exact, mc, err))
-    with open(output, "w") as fh:
-        fh.write("varsigma,mmse,mc_estimate,mc_stderr\n")
-        for vs, exact, mc, err in rows:
-            fh.write(f"{float(vs)!r},{float(exact)!r},{float(mc)!r},{float(err)!r}\n")
+    _write_csv(output, "varsigma,mmse,mc_estimate,mc_stderr", (map(_num, r) for r in rows))
     _sidecar(f"{output}.json", "mmse",
              {"rho": rho, "grid": grid, "samples": samples, "seed": seed})
 
@@ -139,10 +195,7 @@ def cmd_free_entropy(rho, sigma2, alpha, ensemble, points, eps_floor, output):
     """F(eps) on a log grid, with the refined local maxima in the sidecar."""
     curve = scan_curve(rho, sigma2, alpha, _ensemble(ensemble),
                        n_points=points, eps_floor=eps_floor)
-    with open(output, "w") as fh:
-        fh.write("eps,free_entropy\n")
-        for e, f in zip(curve.eps_grid, curve.values):
-            fh.write(f"{float(e)!r},{float(f)!r}\n")
+    write_curve_csv(output, zip(curve.eps_grid, curve.values))
     _sidecar(f"{output}.json", "free-entropy",
              {"rho": rho, "sigma2": sigma2, "alpha": alpha, "ensemble": ensemble,
               "points": points, "eps_floor": eps_floor},
@@ -166,14 +219,7 @@ def cmd_phase_diagram(rho, sigma2_text, ensemble, threads, output):
     if all(pt.error is not None for pt in points):
         click.echo("numeric failure: every sweep point failed", err=True)
         sys.exit(EXIT_NUMERIC)
-    with open(output, "w") as fh:
-        fh.write("sigma2,alpha_d,alpha_c,alpha_s,sharp,status\n")
-        for pt in points:
-            def fmt(v):
-                return "" if v is None else repr(float(v))
-            status = "ok" if pt.error is None else "error"
-            fh.write(f"{float(pt.sigma2)!r},{fmt(pt.alpha_d)},{fmt(pt.alpha_c)},"
-                     f"{fmt(pt.alpha_s)},{int(pt.sharp)},{status}\n")
+    write_phase_csv(output, points)
     _sidecar(f"{output}.json", "phase-diagram",
              {"rho": rho, "sigma2_grid": grid, "ensemble": ensemble, "threads": threads},
              {"errors": {repr(pt.sigma2): pt.error for pt in points if pt.error}})
@@ -220,16 +266,13 @@ def cmd_evolve(spec_file, L, W, alpha_seed, alpha_bulk, J, rho, sigma2, ensemble
                        "alpha_bulk": alpha_bulk, "J": J, "rho": rho, "sigma2": sigma2}
     trace = run_evolution(spec, _ensemble(ensemble), tol=tol, max_iter=max_iter,
                           damping=damping)
-    with open(output, "w") as fh:
-        fh.write("t," + ",".join(f"eps_{p + 1}" for p in range(spec.L_c)) + "\n")
-        for t, eps in enumerate(trace.history):
-            fh.write(f"{t}," + ",".join(repr(float(v)) for v in eps) + "\n")
+    write_trace_csv(output, trace.history)
     _sidecar(f"{output}.json", "evolve",
              {**config_spec, "ensemble": ensemble, "tol": tol,
               "max_iter": max_iter, "damping": damping},
              {"converged": trace.converged, "iterations": trace.iterations,
               "oscillating": trace.oscillating, "clamped": trace.clamped,
-              "overall_rate": overall_rate(spec),
+              "overall_rate": spec.total_rate,
               "final_eps": trace.final_eps.tolist()})
 
 

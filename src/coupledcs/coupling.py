@@ -72,11 +72,6 @@ def build_seeding_spec(params: SeedingParams, rho: float, sigma2: float) -> Coup
                         sigma2=float(sigma2), prior=BernoulliGaussianPrior(rho))
 
 
-def overall_rate(spec: CouplingSpec) -> float:
-    """Total measurement ratio M / N = sum_q alpha[q, p] gamma[p] (any p)."""
-    return spec.total_rate
-
-
 def spec_to_json(spec: CouplingSpec) -> str:
     """Serialize a CouplingSpec to the versioned JSON document."""
     doc = {
@@ -92,21 +87,43 @@ def spec_to_json(spec: CouplingSpec) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _integer(value):
+    """An integral JSON number as int; anything int() would truncate or coerce is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError
+
+
+def _array(value):
+    return np.asarray(value, dtype=float)
+
+
+_FIELDS = {"L_r": _integer, "L_c": _integer, "gamma": _array, "alpha": _array, "J": _array,
+           "sigma2": float, "rho": float}
+
+
 def spec_from_json(text: str) -> CouplingSpec:
-    """Parse the versioned JSON document back into a CouplingSpec."""
+    """Parse the versioned JSON document back into a CouplingSpec.
+
+    Raises ValueError for a document that is not an object, a missing
+    field, or a field of the wrong type.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"spec document must be a JSON object, got {type(doc).__name__}")
     schema = doc.get("schema")
     if schema != SPEC_SCHEMA:
         raise ValueError(f"unsupported spec schema {schema!r}, expected {SPEC_SCHEMA!r}")
-    missing = [k for k in ("L_r", "L_c", "gamma", "alpha", "J", "sigma2", "rho") if k not in doc]
+    missing = [k for k in _FIELDS if k not in doc]
     if missing:
         raise ValueError(f"spec document missing fields: {', '.join(missing)}")
-    return CouplingSpec(
-        L_r=int(doc["L_r"]),
-        L_c=int(doc["L_c"]),
-        gamma=np.asarray(doc["gamma"], dtype=float),
-        alpha=np.asarray(doc["alpha"], dtype=float),
-        J=np.asarray(doc["J"], dtype=float),
-        sigma2=float(doc["sigma2"]),
-        prior=BernoulliGaussianPrior(float(doc["rho"])),
-    )
+    fields = {}
+    for key, convert in _FIELDS.items():
+        try:
+            fields[key] = convert(doc[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"spec field {key} has the wrong type: {doc[key]!r}") from None
+    rho = fields.pop("rho")
+    return CouplingSpec(**fields, prior=BernoulliGaussianPrior(rho))

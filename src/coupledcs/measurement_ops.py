@@ -15,7 +15,6 @@ for the signal and the noise), so draws are reproducible across
 platforms and independent of block evaluation order.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,37 +227,3 @@ def block_variance_report(op: CoupledOperator) -> dict:
         report[f"{q},{p}"] = {"nominal": nominal, "empirical": empirical,
                               "ratio": empirical / nominal}
     return report
-
-
-def instance_header(op: CoupledOperator, inst: SyntheticInstance) -> dict:
-    from .coupling import spec_to_json
-
-    return {
-        "N": op.N,
-        "M": op.M,
-        "ensemble": op.kind.value,
-        "sigma": inst.sigma,
-        "seed": inst.seed,
-        "spec": json.loads(spec_to_json(op.spec)),
-    }
-
-
-def write_complex_csv(path, values):
-    """(re, im) column pairs, one complex entry per row."""
-    with open(path, "w") as fh:
-        fh.write("re,im\n")
-        for v in values:
-            fh.write(f"{float(v.real)!r},{float(v.imag)!r}\n")
-
-
-def read_complex_csv(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0] + 1j * data[:, 1]
-
-
-def export_instance(op: CoupledOperator, inst: SyntheticInstance, prefix: str):
-    """Write <prefix>.json plus <prefix>_x.csv / <prefix>_y.csv."""
-    with open(f"{prefix}.json", "w") as fh:
-        json.dump(instance_header(op, inst), fh, indent=2)
-    write_complex_csv(f"{prefix}_x.csv", inst.x)
-    write_complex_csv(f"{prefix}_y.csv", inst.y)

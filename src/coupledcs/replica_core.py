@@ -183,11 +183,6 @@ def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
                      atol=_CHANNEL_TOL, rtol=0.0, what="channel term", at=vs)
 
 
-def channel_term(varsigma_p: float, prior: BernoulliGaussianPrior) -> float:
-    """Scalar channel term; see `channel_term_batch`."""
-    return float(channel_term_batch([varsigma_p], prior)[0])
-
-
 # ----------------------------------------------------------------------
 # inner extremization (row-orthogonal ensemble)
 # ----------------------------------------------------------------------
@@ -306,26 +301,10 @@ def _g_orth_values(eps, spec: CouplingSpec, Lam):
     return log_term + (gamma[None, :] * bracket).sum(axis=-1)
 
 
-def g_orth(eps, spec: CouplingSpec, q: int):
-    """Extremized G for block row q of the row-orthogonal ensemble.
-
-    Returns (value, Lambda_row, Delta_row).  The extremizer solves
-    Lambda[q,p] = (1 - Delta[q,p]) / eps[p]; rows are independent, so the
-    row is read out of the joint solve.
-    """
-    eps = np.asarray(eps, dtype=float)
-    Lam, Delta, _, _ = _solve_lambda(eps, spec)
-    value = _g_orth_values(eps, spec, Lam)[q]
-    return float(value), Lam[q].copy(), Delta[q].copy()
-
-
-def g_gauss(eps, spec: CouplingSpec, q: int) -> float:
-    """G for block row q of the i.i.d. Gaussian ensemble (no extremization)."""
-    if spec.sigma2 == 0.0:
-        raise ValueError("Gaussian free entropy diverges at sigma2 = 0")
-    eps = np.asarray(eps, dtype=float)
-    s = float((spec.gamma * spec.J[q] * eps).sum())
-    return float(-spec.row_rates[q] * np.log1p(s / spec.sigma2))
+def _g_gauss_values(eps, spec: CouplingSpec):
+    """G_q of the i.i.d. Gaussian ensemble (no extremization), shape (..., L_r)."""
+    s = (spec.gamma * spec.J * np.asarray(eps, dtype=float)[..., None, :]).sum(axis=-1)
+    return -spec.row_rates * np.log1p(s / spec.sigma2)
 
 
 # ----------------------------------------------------------------------
@@ -393,8 +372,7 @@ def free_entropy_grid(eps_grid, spec: CouplingSpec, kind: Ensemble) -> np.ndarra
     if kind is Ensemble.ROW_ORTHOGONAL:
         g = _g_orth_values(eps_grid, spec, Lam).sum(axis=-1)
     else:
-        s = (spec.gamma[None, None, :] * spec.J[None] * eps_grid[:, None, :]).sum(axis=-1)
-        g = (-spec.row_rates[None, :] * np.log1p(s / spec.sigma2)).sum(axis=-1)
+        g = _g_gauss_values(eps_grid, spec).sum(axis=-1)
     return term_channel + term_cross + g + (1.0 - spec.total_rate)
 
 

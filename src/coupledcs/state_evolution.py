@@ -47,11 +47,6 @@ class EvolutionTrace:
         return self.history[-1]
 
 
-def good_mse_reached(eps, sigma2: float) -> bool:
-    """Noise-dominated regime predicate: max_p eps_p < 10 * sigma2."""
-    return bool(np.max(eps) < 10.0 * sigma2)
-
-
 def se_step(state: ConjugateState, spec: CouplingSpec, kind: Ensemble) -> ConjugateState:
     """One state-evolution iteration.
 

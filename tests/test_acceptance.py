@@ -12,7 +12,7 @@ import pytest
 from coupledcs import (BernoulliGaussianPrior, Ensemble, SeedingParams, adjoint_apply,
                        apply, build_coupled_operator, build_seeding_spec,
                        conjugate_fixed_point, find_alpha_c, find_alpha_d, find_alpha_s,
-                       free_entropy, mmse, mmse_mc_oracle, overall_rate, run_evolution,
+                       free_entropy, mmse, mmse_mc_oracle, run_evolution,
                        sharp_window_exists, single_block_spec)
 from coupledcs.measurement_ops import DftBlock
 from coupledcs.phase_analysis import ALPHA_TOL
@@ -102,7 +102,7 @@ def coupled_threshold():
         L = 22  # (0.70 - alpha_bulk) / L < 0.01
         spec = build_seeding_spec(SeedingParams(L=L, W=2, alpha_seed=0.70,
                                                 alpha_bulk=a_bulk, J=j), RHO, 1e-6)
-        rate = overall_rate(spec)
+        rate = spec.total_rate
         flat = single_block_spec(RHO, 1e-6, rate)
         out[kind] = {
             "spec": spec,

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -156,6 +158,30 @@ class TestEvolveCommand:
         assert res.exit_code == 2
         assert "sigma2 must be finite" in res.output
 
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--spec-file", "[1, 2]", "JSON object"),
+        ("--spec-file", {"L_r": None}, "L_r"),
+        ("--spec-file", {"rho": None}, "rho"),
+        ("--spec-file", {"L_c": 2.5}, "L_c"),
+        ("--config", "{bad", "--config"),
+        ("--config", "[1]", "--config"),
+    ], ids=["spec-not-object", "spec-L_r-null", "spec-rho-null", "spec-L_c-fractional",
+            "config-bad-json", "config-not-object"])
+    def test_malformed_input_file_exits_2(self, runner, tmp_path, flag, content, message):
+        if isinstance(content, dict):
+            spec = build_seeding_spec(
+                SeedingParams(L=2, W=1, alpha_seed=0.6, alpha_bulk=0.5, J=0.5), 0.4, 1e-4)
+            content = json.dumps({**json.loads(spec_to_json(spec)), **content})
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        # complete seeding flags: a file the command ignored would run and exit 0
+        res = runner.invoke(main, ["evolve", flag, str(path), "--L", "1", "--W", "1",
+                                   "--alpha-seed", "0.6", "--alpha-bulk", "0.6", "--J", "0.5",
+                                   "--rho", "0.4", "--sigma2", "1e-4", "--max-iter", "3",
+                                   "--ensemble", "gaussian", "-o", str(tmp_path / "t.csv")])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+
     def test_non_convergence_is_exit_0(self, runner, tmp_path):
         out = tmp_path / "t.csv"
         res = runner.invoke(main, ["evolve", "--L", "1", "--W", "1",
@@ -222,3 +248,11 @@ class TestConfigAndVersion:
     def test_version(self, runner):
         res = runner.invoke(main, ["--version"])
         assert res.exit_code == 0
+
+
+def test_public_names_resolve_without_loading_the_cli():
+    code = ("import sys, coupledcs; "
+            "assert all(hasattr(coupledcs, n) for n in coupledcs.__all__); "
+            "sys.exit(any(m.split('.')[0] == 'click' or m == 'coupledcs.cli' "
+            "for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

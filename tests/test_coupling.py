@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupledcs import SeedingParams, build_seeding_spec, overall_rate, spec_from_json, spec_to_json
+from coupledcs import SeedingParams, build_seeding_spec, spec_from_json, spec_to_json
 
 
 def test_degenerate_single_block():
@@ -31,12 +31,12 @@ def test_band_plus_upper_diagonal_pattern():
 
 def test_overall_rate_seeding_example():
     spec = build_seeding_spec(SeedingParams(L=10, W=2, alpha_seed=0.70, alpha_bulk=0.49, J=0.5), 0.4, 1e-6)
-    assert overall_rate(spec) == pytest.approx(0.511, abs=1e-15)
+    assert spec.total_rate == pytest.approx(0.511, abs=1e-15)
 
 
 def test_overall_rate_approaches_bulk():
-    rates = [overall_rate(build_seeding_spec(
-        SeedingParams(L=L, W=2, alpha_seed=0.70, alpha_bulk=0.49, J=0.5), 0.4, 1e-6))
+    rates = [build_seeding_spec(
+        SeedingParams(L=L, W=2, alpha_seed=0.70, alpha_bulk=0.49, J=0.5), 0.4, 1e-6).total_rate
         for L in (4, 8, 16, 32, 64)]
     assert all(a > b for a, b in zip(rates, rates[1:]))
     assert rates[-1] == pytest.approx(0.49, abs=0.004)
@@ -68,7 +68,7 @@ def test_random_params_build_valid_specs(L, W, a_seed, a_bulk, J, rho):
     spec = build_seeding_spec(SeedingParams(L=L, W=W, alpha_seed=a_seed, alpha_bulk=a_bulk, J=J),
                               rho, 1e-4)
     expected = (a_seed + (L - 1) * a_bulk) / L
-    assert overall_rate(spec) == pytest.approx(expected, abs=1e-13)
+    assert spec.total_rate == pytest.approx(expected, abs=1e-13)
 
 
 def test_json_round_trip():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from coupledcs import (BernoulliGaussianPrior, Ensemble, adjoint_apply, apply,
                        build_coupled_operator, dense_materialize, gen_instance,
                        sample_signal, single_block_spec)
-from coupledcs.measurement_ops import DftBlock, export_instance, read_complex_csv
+from coupledcs.cli import export_instance, read_complex_csv
+from coupledcs.measurement_ops import DftBlock
 
 from conftest import random_coupled_spec
 

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from coupledcs import (BernoulliGaussianPrior, CouplingSpec, Ensemble, channel_term,
-                       conjugate_fixed_point, free_entropy, g_gauss, g_orth,
-                       single_block_spec)
-from coupledcs.replica_core import channel_term_batch
+from coupledcs import (BernoulliGaussianPrior, CouplingSpec, Ensemble, conjugate_fixed_point,
+                       free_entropy, free_entropy_grid, single_block_spec)
+from coupledcs.replica_core import (_g_gauss_values, _g_orth_values, _solve_lambda,
+                                    channel_term_batch)
 
 from conftest import random_coupled_spec
 
@@ -100,11 +100,12 @@ class TestCouplingSpecValidation:
 class TestChannelTerm:
     def test_all_zero_signal(self):
         # y carries no signal: E log e^{-vs|y|^2} = -vs E|y|^2 = -1
-        assert channel_term(5.0, BernoulliGaussianPrior(0.0)) == pytest.approx(-1.0, abs=1e-12)
+        got = channel_term_batch([5.0], BernoulliGaussianPrior(0.0))[0]
+        assert got == pytest.approx(-1.0, abs=1e-12)
 
     def test_dense_prior_closed_form(self):
         # single Gaussian component: -log(1 + vs) - 1
-        got = channel_term(1.0, BernoulliGaussianPrior(1.0))
+        got = channel_term_batch([1.0], BernoulliGaussianPrior(1.0))[0]
         assert got == pytest.approx(-np.log(2.0) - 1.0, abs=1e-12)
 
     def test_matches_monte_carlo_double_expectation(self):
@@ -125,7 +126,7 @@ class TestChannelTerm:
             total_sq += (vals ** 2).sum()
         mean = total / n
         std_err = np.sqrt((total_sq / n - mean ** 2) / n)
-        assert abs(channel_term(vs, BernoulliGaussianPrior(rho)) - mean) <= 3 * std_err
+        assert abs(channel_term_batch([vs], BernoulliGaussianPrior(rho))[0] - mean) <= 3 * std_err
 
     def test_derivative_is_minus_mmse(self):
         # independent consistency check tying the two quadratures together
@@ -133,23 +134,24 @@ class TestChannelTerm:
         prior = BernoulliGaussianPrior(0.4)
         for vs in (0.5, 5.0, 250.0):
             h = vs * 1e-5
-            fd = (channel_term(vs + h, prior) - channel_term(vs - h, prior)) / (2 * h)
+            up, dn = channel_term_batch([vs + h], prior)[0], channel_term_batch([vs - h], prior)[0]
+            fd = (up - dn) / (2 * h)
             assert fd == pytest.approx(-mmse(vs, prior), abs=1e-9, rel=1e-7)
 
     def test_batch_matches_scalar(self):
         prior = BernoulliGaussianPrior(0.25)
         grid = np.geomspace(0.1, 1e6, 40)
         batch = channel_term_batch(grid, prior)
-        singles = np.array([channel_term(v, prior) for v in grid])
+        singles = np.array([channel_term_batch([v], prior)[0] for v in grid])
         assert np.abs(batch - singles).max() <= 1e-11
 
     def test_rejects_zero_precision(self):
         with pytest.raises(ValueError):
-            channel_term(0.0, BernoulliGaussianPrior(0.4))
+            channel_term_batch([0.0], BernoulliGaussianPrior(0.4))
 
     @pytest.mark.parametrize("rho, vs", sorted(ORACLE_CHANNEL))
     def test_matches_high_precision_oracle(self, rho, vs):
-        got = channel_term(vs, BernoulliGaussianPrior(rho))
+        got = channel_term_batch([vs], BernoulliGaussianPrior(rho))[0]
         assert got == pytest.approx(ORACLE_CHANNEL[rho, vs], rel=1e-14, abs=0)
 
     def test_frozen_oracle_values_are_live(self):
@@ -167,31 +169,32 @@ class TestGOrth:
     def test_noise_free_single_block_stationarity(self):
         # sigma2 = 0 makes Delta = alpha independently of Lambda
         spec = single_block_spec(0.4, 0.0, 0.5)
-        _, Lam, Delta = g_orth(np.array([0.1]), spec, 0)
-        assert Delta[0] == pytest.approx(0.5, abs=1e-12)
-        assert Lam[0] == pytest.approx(5.0, abs=1e-9)
+        Lam, Delta, _, _ = _solve_lambda(np.array([0.1]), spec)
+        assert Delta[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert Lam[0, 0] == pytest.approx(5.0, abs=1e-9)
 
     def test_decoupled_entry_convention(self):
         # J[q,p] = 0 entries sit at Lambda = 1/eps, Delta = 0 and add nothing to G
         spec = two_block_spec()
         eps = np.array([0.05, 0.2])
-        value, Lam, Delta = g_orth(eps, spec, 0)
-        assert Delta[1] == 0.0
-        assert Lam[1] == pytest.approx(1.0 / eps[1], abs=1e-12)
+        Lam, Delta, _, _ = _solve_lambda(eps, spec)
+        assert Delta[0, 1] == 0.0
+        assert Lam[0, 1] == pytest.approx(1.0 / eps[1], abs=1e-12)
+        moved = Lam.copy()
+        moved[0, 1] *= 3.0
+        assert _g_orth_values(eps, spec, moved)[0] == _g_orth_values(eps, spec, Lam)[0]
 
     def test_finite_difference_stationarity(self):
         spec = single_block_spec(0.4, 1e-4, 0.49)
         for eps0 in (0.1, 1e-3):
             eps = np.array([eps0])
-            _, Lam, _ = g_orth(eps, spec, 0)
-            assert _g_gradient_norm(eps, spec, Lam[None, :]) <= 1e-8
+            Lam, _, _, _ = _solve_lambda(eps, spec)
+            assert _g_gradient_norm(eps, spec, Lam) <= 1e-8
 
     def test_finite_difference_stationarity_coupled(self):
         spec = two_block_spec()
         eps = np.array([0.03, 0.15])
-        _, Lam0, _ = g_orth(eps, spec, 0)
-        _, Lam1, _ = g_orth(eps, spec, 1)
-        Lam = np.stack([Lam0, Lam1])
+        Lam, _, _, _ = _solve_lambda(eps, spec)
         assert _g_gradient_norm(eps, spec, Lam) <= 1e-8
 
 
@@ -224,22 +227,22 @@ def _g_gradient_norm(eps, spec, Lam):
 class TestGGauss:
     def test_zero_mse(self):
         spec = two_block_spec()
-        assert g_gauss(np.zeros(2), spec, 0) == 0.0
+        assert _g_gauss_values(np.zeros(2), spec)[0] == 0.0
 
     def test_single_block_arithmetic(self):
         spec = single_block_spec(0.4, 0.01, 0.5)
-        got = g_gauss(np.array([0.02]), spec, 0)
+        got = _g_gauss_values(np.array([0.02]), spec)[0]
         assert got == pytest.approx(-0.5 * np.log(3.0), abs=1e-12)
 
     def test_scale_invariance(self):
-        a = g_gauss(np.array([0.02]), single_block_spec(0.4, 0.01, 0.5), 0)
-        b = g_gauss(np.array([0.04]), single_block_spec(0.4, 0.02, 0.5), 0)
+        a = _g_gauss_values(np.array([0.02]), single_block_spec(0.4, 0.01, 0.5))[0]
+        b = _g_gauss_values(np.array([0.04]), single_block_spec(0.4, 0.02, 0.5))[0]
         assert a == pytest.approx(b, abs=1e-14)
 
     def test_noise_free_raises(self):
         spec = single_block_spec(0.4, 0.0, 0.5)
         with pytest.raises(ValueError):
-            g_gauss(np.array([0.02]), spec, 0)
+            free_entropy_grid(np.array([[0.02]]), spec, GAUSS)
 
 
 class TestConjugateFixedPoint:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupledcs import (BernoulliGaussianPrior, CouplingSpec, Ensemble, SeedingParams,
                        build_seeding_spec, conjugate_fixed_point, free_entropy, mmse,
@@ -92,6 +94,21 @@ def test_free_entropy_non_decreasing_along_trajectory():
         values = [free_entropy(eps, spec, kind) for eps in trace.history]
         diffs = np.diff(values)
         assert diffs.min() >= -1e-8
+
+
+@settings(deadline=None, max_examples=25)
+@given(L=st.integers(1, 8), W=st.integers(1, 8), a_bulk=st.floats(0.3, 0.95),
+       seed_excess=st.floats(0.0, 1.0), J=st.floats(0.0, 3.0),
+       log_sigma2=st.floats(-6.0, -2.0), rho=st.floats(0.05, 0.95))
+def test_gaussian_block_mse_never_increases_from_rho(L, W, a_bulk, seed_excess, J,
+                                                     log_sigma2, rho):
+    # the Gaussian map is order-preserving, so from eps = rho every block only falls;
+    # the orthogonal ensemble has no such property (see ROADMAP item 2)
+    a_seed = a_bulk + seed_excess * (0.99 - a_bulk)
+    params = SeedingParams(L=L, W=min(W, L), alpha_seed=a_seed, alpha_bulk=a_bulk, J=J)
+    spec = build_seeding_spec(params, rho, 10.0 ** log_sigma2)
+    trace = run_evolution(spec, GAUSS, max_iter=2000)
+    assert np.diff(trace.history, axis=0).max() <= 0
 
 
 def test_degenerate_seeding_chain_matches_uncoupled():
