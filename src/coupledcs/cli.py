@@ -111,7 +111,11 @@ def _sidecar(path, command, config, extra=None):
 
 
 def _apply_config(ctx, param, value):
-    """--config JSON supplies defaults for any flag not given explicitly."""
+    """--config JSON supplies defaults for any flag not given explicitly.
+
+    A key is a flag's long name without the dashes ("sigma2-grid") or its
+    parameter name ("sigma2_text"); any other key is an error.
+    """
     if value is None:
         return None
     try:
@@ -121,7 +125,14 @@ def _apply_config(ctx, param, value):
         raise click.BadParameter(f"unreadable JSON: {exc}") from None
     if not isinstance(defaults, dict):
         raise click.BadParameter("must hold a JSON object of flag defaults")
-    ctx.default_map = defaults
+    names = {key: p.name for p in ctx.command.params if p is not param
+             for key in (p.name, *(opt[2:] for opt in p.opts if opt.startswith("--")))}
+    unknown = [key for key in defaults if key not in names]
+    if unknown:
+        raise click.BadParameter(f"key {unknown[0]!r} names no flag of this command")
+    ctx.default_map = {names[key]: v for key, v in defaults.items()}
+    if len(ctx.default_map) < len(defaults):
+        raise click.BadParameter("two keys name the same flag")
     return value
 
 

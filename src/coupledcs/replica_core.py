@@ -12,11 +12,12 @@ entry,
            + sum_q G_q(eps) + (1 - alpha_total),
 
 with sig_p = sum_q sig_{q,p}.  For the row-orthogonal ensemble G_q
-carries an inner extremization over auxiliary variables Lambda_{q,p};
-for the i.i.d. Gaussian ensemble it collapses to a single log.  The
-conjugate precisions sig_{q,p} are fixed by stationarity of F at given
-eps, which is what `conjugate_fixed_point` computes.  Local maxima of
-F(eps) are exactly the fixed points of the MSE state evolution.
+carries an inner extremization over auxiliary variables Lambda_{q,p}
+(solved by Newton on each row's diagonal-plus-rank-one system); for the
+i.i.d. Gaussian ensemble it collapses to a single log.  The conjugate
+precisions sig_{q,p} are fixed by stationarity of F at given eps, which
+is what `conjugate_fixed_point` computes.  Local maxima of F(eps) are
+exactly the fixed points of the MSE state evolution.
 """
 
 import enum
@@ -30,8 +31,7 @@ from .scalar_channel import BernoulliGaussianPrior
 
 _CHANNEL_TOL = 1e-10
 _INNER_TOL = 1e-12
-_INNER_MAX_ITER = 10 ** 4
-_INNER_DAMPING = 0.5
+_INNER_MAX_STEPS = 100
 _LAMBDA_FLOOR = 1e-12
 
 
@@ -187,14 +187,13 @@ def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
 # inner extremization (row-orthogonal ensemble)
 # ----------------------------------------------------------------------
 
-def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None,
-                  tol: float = _INNER_TOL, max_iter: int = _INNER_MAX_ITER,
-                  damping: float = _INNER_DAMPING):
+def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
     """Solve the stationarity system Lambda = (1 - Delta(Lambda)) / eps.
 
     eps has shape (..., L_c); the solve is vectorized over the leading
-    axes and over block rows (rows are independent).  Damped fixed-point
-    iteration in log Lambda keeps the iterates positive; a final undamped
+    axes and over block rows (rows are independent).  Newton on the row's
+    diagonal-plus-rank-one system in x = log Lambda keeps the iterates
+    positive, with every step bounded in log Lambda; a final undamped
     projection lands exactly on the map so downstream identities hold to
     machine precision.
 
@@ -203,85 +202,74 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None,
     computed without cancellation.
     """
     eps = np.asarray(eps, dtype=float)
-    gamma = spec.gamma
-    J = spec.J
-    active = J > 0
+    active = spec.J > 0
     if np.any(spec.alpha[active] > 1.0):
         # the replica counterpart of M_q <= N_p in `build_coupled_operator`
         raise ValueError("row-orthogonal blocks need alpha[q, p] <= 1 wherever J[q, p] > 0: "
                          "a block cannot have more orthogonal rows than columns")
     if np.any(eps[..., active.any(axis=0)] <= 0):
         raise ValueError("eps must be > 0 on every coupled block")
-    alpha = spec.alpha
-    sigma2 = spec.sigma2
+    alpha, sigma2, coupling = spec.alpha, spec.sigma2, spec.gamma[None, :] * spec.J
     eps_b = eps[..., None, :]
     inv_eps = np.broadcast_to(1.0 / eps_b, eps_b.shape[:-2] + (spec.L_r, spec.L_c)).copy()
     Lam = inv_eps.copy() if Lambda0 is None else np.array(np.broadcast_to(Lambda0, inv_eps.shape), dtype=float)
-    clamped = False
-    if np.any(Lam[..., active] <= 0):
-        Lam = np.where(Lam > 0, Lam, _LAMBDA_FLOOR)
-        clamped = True
+    clamped = bool(np.any(Lam[..., active] <= 0))
+    Lam = np.where(Lam > 0, Lam, _LAMBDA_FLOOR)
 
     def delta_of(Lam):
-        """Delta and 1 - Delta, the latter in a cancellation-free form.
+        """Delta, 1 - Delta and the row weights w = W / (sigma2 + S).
 
-        1 - Delta = (sigma2 + sum_{l != p} W_l + (1 - alpha) W_p) / (sigma2 + S)
-        stays accurate as Delta -> 1 (rates close to one), where the naive
-        subtraction loses all precision.
+        1 - Delta = (sigma2 + sum_{l != p} W_l + (1 - alpha) W_p) / (sigma2 + S),
+        with a prefix plus a suffix sum over l != p, stays accurate as Delta -> 1
+        and in rows one block dominates, where 1 - Delta or S - W_p would not.
         """
-        W = np.where(active, gamma[None, :] * J / Lam, 0.0)
-        S = W.sum(axis=-1, keepdims=True)
-        den = sigma2 + S
+        W = np.where(active, coupling / Lam, 0.0)
+        zero = np.zeros_like(W[..., :1])
+        before = np.cumsum(np.concatenate([zero, W[..., :-1]], axis=-1), axis=-1)
+        after = np.cumsum(np.concatenate([zero, W[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+        den = sigma2 + W.sum(axis=-1, keepdims=True)
         Delta = np.where(active, alpha * W / den, 0.0)
-        omd = np.where(active, (sigma2 + (S - W) + (1.0 - alpha) * W) / den, 1.0)
-        return Delta, omd
-
-    def residual_of(log_lam, omd):
-        log_target = np.log(omd) - log_eps
-        return log_target, np.abs(np.where(active, log_target - log_lam, 0.0)).max()
+        omd = np.where(active, (sigma2 + (before + after) + (1.0 - alpha) * W) / den, 1.0)
+        return Delta, omd, W / den
 
     log_eps = np.log(eps_b)
-    trail = []  # last iterates, for Aitken extrapolation of slow modes
-    for it in range(max_iter):
-        Delta, omd = delta_of(Lam)
+    projected = False
+    for _ in range(_INNER_MAX_STEPS):
+        Delta, omd, w = delta_of(Lam)
         if np.any(omd[..., active] <= 0.0):
             worst = np.unravel_index(int(np.argmax(np.where(active, Delta, 0.0))),
                                      Delta.shape)
             raise ConvergenceError(
                 f"Delta >= 1 in inner extremization at block (q, p) = {worst[-2:]}",
                 residual=float(Delta[..., active].max()))
-        log_lam = np.log(Lam)
-        log_target, resid = residual_of(log_lam, omd)
-        if resid < tol:
-            Lam = np.where(active, np.exp(log_target), inv_eps)
-            Delta, omd = delta_of(Lam)
+        log_target = np.log(omd) - log_eps
+        g = np.where(active, log_target - np.log(Lam), 0.0)
+        resid = np.abs(g).max()
+        if resid < _INNER_TOL and projected:
             return Lam, Delta, omd, clamped
-        log_new = (1.0 - damping) * log_target + damping * log_lam
-        trail.append(log_new)
-        if len(trail) > 3:
-            trail.pop(0)
-        if len(trail) == 3 and it % 16 == 15:
-            # near-degenerate corners contract like 1 - O(1 - alpha); Aitken
-            # jumps along the dominant geometric mode when it helps
-            d1 = trail[2] - trail[1]
-            d0 = trail[1] - trail[0]
-            denom = d1 - d0
-            safe = np.abs(denom) > 1e-15
-            step = np.where(safe, -np.square(d1) / np.where(safe, denom, 1.0), 0.0)
-            log_acc = trail[2] + np.clip(step, -4.0, 4.0)
-            lam_acc = np.where(active, np.exp(log_acc), inv_eps)
-            _, resid_acc = residual_of(log_acc, delta_of(lam_acc)[1])
-            lam_new = np.where(active, np.exp(log_new), inv_eps)
-            _, resid_new = residual_of(log_new, delta_of(lam_new)[1])
-            if resid_acc < resid_new:
-                log_new = log_acc
-                trail.clear()
-        Lam = np.where(active, np.exp(log_new), inv_eps)
+        projected = resid < _INNER_TOL
+        if projected:  # the undamped step onto the map, returned once it is within tol too
+            Lam = np.where(active, np.exp(log_target), inv_eps)
+            continue
+        # g = log(1 - Delta) - log eps - x has the Jacobian -(diag(1 - r) + r w^T),
+        # r = Delta / (1 - Delta).  A block with Delta < 1/2 is eliminated through its
+        # diagonal; the one block per row that may have Delta >= 1/2 (w sums to at
+        # most one) is solved last instead of divided by its diagonal 1 - r.
+        r = Delta / omd
+        big = Delta >= 0.5
+        d = np.where(big, 1.0, 1.0 - r)
+        u = np.where(big, 0.0, w / d)
+        a = (u * g).sum(axis=-1, keepdims=True)
+        b = 1.0 + (u * r).sum(axis=-1, keepdims=True)
+        step_big = np.where(big, (b * g - r * a) / (b * (1.0 - r) + r * w), 0.0)
+        s = ((w * step_big).sum(axis=-1, keepdims=True) + a) / b
+        step = np.clip(np.where(big, step_big, (g - r * s) / d), -4.0, 4.0)
+        Lam = np.where(active, Lam * np.exp(step), inv_eps)
         if np.any(Lam[..., active] < _LAMBDA_FLOOR):
             Lam = np.maximum(Lam, _LAMBDA_FLOOR)
             clamped = True
     raise ConvergenceError(
-        f"inner extremization did not reach {tol} in {max_iter} iterations",
+        f"inner extremization did not reach {_INNER_TOL} in {_INNER_MAX_STEPS} Newton steps",
         residual=float(resid))
 
 

@@ -245,6 +245,41 @@ class TestConfigAndVersion:
         assert res.exit_code == 0, res.output
         assert (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("command", ["mmse", "free-entropy", "phase-diagram", "evolve",
+                                         "gen-matrix"])
+    def test_unknown_config_key_exits_2(self, runner, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        # every command has --output; none has --rhoo
+        cfg.write_text(json.dumps({"output": str(tmp_path / "x"), "rhoo": 0.4}))
+        res = runner.invoke(main, [command, "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert "'rhoo'" in res.output
+        assert not (tmp_path / "x").exists()
+
+    def test_misspelled_optional_key_is_not_a_default(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho": 0.4, "grid": "0", "sampels": 10}))
+        res = runner.invoke(main, ["mmse", "--config", str(cfg), "-o", str(tmp_path / "m.csv")])
+        assert res.exit_code == 2
+        assert "'sampels'" in res.output
+
+    def test_two_keys_for_one_flag_exit_2(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho": 0.4, "grid": "0", "grid_text": "1"}))
+        res = runner.invoke(main, ["mmse", "--config", str(cfg), "-o", str(tmp_path / "m.csv")])
+        assert res.exit_code == 2
+        assert "same flag" in res.output
+
+    def test_config_keys_take_flag_or_parameter_names(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L": 1, "W": 1, "alpha-seed": 0.6, "alpha_bulk": 0.6,
+                                   "J": 0.5, "rho": 0.4, "sigma2": 1e-4, "max-iter": 3,
+                                   "ensemble": "gaussian"}))
+        res = runner.invoke(main, ["evolve", "--config", str(cfg), "-o", str(tmp_path / "t.csv")])
+        assert res.exit_code == 0, res.output
+        meta = json.loads((tmp_path / "t.csv.json").read_text())
+        assert meta["config"]["alpha_seed"] == 0.6 and meta["config"]["max_iter"] == 3
+
     def test_version(self, runner):
         res = runner.invoke(main, ["--version"])
         assert res.exit_code == 0

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coupledcs import (ConvergenceError, Ensemble, NoTransitionError, QuadratureError, bp_mse_at,
-                       conjugate_fixed_point, find_alpha_c, find_alpha_d, find_alpha_s,
-                       free_entropy_grid, mmse, run_evolution, scan_curve, sharp_window_exists,
-                       single_block_spec, sweep_phase_diagram)
+from coupledcs import (ConvergenceError, Ensemble, NoTransitionError, QuadratureError, SeedingParams,
+                       bp_mse_at, build_seeding_spec, conjugate_fixed_point, find_alpha_c,
+                       find_alpha_d, find_alpha_s, free_entropy_grid, mmse, run_evolution,
+                       scan_curve, sharp_window_exists, single_block_spec, sweep_phase_diagram)
 from coupledcs import phase_analysis, replica_core
 from coupledcs.phase_analysis import _maxima_gap, _two_maxima
 
@@ -163,6 +163,15 @@ class TestCommittedResults:
         assert maxima.shape == ref_max.shape
         assert np.abs(maxima[:, 1] - ref_max[:, 1]).max() <= 1e-10
         assert np.abs(maxima[:, 0] / ref_max[:, 0] - 1.0).max() <= 1e-8
+
+    @pytest.mark.parametrize("kind", [GAUSS, ORTH])
+    def test_showcase_trace(self, kind):
+        # the L=10 seeding chain of scripts/coupled_evolution.py (sigma2 1e-6)
+        ref = np.loadtxt(RESULTS / f"coupled_trace_{kind.value}.csv", delimiter=",", skiprows=1)
+        params = SeedingParams(L=10, W=2, alpha_seed=0.70, alpha_bulk=0.49, J=0.5)
+        trace = run_evolution(build_seeding_spec(params, RHO, 1e-6), kind)
+        assert trace.converged and trace.iterations == len(ref) - 1
+        assert np.abs(trace.history - ref[:, 1:]).max() <= 1e-10
 
 
 class TestPhasePointFailures:

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from coupledcs import (BernoulliGaussianPrior, CouplingSpec, Ensemble, conjugate_fixed_point,
-                       free_entropy, free_entropy_grid, single_block_spec)
+from coupledcs import (BernoulliGaussianPrior, CouplingSpec, ConvergenceError, Ensemble,
+                       SeedingParams, build_seeding_spec, conjugate_fixed_point, free_entropy,
+                       free_entropy_grid, single_block_spec)
 from coupledcs.replica_core import (_g_gauss_values, _g_orth_values, _solve_lambda,
                                     channel_term_batch)
 
@@ -196,6 +199,159 @@ class TestGOrth:
         eps = np.array([0.03, 0.15])
         Lam, _, _, _ = _solve_lambda(eps, spec)
         assert _g_gradient_norm(eps, spec, Lam) <= 1e-8
+
+
+def _damped_lambda_oracle(eps, spec, Lambda0=None, tol=1e-12, max_iter=10 ** 4):
+    """Lambda = (1 - Delta(Lambda)) / eps by damped fixed-point iteration in log Lambda.
+
+    The slow reference for `_solve_lambda`: each iterate moves halfway to
+    the map, and every 16th iterate tries an Aitken jump along the
+    dominant geometric mode (near-degenerate rows contract like
+    1 - O(1 - alpha)); the solution is the undamped projection of the
+    first iterate within tol.  The sums over the other blocks of a row
+    are a matrix product, so 1 - Delta has no cancellation.  Returns None
+    when max_iter is not enough: warm-started at sigma2 = 0 on a two-block
+    row, it needs about 10^6 iterations at rates 1 - 1e-5 and stalls at
+    1 - 1e-7.
+    """
+    active = spec.J > 0
+    log_eps = np.log(eps)[None, :]
+    others = 1.0 - np.eye(spec.L_c)
+
+    def target(log_lam):
+        W = np.where(active, spec.gamma * spec.J * np.exp(-log_lam), 0.0)
+        den = spec.sigma2 + W.sum(axis=1, keepdims=True)
+        omd = (spec.sigma2 + W @ others + (1.0 - spec.alpha) * W) / den
+        return np.where(active, np.log(omd) - log_eps, -log_eps)
+
+    def resid(log_lam):
+        return np.abs(target(log_lam) - log_lam)[active].max()
+
+    log_lam = np.broadcast_to(-log_eps, active.shape).copy() if Lambda0 is None \
+        else np.log(np.broadcast_to(Lambda0, active.shape))
+    trail = []
+    for it in range(max_iter):
+        log_target = target(log_lam)
+        if np.abs(log_target - log_lam)[active].max() < tol:
+            return np.exp(log_target)
+        log_lam = 0.5 * (log_target + log_lam)
+        trail = (trail + [log_lam])[-3:]
+        if len(trail) == 3 and it % 16 == 15:
+            d1, d0 = trail[2] - trail[1], trail[1] - trail[0]
+            safe = np.abs(d1 - d0) > 1e-15
+            jump = np.where(safe, -np.square(d1) / np.where(safe, d1 - d0, 1.0), 0.0)
+            log_acc = trail[2] + np.clip(jump, -4.0, 4.0)
+            if resid(log_acc) < resid(log_lam):
+                log_lam, trail = log_acc, []
+    return None
+
+
+def _row_jacobians_inverse_norm(spec, Lam):
+    """max over rows of ||(diag(1 - r) + r w^T)^{-1}||_inf, the row system's sensitivity."""
+    active = spec.J > 0
+    W = np.where(active, spec.gamma * spec.J / Lam, 0.0)
+    w = W / (spec.sigma2 + W.sum(axis=1, keepdims=True))
+    Delta = spec.alpha * w
+    r = Delta / (1.0 - Delta)
+    worst = 0.0
+    for q in range(spec.L_r):
+        on = np.flatnonzero(active[q])
+        A = np.diag(1.0 - r[q, on]) + np.outer(r[q, on], w[q, on])
+        worst = max(worst, np.abs(np.linalg.inv(A)).sum(axis=1).max())
+    return worst
+
+
+class TestInnerSolve:
+    @staticmethod
+    def _check(eps, spec, Lambda0=None):
+        Lam, Delta, omd, _ = _solve_lambda(eps, spec, Lambda0=Lambda0)
+        active = spec.J > 0
+        # the residual of the stationarity map, formed as the solver forms it
+        resid = np.log(omd) - np.log(eps)[None, :] - np.log(Lam)
+        assert np.abs(resid[active]).max() <= 1e-12
+        ref = _damped_lambda_oracle(eps, spec, Lambda0=Lambda0)
+        if ref is None:
+            # the oracle stalled: the solve from another start is the reference
+            ref = _solve_lambda(eps, spec, Lambda0=None if Lambda0 is not None
+                                else 4.0 / eps[None, :])[0]
+        # both solves stop within 1e-12 of the map; on a near-singular row
+        # (rates near one, little noise) that moves Lambda by up to
+        # 1e-12 ||A^-1|| each, which the 1e-10 agreement must allow for
+        slack = 2e-12 * _row_jacobians_inverse_norm(spec, Lam)
+        assert np.abs(Lam[active] / ref[active] - 1.0).max() <= 1e-10 + slack
+        return Lam, Delta
+
+    @settings(deadline=None, max_examples=60)
+    @given(L=st.integers(1, 12), W=st.integers(1, 12),
+           a_bulk=st.floats(0.05, 1.0 - 1e-7), seed_excess=st.floats(0.0, 1.0),
+           J=st.floats(0.0, 3.0),
+           sigma2=st.one_of(st.just(0.0), st.floats(-10.0, -1.0).map(lambda e: 10.0 ** e)),
+           log_eps=st.lists(st.floats(-10.0, 0.0), min_size=12, max_size=12),
+           warm_shift=st.one_of(st.none(), st.floats(-2.0, 2.0)))
+    # a noise-free row one block dominates: 1 - Delta of the other block is
+    # lost to cancellation when formed as S - W_p
+    @example(L=2, W=1, a_bulk=1.0 - 1e-7, seed_excess=0.0, J=0.0, sigma2=0.0,
+             log_eps=[0.0, -1.0] + [0.0] * 10, warm_shift=None)
+    def test_matches_damped_oracle(self, L, W, a_bulk, seed_excess, J, sigma2, log_eps,
+                                   warm_shift):
+        a_seed = a_bulk + seed_excess * (1.0 - 1e-7 - a_bulk)
+        spec = build_seeding_spec(SeedingParams(L=L, W=min(W, L), alpha_seed=a_seed,
+                                                alpha_bulk=a_bulk, J=J), 0.4, sigma2)
+        eps = 10.0 ** np.array(log_eps[:L])
+        Lambda0 = None
+        if warm_shift is not None:
+            # warm start at the solution for a shifted MSE profile, as the evolution does
+            shift = np.exp(warm_shift * np.linspace(-1.0, 1.0, L))
+            Lambda0 = _solve_lambda(eps * shift, spec)[0]
+        self._check(eps, spec, Lambda0)
+
+    def test_block_at_one_half(self):
+        # sigma2 = 0: the seed row has one block, so Delta = alpha_seed = 1/2 at any
+        # Lambda and the diagonal 1 - r of its Newton system vanishes
+        spec = build_seeding_spec(SeedingParams(L=4, W=1, alpha_seed=0.5, alpha_bulk=0.45,
+                                                J=0.0), 0.4, 0.0)
+        _, Delta = self._check(np.array([0.1, 0.02, 1e-3, 1e-5]), spec)
+        assert Delta[0, 0] == 0.5
+
+    def test_dominant_block_above_one_half(self):
+        # a row where one block carries Delta > 1/2 is solved through that block
+        spec = build_seeding_spec(SeedingParams(L=3, W=2, alpha_seed=0.95, alpha_bulk=0.9,
+                                                J=1.0), 0.4, 1e-8)
+        _, Delta = self._check(np.array([0.3, 1e-6, 2e-6]), spec)
+        assert Delta[0, 0] > 0.5 and Delta[1, 0] > 0.5
+
+    def test_far_warm_start_is_bounded(self):
+        # rates near one make the Jacobian nearly singular far from the solution:
+        # unbounded Newton steps from Lambda0 eight decades off overflow exp
+        spec = build_seeding_spec(SeedingParams(L=2, W=1, alpha_seed=0.9999, alpha_bulk=0.9999,
+                                                J=0.5), 0.4, 1e-8)
+        eps = np.full(2, 1e-4)
+        for scale in (1e-8, 1e8):
+            self._check(eps, spec, Lambda0=scale / eps[None, :])
+
+    def test_rejects_rates_above_one(self):
+        spec = single_block_spec(0.4, 1e-4, 1.5)
+        with pytest.raises(ValueError, match="alpha"):
+            _solve_lambda(np.array([0.1]), spec)
+
+    def test_rejects_non_positive_mse(self):
+        with pytest.raises(ValueError, match="eps"):
+            _solve_lambda(np.array([0.0, 0.1]), two_block_spec())
+
+    def test_delta_one_is_a_convergence_error(self):
+        # alpha = 1 on a lone block without noise: 1 - Delta = 0 at any Lambda
+        spec = single_block_spec(0.4, 0.0, 1.0)
+        with pytest.raises(ConvergenceError, match="Delta >= 1"):
+            _solve_lambda(np.array([0.1]), spec)
+
+    def test_non_positive_start_is_clamped(self):
+        spec = two_block_spec()
+        eps = np.array([0.05, 0.2])
+        Lam, _, _, clamped = _solve_lambda(eps, spec, Lambda0=np.array([[-1.0, 1.0], [1.0, 0.0]]))
+        assert clamped
+        cold, _, _, cold_clamped = _solve_lambda(eps, spec)
+        assert not cold_clamped
+        assert np.abs(Lam / cold - 1.0).max() <= 1e-10
 
 
 def _g_value(eps, spec, Lam):

@@ -72,6 +72,22 @@ def test_block_symmetry():
         assert np.abs(trace.history[:, 0] - trace.history[:, 1]).max() == 0.0
 
 
+def test_three_block_mirror_symmetry():
+    # a chain invariant under reversing the block order (p -> 2 - p): the outer
+    # blocks' orthogonal traces agree to the bit.  Without noise every row has
+    # one block with Delta > 1/2, which the inner Newton step solves last.
+    spec = CouplingSpec(
+        L_r=3, L_c=3, gamma=np.full(3, 1.0 / 3.0),
+        alpha=np.full((3, 3), 0.95),
+        J=np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]),
+        sigma2=0.0, prior=BernoulliGaussianPrior(0.4))
+    trace = run_evolution(spec, ORTH, max_iter=500)
+    assert trace.converged
+    assert np.all(trace.final_state.Delta.max(axis=1) > 0.5)
+    assert np.abs(trace.history[:, 0] - trace.history[:, 2]).max() == 0.0
+    assert np.abs(trace.history[:, 0] - trace.history[:, 1]).max() > 0.0
+
+
 def test_non_convergence_reported_not_raised():
     spec = single_block_spec(0.4, 1e-4, 0.6)
     trace = run_evolution(spec, GAUSS, max_iter=3)
