@@ -33,6 +33,8 @@ _CHANNEL_TOL = 1e-10
 _INNER_TOL = 1e-12
 _INNER_MAX_STEPS = 100
 _LAMBDA_FLOOR = 1e-12
+NO_NOISE_MESSAGE = ("free entropy diverges at sigma2 = 0; only the state-evolution "
+                    "conjugates are defined there")
 
 
 class Ensemble(enum.Enum):
@@ -350,8 +352,7 @@ def free_entropy_grid(eps_grid, spec: CouplingSpec, kind: Ensemble) -> np.ndarra
     if eps_grid.ndim != 2 or eps_grid.shape[1] != spec.L_c:
         raise ValueError(f"eps_grid must have shape (n, {spec.L_c})")
     if spec.sigma2 == 0.0:
-        raise ValueError("free entropy diverges at sigma2 = 0; only the "
-                         "state-evolution conjugates are defined there")
+        raise ValueError(NO_NOISE_MESSAGE)
     sig, Lam, _, _ = _conjugates_batch(eps_grid, spec, kind)
     sig_p = sig.sum(axis=-2)
     ct = channel_term_batch(sig_p.ravel(), spec.prior).reshape(sig_p.shape)

@@ -11,6 +11,11 @@ passing can reach, since large MSE is the only algorithmically possible
 initialization.  At sigma2 = 0 the conjugate formulas stay finite even
 though the free entropy itself diverges, so noise-free evolutions are
 allowed.
+
+Gaussian-ensemble runs from eps = rho lower every block's MSE and never
+lower F.  Coupled row-orthogonal runs need not (their one-step map is not
+order-preserving): see the L=4 chain of `tests/test_state_evolution.py::
+test_orthogonal_chain_can_rise_and_lower_free_entropy`.
 """
 
 from dataclasses import dataclass, field

@@ -55,9 +55,9 @@ def transitions_low_noise():
     out = {}
     for kind in BOTH:
         start = time.monotonic()
-        a_d = find_alpha_d(RHO, 1e-4, kind, hint=0.49)
-        a_s = find_alpha_s(RHO, 1e-4, kind, hint=0.49)
-        a_c = find_alpha_c(RHO, 1e-4, kind, window=(a_s, a_d))
+        a_d = find_alpha_d(RHO, 1e-4, kind)
+        a_s = find_alpha_s(RHO, 1e-4, kind)
+        a_c = find_alpha_c(RHO, 1e-4, kind)
         out[kind] = {"alpha_s": a_s, "alpha_c": a_c, "alpha_d": a_d,
                      "runtime": time.monotonic() - start}
     return out
@@ -72,13 +72,10 @@ def phase_grid():
     out = {}
     for kind in BOTH:
         rows = {}
-        hint = 0.50
         for s2 in SIGMA2_GRID:
-            sharp, witness = sharp_window_exists(RHO, s2, kind, hint=hint)
-            if sharp:
-                hint = witness
-                a_d = find_alpha_d(RHO, s2, kind, hint=witness)
-                a_c = find_alpha_c(RHO, s2, kind, hint=witness)
+            if sharp_window_exists(RHO, s2, kind)[0]:
+                a_d = find_alpha_d(RHO, s2, kind)
+                a_c = find_alpha_c(RHO, s2, kind)
                 rows[s2] = {"sharp": True, "alpha_d": a_d, "alpha_c": a_c}
             else:
                 rows[s2] = {"sharp": False}
@@ -176,16 +173,12 @@ def test_recorded_transition_values(transitions_low_noise):
 
 def _bisect_vanishing_sigma2(kind, lo, hi):
     """Boundary of the two-maxima region in sigma2, via existence bisection."""
-    hint = None
-    ok, hint = sharp_window_exists(RHO, lo, kind, hint=0.52)
-    assert ok, f"window should exist at sigma2={lo}"
-    assert not sharp_window_exists(RHO, hi, kind, hint=hint)[0], \
-        f"window should be gone at sigma2={hi}"
+    assert sharp_window_exists(RHO, lo, kind)[0], f"window should exist at sigma2={lo}"
+    assert not sharp_window_exists(RHO, hi, kind)[0], f"window should be gone at sigma2={hi}"
     while hi / lo > 1.10:
         mid = np.sqrt(lo * hi)
-        exists, witness = sharp_window_exists(RHO, mid, kind, hint=hint)
-        if exists:
-            lo, hint = mid, witness
+        if sharp_window_exists(RHO, mid, kind)[0]:
+            lo = mid
         else:
             hi = mid
     return np.sqrt(lo * hi)

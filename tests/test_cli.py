@@ -101,9 +101,17 @@ class TestPhaseDiagramCommand:
                                    "--ensemble", "gaussian", "-o", str(tmp_path / "p.csv")])
         assert res.exit_code == 2
 
+    def test_noise_free_point_exits_2(self, runner, tmp_path):
+        # F diverges at sigma2 = 0: no row may claim the system has no transition
+        out = tmp_path / "p.csv"
+        res = runner.invoke(main, ["phase-diagram", "--rho", "0.4", "--sigma2-grid", "0",
+                                   "--ensemble", "gaussian", "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "diverges at sigma2 = 0" in res.output
+        assert not out.exists()
+
     def test_dense_signal_points_not_sharp(self, runner, tmp_path):
-        # rho = 1 has no bistable window at any rate; channel term is closed
-        # form there so the scan-based search stays fast
+        # rho = 1 has no bistable window at any rate: alpha(v) is monotone
         out = tmp_path / "p.csv"
         res = runner.invoke(main, ["phase-diagram", "--rho", "1.0",
                                    "--sigma2-grid", "1e-3,2e-3", "--threads", "2",

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupledcs import (BernoulliGaussianPrior, Ensemble, adjoint_apply, apply,
-                       build_coupled_operator, dense_materialize, gen_instance,
-                       sample_signal, single_block_spec)
+                       build_coupled_operator, gen_instance, single_block_spec)
 from coupledcs.cli import export_instance, read_complex_csv
-from coupledcs.measurement_ops import DftBlock
+from coupledcs.measurement_ops import DftBlock, dense_materialize, sample_signal
 
 from conftest import random_coupled_spec
 

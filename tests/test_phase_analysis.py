@@ -1,30 +1,52 @@
 """Curve scans and transition-rate location (single noise level; the full
 phase diagram facts live in the acceptance suite)."""
 
+import csv
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coupledcs import (ConvergenceError, Ensemble, NoTransitionError, QuadratureError, SeedingParams,
-                       bp_mse_at, build_seeding_spec, conjugate_fixed_point, find_alpha_c,
-                       find_alpha_d, find_alpha_s, free_entropy_grid, mmse, run_evolution,
-                       scan_curve, sharp_window_exists, single_block_spec, sweep_phase_diagram)
+from coupledcs import (BernoulliGaussianPrior, ConvergenceError, Ensemble, NoTransitionError,
+                       QuadratureError, SeedingParams, bp_mse_at, build_seeding_spec,
+                       conjugate_fixed_point, find_alpha_c, find_alpha_d, find_alpha_s,
+                       free_entropy_grid, mmse, run_evolution, scan_curve, sharp_window_exists,
+                       single_block_spec, sweep_phase_diagram)
 from coupledcs import phase_analysis, replica_core
-from coupledcs.phase_analysis import _maxima_gap, _two_maxima
+from coupledcs.phase_analysis import ALPHA_TOL
 
 GAUSS = Ensemble.GAUSSIAN_IID
 ORTH = Ensemble.ROW_ORTHOGONAL
 RHO, SIGMA2 = 0.4, 1e-4
 RESULTS = Path(__file__).resolve().parent.parent / "results"
+# the noise grid of scripts/phase_diagram.py
+PHASE_SIGMA2_GRID = np.geomspace(1e-6, 3e-3, 12)
+
+
+def two_maxima(alpha, kind=GAUSS, sigma2=SIGMA2):
+    """The grid predicate of the benchmark's phase-point check: 2000-point scan, two maxima."""
+    return scan_curve(RHO, sigma2, alpha, kind, refine=False).n_maxima == 2
+
+
+def maxima_gap(alpha, kind=GAUSS, sigma2=SIGMA2):
+    """F(small-MSE maximum) - F(large-MSE maximum) of the refined scan at alpha."""
+    curve = scan_curve(RHO, sigma2, alpha, kind)
+    assert curve.n_maxima == 2
+    return curve.maxima[0][1] - curve.maxima[1][1]
 
 
 @pytest.fixture(scope="module")
 def gauss_transitions():
-    a_d = find_alpha_d(RHO, SIGMA2, GAUSS, hint=0.49)
-    a_s = find_alpha_s(RHO, SIGMA2, GAUSS, hint=0.49)
-    a_c = find_alpha_c(RHO, SIGMA2, GAUSS, window=(a_s, a_d))
-    return a_s, a_c, a_d
+    return find_alpha_s(RHO, SIGMA2, GAUSS), find_alpha_c(RHO, SIGMA2, GAUSS), \
+        find_alpha_d(RHO, SIGMA2, GAUSS)
+
+
+@pytest.fixture(scope="module")
+def phase_sweeps():
+    """The sweeps of scripts/phase_diagram.py, one list of PhasePoints per ensemble."""
+    return {kind: sweep_phase_diagram(RHO, PHASE_SIGMA2_GRID, kind) for kind in (ORTH, GAUSS)}
 
 
 class TestScanCurve:
@@ -91,21 +113,17 @@ class TestTransitions:
 
     def test_alpha_d_brackets_the_predicate(self, gauss_transitions):
         _, _, a_d = gauss_transitions
-        assert _two_maxima(RHO, SIGMA2, a_d - 1e-4, GAUSS)
-        assert not _two_maxima(RHO, SIGMA2, a_d + 1e-4, GAUSS)
+        assert two_maxima(a_d - 1e-4)
+        assert not two_maxima(a_d + 1e-4)
 
     def test_alpha_s_brackets_the_predicate(self, gauss_transitions):
         a_s, _, _ = gauss_transitions
-        assert _two_maxima(RHO, SIGMA2, a_s + 1e-4, GAUSS)
-        assert not _two_maxima(RHO, SIGMA2, a_s - 1e-4, GAUSS)
+        assert two_maxima(a_s + 1e-4)
+        assert not two_maxima(a_s - 1e-4)
 
     def test_equal_heights_at_alpha_c(self, gauss_transitions):
         _, a_c, _ = gauss_transitions
-        assert abs(_maxima_gap(RHO, SIGMA2, a_c, GAUSS)) <= 1e-6
-
-    def test_alpha_c_raises_when_gap_tol_is_out_of_reach(self):
-        with pytest.raises(ConvergenceError, match="gap"):
-            find_alpha_c(RHO, SIGMA2, GAUSS, gap_tol=1e-30, window=(0.4528967, 0.5148596))
+        assert abs(maxima_gap(a_c)) <= 1e-6
 
     def test_single_maximum_below_window_sits_at_large_mse(self, gauss_transitions):
         a_s, _, _ = gauss_transitions
@@ -119,10 +137,78 @@ class TestTransitions:
             find_alpha_d(1.0, 1e-3, GAUSS)
 
     def test_sharp_window_exists_flags(self):
-        ok, witness = sharp_window_exists(RHO, SIGMA2, GAUSS, hint=0.49)
-        assert ok and _two_maxima(RHO, SIGMA2, witness, GAUSS)
+        ok, witness = sharp_window_exists(RHO, SIGMA2, GAUSS)
+        assert ok and two_maxima(witness)
         ok, witness = sharp_window_exists(1.0, 1e-3, GAUSS)
         assert not ok and witness is None
+
+    @pytest.mark.parametrize("kind", [GAUSS, ORTH])
+    @pytest.mark.parametrize("rho", [0.0, 1.0])
+    @pytest.mark.parametrize("sigma2", [1e-10, 1e-4, 1.0])
+    def test_no_window_at_the_density_ends(self, kind, rho, sigma2):
+        # rho = 0: eps = 0 and alpha = v sigma2; rho = 1: mmse is 1 / (1 + v)
+        assert sharp_window_exists(rho, sigma2, kind) == (False, None)
+        (pt,) = sweep_phase_diagram(rho, [sigma2], kind)
+        assert not pt.sharp and pt.error is None
+
+    @pytest.mark.parametrize("kind", [GAUSS, ORTH])
+    def test_window_reaching_the_rate_cap_is_no_transition(self, kind, monkeypatch):
+        # alpha_d is 0.514 here, so a cap of 0.5 stands in for a fold above alpha = 1,
+        # where the orthogonal inner extremization has no solution
+        monkeypatch.setattr(phase_analysis, "_ALPHA_SEARCH_CAP", 0.5)
+        with pytest.raises(NoTransitionError, match="beyond alpha = 1"):
+            find_alpha_d(RHO, SIGMA2, kind)
+        assert not sweep_phase_diagram(RHO, [SIGMA2], kind)[0].sharp
+
+    @pytest.mark.parametrize("find", [find_alpha_d, find_alpha_s, find_alpha_c])
+    def test_noise_free_rates_are_rejected(self, find):
+        # F diverges at sigma2 = 0, so alpha_c has no meaning there
+        with pytest.raises(ValueError, match="diverges at sigma2 = 0"):
+            find(RHO, 0.0, GAUSS)
+        for sigma2 in (-1e-4, np.inf, np.nan):
+            with pytest.raises(ValueError, match="sigma2 must be finite and > 0"):
+                find(RHO, sigma2, ORTH)
+
+    def test_noise_free_sweep_is_rejected(self):
+        with pytest.raises(ValueError, match="diverges at sigma2 = 0"):
+            sweep_phase_diagram(RHO, [1e-4, 0.0], GAUSS)
+
+
+class TestFixedPointCurve:
+    @pytest.mark.parametrize("kind", [GAUSS, ORTH])
+    @pytest.mark.parametrize("sigma2", [1e-6, 1e-4, 1e-2])
+    def test_rates_make_each_point_a_fixed_point(self, kind, sigma2):
+        # varsigma(mmse(v); alpha(v)) = v through the public conjugate solve
+        prior = BernoulliGaussianPrior(RHO)
+        log_v = np.linspace(-3.0, 12.0, 16)
+        alpha, eps = phase_analysis._fixed_point_rates(log_v, prior, sigma2, kind)
+        assert np.array_equal(eps, mmse(np.exp(log_v), prior))
+        for lv, a, e in zip(log_v, alpha, eps):
+            if a > 1.0:  # the orthogonal inner solve needs rates up to 1
+                continue
+            state = conjugate_fixed_point(np.array([e]), single_block_spec(RHO, sigma2, a), kind)
+            assert abs(state.varsigma.sum() / np.exp(lv) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("kind", [GAUSS, ORTH])
+    def test_grid_covers_the_scan_range(self, kind):
+        log_v, alpha = phase_analysis._fixed_point_curve(RHO, SIGMA2, kind)
+        eps = mmse(np.exp(log_v[[0, -1]]), BernoulliGaussianPrior(RHO))
+        floor = phase_analysis.default_eps_floor(SIGMA2)
+        assert eps[1] <= floor and eps[0] >= RHO * (1 - floor)
+        assert alpha.size == phase_analysis.DEFAULT_GRID_POINTS
+
+
+@settings(deadline=None, max_examples=20)
+@given(log_sigma2=st.floats(min_value=-6.0, max_value=-3.0),
+       kind=st.sampled_from([GAUSS, ORTH]))
+def test_transition_ordering_and_grid_predicate(log_sigma2, kind):
+    sigma2 = 10.0 ** log_sigma2
+    (pt,) = sweep_phase_diagram(RHO, [sigma2], kind)
+    assert pt.sharp and pt.error is None
+    assert pt.alpha_s < pt.alpha_c < pt.alpha_d
+    for alpha, expect in ((pt.alpha_d - ALPHA_TOL, True), (pt.alpha_s + ALPHA_TOL, True),
+                          (pt.alpha_d + ALPHA_TOL, False), (pt.alpha_s - ALPHA_TOL, False)):
+        assert two_maxima(alpha, kind, sigma2) is expect, (alpha, expect)
 
 
 class TestBpMse:
@@ -174,38 +260,76 @@ class TestCommittedResults:
         assert np.abs(trace.history - ref[:, 1:]).max() <= 1e-10
 
 
+    @pytest.mark.parametrize("kind", [GAUSS, ORTH])
+    def test_phase_csv(self, kind, phase_sweeps):
+        with open(RESULTS / f"phase_{kind.value}.csv") as fh:
+            ref = list(csv.DictReader(fh))
+        points = phase_sweeps[kind]
+        assert [float(row["sigma2"]) for row in ref] == [pt.sigma2 for pt in points]
+        for row, pt in zip(ref, points):
+            assert (row["sharp"], row["status"]) == (str(int(pt.sharp)), "ok")
+            for name in ("alpha_d", "alpha_c", "alpha_s"):
+                got = getattr(pt, name)
+                if row[name] == "":
+                    assert got is None
+                else:
+                    assert abs(got / float(row[name]) - 1.0) <= 1e-12, (pt.sigma2, name)
+
+
+# (alpha_s, alpha_c, alpha_d) of results/phase_*.csv on PHASE_SIGMA2_GRID as the edge and
+# gap bisections computed them before the fixed-point curve, to 8 decimals; None: not sharp
+BISECTION_PHASE_ROWS = {
+    ORTH: [(0.40619228, 0.44218199, 0.51380214), (0.40848843, 0.44539645, 0.51380885),
+           (0.41160366, 0.44909805, 0.51382228), (0.41579983, 0.45339177, 0.51384242),
+           (0.42141933, 0.45840925, 0.51389613), (0.42887844, 0.46431440, 0.51399684),
+           (0.43868068, 0.47131023, 0.51420497), (0.45136592, 0.47964496, 0.51463984),
+           (0.46746455, 0.48961584, 0.51555537), (0.48726718, 0.50156686, 0.51749591),
+           (0.51034755, 0.51587316, 0.52174952), None],
+    GAUSS: [(0.40775661, 0.44456686, 0.51380885), (0.41062344, 0.44815866, 0.51382228),
+            (0.41450405, 0.45232533, 0.51384242), (0.41972744, 0.45719774, 0.51389613),
+            (0.42672329, 0.46294199, 0.51399012), (0.43600185, 0.46976923, 0.51420497),
+            (0.44817256, 0.47794678, 0.51463252), (0.46389034, 0.48781389, 0.51554072),
+            (0.48368636, 0.49979758, 0.51746970), (0.50749904, 0.51443329, 0.52167811),
+            None, None],
+}
+
+
+@pytest.mark.parametrize("kind", [GAUSS, ORTH])
+def test_rates_agree_with_the_bisection_search(kind, phase_sweeps):
+    for pt, ref in zip(phase_sweeps[kind], BISECTION_PHASE_ROWS[kind], strict=True):
+        assert pt.sharp is (ref is not None) and pt.error is None, pt
+        if ref is not None:
+            got = (pt.alpha_s, pt.alpha_c, pt.alpha_d)
+            assert np.abs(np.subtract(got, ref)).max() <= ALPHA_TOL, (pt.sigma2, got, ref)
+
+
 class TestPhasePointFailures:
-    @staticmethod
-    def _stub_searches(monkeypatch, calls):
-        """Replace the curve scans by a fixed window (0.45, 0.52) with alpha_c at 0.48."""
-        def find_two_max(*args, **kwargs):
-            calls.append(args)
-            return 0.5
-
-        monkeypatch.setattr(phase_analysis, "_find_two_max_alpha", find_two_max)
-        monkeypatch.setattr(phase_analysis, "_two_maxima",
-                            lambda rho, sigma2, alpha, kind: 0.45 < alpha < 0.52)
-        monkeypatch.setattr(phase_analysis, "_maxima_gap",
-                            lambda rho, sigma2, alpha, kind: alpha - 0.48)
-
-    def test_window_search_runs_once_per_phase_point(self, monkeypatch):
+    def test_curve_is_built_once_per_phase_point(self, monkeypatch):
         calls = []
-        self._stub_searches(monkeypatch, calls)
+        build = phase_analysis._fixed_point_curve
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(phase_analysis, "_fixed_point_curve", counted)
         (pt,) = sweep_phase_diagram(RHO, [SIGMA2], GAUSS)
         assert pt.sharp and pt.alpha_s < pt.alpha_c < pt.alpha_d
-        assert len(calls) == 1
-        # outside a phase point every search runs on its own
-        find_alpha_d(RHO, SIGMA2, GAUSS)
-        find_alpha_s(RHO, SIGMA2, GAUSS)
-        assert len(calls) == 3
+        assert calls == [(RHO, SIGMA2, GAUSS)]
 
-    def test_numeric_failure_becomes_an_error_row(self, monkeypatch):
-        self._stub_searches(monkeypatch, [])
+    def test_unconverged_root_find_becomes_an_error_row(self, monkeypatch):
+        monkeypatch.setattr(phase_analysis, "_ROOT_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="root find did not converge"):
+            find_alpha_c(RHO, SIGMA2, ORTH)
+        (pt,) = sweep_phase_diagram(RHO, [SIGMA2], ORTH)
+        assert not pt.sharp and pt.alpha_d is None
+        assert pt.error.startswith("ConvergenceError: root find did not converge")
 
+    def test_quadrature_failure_becomes_an_error_row(self, monkeypatch):
         def fail(*args, **kwargs):
             raise QuadratureError("stub failure", value=0.0, error_estimate=1.0)
 
-        monkeypatch.setattr(phase_analysis, "_maxima_gap", fail)
+        monkeypatch.setattr(phase_analysis, "mmse", fail)
         (pt,) = sweep_phase_diagram(RHO, [SIGMA2], GAUSS)
         assert not pt.sharp and pt.error == "QuadratureError: stub failure"
 
@@ -213,6 +337,6 @@ class TestPhasePointFailures:
         def broken(*args, **kwargs):
             raise TypeError("shape bug")
 
-        monkeypatch.setattr(phase_analysis, "find_alpha_d", broken)
+        monkeypatch.setattr(phase_analysis, "mmse", broken)
         with pytest.raises(TypeError, match="shape bug"):
             sweep_phase_diagram(RHO, [SIGMA2], GAUSS)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from coupledcs import (BernoulliGaussianPrior, CouplingSpec, Ensemble, SeedingParams,
                        build_seeding_spec, conjugate_fixed_point, free_entropy, mmse,
-                       run_evolution, se_step, single_block_spec)
+                       run_evolution, single_block_spec)
+from coupledcs.state_evolution import se_step
 
 GAUSS = Ensemble.GAUSSIAN_IID
 ORTH = Ensemble.ROW_ORTHOGONAL
@@ -125,6 +126,22 @@ def test_gaussian_block_mse_never_increases_from_rho(L, W, a_bulk, seed_excess, 
     spec = build_seeding_spec(params, rho, 10.0 ** log_sigma2)
     trace = run_evolution(spec, GAUSS, max_iter=2000)
     assert np.diff(trace.history, axis=0).max() <= 0
+
+
+def test_orthogonal_chain_can_rise_and_lower_free_entropy():
+    # the orthogonal one-step map is not order-preserving: in this L=4 chain block 1's
+    # MSE rises 0.0949 -> 0.2186 at t = 4 -> 5 and F drops by 0.0337 at t = 3 -> 4,
+    # yet the run converges; the Gaussian run of the same chain falls and ascends F
+    params = SeedingParams(L=4, W=1, alpha_seed=0.95366, alpha_bulk=0.63876, J=2.2283)
+    spec = build_seeding_spec(params, 0.41265, 8.0032e-5)
+    orth, gauss = run_evolution(spec, ORTH), run_evolution(spec, GAUSS)
+    assert orth.converged and gauss.converged
+    assert orth.history[5, 0] - orth.history[4, 0] > 0.12
+    assert np.diff(gauss.history, axis=0).max() <= 0
+    f_orth = [free_entropy(eps, spec, ORTH) for eps in orth.history[:6]]
+    f_gauss = [free_entropy(eps, spec, GAUSS) for eps in gauss.history]
+    assert f_orth[4] - f_orth[3] < -0.03
+    assert np.diff(f_gauss).min() >= -1e-8
 
 
 def test_degenerate_seeding_chain_matches_uncoupled():
