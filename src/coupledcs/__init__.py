@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 from .coupling import SeedingParams, build_seeding_spec, spec_from_json, spec_to_json
 from .errors import ConvergenceError, QuadratureError
 from .measurement_ops import CoupledOperator, adjoint_apply, apply, build_coupled_operator, gen_instance
-from .phase_analysis import (FreeEntropyCurve, NoTransitionError, PhasePoint, bp_mse_at,
-                             find_alpha_c, find_alpha_d, find_alpha_s, scan_curve,
-                             sharp_window_exists, sweep_phase_diagram)
+from .phase_analysis import (FreeEntropyCurve, NoTransitionError, PhasePoint, find_alpha_c,
+                             find_alpha_d, find_alpha_s, scan_curve, sweep_phase_diagram)
 from .replica_core import (ConjugateState, CouplingSpec, Ensemble, conjugate_fixed_point,
                            free_entropy, free_entropy_grid, single_block_spec)
 from .scalar_channel import BernoulliGaussianPrior, ScalarChannel, mmse, mmse_mc_oracle, posterior_mean
@@ -20,7 +19,7 @@ __all__ = [
     "free_entropy_grid", "single_block_spec",
     "EvolutionTrace", "run_evolution", "iterations_to_good_mse",
     "FreeEntropyCurve", "PhasePoint", "NoTransitionError", "scan_curve", "find_alpha_d",
-    "find_alpha_s", "find_alpha_c", "bp_mse_at", "sweep_phase_diagram", "sharp_window_exists",
+    "find_alpha_s", "find_alpha_c", "sweep_phase_diagram",
     "SeedingParams", "build_seeding_spec", "spec_to_json", "spec_from_json",
     "CoupledOperator", "build_coupled_operator", "apply", "adjoint_apply", "gen_instance",
     "QuadratureError", "ConvergenceError",

@@ -34,7 +34,6 @@ from .errors import ConvergenceError, QuadratureError
 from .replica_core import (NO_NOISE_MESSAGE, Ensemble, _conjugates_batch, free_entropy_grid,
                            single_block_spec)
 from .scalar_channel import BernoulliGaussianPrior, mmse
-from .state_evolution import run_evolution
 
 DEFAULT_GRID_POINTS = 2000
 ALPHA_TOL = 1e-5
@@ -240,16 +239,6 @@ def find_alpha_c(rho: float, sigma2: float, kind: Ensemble) -> float:
     return _maxwell_rate(rho, sigma2, kind, log_v, alpha, i_d, i_s)
 
 
-def bp_mse_at(rho: float, sigma2: float, alpha: float, kind: Ensemble) -> float:
-    """MSE reached from the large-MSE initialization (rightmost maximum of F)."""
-    spec = single_block_spec(rho, sigma2, alpha)
-    trace = run_evolution(spec, kind)
-    if not trace.converged:
-        raise ConvergenceError("state evolution did not converge in bp_mse_at",
-                               residual=float(np.abs(np.diff(trace.history[-2:], axis=0)).max()))
-    return float(trace.final_eps[0])
-
-
 def _phase_point(rho, sigma2, kind) -> PhasePoint:
     try:
         log_v, alpha = _fixed_point_curve(rho, sigma2, kind)
@@ -275,11 +264,3 @@ def sweep_phase_diagram(rho: float, sigma2_grid, kind: Ensemble,
             return list(pool.map(lambda s2: _phase_point(rho, s2, kind), sigma2_grid))
     return [_phase_point(rho, s2, kind) for s2 in sigma2_grid]
 
-
-def sharp_window_exists(rho: float, sigma2: float, kind: Ensemble):
-    """(exists, middle of the window or None): is there any rate with two maxima at this noise?"""
-    try:
-        _, a_d, _, a_s = _folds(_fixed_point_curve(rho, sigma2, kind)[1])
-    except NoTransitionError:
-        return False, None
-    return True, 0.5 * (a_s + a_d)

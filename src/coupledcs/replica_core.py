@@ -11,13 +11,19 @@ entry,
            + sum_{q,p} gamma_p eps_p sig_{q,p}
            + sum_q G_q(eps) + (1 - alpha_total),
 
-with sig_p = sum_q sig_{q,p}.  For the row-orthogonal ensemble G_q
-carries an inner extremization over auxiliary variables Lambda_{q,p}
-(solved by Newton on each row's diagonal-plus-rank-one system); for the
-i.i.d. Gaussian ensemble it collapses to a single log.  The conjugate
-precisions sig_{q,p} are fixed by stationarity of F at given eps, which
-is what `conjugate_fixed_point` computes.  Local maxima of F(eps) are
-exactly the fixed points of the MSE state evolution.
+with sig_p = sum_q sig_{q,p} and
+
+    G_q(eps; Lambda) = -(M_q / N) log(1 + S_q / sigma2)
+                     + sum_p gamma_p (Lambda_{q,p} eps_p - log(Lambda_{q,p} eps_p) - 1),
+
+S_q = sum_p gamma_p J_{q,p} / Lambda_{q,p}.  For the row-orthogonal
+ensemble G_q is extremized over Lambda_{q,p} (Newton on each row's
+diagonal-plus-rank-one system); Gaussian = the same G at Lambda = 1/eps,
+where the bracket vanishes and only the log remains.  The conjugate
+precisions sig_{q,p} = Delta_{q,p} / eps_p, Delta = alpha W / (sigma2 + S_q)
+with W_{q,p} = gamma_p J_{q,p} / Lambda_{q,p}, are fixed by stationarity
+of F at given eps, which is what `conjugate_fixed_point` computes.  Local
+maxima of F(eps) are exactly the fixed points of the MSE state evolution.
 """
 
 import enum
@@ -123,8 +129,9 @@ class ConjugateState:
     """Per-block order parameters at one point of the evolution.
 
     eps[p] is the block MSE; varsigma, Lambda, Delta are the conjugate
-    parameters per block.  Entries with J[q, p] = 0 carry varsigma = 0,
-    Delta = 0 and Lambda = 1/eps[p] by convention.
+    parameters per block.  Lambda is the inner extremizer for the
+    row-orthogonal ensemble and 1/eps[p] for the Gaussian one.  Entries
+    with J[q, p] = 0 carry varsigma = 0, Delta = 0 and Lambda = 1/eps[p].
     """
 
     eps: np.ndarray
@@ -186,8 +193,19 @@ def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# inner extremization (row-orthogonal ensemble)
+# the Delta map and the inner extremization (row-orthogonal ensemble)
 # ----------------------------------------------------------------------
+
+def _delta_map(Lam, spec: CouplingSpec):
+    """(W, sigma2 + S, Delta): W = gamma J / Lambda, S = sum_p W, Delta = alpha W / (sigma2 + S).
+
+    Lam has shape (..., L_r, L_c); entries with J = 0 carry W = Delta = 0.
+    """
+    active = spec.J > 0
+    W = np.where(active, spec.gamma[None, :] * spec.J / Lam, 0.0)
+    den = spec.sigma2 + W.sum(axis=-1, keepdims=True)
+    return W, den, np.where(active, spec.alpha * W / den, 0.0)
+
 
 def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
     """Solve the stationarity system Lambda = (1 - Delta(Lambda)) / eps.
@@ -209,9 +227,7 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
         # the replica counterpart of M_q <= N_p in `build_coupled_operator`
         raise ValueError("row-orthogonal blocks need alpha[q, p] <= 1 wherever J[q, p] > 0: "
                          "a block cannot have more orthogonal rows than columns")
-    if np.any(eps[..., active.any(axis=0)] <= 0):
-        raise ValueError("eps must be > 0 on every coupled block")
-    alpha, sigma2, coupling = spec.alpha, spec.sigma2, spec.gamma[None, :] * spec.J
+    alpha, sigma2 = spec.alpha, spec.sigma2
     eps_b = eps[..., None, :]
     inv_eps = np.broadcast_to(1.0 / eps_b, eps_b.shape[:-2] + (spec.L_r, spec.L_c)).copy()
     Lam = inv_eps.copy() if Lambda0 is None else np.array(np.broadcast_to(Lambda0, inv_eps.shape), dtype=float)
@@ -225,12 +241,10 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
         with a prefix plus a suffix sum over l != p, stays accurate as Delta -> 1
         and in rows one block dominates, where 1 - Delta or S - W_p would not.
         """
-        W = np.where(active, coupling / Lam, 0.0)
+        W, den, Delta = _delta_map(Lam, spec)
         zero = np.zeros_like(W[..., :1])
         before = np.cumsum(np.concatenate([zero, W[..., :-1]], axis=-1), axis=-1)
         after = np.cumsum(np.concatenate([zero, W[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
-        den = sigma2 + W.sum(axis=-1, keepdims=True)
-        Delta = np.where(active, alpha * W / den, 0.0)
         omd = np.where(active, (sigma2 + (before + after) + (1.0 - alpha) * W) / den, 1.0)
         return Delta, omd, W / den
 
@@ -275,26 +289,13 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
         residual=float(resid))
 
 
-def _g_orth_values(eps, spec: CouplingSpec, Lam):
-    """G_q at the extremizer, shape (..., L_r); -inf where sigma2 = 0 (log divergence)."""
-    gamma = spec.gamma
+def _g_values(eps, spec: CouplingSpec, Lam):
+    """G_q at Lambda of shape (..., L_r, L_c), per row: shape (..., L_r); needs sigma2 > 0."""
     active = spec.J > 0
-    W = np.where(active, gamma[None, :] * spec.J / Lam, 0.0)
-    S = W.sum(axis=-1)
-    if np.any(S > 0):
-        with np.errstate(divide="ignore"):
-            log_term = -spec.row_rates * np.log1p(S / spec.sigma2)
-    else:
-        log_term = np.zeros_like(S)
+    S = _delta_map(Lam, spec)[0].sum(axis=-1)
     prod = Lam * np.asarray(eps, dtype=float)[..., None, :]
     bracket = np.where(active, prod - np.log(np.where(active, prod, 1.0)) - 1.0, 0.0)
-    return log_term + (gamma[None, :] * bracket).sum(axis=-1)
-
-
-def _g_gauss_values(eps, spec: CouplingSpec):
-    """G_q of the i.i.d. Gaussian ensemble (no extremization), shape (..., L_r)."""
-    s = (spec.gamma * spec.J * np.asarray(eps, dtype=float)[..., None, :]).sum(axis=-1)
-    return -spec.row_rates * np.log1p(s / spec.sigma2)
+    return -spec.row_rates * np.log1p(S / spec.sigma2) + (spec.gamma * bracket).sum(axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -302,35 +303,31 @@ def _g_gauss_values(eps, spec: CouplingSpec):
 # ----------------------------------------------------------------------
 
 def _conjugates_batch(eps, spec: CouplingSpec, kind: Ensemble, Lambda0=None):
-    """varsigma, Lambda, Delta, clamped for eps of shape (..., L_c)."""
+    """varsigma = Delta / eps, Lambda, Delta, clamped for eps of shape (..., L_c).
+
+    Lambda is the inner extremizer (row-orthogonal) or held at 1/eps (Gaussian).
+    """
     eps = np.asarray(eps, dtype=float)
-    active = spec.J > 0
-    if kind is Ensemble.ROW_ORTHOGONAL:
-        Lam, Delta, omd, clamped = _solve_lambda(eps, spec, Lambda0=Lambda0)
-        sig = np.where(active, Lam * Delta / omd, 0.0)
-        return sig, Lam, Delta, clamped
+    if np.any(eps <= 0):
+        raise ValueError("eps must be > 0 on every coupled block")
     eps_b = eps[..., None, :]
-    terms = spec.gamma[None, :] * spec.J * eps_b
-    S = terms.sum(axis=-1, keepdims=True)
-    den = spec.sigma2 + S
-    sig = np.where(active, spec.alpha * spec.gamma[None, :] * spec.J / den, 0.0)
-    # synthesize Lambda/Delta through the fixed-point identities so both
-    # ensembles expose the same state shape; 1/eps - sig is rearranged to
-    # avoid cancellation at rates close to one
-    Delta = sig * eps_b
-    lam_num = spec.sigma2 + (S - terms) + (1.0 - spec.alpha) * terms
-    Lam = np.where(active, lam_num / (den * eps_b), 1.0 / eps_b)
-    return sig, Lam, Delta, False
+    if kind is Ensemble.ROW_ORTHOGONAL:
+        Lam, Delta, _, clamped = _solve_lambda(eps, spec, Lambda0=Lambda0)
+    else:
+        Lam, clamped = np.repeat(1.0 / eps_b, spec.L_r, axis=-2), False
+        Delta = _delta_map(Lam, spec)[2]
+    return Delta / eps_b, Lam, Delta, clamped
 
 
 def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble,
                           Lambda0=None) -> ConjugateState:
     """Conjugate parameters at stationarity of F for a given block MSE vector.
 
-    Row-orthogonal: solves the inner extremization, then
-    varsigma = Lambda Delta / (1 - Delta)  (= Delta / eps at the solution).
-    Gaussian: varsigma[q,p] = alpha[q,p] gamma[p] J[q,p] /
-    (sigma2 + sum_l gamma[l] J[q,l] eps[l]).
+    varsigma = Delta / eps, with Lambda the solution of the inner
+    extremization Lambda = (1 - Delta) / eps (row-orthogonal, warm-started
+    at Lambda0) or 1/eps (Gaussian, Lambda0 unused), which makes varsigma
+    alpha gamma J / (sigma2 + sum_l gamma_l J_{q,l} eps_l).  Raises
+    ValueError unless eps > 0.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (spec.L_c,):
@@ -358,10 +355,7 @@ def free_entropy_grid(eps_grid, spec: CouplingSpec, kind: Ensemble) -> np.ndarra
     ct = channel_term_batch(sig_p.ravel(), spec.prior).reshape(sig_p.shape)
     term_channel = (spec.gamma[None, :] * ct).sum(axis=-1)
     term_cross = (spec.gamma[None, None, :] * eps_grid[:, None, :] * sig).sum(axis=(-2, -1))
-    if kind is Ensemble.ROW_ORTHOGONAL:
-        g = _g_orth_values(eps_grid, spec, Lam).sum(axis=-1)
-    else:
-        g = _g_gauss_values(eps_grid, spec).sum(axis=-1)
+    g = _g_values(eps_grid, spec, Lam).sum(axis=-1)
     return term_channel + term_cross + g + (1.0 - spec.total_rate)
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from ._quadrature import integrate
 
 _QUAD_TOL = 1e-12
+_MC_CHUNK = 10 ** 6  # Monte-Carlo samples drawn at once
 
 
 @dataclass(frozen=True)
@@ -114,12 +115,12 @@ def mmse(varsigma, prior: BernoulliGaussianPrior):
 
 
 def mmse_mc_oracle(varsigma: float, prior: BernoulliGaussianPrior,
-                   n_samples: int, seed: int, chunk: int = 10 ** 6):
+                   n_samples: int, seed: int):
     """Monte-Carlo estimate of the scalar mmse, with its standard error.
 
     Samples x from the prior, passes it through the channel and averages
-    |x - E{x|y}|^2.  Deterministic for a fixed seed; sampling is chunked
-    so n_samples = 1e7 stays within a few hundred MB.
+    |x - E{x|y}|^2.  Deterministic for a fixed seed; sampling runs in
+    chunks of _MC_CHUNK so n_samples = 1e7 stays within a few hundred MB.
 
     Returns (estimate, std_err).
     """
@@ -135,7 +136,7 @@ def mmse_mc_oracle(varsigma: float, prior: BernoulliGaussianPrior,
     left = int(n_samples)
     noise_scale = 1.0 / np.sqrt(varsigma)
     while left > 0:
-        m = min(chunk, left)
+        m = min(_MC_CHUNK, left)
         left -= m
         x = np.zeros(m, dtype=complex)
         on = rng.random(m) < rho

@@ -94,7 +94,6 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
     history = [eps.copy()]
     converged = False
     oscillating = False
-    clamped = state.clamped
     iterations = 0
     for t in range(int(max_iter)):
         new = se_step(state, spec, kind)
@@ -102,7 +101,6 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
             mixed = (1.0 - damping) * new.varsigma + damping * state.varsigma
             new = ConjugateState(eps=new.eps, varsigma=mixed, Lambda=new.Lambda,
                                  Delta=new.Delta, clamped=new.clamped)
-        clamped = clamped or new.clamped
         history.append(new.eps.copy())
         iterations = t + 1
         if np.abs(new.eps - state.eps).max() < tol:
@@ -114,7 +112,7 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
         oscillating = bool(np.abs(history[-1] - history[-3]).max() < _CYCLE_TOL)
     return EvolutionTrace(history=np.array(history), converged=converged,
                           iterations=iterations, final_state=state,
-                          oscillating=oscillating, clamped=clamped)
+                          oscillating=oscillating, clamped=state.clamped)
 
 
 def iterations_to_good_mse(trace: EvolutionTrace, sigma2: float):

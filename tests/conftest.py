@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from coupledcs import BernoulliGaussianPrior, CouplingSpec
+from coupledcs import (BernoulliGaussianPrior, CouplingSpec, NoTransitionError, find_alpha_d,
+                       run_evolution, single_block_spec)
 
 
 def random_coupled_spec(rng, max_blocks=4, dft_safe=True):
@@ -30,6 +31,22 @@ def random_coupled_spec(rng, max_blocks=4, dft_safe=True):
         sigma2=float(rng.uniform(1e-6, 1e-2)),
         prior=BernoulliGaussianPrior(float(rng.uniform(0.1, 0.9))),
     )
+
+
+def bp_mse_at(rho, sigma2, alpha, kind):
+    """MSE that single-block state evolution reaches from eps = rho (the rightmost maximum of F)."""
+    trace = run_evolution(single_block_spec(rho, sigma2, alpha), kind)
+    assert trace.converged, (rho, sigma2, alpha, kind)
+    return float(trace.final_eps[0])
+
+
+def window_exists(rho, sigma2, kind):
+    """Whether some rate below one has two free-entropy maxima at this noise level."""
+    try:
+        find_alpha_d(rho, sigma2, kind)
+    except NoTransitionError:
+        return False
+    return True
 
 
 @pytest.fixture

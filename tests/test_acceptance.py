@@ -12,13 +12,12 @@ import pytest
 from coupledcs import (BernoulliGaussianPrior, Ensemble, SeedingParams, adjoint_apply,
                        apply, build_coupled_operator, build_seeding_spec,
                        conjugate_fixed_point, find_alpha_c, find_alpha_d, find_alpha_s,
-                       free_entropy, mmse, mmse_mc_oracle, run_evolution,
-                       sharp_window_exists, single_block_spec)
+                       free_entropy, mmse, mmse_mc_oracle, run_evolution, single_block_spec)
 from coupledcs.measurement_ops import DftBlock
 from coupledcs.phase_analysis import ALPHA_TOL
 from coupledcs.state_evolution import iterations_to_good_mse
 
-from conftest import random_coupled_spec
+from conftest import bp_mse_at, random_coupled_spec, window_exists
 
 GAUSS = Ensemble.GAUSSIAN_IID
 ORTH = Ensemble.ROW_ORTHOGONAL
@@ -73,7 +72,7 @@ def phase_grid():
     for kind in BOTH:
         rows = {}
         for s2 in SIGMA2_GRID:
-            if sharp_window_exists(RHO, s2, kind)[0]:
+            if window_exists(RHO, s2, kind):
                 a_d = find_alpha_d(RHO, s2, kind)
                 a_c = find_alpha_c(RHO, s2, kind)
                 rows[s2] = {"sharp": True, "alpha_d": a_d, "alpha_c": a_c}
@@ -173,11 +172,11 @@ def test_recorded_transition_values(transitions_low_noise):
 
 def _bisect_vanishing_sigma2(kind, lo, hi):
     """Boundary of the two-maxima region in sigma2, via existence bisection."""
-    assert sharp_window_exists(RHO, lo, kind)[0], f"window should exist at sigma2={lo}"
-    assert not sharp_window_exists(RHO, hi, kind)[0], f"window should be gone at sigma2={hi}"
+    assert window_exists(RHO, lo, kind), f"window should exist at sigma2={lo}"
+    assert not window_exists(RHO, hi, kind), f"window should be gone at sigma2={hi}"
     while hi / lo > 1.10:
         mid = np.sqrt(lo * hi)
-        if sharp_window_exists(RHO, mid, kind)[0]:
+        if window_exists(RHO, mid, kind):
             lo = mid
         else:
             hi = mid
@@ -212,7 +211,6 @@ def test_criterion_05_threshold_ordering_moderate_noise(phase_grid):
 
 def test_criterion_06_bp_mse_dominance(phase_grid):
     with Criterion(6, "orthogonal BP MSE below Gaussian at the BP threshold"):
-        from coupledcs import bp_mse_at
         compared = 0
         for s2 in SIGMA2_GRID:
             g, o = phase_grid[GAUSS][s2], phase_grid[ORTH][s2]

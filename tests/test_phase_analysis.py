@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupledcs import (BernoulliGaussianPrior, ConvergenceError, Ensemble, NoTransitionError,
-                       QuadratureError, SeedingParams, bp_mse_at, build_seeding_spec,
+                       QuadratureError, SeedingParams, build_seeding_spec,
                        conjugate_fixed_point, find_alpha_c, find_alpha_d, find_alpha_s,
-                       free_entropy_grid, mmse, run_evolution, scan_curve, sharp_window_exists,
+                       free_entropy_grid, mmse, run_evolution, scan_curve,
                        single_block_spec, sweep_phase_diagram)
 from coupledcs import phase_analysis, replica_core
 from coupledcs.phase_analysis import ALPHA_TOL
+
+from conftest import bp_mse_at, window_exists
 
 GAUSS = Ensemble.GAUSSIAN_IID
 ORTH = Ensemble.ROW_ORTHOGONAL
@@ -136,18 +138,17 @@ class TestTransitions:
         with pytest.raises(NoTransitionError):
             find_alpha_d(1.0, 1e-3, GAUSS)
 
-    def test_sharp_window_exists_flags(self):
-        ok, witness = sharp_window_exists(RHO, SIGMA2, GAUSS)
-        assert ok and two_maxima(witness)
-        ok, witness = sharp_window_exists(1.0, 1e-3, GAUSS)
-        assert not ok and witness is None
+    def test_window_exists_flags(self, gauss_transitions):
+        a_s, _, a_d = gauss_transitions
+        assert window_exists(RHO, SIGMA2, GAUSS) and two_maxima(0.5 * (a_s + a_d))
+        assert not window_exists(1.0, 1e-3, GAUSS)
 
     @pytest.mark.parametrize("kind", [GAUSS, ORTH])
     @pytest.mark.parametrize("rho", [0.0, 1.0])
     @pytest.mark.parametrize("sigma2", [1e-10, 1e-4, 1.0])
     def test_no_window_at_the_density_ends(self, kind, rho, sigma2):
         # rho = 0: eps = 0 and alpha = v sigma2; rho = 1: mmse is 1 / (1 + v)
-        assert sharp_window_exists(rho, sigma2, kind) == (False, None)
+        assert not window_exists(rho, sigma2, kind)
         (pt,) = sweep_phase_diagram(rho, [sigma2], kind)
         assert not pt.sharp and pt.error is None
 
@@ -216,9 +217,6 @@ class TestBpMse:
         a_s, _, a_d = gauss_transitions
         for alpha in (0.5 * (a_s + a_d), a_d + 0.02):
             got = bp_mse_at(RHO, SIGMA2, alpha, GAUSS)
-            spec = single_block_spec(RHO, SIGMA2, alpha)
-            trace = run_evolution(spec, GAUSS)
-            assert abs(got - trace.final_eps[0]) <= 1e-8
             curve = scan_curve(RHO, SIGMA2, alpha, GAUSS)
             rightmost = curve.maxima[-1][0]
             assert abs(got - rightmost) <= 1e-8

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from coupledcs import (BernoulliGaussianPrior, CouplingSpec, ConvergenceError, Ensemble,
                        SeedingParams, build_seeding_spec, conjugate_fixed_point, free_entropy,
                        free_entropy_grid, single_block_spec)
-from coupledcs.replica_core import (_g_gauss_values, _g_orth_values, _solve_lambda,
-                                    channel_term_batch)
+from coupledcs.replica_core import _g_values, _solve_lambda, channel_term_batch
 
 from conftest import random_coupled_spec
 
@@ -185,7 +184,7 @@ class TestGOrth:
         assert Lam[0, 1] == pytest.approx(1.0 / eps[1], abs=1e-12)
         moved = Lam.copy()
         moved[0, 1] *= 3.0
-        assert _g_orth_values(eps, spec, moved)[0] == _g_orth_values(eps, spec, Lam)[0]
+        assert _g_values(eps, spec, moved)[0] == _g_values(eps, spec, Lam)[0]
 
     def test_finite_difference_stationarity(self):
         spec = single_block_spec(0.4, 1e-4, 0.49)
@@ -334,10 +333,6 @@ class TestInnerSolve:
         with pytest.raises(ValueError, match="alpha"):
             _solve_lambda(np.array([0.1]), spec)
 
-    def test_rejects_non_positive_mse(self):
-        with pytest.raises(ValueError, match="eps"):
-            _solve_lambda(np.array([0.0, 0.1]), two_block_spec())
-
     def test_delta_one_is_a_convergence_error(self):
         # alpha = 1 on a lone block without noise: 1 - Delta = 0 at any Lambda
         spec = single_block_spec(0.4, 0.0, 1.0)
@@ -380,20 +375,48 @@ def _g_gradient_norm(eps, spec, Lam):
     return worst
 
 
-class TestGGauss:
-    def test_zero_mse(self):
-        spec = two_block_spec()
-        assert _g_gauss_values(np.zeros(2), spec)[0] == 0.0
+def _gauss_varsigma_oracle(eps, spec):
+    """The Gaussian closed form varsigma = alpha gamma J / (sigma2 + S), S = sum gamma J eps."""
+    coupling = spec.gamma * spec.J
+    return spec.alpha * coupling / (spec.sigma2 + (coupling * eps).sum(axis=1, keepdims=True))
 
+
+def _gauss_g_oracle(eps, spec):
+    """The Gaussian closed form G_q = -(M_q / N) log(1 + S_q / sigma2), per row."""
+    return -spec.row_rates * np.log1p((spec.gamma * spec.J * eps).sum(axis=1) / spec.sigma2)
+
+
+def _gauss_free_entropy_oracle(eps, spec):
+    """F of the Gaussian ensemble from the closed forms above."""
+    sig = _gauss_varsigma_oracle(eps, spec)
+    channel = (spec.gamma * channel_term_batch(sig.sum(axis=0), spec.prior)).sum()
+    return (channel + (spec.gamma * eps * sig).sum() + _gauss_g_oracle(eps, spec).sum()
+            + 1.0 - spec.total_rate)
+
+
+def _g_gauss(eps, spec):
+    """The one G at the Gaussian Lambda = 1/eps."""
+    return _g_values(eps, spec, np.broadcast_to(1.0 / eps, spec.J.shape))
+
+
+class TestGGauss:
     def test_single_block_arithmetic(self):
         spec = single_block_spec(0.4, 0.01, 0.5)
-        got = _g_gauss_values(np.array([0.02]), spec)[0]
+        got = _g_gauss(np.array([0.02]), spec)[0]
         assert got == pytest.approx(-0.5 * np.log(3.0), abs=1e-12)
 
     def test_scale_invariance(self):
-        a = _g_gauss_values(np.array([0.02]), single_block_spec(0.4, 0.01, 0.5))[0]
-        b = _g_gauss_values(np.array([0.04]), single_block_spec(0.4, 0.02, 0.5))[0]
+        a = _g_gauss(np.array([0.02]), single_block_spec(0.4, 0.01, 0.5))[0]
+        b = _g_gauss(np.array([0.04]), single_block_spec(0.4, 0.02, 0.5))[0]
         assert a == pytest.approx(b, abs=1e-14)
+
+    def test_matches_closed_form(self, rng):
+        # at Lambda = 1/eps the bracket of G vanishes and only the log term is left
+        for _ in range(20):
+            spec = random_coupled_spec(rng)
+            eps = rng.uniform(0.01, 1.0, spec.L_c) * spec.prior.rho
+            got, ref = _g_gauss(eps, spec), _gauss_g_oracle(eps, spec)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_noise_free_raises(self):
         spec = single_block_spec(0.4, 0.0, 0.5)
@@ -438,6 +461,29 @@ class TestConjugateFixedPoint:
             conjugate_fixed_point(np.array([0.1]), spec, ORTH)
         with pytest.raises(ValueError, match="alpha"):
             free_entropy(np.array([0.1]), spec, ORTH)
+
+    def test_non_positive_mse_is_rejected(self):
+        spec = two_block_spec()
+        for kind in (GAUSS, ORTH):
+            for eps in ([0.0, 0.1], [0.1, -1e-3]):
+                with pytest.raises(ValueError, match="eps must be > 0"):
+                    conjugate_fixed_point(np.array(eps), spec, kind)
+                with pytest.raises(ValueError, match="eps must be > 0"):
+                    free_entropy_grid(np.array([[0.2, 0.1], eps]), spec, kind)
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           log_eps=st.lists(st.floats(-8.0, 0.0), min_size=4, max_size=4))
+    def test_gaussian_matches_closed_forms(self, seed, log_eps):
+        # the Gaussian ensemble is the row-orthogonal formula at Lambda = 1/eps;
+        # the closed forms it replaced are the oracle
+        spec = random_coupled_spec(np.random.default_rng(seed))
+        eps = spec.prior.rho * 10.0 ** np.array(log_eps[:spec.L_c])
+        sig = conjugate_fixed_point(eps, spec, GAUSS).varsigma
+        ref = _gauss_varsigma_oracle(eps, spec)
+        assert np.all(np.abs(sig - ref) <= 1e-13 * ref)
+        got = free_entropy_grid(eps[None, :], spec, GAUSS)[0]
+        assert got == pytest.approx(_gauss_free_entropy_oracle(eps, spec), rel=1e-13, abs=0)
 
     def test_gaussian_rate_above_one_still_evaluates(self):
         spec = single_block_spec(0.4, 1e-4, 1.5)
