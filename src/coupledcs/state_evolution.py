@@ -5,12 +5,12 @@ One iteration refreshes the per-block MSE through the scalar channel,
     eps_p <- mmse(sum_q varsigma[q, p]),
 
 then re-solves the conjugate precisions at the new eps (warm-started from
-the previous conjugates).  Fixed points of this map are stationary points
-of the replica free entropy; iterating from eps = rho tracks what message
-passing can reach, since large MSE is the only algorithmically possible
-initialization.  At sigma2 = 0 the conjugate formulas stay finite even
-though the free entropy itself diverges, so noise-free evolutions are
-allowed.
+the previous Lambda, rescaled by eps / eps_new).  Fixed points of this map
+are stationary points of the replica free entropy; iterating from eps = rho
+tracks what message passing can reach, since large MSE is the only
+algorithmically possible initialization.  At sigma2 = 0 the conjugate
+formulas stay finite even though the free entropy itself diverges, so
+noise-free evolutions are allowed.
 
 Gaussian-ensemble runs from eps = rho lower every block's MSE and never
 lower F.  Coupled row-orthogonal runs need not (their one-step map is not
@@ -56,12 +56,15 @@ def se_step(state: ConjugateState, spec: CouplingSpec, kind: Ensemble) -> Conjug
     """One state-evolution iteration.
 
     The MSE update uses the incoming conjugates; the returned conjugates
-    are re-extremized at the new eps, warm-started at the incoming Lambda.
-    Feeding a converged state returns it unchanged up to solver tolerance.
+    are re-extremized at the new eps, warm-started at the incoming Lambda
+    times eps / eps_new: Lambda = (1 - Delta) / eps moves mostly through
+    its 1 / eps factor.  Feeding a converged state returns it unchanged up
+    to solver tolerance.
     """
     sig_p = state.varsigma.sum(axis=0)
     eps_new = mmse(sig_p, spec.prior)
-    new = conjugate_fixed_point(eps_new, spec, kind, Lambda0=state.Lambda)
+    new = conjugate_fixed_point(eps_new, spec, kind,
+                                Lambda0=state.Lambda * (state.eps / eps_new))
     new.clamped = new.clamped or state.clamped
     return new
 

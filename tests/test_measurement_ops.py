@@ -1,12 +1,16 @@
 """Coupled measurement operators against dense oracles and sample statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupledcs import (BernoulliGaussianPrior, Ensemble, adjoint_apply, apply,
-                       build_coupled_operator, gen_instance, single_block_spec)
+from coupledcs import (BernoulliGaussianPrior, Ensemble, SeedingParams, adjoint_apply, apply,
+                       build_coupled_operator, build_seeding_spec, gen_instance,
+                       single_block_spec)
+from coupledcs import measurement_ops
 from coupledcs.cli import export_instance, read_complex_csv
 from coupledcs.measurement_ops import DftBlock, dense_materialize, sample_signal
 
@@ -28,6 +32,40 @@ def dense_from_blocks(op):
             sub = block.matrix
         A[r0:r0 + sub.shape[0], c0:c0 + sub.shape[1]] += sub
     return A
+
+
+def per_block_loop(op, v, adjoint):
+    """A v (A^H v when adjoint) with one transform per block on a fresh zero vector.
+
+    The unbatched application, added into the output in (q, p) order.  The
+    Gaussian adjoint multiplies by the materialized conjugate transpose:
+    conj(y^H M) runs the same BLAS kernel on conjugated inputs, and negating
+    imaginary parts commutes with every rounding, so the bytes agree.
+    """
+    out = np.zeros(op.N if adjoint else op.M, dtype=complex)
+    for (q, p), block in op.blocks.items():
+        rows = slice(op.row_offsets[q], op.row_offsets[q + 1])
+        cols = slice(op.col_offsets[p], op.col_offsets[p + 1])
+        if isinstance(block, DftBlock):
+            w = np.zeros(block.n, dtype=complex)
+            if adjoint:
+                w[block.row_selection] = v[rows]
+                out[cols] += block.scale * np.fft.ifft(w, norm="ortho")[block.col_permutation]
+            else:
+                w[block.col_permutation] = v[cols]
+                out[rows] += block.scale * np.fft.fft(w, norm="ortho")[block.row_selection]
+        elif adjoint:
+            out[cols] += block.matrix.conj().T @ v[rows]
+        else:
+            out[rows] += block.matrix @ v[cols]
+    return out
+
+
+def equal_width_spec(spec):
+    """The same rows, J and prior on equal column fractions, so DFT blocks share a size."""
+    gamma = np.full(spec.L_c, 1.0 / spec.L_c)
+    row_rates = spec.alpha[:, 0] * spec.gamma[0]
+    return dataclasses.replace(spec, gamma=gamma, alpha=row_rates[:, None] / gamma[None, :])
 
 
 class TestSampleSignal:
@@ -151,6 +189,45 @@ class TestApply:
             apply(op, np.zeros(op.N + 1))
         with pytest.raises(ValueError):
             adjoint_apply(op, np.zeros(op.M + 1))
+
+
+class TestBatchedTransforms:
+    """Batched application gives the bytes of the per-block loop at any batch size."""
+
+    @pytest.mark.parametrize("budget", [1, 2 ** 20])
+    @pytest.mark.parametrize("kind", [ORTH, GAUSS])
+    def test_bytes_match_per_block_loop(self, rng, monkeypatch, kind, budget):
+        # budget 1 puts every block in its own call; 2^20 stacks whole runs,
+        # across block rows when the column fractions are equal
+        monkeypatch.setattr(measurement_ops, "_FFT_BUDGET", budget)
+        longest = 0
+        for trial in range(8):
+            spec = random_coupled_spec(rng)
+            if trial % 2:
+                spec = equal_width_spec(spec)
+            # 253 is a multiple of no L up to 4: the last column block is wider
+            op = build_coupled_operator(spec, 253, seed=trial, kind=kind)
+            x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
+            y = rng.standard_normal(op.M) + 1j * rng.standard_normal(op.M)
+            assert np.array_equal(apply(op, x), per_block_loop(op, x, adjoint=False))
+            assert np.array_equal(adjoint_apply(op, y), per_block_loop(op, y, adjoint=True))
+            if kind is ORTH:
+                longest = max(longest, *map(len, measurement_ops._dft_runs(op.blocks)))
+        if kind is ORTH:
+            assert longest == 1 if budget == 1 else longest > 2
+
+    def test_showcase_chain_batches(self):
+        # the N = 2^17 seeding chain: blocks of 13107 and 13109 points
+        params = SeedingParams(L=10, W=2, alpha_seed=0.70, alpha_bulk=0.49, J=0.5)
+        op = build_coupled_operator(build_seeding_spec(params, 0.4, 1e-6), 2 ** 17,
+                                    seed=0, kind=ORTH)
+        runs = list(measurement_ops._dft_runs(op.blocks))
+        assert sum(map(len, runs)) == len(op.blocks) and len(runs) < len(op.blocks)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
+        y = apply(op, x)
+        assert np.array_equal(y, per_block_loop(op, x, adjoint=False))
+        assert np.array_equal(adjoint_apply(op, y), per_block_loop(op, y, adjoint=True))
 
 
 class TestDenseMaterialize:
