@@ -86,10 +86,12 @@ def integrate(integrand, params, transitions, atol, rtol, what, at):
     """Integral of ``integrand(t, *params)`` over [0, TAIL_CUTOFF], per batch row.
 
     params are arrays of shape (n,); the integrand receives them as
-    (rows, 1, 1) blocks that broadcast against node blocks of shape
-    (rows, panels, nodes).  transitions is a list of (centre, rate) pairs
+    (rows, 1) blocks that broadcast against node blocks of shape
+    (rows, panels * nodes).  transitions is a list of (centre, rate) pairs
     of shape-(n,) arrays, rate > 0.  Rows are evaluated in blocks of
-    bounded size, and every row's value depends on that row alone.
+    bounded size, and every row's value depends on that row alone.  The
+    integrand runs with overflow ignored: an exponential that overflows
+    to inf is a sigmoid's or a log-sum's far tail.
 
     Raises QuadratureError when the check rule and the main rule disagree
     by more than max(atol, rtol * |value|); ``what`` and ``at`` (the
@@ -100,19 +102,23 @@ def integrate(integrand, params, transitions, atol, rtol, what, at):
     step = max(1, _BLOCK_NODES // (n_panels * _NODES.size))
     value = np.empty(n)
     error = np.empty(n)
-    for start in range(0, n, step):
-        rows = slice(start, min(n, start + step))
-        edges = _edges(transitions, rows)
-        a = edges[:, :-1, None]
-        h = edges[:, 1:, None] - a
-        f = integrand(a + h * _NODES, *(p[rows, None, None] for p in params))
-        main = h[..., 0] * (f @ _WEIGHTS)
-        check = h[..., 0] * (f @ _CHECK_WEIGHTS)
-        value[rows] = main.sum(axis=1)
-        error[rows] = np.abs(main - check).sum(axis=1)
-    bad = np.flatnonzero(~(error <= np.maximum(atol, rtol * np.abs(value))))
-    if bad.size:
-        i = bad[0]
+    with np.errstate(over="ignore"):
+        for start in range(0, n, step):
+            rows = slice(start, min(n, start + step))
+            edges = _edges(transitions, rows)
+            a = edges[:, :-1, None]
+            h = edges[:, 1:, None] - a
+            t = a + h * _NODES
+            # flat rows keep numpy's inner loops long: (rows, panels * nodes)
+            f = integrand(t.reshape(len(t), -1), *(p[rows, None] for p in params))
+            f = f.reshape(t.shape)
+            main = h[..., 0] * (f @ _WEIGHTS)
+            check = h[..., 0] * (f @ _CHECK_WEIGHTS)
+            value[rows] = main.sum(axis=1)
+            error[rows] = np.abs(main - check).sum(axis=1)
+    ok = error <= np.maximum(atol, rtol * np.abs(value))
+    if not ok.all():
+        i = int(np.argmin(ok))   # the first failing row
         raise QuadratureError(
             f"{what} quadrature error {error[i]:.3e} above tolerance at varsigma={float(at[i])!r}",
             value=float(value[i]), error_estimate=float(error[i]))

@@ -228,8 +228,8 @@ def dense_materialize(op: CoupledOperator) -> np.ndarray:
 def gen_instance(op: CoupledOperator, prior: BernoulliGaussianPrior,
                  sigma: float, seed: int) -> SyntheticInstance:
     """Draw x from the prior and measure it: y = A x + sigma z."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     root = np.random.SeedSequence(seed)
     sig_seq, noise_seq = root.spawn(2)
     x = sample_signal(op.N, prior, sig_seq)

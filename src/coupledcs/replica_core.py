@@ -28,6 +28,7 @@ maxima of F(eps) are exactly the fixed points of the MSE state evolution.
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,6 +101,17 @@ class CouplingSpec:
             raise ValueError("J: every block column needs at least one J > 0 entry")
         if not (self.sigma2 >= 0):
             raise ValueError("sigma2 must be >= 0")
+
+    @cached_property
+    def _band(self):
+        """Per-spec constants of the Delta map: (J > 0, gamma J, 1 - alpha, rates_ok).
+
+        gamma J is zero off the band, so W = gamma J / Lambda and Delta vanish
+        there unmasked; rates_ok is alpha <= 1 on the band, which the
+        row-orthogonal ensemble needs.
+        """
+        active = self.J > 0
+        return active, self.gamma * self.J, 1.0 - self.alpha, not np.any(self.alpha[active] > 1.0)
 
     @property
     def row_rates(self) -> np.ndarray:
@@ -184,9 +196,8 @@ def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
     gap = c1 - c2
 
     def integrand(s, vs, slope, c2):
-        with np.errstate(over="ignore"):
-            return np.exp(-s) * (-s + (1.0 - rho) * _log_sum_exp(c1, c2 + slope * s)
-                                 + rho * _log_sum_exp(c1 - vs * s, c2))
+        return np.exp(-s) * (-s + (1.0 - rho) * _log_sum_exp(c1, c2 + slope * s)
+                             + rho * _log_sum_exp(c1 - vs * s, c2))
 
     return integrate(integrand, [vs, slope, c2], [(gap, slope), (gap, vs)],
                      atol=_CHANNEL_TOL, rtol=0.0, what="channel term", at=vs)
@@ -199,12 +210,12 @@ def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
 def _delta_map(Lam, spec: CouplingSpec):
     """(W, sigma2 + S, Delta): W = gamma J / Lambda, S = sum_p W, Delta = alpha W / (sigma2 + S).
 
-    Lam has shape (..., L_r, L_c); entries with J = 0 carry W = Delta = 0.
+    Lam has shape (..., L_r, L_c) and is positive; entries with J = 0 carry
+    W = Delta = 0.
     """
-    active = spec.J > 0
-    W = np.where(active, spec.gamma[None, :] * spec.J / Lam, 0.0)
+    W = spec._band[1] / Lam
     den = spec.sigma2 + W.sum(axis=-1, keepdims=True)
-    return W, den, np.where(active, spec.alpha * W / den, 0.0)
+    return W, den, spec.alpha * W / den
 
 
 def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
@@ -213,75 +224,69 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
     eps has shape (..., L_c); the solve is vectorized over the leading
     axes and over block rows (rows are independent).  Newton on the row's
     diagonal-plus-rank-one system in x = log Lambda keeps the iterates
-    positive, with every step bounded in log Lambda; a final undamped
-    projection lands exactly on the map so downstream identities hold to
-    machine precision.
+    positive, with every step bounded in log Lambda.  The solve stops at
+    the first iterate whose residual |log(1 - Delta) - log eps - log Lambda|
+    is below _INNER_TOL on every block with J > 0, and returns that
+    iterate's undamped projection Lambda = (1 - Delta) / eps together with
+    the Delta and 1 - Delta it was projected from, so that Lambda eps =
+    1 - Delta holds to rounding.  Entries with J = 0 carry Lambda = 1/eps,
+    Delta = 0 and 1 - Delta = 1.
 
     Returns (Lambda, Delta, 1 - Delta, clamped), arrays of shape
     (..., L_r, L_c); 1 - Delta is carried separately because it is
     computed without cancellation.
     """
-    eps = np.asarray(eps, dtype=float)
-    active = spec.J > 0
-    if np.any(spec.alpha[active] > 1.0):
+    active, _, one_minus_alpha, rates_ok = spec._band
+    if not rates_ok:
         # the replica counterpart of M_q <= N_p in `build_coupled_operator`
         raise ValueError("row-orthogonal blocks need alpha[q, p] <= 1 wherever J[q, p] > 0: "
                          "a block cannot have more orthogonal rows than columns")
-    alpha, sigma2 = spec.alpha, spec.sigma2
-    eps_b = eps[..., None, :]
-    inv_eps = np.broadcast_to(1.0 / eps_b, eps_b.shape[:-2] + (spec.L_r, spec.L_c)).copy()
-    Lam = inv_eps.copy() if Lambda0 is None else np.array(np.broadcast_to(Lambda0, inv_eps.shape), dtype=float)
-    clamped = bool(np.any(Lam[..., active] <= 0))
-    Lam = np.where(Lam > 0, Lam, _LAMBDA_FLOOR)
-
-    def delta_of(Lam):
-        """Delta, 1 - Delta and the row weights w = W / (sigma2 + S).
-
-        1 - Delta = (sigma2 + sum_{l != p} W_l + (1 - alpha) W_p) / (sigma2 + S),
-        with a prefix plus a suffix sum over l != p, stays accurate as Delta -> 1
-        and in rows one block dominates, where 1 - Delta or S - W_p would not.
-        """
-        W, den, Delta = _delta_map(Lam, spec)
-        zero = np.zeros_like(W[..., :1])
-        before = np.cumsum(np.concatenate([zero, W[..., :-1]], axis=-1), axis=-1)
-        after = np.cumsum(np.concatenate([zero, W[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
-        omd = np.where(active, (sigma2 + (before + after) + (1.0 - alpha) * W) / den, 1.0)
-        return Delta, omd, W / den
-
-    log_eps = np.log(eps_b)
-    projected = False
+    sigma2 = spec.sigma2
+    eps = np.asarray(eps, dtype=float)
+    log_eps = np.log(eps)[..., None, :]
+    inv_eps = 1.0 / eps[..., None, :]
+    Lam = inv_eps if Lambda0 is None else np.asarray(Lambda0, dtype=float)
+    clamped = bool(np.any((Lam <= 0) & active))
+    Lam = np.where(active, np.where(Lam > 0, Lam, _LAMBDA_FLOOR), inv_eps)
     for _ in range(_INNER_MAX_STEPS):
-        Delta, omd, w = delta_of(Lam)
-        if np.any(omd[..., active] <= 0.0):
-            worst = np.unravel_index(int(np.argmax(np.where(active, Delta, 0.0))),
-                                     Delta.shape)
+        W, den, Delta = _delta_map(Lam, spec)
+        # 1 - Delta = (sigma2 + sum_{l != p} W_l + (1 - alpha) W_p) / (sigma2 + S), with a
+        # prefix plus a suffix sum over l != p, stays accurate as Delta -> 1 and in rows
+        # one block dominates, where 1 - Delta or S - W_p would not
+        before = np.zeros(W.shape)
+        np.cumsum(W[..., :-1], axis=-1, out=before[..., 1:])
+        after = np.zeros(W.shape)
+        np.cumsum(W[..., :0:-1], axis=-1, out=after[..., -2::-1])
+        omd = (sigma2 + (before + after) + one_minus_alpha * W) / den
+        if np.any(omd <= 0.0, where=active):
+            worst = np.unravel_index(int(np.argmax(Delta)), Delta.shape)
             raise ConvergenceError(
                 f"Delta >= 1 in inner extremization at block (q, p) = {worst[-2:]}",
-                residual=float(Delta[..., active].max()))
+                residual=float(Delta.max()))
         log_target = np.log(omd) - log_eps
-        g = np.where(active, log_target - np.log(Lam), 0.0)
-        resid = np.abs(g).max()
-        if resid < _INNER_TOL and projected:
-            return Lam, Delta, omd, clamped
-        projected = resid < _INNER_TOL
-        if projected:  # the undamped step onto the map, returned once it is within tol too
-            Lam = np.where(active, np.exp(log_target), inv_eps)
-            continue
+        # off the band g is rounding-sized and, with w = u = 0 there, stays out of the step
+        g = log_target - np.log(Lam)
+        resid = np.abs(g).max(where=active, initial=0.0)
+        if resid < _INNER_TOL:
+            return (np.where(active, np.exp(log_target), inv_eps), Delta,
+                    np.where(active, omd, 1.0), clamped)
         # g = log(1 - Delta) - log eps - x has the Jacobian -(diag(1 - r) + r w^T),
-        # r = Delta / (1 - Delta).  A block with Delta < 1/2 is eliminated through its
-        # diagonal; the one block per row that may have Delta >= 1/2 (w sums to at
-        # most one) is solved last instead of divided by its diagonal 1 - r.
+        # r = Delta / (1 - Delta), w = W / (sigma2 + S).  A block with Delta < 1/2 is
+        # eliminated through its diagonal; the one block per row that may have
+        # Delta >= 1/2 (w sums to at most one) is solved last instead of divided by
+        # its diagonal 1 - r.
+        w = W / den
         r = Delta / omd
+        one_minus_r = 1.0 - r
         big = Delta >= 0.5
-        d = np.where(big, 1.0, 1.0 - r)
+        d = np.where(big, 1.0, one_minus_r)
         u = np.where(big, 0.0, w / d)
         a = (u * g).sum(axis=-1, keepdims=True)
         b = 1.0 + (u * r).sum(axis=-1, keepdims=True)
-        step_big = np.where(big, (b * g - r * a) / (b * (1.0 - r) + r * w), 0.0)
+        step_big = np.where(big, (b * g - r * a) / (b * one_minus_r + r * w), 0.0)
         s = ((w * step_big).sum(axis=-1, keepdims=True) + a) / b
-        step = np.clip(np.where(big, step_big, (g - r * s) / d), -4.0, 4.0)
-        Lam = np.where(active, Lam * np.exp(step), inv_eps)
-        if np.any(Lam[..., active] < _LAMBDA_FLOOR):
+        Lam *= np.exp(np.clip(np.where(big, step_big, (g - r * s) / d), -4.0, 4.0))
+        if np.any(Lam < _LAMBDA_FLOOR, where=active):
             Lam = np.maximum(Lam, _LAMBDA_FLOOR)
             clamped = True
     raise ConvergenceError(
@@ -291,7 +296,7 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
 
 def _g_values(eps, spec: CouplingSpec, Lam):
     """G_q at Lambda of shape (..., L_r, L_c), per row: shape (..., L_r); needs sigma2 > 0."""
-    active = spec.J > 0
+    active = spec._band[0]
     S = _delta_map(Lam, spec)[0].sum(axis=-1)
     prod = Lam * np.asarray(eps, dtype=float)[..., None, :]
     bracket = np.where(active, prod - np.log(np.where(active, prod, 1.0)) - 1.0, 0.0)

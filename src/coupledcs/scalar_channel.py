@@ -75,8 +75,7 @@ def posterior_mean(y, ch: ScalarChannel, prior: BernoulliGaussianPrior):
 
 def _mmse_integrand(t, vs, centre, scale):
     # t e^{-t} (1 + vs * sigmoid(centre - vs t)), scaled by rho / (1 + vs)
-    with np.errstate(over="ignore"):
-        return scale * t * np.exp(-t) * (1.0 + vs / (1.0 + np.exp(vs * t - centre)))
+    return scale * t * np.exp(-t) * (1.0 + vs / (1.0 + np.exp(vs * t - centre)))
 
 
 def mmse(varsigma, prior: BernoulliGaussianPrior):
@@ -97,9 +96,9 @@ def mmse(varsigma, prior: BernoulliGaussianPrior):
     max(1e-12, 1e-12 * mmse).
     """
     vs = np.asarray(varsigma, dtype=float)
-    bad = ~(np.isfinite(vs) & (vs >= 0))
-    if np.any(bad):
-        raise ValueError(f"varsigma must be finite and >= 0, got {vs[bad].flat[0]}")
+    ok = np.isfinite(vs) & (vs >= 0)
+    if not ok.all():
+        raise ValueError(f"varsigma must be finite and >= 0, got {vs[~ok].flat[0]}")
     rho = prior.rho
     if rho == 1.0:
         out = 1.0 / (1.0 + vs)

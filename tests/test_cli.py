@@ -243,6 +243,16 @@ class TestGenMatrixCommand:
                                    "-o", str(tmp_path / "inst")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_exits_2(self, runner, tmp_path, sigma):
+        spec_path = self._spec_file(tmp_path)
+        res = runner.invoke(main, ["gen-matrix", "--spec-file", str(spec_path),
+                                   "--N", "128", "--seed", "0", "--ensemble", "orthogonal",
+                                   "--sigma", sigma, "-o", str(tmp_path / "inst")])
+        assert res.exit_code == 2, res.output
+        assert "sigma must be finite" in res.output
+        assert not list(tmp_path.glob("inst*"))
+
 
 class TestConfigAndVersion:
     def test_config_file_supplies_flags(self, runner, tmp_path):

@@ -261,6 +261,13 @@ class TestInstances:
         resid = np.abs(inst.y - apply(op, inst.x)) ** 2
         assert abs(resid.mean() - sigma ** 2) <= 3 * resid.std() / np.sqrt(op.M)
 
+    @pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf])
+    def test_invalid_noise_level_is_rejected(self, rng, sigma):
+        # NaN fails both sigma < 0 and sigma > 0, so a sign test alone passes it through
+        op = build_coupled_operator(random_coupled_spec(rng), 64, seed=0, kind=ORTH)
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            gen_instance(op, BernoulliGaussianPrior(0.4), sigma=sigma, seed=5)
+
     def test_deterministic(self, rng):
         op = build_coupled_operator(random_coupled_spec(rng), 64, seed=0, kind=GAUSS)
         a = gen_instance(op, BernoulliGaussianPrior(0.4), sigma=0.1, seed=7)

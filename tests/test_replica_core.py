@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coupledcs import (BernoulliGaussianPrior, CouplingSpec, ConvergenceError, Ensemble,
                        SeedingParams, build_seeding_spec, conjugate_fixed_point, free_entropy,
-                       free_entropy_grid, single_block_spec)
+                       free_entropy_grid, mmse, single_block_spec)
 from coupledcs.replica_core import _g_values, _solve_lambda, channel_term_batch
 
 from conftest import random_coupled_spec
@@ -485,6 +485,24 @@ class TestConjugateFixedPoint:
         got = free_entropy_grid(eps[None, :], spec, GAUSS)[0]
         assert got == pytest.approx(_gauss_free_entropy_oracle(eps, spec), rel=1e-13, abs=0)
 
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           log_eps=st.lists(st.floats(-8.0, 0.0), min_size=4, max_size=4))
+    def test_gaussian_precisions_fall_as_any_mse_rises(self, seed, log_eps):
+        # d varsigma_p / d eps_l <= 0 for every p, l: the Gaussian map is order-preserving
+        # (the row-orthogonal one is not, see ROADMAP item 2)
+        spec = random_coupled_spec(np.random.default_rng(seed))
+        eps = spec.prior.rho * 10.0 ** np.array(log_eps[:spec.L_c])
+        sig = conjugate_fixed_point(eps, spec, GAUSS).varsigma.sum(axis=0)
+        h = 1e-3
+        for l in range(spec.L_c):
+            up, dn = eps.copy(), eps.copy()
+            up[l] *= np.exp(h)
+            dn[l] *= np.exp(-h)
+            slope = (conjugate_fixed_point(up, spec, GAUSS).varsigma.sum(axis=0)
+                     - conjugate_fixed_point(dn, spec, GAUSS).varsigma.sum(axis=0)) / (2 * h)
+            assert np.all(slope <= 1e-12 * sig), (l, slope)
+
     def test_gaussian_rate_above_one_still_evaluates(self):
         spec = single_block_spec(0.4, 1e-4, 1.5)
         st = conjugate_fixed_point(np.array([0.1]), spec, GAUSS)
@@ -515,6 +533,29 @@ class TestFreeEntropy:
         for kind in (GAUSS, ORTH):
             with pytest.raises(ValueError):
                 free_entropy(np.array([0.1]), spec, kind)
+
+    @settings(deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           log_eps=st.lists(st.floats(-6.0, 0.0), min_size=4, max_size=4))
+    def test_gradient_identity(self, seed, log_eps):
+        # at stationary conjugates, dF/deps_p = sum_{q,l} gamma_l (eps_l - mmse(varsigma_l))
+        # d varsigma_ql / d eps_p; both sides by central differences in log eps_p, with a
+        # floor for the rounding of F (about 1e-15) over the step
+        spec = random_coupled_spec(np.random.default_rng(seed))
+        eps = spec.prior.rho * 10.0 ** np.array(log_eps[:spec.L_c])
+        h = 1e-4
+        for kind in (GAUSS, ORTH):
+            sig = conjugate_fixed_point(eps, spec, kind).varsigma
+            weight = spec.gamma * (eps - mmse(sig.sum(axis=0), spec.prior))
+            for p in range(spec.L_c):
+                up, dn = eps.copy(), eps.copy()
+                up[p] *= np.exp(h)
+                dn[p] *= np.exp(-h)
+                lhs = (free_entropy(up, spec, kind) - free_entropy(dn, spec, kind)) / (2 * h)
+                terms = weight * (conjugate_fixed_point(up, spec, kind).varsigma
+                                  - conjugate_fixed_point(dn, spec, kind).varsigma) / (2 * h)
+                assert abs(lhs - terms.sum()) <= 1e-5 * np.abs(terms).sum() + 1e-10, \
+                    (kind, p, lhs, terms.sum())
 
     def test_stationary_at_se_fixed_point(self):
         from coupledcs import run_evolution

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from coupledcs import (BernoulliGaussianPrior, CouplingSpec, Ensemble, SeedingParams,
                        build_seeding_spec, conjugate_fixed_point, free_entropy, mmse,
                        run_evolution, single_block_spec)
+from coupledcs import replica_core
 from coupledcs.state_evolution import se_step
 
 GAUSS = Ensemble.GAUSSIAN_IID
@@ -142,6 +143,32 @@ def test_orthogonal_chain_can_rise_and_lower_free_entropy():
     f_gauss = [free_entropy(eps, spec, GAUSS) for eps in gauss.history]
     assert f_orth[4] - f_orth[3] < -0.03
     assert np.diff(f_gauss).min() >= -1e-8
+
+
+def test_inner_solve_work_on_the_benchmark_chains(monkeypatch):
+    # the orthogonal L=10 showcase chain and the L=22 chain of acceptance criterion 8:
+    # a warm-started solve stops at the first Delta-map evaluation within tolerance,
+    # so it makes at most one evaluation per Newton step plus that one
+    calls = {"solve": 0, "delta": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(replica_core, "_solve_lambda",
+                        counted("solve", replica_core._solve_lambda))
+    monkeypatch.setattr(replica_core, "_delta_map", counted("delta", replica_core._delta_map))
+    iterations = []
+    for L, a_bulk, J in ((10, 0.49, 0.5), (22, 0.484, 1.5)):
+        params = SeedingParams(L=L, W=2, alpha_seed=0.70, alpha_bulk=a_bulk, J=J)
+        trace = run_evolution(build_seeding_spec(params, 0.4, 1e-6), ORTH)
+        assert trace.converged
+        iterations.append(trace.iterations)
+    assert iterations == [200, 269]
+    assert calls["solve"] == 471
+    assert calls["delta"] <= 3.0 * calls["solve"], calls
 
 
 def test_degenerate_seeding_chain_matches_uncoupled():
