@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from .coupling import SeedingParams, build_seeding_spec, spec_from_json, spec_to_json
-from .errors import ConvergenceError, QuadratureError
 from .measurement_ops import block_variance_report, build_coupled_operator, gen_instance
 from .phase_analysis import scan_curve, sweep_phase_diagram
 from .replica_core import Ensemble, single_block_spec
@@ -42,10 +41,6 @@ def _parse_grid(text, flag):
         return values
     except ValueError:
         raise click.BadParameter(f"could not parse grid {text!r}", param_hint=flag)
-
-
-def _ensemble(name):
-    return Ensemble.ROW_ORTHOGONAL if name == "orthogonal" else Ensemble.GAUSSIAN_IID
 
 
 def _num(v):
@@ -148,9 +143,7 @@ def _run_guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
-        except (QuadratureError, ConvergenceError, ArithmeticError) as exc:
+        except ArithmeticError as exc:  # QuadratureError and ConvergenceError included
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(EXIT_NUMERIC)
         except (ValueError, OSError) as exc:
@@ -204,7 +197,7 @@ def cmd_mmse(rho, grid_text, samples, seed, output):
 @_run_guarded
 def cmd_free_entropy(rho, sigma2, alpha, ensemble, points, eps_floor, output):
     """F(eps) on a log grid, with the refined local maxima in the sidecar."""
-    curve = scan_curve(rho, sigma2, alpha, _ensemble(ensemble),
+    curve = scan_curve(rho, sigma2, alpha, Ensemble(ensemble),
                        n_points=points, eps_floor=eps_floor)
     write_curve_csv(output, zip(curve.eps_grid, curve.values))
     _sidecar(f"{output}.json", "free-entropy",
@@ -226,7 +219,7 @@ def cmd_free_entropy(rho, sigma2, alpha, ensemble, points, eps_floor, output):
 def cmd_phase_diagram(rho, sigma2_text, ensemble, threads, output):
     """Transition rates alpha_d, alpha_c, alpha_s per noise level."""
     grid = _parse_grid(sigma2_text, "--sigma2-grid")
-    points = sweep_phase_diagram(rho, grid, _ensemble(ensemble), threads=threads)
+    points = sweep_phase_diagram(rho, grid, Ensemble(ensemble), threads=threads)
     if all(pt.error is not None for pt in points):
         click.echo("numeric failure: every sweep point failed", err=True)
         sys.exit(EXIT_NUMERIC)
@@ -275,7 +268,7 @@ def cmd_evolve(spec_file, L, W, alpha_seed, alpha_bulk, J, rho, sigma2, ensemble
         spec = build_seeding_spec(params, rho, sigma2)
         config_spec = {"L": L, "W": W, "alpha_seed": alpha_seed,
                        "alpha_bulk": alpha_bulk, "J": J, "rho": rho, "sigma2": sigma2}
-    trace = run_evolution(spec, _ensemble(ensemble), tol=tol, max_iter=max_iter,
+    trace = run_evolution(spec, Ensemble(ensemble), tol=tol, max_iter=max_iter,
                           damping=damping)
     write_trace_csv(output, trace.history)
     _sidecar(f"{output}.json", "evolve",
@@ -303,7 +296,7 @@ def cmd_gen_matrix(spec_file, N, seed, ensemble, sigma, prefix):
     """Draw an operator and a synthetic instance; report per-block statistics."""
     with open(spec_file) as fh:
         spec = spec_from_json(fh.read())
-    op = build_coupled_operator(spec, N, seed, _ensemble(ensemble))
+    op = build_coupled_operator(spec, N, seed, Ensemble(ensemble))
     inst = gen_instance(op, spec.prior, sigma, seed)
     export_instance(op, inst, prefix)
     _sidecar(f"{prefix}.stats.json", "gen-matrix",

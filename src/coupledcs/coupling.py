@@ -96,12 +96,21 @@ def _integer(value):
     raise ValueError
 
 
+def _number(value):
+    """A JSON number as float; the strings and booleans float() would coerce are refused."""
+    if isinstance(value, (bool, str)):
+        raise ValueError
+    return float(value)
+
+
 def _array(value):
-    return np.asarray(value, dtype=float)
+    """Nested JSON lists of numbers as a float array, every entry checked by _number."""
+    cells = np.asarray(value, dtype=object)
+    return np.reshape([_number(v) for v in cells.flat], cells.shape)
 
 
 _FIELDS = {"L_r": _integer, "L_c": _integer, "gamma": _array, "alpha": _array, "J": _array,
-           "sigma2": float, "rho": float}
+           "sigma2": _number, "rho": _number}
 
 
 def spec_from_json(text: str) -> CouplingSpec:

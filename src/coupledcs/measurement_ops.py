@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .replica_core import CouplingSpec, Ensemble
-from .scalar_channel import BernoulliGaussianPrior
+from .scalar_channel import BernoulliGaussianPrior, _sample_prior
 
 DENSE_LIMIT = 4096
 # elements per batched FFT call: a run of equal-size DFT blocks is cut into
@@ -52,13 +52,6 @@ class GaussianBlock:
     """Dense i.i.d. complex Gaussian block."""
 
     matrix: np.ndarray
-
-    def apply(self, x):
-        return self.matrix @ x
-
-    def adjoint(self, y):
-        # conj(y^H M) is M^H y without materializing the conjugate transpose
-        return (y.conj() @ self.matrix).conj()
 
 
 @dataclass
@@ -95,13 +88,7 @@ def sample_signal(N: int, prior: BernoulliGaussianPrior, seed) -> np.ndarray:
     if N < 1:
         raise ValueError("N must be >= 1")
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = _generator(seed_seq)
-    x = np.zeros(N, dtype=complex)
-    on = rng.random(N) < prior.rho
-    k = int(on.sum())
-    if k:
-        x[on] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2)
-    return x
+    return _sample_prior(_generator(seed_seq), N, prior)
 
 
 def _block_sizes(spec: CouplingSpec, N: int):
@@ -176,7 +163,8 @@ def _accumulate(op: CoupledOperator, v: np.ndarray, out: np.ndarray,
     if op.kind is Ensemble.GAUSSIAN_IID:
         for (q, p), block in op.blocks.items():
             src, dst = slices(q, p)
-            out[dst] += block.adjoint(v[src]) if adjoint else block.apply(v[src])
+            # conj(v^H M) is M^H v without materializing the conjugate transpose
+            out[dst] += (v[src].conj() @ block.matrix).conj() if adjoint else block.matrix @ v[src]
         return out
     transform = np.fft.ifft if adjoint else np.fft.fft
     for run in _dft_runs(op.blocks):

@@ -10,19 +10,16 @@ rates organize the phase diagram:
   alpha_c  rate at which the two maxima have equal height (the optimal
            threshold, reachable with seeding matrices).
 
-dF/deps = -phi(eps) varsigma'(eps) with varsigma' < 0, so the maxima
-are the + to - crossings of the state-evolution residual phi(eps) =
-mmse(varsigma(eps)) - eps.  Scans count them on a log grid without the
-channel-term quadrature of F and refine them as roots of phi.
-
-Read the other way round, each fixed point eps = mmse(v), v =
+The maxima of F are fixed points of the state evolution eps =
+mmse(varsigma(eps; alpha)).  Each fixed point eps = mmse(v), v =
 varsigma(eps; alpha) gives alpha in closed form, so one mmse call on a
 log grid of v traces all of them as the curve alpha(v) (the
 spinodal/Maxwell analysis of Krzakala et al., "Probabilistic
 reconstruction in compressed sensing", 2012).  It rises along the
 large-MSE maxima, falls along the minima and rises along the small-MSE
-maxima: alpha_d and alpha_s are its folds, and alpha_c equalizes F on
-its two rising branches.
+maxima: the maxima at a rate are its rising crossings of that rate,
+alpha_d and alpha_s are its folds, and alpha_c equalizes F on its two
+rising branches.
 """
 
 import concurrent.futures
@@ -31,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, QuadratureError
-from .replica_core import (NO_NOISE_MESSAGE, Ensemble, _conjugates_batch, free_entropy_grid,
-                           single_block_spec)
+from .replica_core import NO_NOISE_MESSAGE, Ensemble, free_entropy_grid, single_block_spec
 from .scalar_channel import BernoulliGaussianPrior, mmse
 
 DEFAULT_GRID_POINTS = 2000
@@ -53,10 +49,11 @@ class NoTransitionError(ValueError):
 class FreeEntropyCurve:
     """Log grid over eps with the interior local maxima of F as (eps, F), eps increasing.
 
-    A maximum is a grid interval where phi changes sign from + to -.  A
-    refined curve carries F on the grid in values and each maximum at its
-    root of phi; an unrefined one computes no F: values is None and each
-    maximum is the left end of its interval (the last phi > 0), height None.
+    A maximum is a cell of the fixed-point curve's log v grid where alpha(v)
+    rises through the rate.  A refined curve carries F on the eps grid in
+    values and each maximum at its root of alpha(v) - alpha; an unrefined
+    one computes no F: values is None and each maximum is mmse at the end
+    of its cell where alpha(v) >= alpha, height None.
     """
 
     eps_grid: np.ndarray
@@ -83,12 +80,6 @@ class PhasePoint:
 def default_eps_floor(sigma2: float) -> float:
     """Lower end of the scan grid: maxima live between O(sigma2) and O(rho)."""
     return max(1e-10, sigma2 * 1e-3)
-
-
-def _residual(eps, spec, kind):
-    """phi(eps) = mmse(varsigma(eps)) - eps for single-block MSEs of shape (n,)."""
-    sig = _conjugates_batch(eps[:, None], spec, kind)[0]
-    return mmse(sig[:, 0, 0], spec.prior) - eps
 
 
 def _illinois(residual, a, b, fa, fb):
@@ -120,11 +111,13 @@ def _illinois(residual, a, b, fa, fb):
 def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
                n_points: int = DEFAULT_GRID_POINTS, eps_floor: float | None = None,
                refine: bool = True) -> FreeEntropyCurve:
-    """Locate the maxima of F on a log grid over [eps_floor, rho] from the signs of phi.
+    """Locate the maxima of F at rate alpha on the fixed-point curve alpha(v).
 
-    refine=True, the curve product, refines each maximum to its root of
-    phi and evaluates F on the grid and at the roots; refine=False, for
-    counting, evaluates no F (see FreeEntropyCurve).
+    The curve is sampled at n_points of log v over [floor, 1 / floor], the
+    transition search's grid at the defaults; each rising crossing
+    alpha(v_k) < alpha <= alpha(v_k+1) is a maximum.  refine=True, the curve
+    product, refines each to its root and evaluates F on a log eps grid over
+    [floor, rho] and at the roots; refine=False, for counting, evaluates no F.
     """
     if n_points < 3:
         raise ValueError("need at least 3 grid points")
@@ -132,17 +125,18 @@ def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
     top = rho if rho > 0 else 1.0  # zero-density curves have no prior scale
     if not 0 < floor < top:
         raise ValueError(f"eps floor {floor} must lie in (0, {top})")
-    spec = single_block_spec(rho, sigma2, alpha)
-    grid = np.geomspace(floor, top, n_points)
-    phi = _residual(grid, spec, kind)
-    idx = np.flatnonzero((phi[:-1] > 0) & (phi[1:] <= 0))
+    if kind is Ensemble.ROW_ORTHOGONAL and alpha > 1.0:
+        raise ValueError("row-orthogonal blocks need alpha <= 1")
+    log_v, curve = _fixed_point_curve(rho, sigma2, kind, n_points, floor)
+    # eps = mmse(v) falls as v rises, so the crossings are listed from the last;
+    # at rho = 0 every fixed point has eps = 0, below the grid
+    k = np.flatnonzero((curve[:-1] < alpha) & (alpha <= curve[1:]) & (rho > 0))[::-1]
+    grid, spec = np.geomspace(floor, top, n_points), single_block_spec(rho, sigma2, alpha)
     if not refine:
-        return FreeEntropyCurve(grid, None, [(float(grid[i]), None) for i in idx])
-    maxima = []
-    if idx.size:  # each maximum at the root of phi in [grid[i], grid[i + 1]]
-        eps = np.exp(_illinois(lambda x: _residual(np.exp(x), spec, kind), np.log(grid[idx]),
-                               np.log(grid[idx + 1]), phi[idx], phi[idx + 1]))
-        maxima = list(zip(eps.tolist(), free_entropy_grid(eps[:, None], spec, kind).tolist()))
+        eps = mmse(np.exp(log_v[k + 1]), spec.prior)
+        return FreeEntropyCurve(grid, None, [(e, None) for e in eps.tolist()])
+    eps = _curve_roots(np.full(k.size, float(alpha)), k, log_v, curve, rho, sigma2, kind)
+    maxima = list(zip(eps.tolist(), free_entropy_grid(eps[:, None], spec, kind).tolist()))
     return FreeEntropyCurve(grid, free_entropy_grid(grid[:, None], spec, kind), maxima)
 
 
@@ -159,18 +153,29 @@ def _fixed_point_rates(log_v, prior, sigma2, kind):
     return v * (eps + sigma2 * (1.0 - delta)), eps
 
 
-def _fixed_point_curve(rho, sigma2, kind):
+def _fixed_point_curve(rho, sigma2, kind, n_points=DEFAULT_GRID_POINTS, floor=None):
     """(log v grid, alpha on it): every single-block fixed point, from one mmse call.
 
-    v runs over [floor, 1 / floor], floor = default_eps_floor(sigma2).
-    rho / (1 + v) <= mmse(v) <= rho / (1 + rho v), so the fixed points
-    cover eps in [floor, rho (1 - floor)], the range `scan_curve` counts in.
+    v runs over n_points of [floor, 1 / floor], floor = default_eps_floor(sigma2) by
+    default.  rho / (1 + v) <= mmse(v) <= rho / (1 + rho v), so the fixed
+    points cover eps in [floor, rho (1 - floor)], about `scan_curve`'s eps grid.
     """
     if not 0 < sigma2 < np.inf:
         raise ValueError(NO_NOISE_MESSAGE if sigma2 == 0 else "sigma2 must be finite and > 0")
-    floor = default_eps_floor(sigma2)
-    log_v = np.linspace(np.log(floor), -np.log(floor), DEFAULT_GRID_POINTS)
+    floor = default_eps_floor(sigma2) if floor is None else floor
+    log_v = np.linspace(np.log(floor), -np.log(floor), n_points)
     return log_v, _fixed_point_rates(log_v, BernoulliGaussianPrior(rho), sigma2, kind)[0]
+
+
+def _curve_roots(rates, k, log_v, alpha, rho, sigma2, kind):
+    """eps = mmse(v) at the root of alpha(v) = rates[i] in [log_v[k[i]], log_v[k[i] + 1]].
+
+    Each cell needs alpha[k] <= rate <= alpha[k + 1]: Illinois on rate - alpha(v).
+    """
+    prior = BernoulliGaussianPrior(rho)
+    root = _illinois(lambda x: rates - _fixed_point_rates(x, prior, sigma2, kind)[0],
+                     log_v[k], log_v[k + 1], rates - alpha[k], rates - alpha[k + 1])
+    return mmse(np.exp(root), prior)
 
 
 def _folds(alpha):
@@ -198,16 +203,11 @@ def _maxwell_rate(rho, sigma2, kind, log_v, alpha, i_d, i_s):
     log_v[:i_d + 1] and the small-MSE one on log_v[i_s:] as roots of
     alpha(v) - rate; F is evaluated at those two points only.
     """
-    prior = BernoulliGaussianPrior(rho)
-
     def branch_eps(rates):
         # the grid cell of each branch with alpha[k] < rate <= alpha[k + 1]
         k = np.concatenate([np.searchsorted(alpha[:i_d + 1], rates) - 1,
                             i_s + np.maximum(np.searchsorted(alpha[i_s:], rates) - 1, 0)])
-        target = np.tile(rates, 2)
-        root = _illinois(lambda x: target - _fixed_point_rates(x, prior, sigma2, kind)[0],
-                         log_v[k], log_v[k + 1], target - alpha[k], target - alpha[k + 1])
-        return mmse(np.exp(root), prior).reshape(2, -1).T
+        return _curve_roots(np.tile(rates, 2), k, log_v, alpha, rho, sigma2, kind).reshape(2, -1).T
 
     def height_gap(rates):
         """F(large-MSE fixed point) - F(small-MSE fixed point) at each rate."""

@@ -113,6 +113,16 @@ def mmse(varsigma, prior: BernoulliGaussianPrior):
     return out if out.ndim else float(out)
 
 
+def _sample_prior(rng: np.random.Generator, n: int, prior: BernoulliGaussianPrior):
+    """n i.i.d. prior draws: one uniform per entry for the support, then its Gaussian values."""
+    x = np.zeros(n, dtype=complex)
+    on = rng.random(n) < prior.rho
+    k = int(on.sum())
+    if k:
+        x[on] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2)
+    return x
+
+
 def mmse_mc_oracle(varsigma: float, prior: BernoulliGaussianPrior,
                    n_samples: int, seed: int):
     """Monte-Carlo estimate of the scalar mmse, with its standard error.
@@ -127,7 +137,6 @@ def mmse_mc_oracle(varsigma: float, prior: BernoulliGaussianPrior,
         raise ValueError("n_samples must be >= 1")
     if not varsigma > 0:
         raise ValueError("varsigma must be > 0 for the Monte-Carlo oracle")
-    rho = prior.rho
     ch = ScalarChannel(varsigma)
     rng = np.random.default_rng(seed)
     total = 0.0
@@ -137,11 +146,7 @@ def mmse_mc_oracle(varsigma: float, prior: BernoulliGaussianPrior,
     while left > 0:
         m = min(_MC_CHUNK, left)
         left -= m
-        x = np.zeros(m, dtype=complex)
-        on = rng.random(m) < rho
-        k = int(on.sum())
-        if k:
-            x[on] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2)
+        x = _sample_prior(rng, m, prior)
         z = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
         y = x + noise_scale * z
         sq = np.abs(x - posterior_mean(y, ch, prior)) ** 2

@@ -171,9 +171,15 @@ class TestEvolveCommand:
         ("--spec-file", {"L_r": None}, "L_r"),
         ("--spec-file", {"rho": None}, "rho"),
         ("--spec-file", {"L_c": 2.5}, "L_c"),
+        # float() and a float array would coerce these to valid numbers
+        ("--spec-file", {"rho": "0.4"}, "rho"),
+        ("--spec-file", {"sigma2": True}, "sigma2"),
+        ("--spec-file", {"gamma": ["0.5", "0.5"]}, "gamma"),
+        ("--spec-file", {"J": [[True, 1.0], [2.0, 2.0]]}, "J"),
         ("--config", "{bad", "--config"),
         ("--config", "[1]", "--config"),
     ], ids=["spec-not-object", "spec-L_r-null", "spec-rho-null", "spec-L_c-fractional",
+            "spec-rho-string", "spec-sigma2-bool", "spec-gamma-strings", "spec-J-bool",
             "config-bad-json", "config-not-object"])
     def test_malformed_input_file_exits_2(self, runner, tmp_path, flag, content, message):
         if isinstance(content, dict):

@@ -101,6 +101,25 @@ class TestScanCurve:
         assert curve.values is None
         assert curve.n_maxima == 2 and all(f is None for _, f in curve.maxima)
 
+    def test_unrefined_scan_makes_no_inner_solve(self, monkeypatch):
+        # the count reads the closed-form fixed-point curve, not conjugates on an eps grid
+        def forbidden(*args, **kwargs):
+            raise AssertionError("inner extremization solved")
+
+        monkeypatch.setattr(replica_core, "_solve_lambda", forbidden)
+        assert scan_curve(RHO, SIGMA2, 0.49, ORTH, refine=False).n_maxima == 2
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_noise_free_scan_is_rejected(self, refine):
+        with pytest.raises(ValueError, match="diverges at sigma2 = 0"):
+            scan_curve(RHO, 0.0, 0.49, GAUSS, refine=refine)
+
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_orthogonal_rate_above_one_is_rejected(self, refine):
+        # alpha(v) exceeds 1 on the curve, but no orthogonal block has such a rate
+        with pytest.raises(ValueError, match="alpha"):
+            scan_curve(RHO, SIGMA2, 1.5, ORTH, refine=refine)
+
     def test_grid_is_increasing_and_maxima_sorted(self):
         curve = scan_curve(RHO, SIGMA2, 0.49, ORTH)
         assert np.all(np.diff(curve.eps_grid) > 0)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupledcs import (BernoulliGaussianPrior, CouplingSpec, Ensemble, SeedingParams,
-                       build_seeding_spec, conjugate_fixed_point, free_entropy, mmse,
-                       run_evolution, single_block_spec)
+                       build_seeding_spec, conjugate_fixed_point, free_entropy,
+                       free_entropy_grid, mmse, run_evolution, single_block_spec)
 from coupledcs import replica_core
 from coupledcs.state_evolution import se_step
 
@@ -120,13 +120,14 @@ def test_free_entropy_non_decreasing_along_trajectory():
        log_sigma2=st.floats(-6.0, -2.0), rho=st.floats(0.05, 0.95))
 def test_gaussian_block_mse_never_increases_from_rho(L, W, a_bulk, seed_excess, J,
                                                      log_sigma2, rho):
-    # the Gaussian map is order-preserving, so from eps = rho every block only falls;
-    # the orthogonal ensemble has no such property (see ROADMAP item 2)
+    # the Gaussian map is order-preserving, so from eps = rho every block only falls and
+    # F never drops; the orthogonal ensemble has neither property (see ROADMAP item 2)
     a_seed = a_bulk + seed_excess * (0.99 - a_bulk)
     params = SeedingParams(L=L, W=min(W, L), alpha_seed=a_seed, alpha_bulk=a_bulk, J=J)
     spec = build_seeding_spec(params, rho, 10.0 ** log_sigma2)
     trace = run_evolution(spec, GAUSS, max_iter=2000)
     assert np.diff(trace.history, axis=0).max() <= 0
+    assert np.diff(free_entropy_grid(trace.history, spec, GAUSS)).min() >= -1e-8
 
 
 def test_orthogonal_chain_can_rise_and_lower_free_entropy():
