@@ -8,15 +8,15 @@ from .errors import ConvergenceError, QuadratureError
 from .measurement_ops import CoupledOperator, adjoint_apply, apply, build_coupled_operator, gen_instance
 from .phase_analysis import (FreeEntropyCurve, NoTransitionError, PhasePoint, find_alpha_c,
                              find_alpha_d, find_alpha_s, scan_curve, sweep_phase_diagram)
-from .replica_core import (ConjugateState, CouplingSpec, Ensemble, conjugate_fixed_point,
-                           free_entropy, free_entropy_grid, single_block_spec)
+from .replica_core import (CouplingSpec, Ensemble, conjugate_fixed_point, free_entropy_grid,
+                           single_block_spec)
 from .scalar_channel import BernoulliGaussianPrior, ScalarChannel, mmse, mmse_mc_oracle, posterior_mean
 from .state_evolution import EvolutionTrace, iterations_to_good_mse, run_evolution
 
 __all__ = [
     "BernoulliGaussianPrior", "ScalarChannel", "posterior_mean", "mmse", "mmse_mc_oracle",
-    "CouplingSpec", "ConjugateState", "Ensemble", "conjugate_fixed_point", "free_entropy",
-    "free_entropy_grid", "single_block_spec",
+    "CouplingSpec", "Ensemble", "conjugate_fixed_point", "free_entropy_grid",
+    "single_block_spec",
     "EvolutionTrace", "run_evolution", "iterations_to_good_mse",
     "FreeEntropyCurve", "PhasePoint", "NoTransitionError", "scan_curve", "find_alpha_d",
     "find_alpha_s", "find_alpha_c", "sweep_phase_diagram",

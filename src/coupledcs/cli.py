@@ -24,6 +24,8 @@ from .state_evolution import run_evolution
 
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
+_ensemble_option = click.option("--ensemble", required=True,
+                                type=click.Choice([kind.value for kind in Ensemble]))
 
 
 def _parse_grid(text, flag):
@@ -189,7 +191,7 @@ def cmd_mmse(rho, grid_text, samples, seed, output):
 @click.option("--rho", type=float, required=True)
 @click.option("--sigma2", type=float, required=True)
 @click.option("--alpha", type=float, required=True)
-@click.option("--ensemble", type=click.Choice(["orthogonal", "gaussian"]), required=True)
+@_ensemble_option
 @click.option("--points", type=int, default=2000, show_default=True)
 @click.option("--eps-floor", type=float, default=None)
 @click.option("-o", "--output", type=click.Path(), required=True)
@@ -210,7 +212,7 @@ def cmd_free_entropy(rho, sigma2, alpha, ensemble, points, eps_floor, output):
 @click.option("--rho", type=float, required=True)
 @click.option("--sigma2-grid", "sigma2_text", required=True,
               help="Noise grid: comma list or lo:hi:n (log-spaced).")
-@click.option("--ensemble", type=click.Choice(["orthogonal", "gaussian"]), required=True)
+@_ensemble_option
 @click.option("--threads", type=int, default=1, show_default=True,
               help="Parallel sweep points.")
 @click.option("-o", "--output", type=click.Path(), required=True)
@@ -239,7 +241,7 @@ def cmd_phase_diagram(rho, sigma2_text, ensemble, threads, output):
 @click.option("--J", "J", type=float, default=None)
 @click.option("--rho", type=float, default=None)
 @click.option("--sigma2", type=float, default=None)
-@click.option("--ensemble", type=click.Choice(["orthogonal", "gaussian"]), required=True)
+@_ensemble_option
 @click.option("--tol", type=float, default=1e-12, show_default=True)
 @click.option("--max-iter", type=int, default=10 ** 5, show_default=True)
 @click.option("--damping", type=float, default=0.0, show_default=True)
@@ -285,7 +287,7 @@ def cmd_evolve(spec_file, L, W, alpha_seed, alpha_bulk, J, rho, sigma2, ensemble
               help="CouplingSpec JSON document.")
 @click.option("--N", "N", type=int, required=True, help="Total signal dimension.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--ensemble", type=click.Choice(["orthogonal", "gaussian"]), required=True)
+@_ensemble_option
 @click.option("--sigma", type=float, default=0.0, show_default=True,
               help="Measurement noise magnitude.")
 @click.option("-o", "--output", "prefix", type=click.Path(), required=True,

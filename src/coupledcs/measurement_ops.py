@@ -17,7 +17,7 @@ for the signal and the noise), so draws are reproducible across
 platforms and independent of block evaluation order.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,14 +63,8 @@ class CoupledOperator:
     M: int
     kind: Ensemble
     blocks: dict
-    col_sizes: np.ndarray
-    row_sizes: np.ndarray
-    col_offsets: np.ndarray = field(init=False)
-    row_offsets: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.col_offsets = np.concatenate([[0], np.cumsum(self.col_sizes)])
-        self.row_offsets = np.concatenate([[0], np.cumsum(self.row_sizes)])
+    col_offsets: np.ndarray
+    row_offsets: np.ndarray
 
 
 @dataclass
@@ -137,7 +131,8 @@ def build_coupled_operator(spec: CouplingSpec, N: int, seed: int,
                 blocks[(q, p)] = GaussianBlock(matrix=mat)
     return CoupledOperator(spec=spec, N=int(col_sizes.sum()), M=int(row_sizes.sum()),
                            kind=kind, blocks=blocks,
-                           col_sizes=col_sizes, row_sizes=row_sizes)
+                           col_offsets=np.concatenate([[0], np.cumsum(col_sizes)]),
+                           row_offsets=np.concatenate([[0], np.cumsum(row_sizes)]))
 
 
 def _dft_runs(blocks: dict):

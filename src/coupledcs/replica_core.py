@@ -27,7 +27,7 @@ maxima of F(eps) are exactly the fixed points of the MSE state evolution.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -90,6 +90,8 @@ class CouplingSpec:
             raise ValueError("gamma: all block fractions must be > 0")
         if abs(gamma.sum() - 1.0) > 1e-12:
             raise ValueError(f"gamma must sum to 1, got {gamma.sum()!r}")
+        if np.any(alpha < 0):
+            raise ValueError("alpha: measurement rates must be >= 0")
         rates = alpha * gamma[None, :]
         if np.any(np.abs(rates - rates[:, :1]) > 1e-12):
             raise ValueError("alpha: alpha[q,p] * gamma[p] must be constant over p")
@@ -138,19 +140,18 @@ def single_block_spec(rho: float, sigma2: float, alpha: float) -> CouplingSpec:
 
 @dataclass
 class ConjugateState:
-    """Per-block order parameters at one point of the evolution.
+    """Conjugate parameters per block (q, p) at one block MSE vector eps.
 
-    eps[p] is the block MSE; varsigma, Lambda, Delta are the conjugate
-    parameters per block.  Lambda is the inner extremizer for the
-    row-orthogonal ensemble and 1/eps[p] for the Gaussian one.  Entries
-    with J[q, p] = 0 carry varsigma = 0, Delta = 0 and Lambda = 1/eps[p].
+    Lambda is the inner extremizer for the row-orthogonal ensemble and
+    1/eps[p] for the Gaussian one.  Entries with J[q, p] = 0 carry
+    varsigma = 0, Delta = 0 and Lambda = 1/eps[p].  ``clamped`` flags an
+    inner-solver positivity clamp.
     """
 
-    eps: np.ndarray
     varsigma: np.ndarray
     Lambda: np.ndarray
     Delta: np.ndarray
-    clamped: bool = field(default=False)
+    clamped: bool
 
 
 # ----------------------------------------------------------------------
@@ -338,8 +339,7 @@ def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble,
     if eps.shape != (spec.L_c,):
         raise ValueError(f"eps must have shape ({spec.L_c},)")
     sig, Lam, Delta, clamped = _conjugates_batch(eps, spec, kind, Lambda0=Lambda0)
-    return ConjugateState(eps=eps.copy(), varsigma=sig, Lambda=Lam, Delta=Delta,
-                          clamped=clamped)
+    return ConjugateState(varsigma=sig, Lambda=Lam, Delta=Delta, clamped=clamped)
 
 
 def free_entropy_grid(eps_grid, spec: CouplingSpec, kind: Ensemble) -> np.ndarray:
@@ -363,10 +363,3 @@ def free_entropy_grid(eps_grid, spec: CouplingSpec, kind: Ensemble) -> np.ndarra
     g = _g_values(eps_grid, spec, Lam).sum(axis=-1)
     return term_channel + term_cross + g + (1.0 - spec.total_rate)
 
-
-def free_entropy(eps, spec: CouplingSpec, kind: Ensemble) -> float:
-    """Replica free entropy at one MSE vector (conjugates extremized)."""
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (spec.L_c,):
-        raise ValueError(f"eps must have shape ({spec.L_c},)")
-    return float(free_entropy_grid(eps[None, :], spec, kind)[0])

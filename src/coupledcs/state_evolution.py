@@ -4,8 +4,9 @@ One iteration refreshes the per-block MSE through the scalar channel,
 
     eps_p <- mmse(sum_q varsigma[q, p]),
 
-then re-solves the conjugate precisions at the new eps (warm-started from
-the previous Lambda, rescaled by eps / eps_new).  Fixed points of this map
+then re-solves the conjugate precisions at the new eps, warm-started from
+the previous Lambda rescaled by eps / eps_new: Lambda = (1 - Delta) / eps
+moves mostly through its 1 / eps factor.  Fixed points of this map
 are stationary points of the replica free entropy; iterating from eps = rho
 tracks what message passing can reach, since large MSE is the only
 algorithmically possible initialization.  At sigma2 = 0 the conjugate
@@ -18,11 +19,11 @@ order-preserving): see the L=4 chain of `tests/test_state_evolution.py::
 test_orthogonal_chain_can_rise_and_lower_free_entropy`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .replica_core import ConjugateState, CouplingSpec, Ensemble, conjugate_fixed_point
+from .replica_core import CouplingSpec, Ensemble, conjugate_fixed_point
 from .scalar_channel import mmse
 
 DEFAULT_TOL = 1e-12
@@ -43,30 +44,12 @@ class EvolutionTrace:
     history: np.ndarray
     converged: bool
     iterations: int
-    final_state: ConjugateState
-    oscillating: bool = field(default=False)
-    clamped: bool = field(default=False)
+    oscillating: bool
+    clamped: bool
 
     @property
     def final_eps(self) -> np.ndarray:
         return self.history[-1]
-
-
-def se_step(state: ConjugateState, spec: CouplingSpec, kind: Ensemble) -> ConjugateState:
-    """One state-evolution iteration.
-
-    The MSE update uses the incoming conjugates; the returned conjugates
-    are re-extremized at the new eps, warm-started at the incoming Lambda
-    times eps / eps_new: Lambda = (1 - Delta) / eps moves mostly through
-    its 1 / eps factor.  Feeding a converged state returns it unchanged up
-    to solver tolerance.
-    """
-    sig_p = state.varsigma.sum(axis=0)
-    eps_new = mmse(sig_p, spec.prior)
-    new = conjugate_fixed_point(eps_new, spec, kind,
-                                Lambda0=state.Lambda * (state.eps / eps_new))
-    new.clamped = new.clamped or state.clamped
-    return new
 
 
 def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
@@ -94,28 +77,25 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
         raise ValueError("init must satisfy 0 < eps_p <= rho")
 
     state = conjugate_fixed_point(eps, spec, kind)
-    history = [eps.copy()]
+    clamped = state.clamped
+    history = [eps]
     converged = False
-    oscillating = False
-    iterations = 0
     for t in range(int(max_iter)):
-        new = se_step(state, spec, kind)
+        eps_new = mmse(state.varsigma.sum(axis=0), spec.prior)
+        new = conjugate_fixed_point(eps_new, spec, kind, Lambda0=state.Lambda * (eps / eps_new))
+        clamped = clamped or new.clamped
         if damping > 0.0 and t > 0:
-            mixed = (1.0 - damping) * new.varsigma + damping * state.varsigma
-            new = ConjugateState(eps=new.eps, varsigma=mixed, Lambda=new.Lambda,
-                                 Delta=new.Delta, clamped=new.clamped)
-        history.append(new.eps.copy())
-        iterations = t + 1
-        if np.abs(new.eps - state.eps).max() < tol:
-            state = new
-            converged = True
+            new.varsigma = (1.0 - damping) * new.varsigma + damping * state.varsigma
+        history.append(eps_new)
+        converged = np.abs(eps_new - eps).max() < tol
+        state, eps = new, eps_new
+        if converged:
             break
-        state = new
-    if not converged and len(history) >= 3:
-        oscillating = bool(np.abs(history[-1] - history[-3]).max() < _CYCLE_TOL)
-    return EvolutionTrace(history=np.array(history), converged=converged,
-                          iterations=iterations, final_state=state,
-                          oscillating=oscillating, clamped=state.clamped)
+    oscillating = (not converged and len(history) >= 3
+                   and np.abs(history[-1] - history[-3]).max() < _CYCLE_TOL)
+    return EvolutionTrace(history=np.array(history), converged=bool(converged),
+                          iterations=len(history) - 1, oscillating=bool(oscillating),
+                          clamped=clamped)
 
 
 def iterations_to_good_mse(trace: EvolutionTrace, sigma2: float):

@@ -176,10 +176,14 @@ class TestEvolveCommand:
         ("--spec-file", {"sigma2": True}, "sigma2"),
         ("--spec-file", {"gamma": ["0.5", "0.5"]}, "gamma"),
         ("--spec-file", {"J": [[True, 1.0], [2.0, 2.0]]}, "J"),
+        # row rates M_q / N of 0.9 and -0.1
+        ("--spec-file", {"alpha": [[1.8, 1.8], [-0.2, -0.2]], "J": [[2.0, 2.0], [2.0, 2.0]]},
+         "alpha"),
         ("--config", "{bad", "--config"),
         ("--config", "[1]", "--config"),
     ], ids=["spec-not-object", "spec-L_r-null", "spec-rho-null", "spec-L_c-fractional",
             "spec-rho-string", "spec-sigma2-bool", "spec-gamma-strings", "spec-J-bool",
+            "spec-negative-rate",
             "config-bad-json", "config-not-object"])
     def test_malformed_input_file_exits_2(self, runner, tmp_path, flag, content, message):
         if isinstance(content, dict):

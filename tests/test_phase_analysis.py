@@ -209,6 +209,24 @@ class TestFixedPointCurve:
             state = conjugate_fixed_point(np.array([e]), single_block_spec(RHO, sigma2, a), kind)
             assert abs(state.varsigma.sum() / np.exp(lv) - 1.0) <= 1e-12
 
+    @settings(deadline=None, max_examples=50)
+    @given(rho=st.floats(0.01, 1.0), log_sigma2=st.floats(-8.0, 0.0),
+           log_v=st.floats(-3.0, 6.0))
+    def test_orthogonal_rates_are_the_vamp_fixed_point(self, rho, log_sigma2, log_v):
+        # the single-block orthogonal curve is the VAMP/OAMP state-evolution fixed point for
+        # the spectrum (1 - alpha) delta_0 + alpha delta_1 of a row-orthogonal A:
+        # eps = alpha / (gamma2 + 1 / sigma2) + (1 - alpha) / gamma2, gamma2 = 1 / eps - v
+        # (Rangan, Schniter and Fletcher, "Vector approximate message passing")
+        sigma2, v = 10.0 ** log_sigma2, 10.0 ** log_v
+        alpha, eps = phase_analysis._fixed_point_rates(
+            np.log(v), BernoulliGaussianPrior(rho), sigma2, ORTH)
+        gamma2 = 1.0 / eps - v
+        vamp = alpha / (gamma2 + 1.0 / sigma2) + (1.0 - alpha) / gamma2
+        # a floor for the rounding of alpha and of the cancelling 1 / eps - v, amplified by
+        # 1 / (eps gamma2) = 1 / (1 - v eps) as v eps -> 1 (1 - v eps is 1e-6 at v = 1e6, rho = 1)
+        floor = 8e-16 * (alpha + abs(1.0 - alpha)) / gamma2 * (1.0 + 1.0 / (eps * gamma2))
+        assert abs(vamp - eps) <= 1e-10 * eps + floor
+
     @pytest.mark.parametrize("kind", [GAUSS, ORTH])
     def test_grid_covers_the_scan_range(self, kind):
         log_v, alpha = phase_analysis._fixed_point_curve(RHO, SIGMA2, kind)

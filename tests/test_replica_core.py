@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coupledcs import (BernoulliGaussianPrior, CouplingSpec, ConvergenceError, Ensemble,
-                       SeedingParams, build_seeding_spec, conjugate_fixed_point, free_entropy,
+                       SeedingParams, build_seeding_spec, conjugate_fixed_point,
                        free_entropy_grid, mmse, single_block_spec)
 from coupledcs.replica_core import _g_values, _solve_lambda, channel_term_batch
 
@@ -460,7 +460,7 @@ class TestConjugateFixedPoint:
         with pytest.raises(ValueError, match="alpha"):
             conjugate_fixed_point(np.array([0.1]), spec, ORTH)
         with pytest.raises(ValueError, match="alpha"):
-            free_entropy(np.array([0.1]), spec, ORTH)
+            free_entropy_grid(np.array([[0.1]]), spec, ORTH)
 
     def test_non_positive_mse_is_rejected(self):
         spec = two_block_spec()
@@ -507,7 +507,7 @@ class TestConjugateFixedPoint:
         spec = single_block_spec(0.4, 1e-4, 1.5)
         st = conjugate_fixed_point(np.array([0.1]), spec, GAUSS)
         assert st.varsigma[0, 0] == pytest.approx(1.5 / (1e-4 + 0.1), rel=1e-14)
-        assert np.isfinite(free_entropy(np.array([0.1]), spec, GAUSS))
+        assert np.isfinite(free_entropy_grid(np.array([[0.1]]), spec, GAUSS)).all()
 
 
 class TestFreeEntropy:
@@ -524,15 +524,15 @@ class TestFreeEntropy:
                 J=spec.J[np.ix_(perm_r, perm_c)],
                 sigma2=spec.sigma2, prior=spec.prior)
             for kind in (GAUSS, ORTH):
-                a = free_entropy(eps, spec, kind)
-                b = free_entropy(eps[perm_c], permuted, kind)
+                a = free_entropy_grid(eps[None, :], spec, kind)[0]
+                b = free_entropy_grid(eps[None, perm_c], permuted, kind)[0]
                 assert a == pytest.approx(b, abs=1e-10)
 
     def test_noise_free_raises(self):
         spec = single_block_spec(0.4, 0.0, 0.5)
         for kind in (GAUSS, ORTH):
             with pytest.raises(ValueError):
-                free_entropy(np.array([0.1]), spec, kind)
+                free_entropy_grid(np.array([[0.1]]), spec, kind)
 
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -551,7 +551,7 @@ class TestFreeEntropy:
                 up, dn = eps.copy(), eps.copy()
                 up[p] *= np.exp(h)
                 dn[p] *= np.exp(-h)
-                lhs = (free_entropy(up, spec, kind) - free_entropy(dn, spec, kind)) / (2 * h)
+                lhs = np.subtract(*free_entropy_grid(np.array([up, dn]), spec, kind)) / (2 * h)
                 terms = weight * (conjugate_fixed_point(up, spec, kind).varsigma
                                   - conjugate_fixed_point(dn, spec, kind).varsigma) / (2 * h)
                 assert abs(lhs - terms.sum()) <= 1e-5 * np.abs(terms).sum() + 1e-10, \
@@ -565,6 +565,5 @@ class TestFreeEntropy:
             assert trace.converged
             eps = trace.final_eps
             h = 3e-4
-            up = free_entropy(eps * np.exp(h), spec, kind)
-            dn = free_entropy(eps * np.exp(-h), spec, kind)
+            up, dn = free_entropy_grid(np.array([eps * np.exp(h), eps * np.exp(-h)]), spec, kind)
             assert abs(up - dn) / (2 * h) <= 1e-6

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupledcs import (BernoulliGaussianPrior, CouplingSpec, Ensemble, SeedingParams,
-                       build_seeding_spec, conjugate_fixed_point, free_entropy,
-                       free_entropy_grid, mmse, run_evolution, single_block_spec)
+                       build_seeding_spec, conjugate_fixed_point, free_entropy_grid, mmse,
+                       run_evolution, single_block_spec)
 from coupledcs import replica_core
-from coupledcs.state_evolution import se_step
 
 GAUSS = Ensemble.GAUSSIAN_IID
 ORTH = Ensemble.ROW_ORTHOGONAL
@@ -20,8 +19,8 @@ def test_fixed_point_preserved():
     for kind in (GAUSS, ORTH):
         trace = run_evolution(spec, kind)
         assert trace.converged
-        again = se_step(trace.final_state, spec, kind)
-        assert np.abs(again.eps - trace.final_eps).max() <= 1e-12
+        again = run_evolution(spec, kind, init=trace.final_eps, max_iter=1)
+        assert np.abs(again.final_eps - trace.final_eps).max() <= 1e-12
 
 
 def test_single_block_gaussian_composite_map():
@@ -29,12 +28,11 @@ def test_single_block_gaussian_composite_map():
     rho, sigma2, alpha = 0.4, 1e-3, 0.55
     spec = single_block_spec(rho, sigma2, alpha)
     prior = BernoulliGaussianPrior(rho)
-    state = conjugate_fixed_point(np.array([rho]), spec, GAUSS)
+    trace = run_evolution(spec, GAUSS, max_iter=3)
     eps = rho
-    for _ in range(3):
-        state = se_step(state, spec, GAUSS)
+    for got in trace.history[1:, 0]:
         eps = mmse(alpha / (sigma2 + eps), prior)
-        assert state.eps[0] == pytest.approx(eps, abs=1e-15)
+        assert got == pytest.approx(eps, abs=1e-15)
 
 
 def test_noise_free_sequences_coincide():
@@ -85,7 +83,7 @@ def test_three_block_mirror_symmetry():
         sigma2=0.0, prior=BernoulliGaussianPrior(0.4))
     trace = run_evolution(spec, ORTH, max_iter=500)
     assert trace.converged
-    assert np.all(trace.final_state.Delta.max(axis=1) > 0.5)
+    assert np.all(conjugate_fixed_point(trace.final_eps, spec, ORTH).Delta.max(axis=1) > 0.5)
     assert np.abs(trace.history[:, 0] - trace.history[:, 2]).max() == 0.0
     assert np.abs(trace.history[:, 0] - trace.history[:, 1]).max() > 0.0
 
@@ -109,9 +107,7 @@ def test_free_entropy_non_decreasing_along_trajectory():
     spec = single_block_spec(0.4, 1e-4, 0.49)
     for kind in (GAUSS, ORTH):
         trace = run_evolution(spec, kind)
-        values = [free_entropy(eps, spec, kind) for eps in trace.history]
-        diffs = np.diff(values)
-        assert diffs.min() >= -1e-8
+        assert np.diff(free_entropy_grid(trace.history, spec, kind)).min() >= -1e-8
 
 
 @settings(deadline=None, max_examples=25)
@@ -140,10 +136,25 @@ def test_orthogonal_chain_can_rise_and_lower_free_entropy():
     assert orth.converged and gauss.converged
     assert orth.history[5, 0] - orth.history[4, 0] > 0.12
     assert np.diff(gauss.history, axis=0).max() <= 0
-    f_orth = [free_entropy(eps, spec, ORTH) for eps in orth.history[:6]]
-    f_gauss = [free_entropy(eps, spec, GAUSS) for eps in gauss.history]
+    f_orth = free_entropy_grid(orth.history[:6], spec, ORTH)
+    f_gauss = free_entropy_grid(gauss.history, spec, GAUSS)
     assert f_orth[4] - f_orth[3] < -0.03
     assert np.diff(f_gauss).min() >= -1e-8
+
+
+def test_orthogonal_chain_period_two_cycle_and_damped_convergence():
+    # at rho = 1, sigma2 = 1e-2 the undamped orthogonal run of the L=4 chain settles into
+    # a period-2 cycle (its blocks swing by up to 0.3 between iterations); damping the
+    # precisions breaks the cycle and the run converges
+    params = SeedingParams(L=4, W=1, alpha_seed=0.95366, alpha_bulk=0.63876, J=2.2283)
+    spec = build_seeding_spec(params, 1.0, 1e-2)
+    plain = run_evolution(spec, ORTH, max_iter=200)
+    assert not plain.converged and plain.oscillating
+    assert plain.iterations == 200
+    damped = run_evolution(spec, ORTH, damping=0.7)
+    assert damped.converged and not damped.oscillating
+    assert damped.iterations == 257
+    assert np.abs(damped.final_eps - [0.4364, 0.2076, 0.2498, 0.2581]).max() <= 5e-5
 
 
 def test_inner_solve_work_on_the_benchmark_chains(monkeypatch):
