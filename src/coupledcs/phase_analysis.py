@@ -32,12 +32,14 @@ from .replica_core import NO_NOISE_MESSAGE, Ensemble, free_entropy_grid, single_
 from .scalar_channel import BernoulliGaussianPrior, mmse
 
 DEFAULT_GRID_POINTS = 2000
+# unread in the package; it stays because tests and perfbench/workloads.py import it as
+# the resolution of a reported transition rate
 ALPHA_TOL = 1e-5
 # root-find bracket width relative to max(1, |end|): a few dozen ulps
 _ROOT_XTOL = 1e-14
 _ROOT_MAX_ITER = 100
 # at alpha = 1 exactly the orthogonal inner extremization degenerates
-# (Delta -> 1, Lambda -> 0 for eps > sigma2), so windows must end below it
+# (Delta -> 1, Lambda -> 0 for eps > sigma2), so alpha_d is capped below it
 _ALPHA_SEARCH_CAP = 1.0 - 1e-7
 
 

@@ -140,12 +140,13 @@ def single_block_spec(rho: float, sigma2: float, alpha: float) -> CouplingSpec:
 
 @dataclass
 class ConjugateState:
-    """Conjugate parameters per block (q, p) at one block MSE vector eps.
+    """Conjugate parameters per block (q, p) at block MSE vectors eps of shape (..., L_c).
 
-    Lambda is the inner extremizer for the row-orthogonal ensemble and
-    1/eps[p] for the Gaussian one.  Entries with J[q, p] = 0 carry
-    varsigma = 0, Delta = 0 and Lambda = 1/eps[p].  ``clamped`` flags an
-    inner-solver positivity clamp.
+    Each array has shape (..., L_r, L_c).  Lambda is the inner extremizer
+    for the row-orthogonal ensemble and 1/eps[p] for the Gaussian one.
+    Entries with J[q, p] = 0 carry varsigma = 0, Delta = 0 and
+    Lambda = 1/eps[p].  ``clamped`` flags an inner-solver positivity clamp
+    anywhere in the batch.
     """
 
     varsigma: np.ndarray
@@ -308,26 +309,9 @@ def _g_values(eps, spec: CouplingSpec, Lam):
 # conjugate parameters and free entropy
 # ----------------------------------------------------------------------
 
-def _conjugates_batch(eps, spec: CouplingSpec, kind: Ensemble, Lambda0=None):
-    """varsigma = Delta / eps, Lambda, Delta, clamped for eps of shape (..., L_c).
-
-    Lambda is the inner extremizer (row-orthogonal) or held at 1/eps (Gaussian).
-    """
-    eps = np.asarray(eps, dtype=float)
-    if np.any(eps <= 0):
-        raise ValueError("eps must be > 0 on every coupled block")
-    eps_b = eps[..., None, :]
-    if kind is Ensemble.ROW_ORTHOGONAL:
-        Lam, Delta, _, clamped = _solve_lambda(eps, spec, Lambda0=Lambda0)
-    else:
-        Lam, clamped = np.repeat(1.0 / eps_b, spec.L_r, axis=-2), False
-        Delta = _delta_map(Lam, spec)[2]
-    return Delta / eps_b, Lam, Delta, clamped
-
-
 def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble,
                           Lambda0=None) -> ConjugateState:
-    """Conjugate parameters at stationarity of F for a given block MSE vector.
+    """Conjugate parameters at stationarity of F for block MSE vectors eps of shape (..., L_c).
 
     varsigma = Delta / eps, with Lambda the solution of the inner
     extremization Lambda = (1 - Delta) / eps (row-orthogonal, warm-started
@@ -336,14 +320,21 @@ def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble,
     ValueError unless eps > 0.
     """
     eps = np.asarray(eps, dtype=float)
-    if eps.shape != (spec.L_c,):
-        raise ValueError(f"eps must have shape ({spec.L_c},)")
-    sig, Lam, Delta, clamped = _conjugates_batch(eps, spec, kind, Lambda0=Lambda0)
-    return ConjugateState(varsigma=sig, Lambda=Lam, Delta=Delta, clamped=clamped)
+    if eps.shape[-1:] != (spec.L_c,):
+        raise ValueError(f"eps must have shape (..., {spec.L_c})")
+    if np.any(eps <= 0):
+        raise ValueError("eps must be > 0 on every coupled block")
+    eps_b = eps[..., None, :]
+    if kind is Ensemble.ROW_ORTHOGONAL:
+        Lam, Delta, _, clamped = _solve_lambda(eps, spec, Lambda0=Lambda0)
+    else:
+        Lam, clamped = np.repeat(1.0 / eps_b, spec.L_r, axis=-2), False
+        Delta = _delta_map(Lam, spec)[2]
+    return ConjugateState(varsigma=Delta / eps_b, Lambda=Lam, Delta=Delta, clamped=clamped)
 
 
 def free_entropy_grid(eps_grid, spec: CouplingSpec, kind: Ensemble) -> np.ndarray:
-    """F evaluated at many MSE vectors at once; eps_grid has shape (n, L_c).
+    """F of shape (n,) at many MSE vectors at once; eps_grid has shape (n, L_c).
 
     Conjugates are set to their stationary values at each eps (partial
     extremization), so local maxima over eps coincide with state-evolution
@@ -355,11 +346,11 @@ def free_entropy_grid(eps_grid, spec: CouplingSpec, kind: Ensemble) -> np.ndarra
         raise ValueError(f"eps_grid must have shape (n, {spec.L_c})")
     if spec.sigma2 == 0.0:
         raise ValueError(NO_NOISE_MESSAGE)
-    sig, Lam, _, _ = _conjugates_batch(eps_grid, spec, kind)
-    sig_p = sig.sum(axis=-2)
+    state = conjugate_fixed_point(eps_grid, spec, kind)
+    sig_p = state.varsigma.sum(axis=-2)
     ct = channel_term_batch(sig_p.ravel(), spec.prior).reshape(sig_p.shape)
     term_channel = (spec.gamma[None, :] * ct).sum(axis=-1)
-    term_cross = (spec.gamma[None, None, :] * eps_grid[:, None, :] * sig).sum(axis=(-2, -1))
-    g = _g_values(eps_grid, spec, Lam).sum(axis=-1)
+    term_cross = (spec.gamma * eps_grid[:, None, :] * state.varsigma).sum(axis=(-2, -1))
+    g = _g_values(eps_grid, spec, state.Lambda).sum(axis=-1)
     return term_channel + term_cross + g + (1.0 - spec.total_rate)
 

@@ -70,6 +70,9 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
     if not (0.0 <= damping < 1.0):
         raise ValueError("damping must lie in [0, 1)")
     rho = spec.prior.rho
+    if rho == 0.0:
+        raise ValueError("rho = 0 has no state evolution: its only fixed point is eps = 0, "
+                         "where the conjugate precisions are undefined")
     eps = np.full(spec.L_c, rho) if init is None else np.asarray(init, dtype=float).copy()
     if eps.shape != (spec.L_c,):
         raise ValueError(f"init must have shape ({spec.L_c},)")

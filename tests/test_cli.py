@@ -211,6 +211,15 @@ class TestEvolveCommand:
         meta = json.loads((tmp_path / "t.csv.json").read_text())
         assert meta["converged"] is False and meta["iterations"] == 3
 
+    @pytest.mark.parametrize("ensemble", ["gaussian", "orthogonal"])
+    def test_zero_sparsity_exits_2(self, runner, tmp_path, ensemble):
+        res = runner.invoke(main, ["evolve", "--L", "2", "--W", "1",
+                                   "--alpha-seed", "0.6", "--alpha-bulk", "0.5",
+                                   "--J", "0.5", "--rho", "0", "--sigma2", "1e-4",
+                                   "--ensemble", ensemble, "-o", str(tmp_path / "t.csv")])
+        assert res.exit_code == 2, res.output
+        assert "rho" in res.output and "init" not in res.output
+
     def test_missing_flags_exit_2(self, runner, tmp_path):
         res = runner.invoke(main, ["evolve", "--ensemble", "gaussian",
                                    "-o", str(tmp_path / "t.csv")])

@@ -473,6 +473,27 @@ class TestConjugateFixedPoint:
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2 ** 32 - 1),
+           log_eps=st.lists(st.floats(-8.0, 0.0), min_size=20, max_size=20))
+    def test_batch_matches_row_by_row(self, seed, log_eps):
+        # a batch of 5 MSE vectors gives each row the answer of its own call: to the bit
+        # for the Gaussian ensemble; the batched orthogonal Newton stops once its slowest
+        # row is within tolerance, so a row's last bits depend on the rest of the batch
+        spec = random_coupled_spec(np.random.default_rng(seed))
+        eps = spec.prior.rho * 10.0 ** np.array(log_eps).reshape(5, 4)[:, :spec.L_c]
+        for kind, rtol in ((GAUSS, 0.0), (ORTH, 1e-10)):
+            batch = conjugate_fixed_point(eps, spec, kind)
+            rows = [conjugate_fixed_point(e, spec, kind) for e in eps]
+            for field in ("varsigma", "Lambda", "Delta"):
+                got = getattr(batch, field)
+                ref = np.array([getattr(row, field) for row in rows])
+                assert got.shape == (5, spec.L_r, spec.L_c)
+                assert np.all(np.abs(got - ref) <= rtol * np.abs(ref)), (kind, field)
+            got = free_entropy_grid(eps, spec, kind)
+            ref = np.array([free_entropy_grid(e[None, :], spec, kind)[0] for e in eps])
+            assert np.all(np.abs(got - ref) <= rtol * np.abs(ref)), kind
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
            log_eps=st.lists(st.floats(-8.0, 0.0), min_size=4, max_size=4))
     def test_gaussian_matches_closed_forms(self, seed, log_eps):
         # the Gaussian ensemble is the row-orthogonal formula at Lambda = 1/eps;

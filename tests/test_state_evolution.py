@@ -202,3 +202,7 @@ def test_input_validation():
         run_evolution(spec, GAUSS, damping=1.0)
     with pytest.raises(ValueError):
         run_evolution(spec, GAUSS, init=np.array([0.9]))  # above rho
+    # no MSE vector satisfies 0 < eps <= rho = 0, so the default init is no start either
+    for kind in (GAUSS, ORTH):
+        with pytest.raises(ValueError, match="rho = 0"):
+            run_evolution(single_block_spec(0.0, 1e-4, 0.6), kind)

@@ -3,11 +3,16 @@
 `perfbench/tracer.py` wraps the functions it lists in TRACED under every
 name a module of the package binds them to, and reads some of their
 parameters by name for the span detail.  A traced function that is
-removed or renamed fails here, not only in a traced benchmark run.
+removed or renamed fails here, not only in a traced benchmark run.  The
+benchmark's set-up probe, `perfbench/setup_probe.py`, calls some of them
+positionally and is run here as the benchmark runs it.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +22,8 @@ from coupledcs import (BernoulliGaussianPrior, Ensemble, SeedingParams, build_se
                        single_block_spec)
 from coupledcs.scalar_channel import ScalarChannel
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 GAUSS = Ensemble.GAUSSIAN_IID
 ORTH = Ensemble.ROW_ORTHOGONAL
 
@@ -96,3 +102,12 @@ def test_every_traced_function_leaves_a_span():
         for name in names:
             assert fn(layer, name) is originals[name]
     assert coupledcs.mmse is originals["mmse"]
+
+
+def test_setup_probe_exits_0():
+    # the probe imports the package from ./src, so it runs from the root of the checkout;
+    # no bytecode is written, so the run leaves the checkout as it was
+    res = subprocess.run([sys.executable, str(ROOT / "perfbench" / "setup_probe.py")], cwd=ROOT,
+                         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stdout + res.stderr
