@@ -6,9 +6,18 @@ N_p-point unitary DFT, permute its columns, and scale by
 sqrt(J[q,p] * N_p / N), so every entry has squared modulus exactly
 J[q,p] / N.  Gaussian blocks are dense i.i.d. complex Gaussian with the
 same per-entry variance.  Application stacks each run of consecutive
-equal-size DFT blocks into one multi-row FFT call, O(N_p log N_p) per
-block instead of O(M_q N_p), and adds the block outputs in (q, p) order,
-so every sum is formed as a per-block loop would form it.
+equal-size DFT blocks into one multi-row FFT call instead of an O(M_q N_p)
+product, and adds the block outputs in (q, p) order, so every sum is
+formed as a per-block loop would form it.
+
+Block sizes N_p = N / L_c are seldom FFT-friendly, and pocketfft is slow
+on a large prime factor: at N = 2^17, L_c = 10 a 13107 = 3 * 17 * 257-point
+transform costs five to six 16384-point ones.  So an N_p whose largest
+prime-power factor p^a has p > _SPLIT_PRIME is transformed as an
+(N_p / p^a) x p^a two-axis DFT through the prime-factor (Good-Thomas)
+layout of `_layout`, whose index maps are composed with each block's row
+selection and column permutation; every other N_p keeps the 1-D
+transform and its bytes.  The split changes outputs by rounding only.
 
 All randomness flows from one counter-based Philox generator: the
 instance seed feeds a SeedSequence whose spawned children are assigned,
@@ -17,6 +26,7 @@ for the signal and the noise), so draws are reproducible across
 platforms and independent of block evaluation order.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +40,13 @@ DENSE_LIMIT = 4096
 # N = 2^17 showcase chain fit in one call; bigger stacks add peak memory
 # for little time.
 _FFT_BUDGET = 2 ** 15
+# block sizes whose largest prime-power factor p^a has p above this take the
+# two-axis layout.  Over the N_p of N = 2^15 and 2^17 at L_c = 6..30 (numpy
+# 2.4's pocketfft, BENCH_14.json) the split took 1.2-2.3x the 1-D time
+# wherever p <= 97 and 0.37-0.86x wherever p >= 127 and N_p > 2400; p = 101,
+# 103 and smaller N_p read 1.0-1.3x on transforms of under 0.6 ms.  The
+# alternative rule p^2 > N_p would also split 1328 = 2^4 * 83 (2.3x).
+_SPLIT_PRIME = 100
 
 
 def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
@@ -147,6 +164,39 @@ def _dft_runs(blocks: dict):
         yield run
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(n: int):
+    """(shape, time_pos, freq_pos) of the n-point DFT's transform.
+
+    With n = n1 * n2 and gcd(n1, n2) = 1, Good's map puts time index i at
+    (i1, i2) with i = (i1 n2 + i2 n1) mod n and the CRT map puts frequency
+    index k at (k mod n1, k mod n2).  Then i k = i1 k1 n2 + i2 k2 n1 mod n,
+    so the n-point DFT is the n1 x n2 two-axis DFT, with no twiddle factors;
+    time_pos and freq_pos hold the flat positions of each index.  The kernel
+    is symmetric in i and k, so the inverse DFT reads the same maps with the
+    roles of input and output swapped.  n2 = p^a is the largest prime-power
+    factor of n; when p <= _SPLIT_PRIME or n is a prime power the shape is
+    (n,) and both positions are None (the identity).
+    """
+    powers, m, d = {}, n, 2
+    while d * d <= m:
+        while m % d == 0:
+            powers[d] = powers.get(d, 1) * d
+            m //= d
+        d += 1
+    if m > 1:
+        powers[m] = m
+    p, n2 = max(powers.items(), key=lambda item: item[1], default=(1, n))
+    if p <= _SPLIT_PRIME or n2 == n:
+        return (n,), None, None
+    n1 = n // n2
+    i1, i2 = np.divmod(np.arange(n), n2)
+    time_pos = np.empty(n, dtype=np.intp)
+    time_pos[(i1 * n2 + i2 * n1) % n] = np.arange(n)
+    k = np.arange(n)
+    return (n1, n2), time_pos, (k % n1) * n2 + k % n2
+
+
 def _accumulate(op: CoupledOperator, v: np.ndarray, out: np.ndarray,
                 adjoint: bool) -> np.ndarray:
     """out += A v (A^H v when adjoint), adding the blocks into out in (q, p) order."""
@@ -161,22 +211,29 @@ def _accumulate(op: CoupledOperator, v: np.ndarray, out: np.ndarray,
             # conj(v^H M) is M^H v without materializing the conjugate transpose
             out[dst] += (v[src].conj() @ block.matrix).conj() if adjoint else block.matrix @ v[src]
         return out
-    transform = np.fft.ifft if adjoint else np.fft.fft
+    transform = np.fft.ifftn if adjoint else np.fft.fftn
     for run in _dft_runs(op.blocks):
-        # scatter each block's input into its own row, transform the stack in
-        # one call, then gather each row's outputs
-        stack = np.zeros((len(run), run[0][1].n), dtype=complex)
-        for row, ((q, p), b) in zip(stack, run):
-            row[b.row_selection if adjoint else b.col_permutation] = v[slices(q, p)[0]]
-        stack = transform(stack, axis=1, norm="ortho")
-        for row, ((q, p), b) in zip(stack, run):
-            gather = b.col_permutation if adjoint else b.row_selection
+        # scatter each block's input into its own row through the layout's
+        # positions, transform the stack in one call over every axis but the
+        # first, then gather each row's outputs
+        shape, time_pos, freq_pos = _layout(run[0][1].n)
+        stack = np.zeros((len(run), *shape), dtype=complex)
+        gathers = []
+        for row, ((q, p), b) in zip(stack.reshape(len(run), -1), run):
+            time_idx, freq_idx = b.col_permutation, b.row_selection
+            if time_pos is not None:
+                time_idx, freq_idx = time_pos[time_idx], freq_pos[freq_idx]
+            scatter, gather = (freq_idx, time_idx) if adjoint else (time_idx, freq_idx)
+            row[scatter] = v[slices(q, p)[0]]
+            gathers.append(gather)
+        stack = transform(stack, axes=tuple(range(1, stack.ndim)), norm="ortho")
+        for row, ((q, p), b), gather in zip(stack.reshape(len(run), -1), run, gathers):
             out[slices(q, p)[1]] += b.scale * row[gather]
     return out
 
 
 def apply(op: CoupledOperator, x) -> np.ndarray:
-    """y = A x, with one multi-row FFT per run of consecutive equal-size DFT blocks.
+    """y = A x, with one FFT call per run of consecutive equal-size DFT blocks.
 
     A run is cut at _FFT_BUDGET elements per call; Gaussian blocks are
     dense products.  Block outputs are added into y in (q, p) order.
@@ -196,9 +253,19 @@ def adjoint_apply(op: CoupledOperator, y) -> np.ndarray:
 
 
 def dense_materialize(op: CoupledOperator) -> np.ndarray:
-    """Full M x N matrix, defined as the operator's action on the basis."""
+    """Full M x N matrix, defined as the operator's action on the basis.
+
+    Gaussian blocks are stored, so their matrices are copied into place;
+    the action of `apply` on a basis vector gives the same bytes.
+    """
     if op.N > DENSE_LIMIT:
         raise ValueError(f"dense materialization limited to N <= {DENSE_LIMIT}")
+    if op.kind is Ensemble.GAUSSIAN_IID:
+        A = np.zeros((op.M, op.N), dtype=complex)
+        for (q, p), block in op.blocks.items():
+            A[op.row_offsets[q]:op.row_offsets[q + 1],
+              op.col_offsets[p]:op.col_offsets[p + 1]] = block.matrix
+        return A
     A = np.empty((op.M, op.N), dtype=complex)
     e = np.zeros(op.N, dtype=complex)
     for k in range(op.N):

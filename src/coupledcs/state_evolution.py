@@ -29,6 +29,10 @@ from .scalar_channel import mmse
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10 ** 5
 _CYCLE_TOL = 1e-10
+# a run stops as a period-2 cycle once |e_t - e_{t-2}| is below _CYCLE_TOL and
+# below this fraction of |e_t - e_{t-1}|; a damped oscillation with factor -r
+# reads a ratio near 1 - r, and r > 1 - 1e-6 cannot converge within 10^5 steps
+_CYCLE_RATIO = 1e-6
 
 
 @dataclass
@@ -37,8 +41,11 @@ class EvolutionTrace:
 
     history[t] is the per-block MSE vector after t iterations
     (history[0] is the initialization).  ``oscillating`` flags a period-2
-    cycle detected at the iteration cap; ``clamped`` flags any inner-solver
-    positivity clamp along the way.
+    cycle, history[-1] within _CYCLE_TOL of history[-3] without
+    convergence; the run stops at the first iteration where that distance
+    is also below _CYCLE_RATIO times the last step, or else at the
+    iteration cap.  ``clamped`` flags any inner-solver positivity clamp
+    along the way.
     """
 
     history: np.ndarray
@@ -61,7 +68,8 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
     prior channel information, mmse(0) = rho).  damping in [0, 1) mixes
     theta * old + (1 - theta) * new conjugate precisions; the plain
     iteration is damping = 0.  Non-convergence at max_iter is reported in
-    the trace rather than raised.
+    the trace rather than raised, and so is a period-2 cycle, which ends
+    the run as soon as it closes (see EvolutionTrace).
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
@@ -90,10 +98,15 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
         if damping > 0.0 and t > 0:
             new.varsigma = (1.0 - damping) * new.varsigma + damping * state.varsigma
         history.append(eps_new)
-        converged = np.abs(eps_new - eps).max() < tol
+        step = np.abs(eps_new - eps).max()
+        converged = step < tol
         state, eps = new, eps_new
         if converged:
             break
+        if t > 0:
+            back = np.abs(eps_new - history[-3]).max()
+            if back < _CYCLE_TOL and back < _CYCLE_RATIO * step:
+                break
     oscillating = (not converged and len(history) >= 3
                    and np.abs(history[-1] - history[-3]).max() < _CYCLE_TOL)
     return EvolutionTrace(history=np.array(history), converged=bool(converged),

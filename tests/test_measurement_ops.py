@@ -35,7 +35,7 @@ def dense_from_blocks(op):
 
 
 def per_block_loop(op, v, adjoint):
-    """A v (A^H v when adjoint) with one transform per block on a fresh zero vector.
+    """A v (A^H v when adjoint) with one transform per block on a fresh zero array.
 
     The unbatched application, added into the output in (q, p) order.  The
     Gaussian adjoint multiplies by the materialized conjugate transpose:
@@ -47,13 +47,19 @@ def per_block_loop(op, v, adjoint):
         rows = slice(op.row_offsets[q], op.row_offsets[q + 1])
         cols = slice(op.col_offsets[p], op.col_offsets[p + 1])
         if isinstance(block, DftBlock):
-            w = np.zeros(block.n, dtype=complex)
+            # the block's own transform layout (checked against the 1-D DFT by
+            # test_layout_matches_1d_transform), with its index maps composed
+            shape, time_pos, freq_pos = measurement_ops._layout(block.n)
+            time_idx, freq_idx = block.col_permutation, block.row_selection
+            if time_pos is not None:
+                time_idx, freq_idx = time_pos[time_idx], freq_pos[freq_idx]
+            w = np.zeros(shape, dtype=complex)
             if adjoint:
-                w[block.row_selection] = v[rows]
-                out[cols] += block.scale * np.fft.ifft(w, norm="ortho")[block.col_permutation]
+                w.reshape(-1)[freq_idx] = v[rows]
+                out[cols] += block.scale * np.fft.ifftn(w, norm="ortho").reshape(-1)[time_idx]
             else:
-                w[block.col_permutation] = v[cols]
-                out[rows] += block.scale * np.fft.fft(w, norm="ortho")[block.row_selection]
+                w.reshape(-1)[time_idx] = v[cols]
+                out[rows] += block.scale * np.fft.fftn(w, norm="ortho").reshape(-1)[freq_idx]
         elif adjoint:
             out[cols] += block.matrix.conj().T @ v[rows]
         else:
@@ -146,9 +152,12 @@ class TestApply:
         assert np.all(adjoint_apply(op, np.zeros(op.M)) == 0)
 
     def test_matches_dense_oracle(self, rng):
-        for kind in (ORTH, GAUSS):
-            spec = random_coupled_spec(rng)
-            op = build_coupled_operator(spec, 256, seed=4, kind=kind)
+        # N = 309 = 3 * 103 is one block in the two-axis layout
+        assert measurement_ops._layout(309)[0] == (3, 103)
+        for kind, spec, N in ((ORTH, random_coupled_spec(rng), 256),
+                              (GAUSS, random_coupled_spec(rng), 256),
+                              (ORTH, single_block_spec(0.4, 1e-4, 0.5), 309)):
+            op = build_coupled_operator(spec, N, seed=4, kind=kind)
             A = dense_from_blocks(op)
             x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
             y = rng.standard_normal(op.M) + 1j * rng.standard_normal(op.M)
@@ -200,21 +209,51 @@ class TestBatchedTransforms:
         # budget 1 puts every block in its own call; 2^20 stacks whole runs,
         # across block rows when the column fractions are equal
         monkeypatch.setattr(measurement_ops, "_FFT_BUDGET", budget)
-        longest = 0
-        for trial in range(8):
+        longest, split = 0, set()
+        for trial in range(12):
             spec = random_coupled_spec(rng)
-            if trial % 2:
+            if trial % 2 or trial >= 8:
                 spec = equal_width_spec(spec)
-            # 253 is a multiple of no L up to 4: the last column block is wider
-            op = build_coupled_operator(spec, 253, seed=trial, kind=kind)
+            # 253 is a multiple of no L up to 4: the last column block is wider;
+            # the last four trials have blocks of 202 = 2 * 101 or 309 = 3 * 103
+            # points, which take the two-axis layout
+            N = 253 if trial < 8 else (202 if trial % 2 else 309) * spec.L_c
+            op = build_coupled_operator(spec, N, seed=trial, kind=kind)
             x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
             y = rng.standard_normal(op.M) + 1j * rng.standard_normal(op.M)
             assert np.array_equal(apply(op, x), per_block_loop(op, x, adjoint=False))
             assert np.array_equal(adjoint_apply(op, y), per_block_loop(op, y, adjoint=True))
             if kind is ORTH:
                 longest = max(longest, *map(len, measurement_ops._dft_runs(op.blocks)))
+                split |= {b.n for b in op.blocks.values()
+                          if measurement_ops._layout(b.n)[1] is not None}
         if kind is ORTH:
             assert longest == 1 if budget == 1 else longest > 2
+            assert split == {202, 309}
+
+    @pytest.mark.parametrize("n, split", [
+        (4369, True), (4854, True), (8738, True), (13107, True), (21845, True),
+        (5698, False), (10082, False), (13109, False), (13122, False), (16384, False)])
+    def test_layout_matches_1d_transform(self, n, split):
+        # a full-rate single block (scale 1) against the 1-D DFT of its own draws:
+        # 17 * 257, 2 * 3 * 809, ... split on a prime above 100; 2 * 7 * 11 * 37,
+        # 2 * 71^2, a prime, 2 * 3^8 and 2^14 keep the 1-D transform and its bytes
+        op = build_coupled_operator(single_block_spec(0.4, 1e-4, 1.0), n, seed=n, kind=ORTH)
+        block = op.blocks[(0, 0)]
+        assert (measurement_ops._layout(n)[1] is not None) is split
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w = np.zeros(n, dtype=complex)
+        w[block.col_permutation] = x
+        ref_fwd = np.fft.fft(w, norm="ortho")[block.row_selection]
+        w[:] = 0
+        w[block.row_selection] = x
+        ref_adj = np.fft.ifft(w, norm="ortho")[block.col_permutation]
+        for got, ref in ((apply(op, x), ref_fwd), (adjoint_apply(op, x), ref_adj)):
+            if split:
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            else:
+                assert np.array_equal(got, ref)
 
     def test_showcase_chain_batches(self):
         # the N = 2^17 seeding chain: blocks of 13107 and 13109 points
@@ -231,8 +270,10 @@ class TestBatchedTransforms:
 
 
 class TestDenseMaterialize:
-    def test_columns_are_basis_images(self, rng):
-        op = build_coupled_operator(random_coupled_spec(rng), 64, seed=8, kind=ORTH)
+    @pytest.mark.parametrize("kind", [ORTH, GAUSS])
+    def test_columns_are_basis_images(self, rng, kind):
+        # Gaussian blocks are copied in, DFT blocks are applied to the basis
+        op = build_coupled_operator(random_coupled_spec(rng), 64, seed=8, kind=kind)
         A = dense_materialize(op)
         e = np.zeros(op.N, dtype=complex)
         for k in (0, op.N // 2, op.N - 1):

@@ -150,11 +150,23 @@ def test_orthogonal_chain_period_two_cycle_and_damped_convergence():
     spec = build_seeding_spec(params, 1.0, 1e-2)
     plain = run_evolution(spec, ORTH, max_iter=200)
     assert not plain.converged and plain.oscillating
-    assert plain.iterations == 200
+    # the run stops where the cycle closes, not at the cap
+    assert plain.iterations == 33
     damped = run_evolution(spec, ORTH, damping=0.7)
     assert damped.converged and not damped.oscillating
     assert damped.iterations == 257
     assert np.abs(damped.final_eps - [0.4364, 0.2076, 0.2498, 0.2581]).max() <= 5e-5
+
+
+def test_period_two_cycle_ends_the_run_where_it_closes():
+    # at rho = 1 this undamped orthogonal chain swings by 7.8e-2 between iterations and
+    # is back within 1e-10 of itself two steps earlier at t = 90, so the run ends there
+    # rather than at the default 10^5-iteration cap
+    params = SeedingParams(L=3, W=2, alpha_seed=0.873, alpha_bulk=0.782, J=0.605)
+    trace = run_evolution(build_seeding_spec(params, 1.0, 0.00554), ORTH)
+    assert trace.oscillating and not trace.converged
+    assert trace.iterations == 90
+    assert np.abs(trace.history[-1] - trace.history[-2]).max() > 0.07
 
 
 def test_inner_solve_work_on_the_benchmark_chains(monkeypatch):
