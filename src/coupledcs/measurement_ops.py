@@ -17,7 +17,12 @@ prime-power factor p^a has p > _SPLIT_PRIME is transformed as an
 (N_p / p^a) x p^a two-axis DFT through the prime-factor (Good-Thomas)
 layout of `_layout`, whose index maps are composed with each block's row
 selection and column permutation; every other N_p keeps the 1-D
-transform and its bytes.  The split changes outputs by rounding only.
+transform and its bytes.  When a = 1 and p - 1 has no prime factor above
+_RADER_FACTOR, the p axis (the whole block when N_p = p) is transformed
+by Rader's algorithm: reordered by powers of a primitive root, the
+p-point DFT is a cyclic convolution of length p - 1, one FFT pair with a
+cached kernel (BENCH_15.json).  Split and Rader sizes change outputs by
+rounding only.
 
 All randomness flows from one counter-based Philox generator: the
 instance seed feeds a SeedSequence whose spawned children are assigned,
@@ -47,6 +52,14 @@ _FFT_BUDGET = 2 ** 15
 # 103 and smaller N_p read 1.0-1.3x on transforms of under 0.6 ms.  The
 # alternative rule p^2 > N_p would also split 1328 = 2^4 * 83 (2.3x).
 _SPLIT_PRIME = 100
+# a prime p > _SPLIT_PRIME on the layout's last axis (p^1, or the whole block)
+# takes Rader's algorithm when p - 1 has no prime factor above this.  Over the
+# split sizes and whole primes of BENCH_14.json's table (BENCH_15.json, two-row
+# stacks) Rader took 0.34-0.93x pocketfft's time at all 31 sizes whose p - 1
+# passes, 257 (2^8) among them at 0.51-0.64x, and 1.02-2.3x at 19 of the 22
+# that fail, 809 (2^3 * 101) among them at 1.4-1.5x; the other three read
+# 0.78-0.86x (3284, 1129 and the prime 13109, largest factors 41, 47, 113).
+_RADER_FACTOR = 31
 
 
 def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
@@ -164,20 +177,8 @@ def _dft_runs(blocks: dict):
         yield run
 
 
-@functools.lru_cache(maxsize=None)
-def _layout(n: int):
-    """(shape, time_pos, freq_pos) of the n-point DFT's transform.
-
-    With n = n1 * n2 and gcd(n1, n2) = 1, Good's map puts time index i at
-    (i1, i2) with i = (i1 n2 + i2 n1) mod n and the CRT map puts frequency
-    index k at (k mod n1, k mod n2).  Then i k = i1 k1 n2 + i2 k2 n1 mod n,
-    so the n-point DFT is the n1 x n2 two-axis DFT, with no twiddle factors;
-    time_pos and freq_pos hold the flat positions of each index.  The kernel
-    is symmetric in i and k, so the inverse DFT reads the same maps with the
-    roles of input and output swapped.  n2 = p^a is the largest prime-power
-    factor of n; when p <= _SPLIT_PRIME or n is a prime power the shape is
-    (n,) and both positions are None (the identity).
-    """
+def _factor(n: int) -> dict:
+    """{prime: prime power} of n's factorization."""
     powers, m, d = {}, n, 2
     while d * d <= m:
         while m % d == 0:
@@ -186,15 +187,86 @@ def _layout(n: int):
         d += 1
     if m > 1:
         powers[m] = m
-    p, n2 = max(powers.items(), key=lambda item: item[1], default=(1, n))
-    if p <= _SPLIT_PRIME or n2 == n:
-        return (n,), None, None
+    return powers
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n: int):
+    """(shape, time_pos, freq_pos, kernel) of the n-point DFT's transform.
+
+    With n = n1 * n2 and gcd(n1, n2) = 1, Good's map puts time index i at
+    (i1, i2) with i = (i1 n2 + i2 n1) mod n and the CRT map puts frequency
+    index k at (k mod n1, k mod n2).  Then i k = i1 k1 n2 + i2 k2 n1 mod n,
+    so the n-point DFT is the n1 x n2 two-axis DFT, with no twiddle factors;
+    time_pos and freq_pos hold the flat positions of each index.  The kernel
+    is symmetric in i and k, so the inverse DFT reads the same maps with the
+    roles of input and output swapped.  n2 = p^a is the largest prime-power
+    factor of n; when p <= _SPLIT_PRIME, or n is a prime power that Rader's
+    stage does not take, the shape is (n,) and the other three are None.
+
+    Rader's stage (C. M. Rader, Proc. IEEE 56, 1968) takes an n2 = p axis
+    whose p - 1 has no prime factor above _RADER_FACTOR, the sizes where it
+    beat pocketfft in BENCH_15.json; the shape is then (n1, p), or (p,)
+    when n = p.  With g a primitive root mod p, the axis holds index 0 at
+    position 0, time index g^q at 1 + q and frequency index g^-m at 1 + m,
+    so X[g^-m] = x[0] + sum_q x[g^q] w^(g^(q - m)), w = e^(-2 pi i / p), is
+    a cyclic convolution of length p - 1 with b_j = w^(g^-j), and kernel =
+    FFT(b) / (p - 1).  The inverse DFT's kernel b_j* read backwards has the
+    FFT conj(kernel).  `_transform` says how the stack is transformed.
+    """
+    p, n2 = max(_factor(n).items(), key=lambda item: item[1], default=(1, n))
+    rader = n2 == p and p > _SPLIT_PRIME and max(_factor(p - 1)) <= _RADER_FACTOR
+    if p <= _SPLIT_PRIME or (n2 == n and not rader):
+        return (n,), None, None, None
     n1 = n // n2
+    # positions along the n2 axis of its time and frequency indices
+    axis_in = axis_out = np.arange(n2)
+    kernel = None
+    if rader:
+        g = next(g for g in range(2, p)
+                 if all(pow(g, (p - 1) // f, p) != 1 for f in _factor(p - 1)))
+        g_pow = np.empty(p - 1, dtype=np.intp)  # g^q mod p
+        g_pow[0] = 1
+        for q in range(1, p - 1):
+            g_pow[q] = g_pow[q - 1] * g % p
+        g_inv = g_pow[-np.arange(p - 1)]  # g^-m mod p
+        axis_in, axis_out = np.zeros(p, dtype=np.intp), np.zeros(p, dtype=np.intp)
+        axis_in[g_pow] = axis_out[g_inv] = np.arange(1, p)
+        kernel = np.fft.fft(np.exp(-2j * np.pi * g_inv / p)) / (p - 1)
     i1, i2 = np.divmod(np.arange(n), n2)
     time_pos = np.empty(n, dtype=np.intp)
-    time_pos[(i1 * n2 + i2 * n1) % n] = np.arange(n)
+    time_pos[(i1 * n2 + i2 * n1) % n] = i1 * n2 + axis_in[i2]
     k = np.arange(n)
-    return (n1, n2), time_pos, (k % n1) * n2 + k % n2
+    shape = (n1, n2) if n1 > 1 else (n2,)
+    return shape, time_pos, (k % n1) * n2 + axis_out[k % n2], kernel
+
+
+def _transform(stack: np.ndarray, kernel, adjoint: bool):
+    """(stack', norm): the DFT of each row of a (k, *shape) stack is norm * stack'.
+
+    The inverse DFT when adjoint, both unitary.  Without a Rader kernel one
+    fftn / ifftn call over every axis but the first (norm 1).  With one, the
+    stack is transformed in place, unnormalized (norm 1 / sqrt(n)): an FFT
+    along the n1 axis, then Rader's stage on the last axis: position 0 takes
+    the axis sum, positions 1.. take x[0] plus the cyclic convolution of
+    positions 1.. with the kernel's inverse FFT, one FFT pair of length p - 1.
+    """
+    if kernel is None:
+        transform = np.fft.ifftn if adjoint else np.fft.fftn
+        return transform(stack, axes=tuple(range(1, stack.ndim)), norm="ortho"), 1.0
+    if stack.ndim == 3:
+        if adjoint:
+            np.fft.ifft(stack, axis=1, norm="forward", out=stack)
+        else:
+            np.fft.fft(stack, axis=1, out=stack)
+    spec = np.fft.fft(stack[..., 1:], axis=-1)
+    total = spec[..., 0] + stack[..., 0]
+    spec *= kernel.conj() if adjoint else kernel
+    # x[0] added to the zero-frequency bin reaches every output of the inverse
+    spec[..., 0] += stack[..., 0]
+    np.fft.ifft(spec, axis=-1, norm="forward", out=stack[..., 1:])
+    stack[..., 0] = total
+    return stack, 1.0 / np.sqrt(stack[0].size)
 
 
 def _accumulate(op: CoupledOperator, v: np.ndarray, out: np.ndarray,
@@ -211,12 +283,11 @@ def _accumulate(op: CoupledOperator, v: np.ndarray, out: np.ndarray,
             # conj(v^H M) is M^H v without materializing the conjugate transpose
             out[dst] += (v[src].conj() @ block.matrix).conj() if adjoint else block.matrix @ v[src]
         return out
-    transform = np.fft.ifftn if adjoint else np.fft.fftn
     for run in _dft_runs(op.blocks):
         # scatter each block's input into its own row through the layout's
-        # positions, transform the stack in one call over every axis but the
-        # first, then gather each row's outputs
-        shape, time_pos, freq_pos = _layout(run[0][1].n)
+        # positions, transform the stack in one pass, then gather each row's
+        # outputs with the transform's norm folded into the block scale
+        shape, time_pos, freq_pos, kernel = _layout(run[0][1].n)
         stack = np.zeros((len(run), *shape), dtype=complex)
         gathers = []
         for row, ((q, p), b) in zip(stack.reshape(len(run), -1), run):
@@ -226,9 +297,9 @@ def _accumulate(op: CoupledOperator, v: np.ndarray, out: np.ndarray,
             scatter, gather = (freq_idx, time_idx) if adjoint else (time_idx, freq_idx)
             row[scatter] = v[slices(q, p)[0]]
             gathers.append(gather)
-        stack = transform(stack, axes=tuple(range(1, stack.ndim)), norm="ortho")
+        stack, norm = _transform(stack, kernel, adjoint)
         for row, ((q, p), b), gather in zip(stack.reshape(len(run), -1), run, gathers):
-            out[slices(q, p)[1]] += b.scale * row[gather]
+            out[slices(q, p)[1]] += b.scale * norm * row[gather]
     return out
 
 

@@ -47,19 +47,22 @@ def per_block_loop(op, v, adjoint):
         rows = slice(op.row_offsets[q], op.row_offsets[q + 1])
         cols = slice(op.col_offsets[p], op.col_offsets[p + 1])
         if isinstance(block, DftBlock):
-            # the block's own transform layout (checked against the 1-D DFT by
-            # test_layout_matches_1d_transform), with its index maps composed
-            shape, time_pos, freq_pos = measurement_ops._layout(block.n)
+            # the block's own transform layout and stack transform on a one-row
+            # stack (checked against the 1-D DFT by test_layout_matches_1d_transform),
+            # with its index maps composed
+            shape, time_pos, freq_pos, kernel = measurement_ops._layout(block.n)
             time_idx, freq_idx = block.col_permutation, block.row_selection
             if time_pos is not None:
                 time_idx, freq_idx = time_pos[time_idx], freq_pos[freq_idx]
-            w = np.zeros(shape, dtype=complex)
+            w = np.zeros((1, *shape), dtype=complex)
             if adjoint:
                 w.reshape(-1)[freq_idx] = v[rows]
-                out[cols] += block.scale * np.fft.ifftn(w, norm="ortho").reshape(-1)[time_idx]
+                w, norm = measurement_ops._transform(w, kernel, adjoint=True)
+                out[cols] += block.scale * norm * w.reshape(-1)[time_idx]
             else:
                 w.reshape(-1)[time_idx] = v[cols]
-                out[rows] += block.scale * np.fft.fftn(w, norm="ortho").reshape(-1)[freq_idx]
+                w, norm = measurement_ops._transform(w, kernel, adjoint=False)
+                out[rows] += block.scale * norm * w.reshape(-1)[freq_idx]
         elif adjoint:
             out[cols] += block.matrix.conj().T @ v[rows]
         else:
@@ -174,10 +177,16 @@ class TestApply:
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1, np.abs(rhs).max())
 
     @settings(deadline=None, max_examples=10)
-    @given(seed=st.integers(0, 10 ** 6))
-    def test_adjoint_identity(self, seed):
+    @given(seed=st.integers(0, 10 ** 6), rader=st.booleans())
+    def test_adjoint_identity(self, seed, rader):
+        # N = 96 never splits; equal-width blocks of 202 = 2 * 101 points take
+        # the two-axis layout with Rader's stage on the 101 axis
         rng = np.random.default_rng(seed)
-        op = build_coupled_operator(random_coupled_spec(rng), 96, seed=seed, kind=ORTH)
+        spec = random_coupled_spec(rng)
+        if rader:
+            spec = equal_width_spec(spec)
+            assert measurement_ops._layout(202)[3] is not None
+        op = build_coupled_operator(spec, 202 * spec.L_c if rader else 96, seed=seed, kind=ORTH)
         x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
         y = rng.standard_normal(op.M) + 1j * rng.standard_normal(op.M)
         lhs = np.vdot(y, apply(op, x))
@@ -209,15 +218,16 @@ class TestBatchedTransforms:
         # budget 1 puts every block in its own call; 2^20 stacks whole runs,
         # across block rows when the column fractions are equal
         monkeypatch.setattr(measurement_ops, "_FFT_BUDGET", budget)
-        longest, split = 0, set()
-        for trial in range(12):
+        longest, split, rader = 0, set(), set()
+        for trial in range(16):
             spec = random_coupled_spec(rng)
             if trial % 2 or trial >= 8:
                 spec = equal_width_spec(spec)
             # 253 is a multiple of no L up to 4: the last column block is wider;
-            # the last four trials have blocks of 202 = 2 * 101 or 309 = 3 * 103
-            # points, which take the two-axis layout
-            N = 253 if trial < 8 else (202 if trial % 2 else 309) * spec.L_c
+            # the last eight trials have blocks of 202 = 2 * 101, 309 = 3 * 103
+            # (two-axis layout, Rader's stage on the prime axis), 1174 = 2 * 587
+            # (two-axis layout only) or the prime 211 (Rader's stage alone)
+            N = 253 if trial < 8 else (202, 309, 1174, 211)[trial % 4] * spec.L_c
             op = build_coupled_operator(spec, N, seed=trial, kind=kind)
             x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
             y = rng.standard_normal(op.M) + 1j * rng.standard_normal(op.M)
@@ -227,20 +237,33 @@ class TestBatchedTransforms:
                 longest = max(longest, *map(len, measurement_ops._dft_runs(op.blocks)))
                 split |= {b.n for b in op.blocks.values()
                           if measurement_ops._layout(b.n)[1] is not None}
+                rader |= {b.n for b in op.blocks.values()
+                          if measurement_ops._layout(b.n)[3] is not None}
         if kind is ORTH:
             assert longest == 1 if budget == 1 else longest > 2
-            assert split == {202, 309}
+            # 127 (126 = 2 * 3^2 * 7) is a column block of a 253-point trial
+            assert split == {127, 202, 309, 1174, 211} and rader == split - {1174}
 
     @pytest.mark.parametrize("n, split", [
         (4369, True), (4854, True), (8738, True), (13107, True), (21845, True),
+        (786, True), (1174, True), (6553, True),
         (5698, False), (10082, False), (13109, False), (13122, False), (16384, False)])
     def test_layout_matches_1d_transform(self, n, split):
         # a full-rate single block (scale 1) against the 1-D DFT of its own draws:
         # 17 * 257, 2 * 3 * 809, ... split on a prime above 100; 2 * 7 * 11 * 37,
-        # 2 * 71^2, a prime, 2 * 3^8 and 2^14 keep the 1-D transform and its bytes
+        # 2 * 71^2, a prime, 2 * 3^8 and 2^14 keep the 1-D transform and its bytes.
+        # Rader's stage takes a prime above 100 whose p - 1 has no prime factor
+        # above 31: 257 (256 = 2^8), 131 (2 * 5 * 13) of 2 * 3 * 131 and the whole
+        # prime 6553 (2^3 * 3^2 * 7 * 13), not 587 (2 * 293) of 2 * 587, 809
+        # (2^3 * 101) or the whole prime 13109 (2^2 * 29 * 113)
         op = build_coupled_operator(single_block_spec(0.4, 1e-4, 1.0), n, seed=n, kind=ORTH)
         block = op.blocks[(0, 0)]
-        assert (measurement_ops._layout(n)[1] is not None) is split
+        shape, time_pos, freq_pos, kernel = measurement_ops._layout(n)
+        assert (time_pos is not None) is split
+        assert (kernel is not None) is (n in (786, 4369, 8738, 13107, 21845, 6553))
+        for pos in (time_pos, freq_pos):
+            # each composed map sends range(n) onto the stack's n flat positions
+            assert pos is None if not split else np.array_equal(np.sort(pos), np.arange(n))
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w = np.zeros(n, dtype=complex)
