@@ -18,11 +18,10 @@ prime-power factor p^a has p > _SPLIT_PRIME is transformed as an
 layout of `_layout`, whose index maps are composed with each block's row
 selection and column permutation; every other N_p keeps the 1-D
 transform and its bytes.  When a = 1 and p - 1 has no prime factor above
-_RADER_FACTOR, the p axis (the whole block when N_p = p) is transformed
-by Rader's algorithm: reordered by powers of a primitive root, the
-p-point DFT is a cyclic convolution of length p - 1, one FFT pair with a
-cached kernel (BENCH_15.json).  Split and Rader sizes change outputs by
-rounding only.
+_RADER_FACTOR, the p axis is transformed by Rader's algorithm: reordered
+by powers of a primitive root, the p-point DFT is a cyclic convolution of
+length p - 1, one FFT pair with a cached kernel (BENCH_15.json).  Split
+and Rader sizes change outputs by rounding only.
 
 All randomness flows from one counter-based Philox generator: the
 instance seed feeds a SeedSequence whose spawned children are assigned,
@@ -52,13 +51,13 @@ _FFT_BUDGET = 2 ** 15
 # 103 and smaller N_p read 1.0-1.3x on transforms of under 0.6 ms.  The
 # alternative rule p^2 > N_p would also split 1328 = 2^4 * 83 (2.3x).
 _SPLIT_PRIME = 100
-# a prime p > _SPLIT_PRIME on the layout's last axis (p^1, or the whole block)
-# takes Rader's algorithm when p - 1 has no prime factor above this.  Over the
-# split sizes and whole primes of BENCH_14.json's table (BENCH_15.json, two-row
-# stacks) Rader took 0.34-0.93x pocketfft's time at all 31 sizes whose p - 1
-# passes, 257 (2^8) among them at 0.51-0.64x, and 1.02-2.3x at 19 of the 22
-# that fail, 809 (2^3 * 101) among them at 1.4-1.5x; the other three read
-# 0.78-0.86x (3284, 1129 and the prime 13109, largest factors 41, 47, 113).
+# the prime axis p^1 of a split block takes Rader's algorithm when p - 1 has
+# no prime factor above this.  Over the split sizes of BENCH_14.json's table
+# (BENCH_15.json, two-row stacks) Rader took 0.51-0.93x pocketfft's time at
+# all 28 whose p - 1 passes, 257 (2^8) among them at 0.51-0.64x, and
+# 1.02-2.3x at 15 of the 16 that fail, 809 (2^3 * 101) among them at
+# 1.4-1.5x; 3284 = 4 * 821 (820 = 2^2 * 5 * 41) read 0.78x.  Whole prime
+# blocks keep the 1-D call: the table times only nine of them.
 _RADER_FACTOR = 31
 
 
@@ -201,28 +200,27 @@ def _layout(n: int):
     time_pos and freq_pos hold the flat positions of each index.  The kernel
     is symmetric in i and k, so the inverse DFT reads the same maps with the
     roles of input and output swapped.  n2 = p^a is the largest prime-power
-    factor of n; when p <= _SPLIT_PRIME, or n is a prime power that Rader's
-    stage does not take, the shape is (n,) and the other three are None.
+    factor of n; when p <= _SPLIT_PRIME or n is a prime power the shape is
+    (n,) and the other three are None.
 
     Rader's stage (C. M. Rader, Proc. IEEE 56, 1968) takes an n2 = p axis
     whose p - 1 has no prime factor above _RADER_FACTOR, the sizes where it
-    beat pocketfft in BENCH_15.json; the shape is then (n1, p), or (p,)
-    when n = p.  With g a primitive root mod p, the axis holds index 0 at
-    position 0, time index g^q at 1 + q and frequency index g^-m at 1 + m,
-    so X[g^-m] = x[0] + sum_q x[g^q] w^(g^(q - m)), w = e^(-2 pi i / p), is
-    a cyclic convolution of length p - 1 with b_j = w^(g^-j), and kernel =
-    FFT(b) / (p - 1).  The inverse DFT's kernel b_j* read backwards has the
-    FFT conj(kernel).  `_transform` says how the stack is transformed.
+    beat pocketfft in BENCH_15.json.  With g a primitive root mod p, the p
+    axis holds index 0 at position 0, time index g^q at 1 + q and frequency
+    index g^-m at 1 + m, so X[g^-m] = x[0] + sum_q x[g^q] w^(g^(q - m)),
+    w = e^(-2 pi i / p), is a cyclic convolution of length p - 1 with
+    b_j = w^(g^-j), and kernel = FFT(b) / (p - 1).  The inverse DFT's kernel
+    b_j* read backwards has the FFT conj(kernel).  `_transform` says how the
+    stack is transformed.
     """
     p, n2 = max(_factor(n).items(), key=lambda item: item[1], default=(1, n))
-    rader = n2 == p and p > _SPLIT_PRIME and max(_factor(p - 1)) <= _RADER_FACTOR
-    if p <= _SPLIT_PRIME or (n2 == n and not rader):
+    if p <= _SPLIT_PRIME or n2 == n:
         return (n,), None, None, None
     n1 = n // n2
     # positions along the n2 axis of its time and frequency indices
     axis_in = axis_out = np.arange(n2)
     kernel = None
-    if rader:
+    if n2 == p and max(_factor(p - 1)) <= _RADER_FACTOR:
         g = next(g for g in range(2, p)
                  if all(pow(g, (p - 1) // f, p) != 1 for f in _factor(p - 1)))
         g_pow = np.empty(p - 1, dtype=np.intp)  # g^q mod p
@@ -237,8 +235,7 @@ def _layout(n: int):
     time_pos = np.empty(n, dtype=np.intp)
     time_pos[(i1 * n2 + i2 * n1) % n] = i1 * n2 + axis_in[i2]
     k = np.arange(n)
-    shape = (n1, n2) if n1 > 1 else (n2,)
-    return shape, time_pos, (k % n1) * n2 + axis_out[k % n2], kernel
+    return (n1, n2), time_pos, (k % n1) * n2 + axis_out[k % n2], kernel
 
 
 def _transform(stack: np.ndarray, kernel, adjoint: bool):
@@ -254,11 +251,10 @@ def _transform(stack: np.ndarray, kernel, adjoint: bool):
     if kernel is None:
         transform = np.fft.ifftn if adjoint else np.fft.fftn
         return transform(stack, axes=tuple(range(1, stack.ndim)), norm="ortho"), 1.0
-    if stack.ndim == 3:
-        if adjoint:
-            np.fft.ifft(stack, axis=1, norm="forward", out=stack)
-        else:
-            np.fft.fft(stack, axis=1, out=stack)
+    if adjoint:
+        np.fft.ifft(stack, axis=1, norm="forward", out=stack)
+    else:
+        np.fft.fft(stack, axis=1, out=stack)
     spec = np.fft.fft(stack[..., 1:], axis=-1)
     total = spec[..., 0] + stack[..., 0]
     spec *= kernel.conj() if adjoint else kernel

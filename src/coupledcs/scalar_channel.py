@@ -20,7 +20,6 @@ from ._quadrature import integrate
 
 _QUAD_TOL = 1e-12
 _MC_CHUNK = 10 ** 6  # Monte-Carlo samples drawn at once
-_HALF_SCALE = 1.0 / np.sqrt(2)  # standard deviation of each part of a standard complex Gaussian
 
 
 @dataclass(frozen=True)
@@ -51,13 +50,9 @@ class ScalarChannel:
 def posterior_mean(y, ch: ScalarChannel, prior: BernoulliGaussianPrior):
     """Posterior mean E{x | y} of the scalar channel.
 
-    Accepts a scalar or an ndarray of observations: the linear shrinkage
-    y / (1 + 1/varsigma) times the posterior weight of the nonzero
-    component.  That weight is one sigmoid of |y|^2, since the log ratio
-    of the mixture densities CN(0, 1/vs) and CN(0, 1 + 1/vs) at y is
-    linear in |y|^2; its exponent falls as |y|^2 grows, so large
-    |y|^2 * varsigma does not overflow.  By convention varsigma = 0
-    returns the prior mean 0.
+    Accepts a scalar or an ndarray of observations.  The Gaussian-ratio
+    weight is evaluated in log space so large |y|^2 * varsigma does not
+    underflow.  By convention varsigma = 0 returns the prior mean 0.
     """
     y = np.asarray(y, dtype=complex)
     if not np.all(np.isfinite(y.real) & np.isfinite(y.imag)):
@@ -65,20 +60,16 @@ def posterior_mean(y, ch: ScalarChannel, prior: BernoulliGaussianPrior):
     vs, rho = ch.varsigma, prior.rho
     if vs == 0.0 or rho == 0.0:
         out = np.zeros_like(y)
-    else:
-        out = y * (1.0 / (1.0 + 1.0 / vs))
-        if rho < 1.0:
-            # the sigmoid, evaluated in place on u = |y|^2
-            u = np.abs(y.reshape(-1))
-            u *= u
-            on = u / (1.0 + 1.0 / vs)
-            np.subtract(np.log(rho) - np.log1p(1.0 / vs), on, out=on)
-            u *= vs
-            np.subtract(np.log1p(-rho) + np.log(vs), u, out=u)
-            u -= on
-            np.exp(u, out=u)
-            u += 1.0
-            out *= np.divide(1.0, u, out=u).reshape(y.shape)
+        return out if out.ndim else complex(out)
+    shrink = y / (1.0 + 1.0 / vs)
+    if rho == 1.0:
+        return shrink if shrink.ndim else complex(shrink)
+    u = np.abs(y) ** 2
+    # log weights of the mixture components CN(0, 1+1/vs) and CN(0, 1/vs)
+    log_on = np.log(rho) - np.log1p(1.0 / vs) - u / (1.0 + 1.0 / vs)
+    log_off = np.log1p(-rho) + np.log(vs) - vs * u
+    w = 1.0 / (1.0 + np.exp(log_off - log_on))
+    out = w * shrink
     return out if out.ndim else complex(out)
 
 
@@ -123,17 +114,12 @@ def mmse(varsigma, prior: BernoulliGaussianPrior):
 
 
 def _sample_prior(rng: np.random.Generator, n: int, prior: BernoulliGaussianPrior):
-    """n i.i.d. prior draws: one uniform per entry for the support, then its Gaussian values.
-
-    The real parts are drawn before the imaginary ones; each part of a
-    standard complex Gaussian has standard deviation _HALF_SCALE.
-    """
+    """n i.i.d. prior draws: one uniform per entry for the support, then its Gaussian values."""
     x = np.zeros(n, dtype=complex)
     on = rng.random(n) < prior.rho
     k = int(on.sum())
     if k:
-        x.real[on] = rng.standard_normal(k) * _HALF_SCALE
-        x.imag[on] = rng.standard_normal(k) * _HALF_SCALE
+        x[on] = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2)
     return x
 
 
@@ -161,21 +147,11 @@ def mmse_mc_oracle(varsigma: float, prior: BernoulliGaussianPrior,
         m = min(_MC_CHUNK, left)
         left -= m
         x = _sample_prior(rng, m, prior)
-        y = x.copy()
-        for part in (y.real, y.imag):
-            # y += noise_scale * (z * _HALF_SCALE), one part at a time; a single
-            # fused scale would round differently and move the estimates' last bits
-            z = rng.standard_normal(m)
-            z *= _HALF_SCALE
-            z *= noise_scale
-            part += z
-        err = posterior_mean(y, ch, prior)
-        np.subtract(x, err, out=err)
-        sq = np.abs(err)
-        sq *= sq
+        z = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
+        y = x + noise_scale * z
+        sq = np.abs(x - posterior_mean(y, ch, prior)) ** 2
         total += sq.sum()
-        sq *= sq
-        total_sq += sq.sum()
+        total_sq += (sq ** 2).sum()
     n = float(n_samples)
     mean = total / n
     var = max(total_sq / n - mean ** 2, 0.0)

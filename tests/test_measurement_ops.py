@@ -219,15 +219,15 @@ class TestBatchedTransforms:
         # across block rows when the column fractions are equal
         monkeypatch.setattr(measurement_ops, "_FFT_BUDGET", budget)
         longest, split, rader = 0, set(), set()
-        for trial in range(16):
+        for trial in range(14):
             spec = random_coupled_spec(rng)
             if trial % 2 or trial >= 8:
                 spec = equal_width_spec(spec)
             # 253 is a multiple of no L up to 4: the last column block is wider;
-            # the last eight trials have blocks of 202 = 2 * 101, 309 = 3 * 103
-            # (two-axis layout, Rader's stage on the prime axis), 1174 = 2 * 587
-            # (two-axis layout only) or the prime 211 (Rader's stage alone)
-            N = 253 if trial < 8 else (202, 309, 1174, 211)[trial % 4] * spec.L_c
+            # the last six trials have blocks of 202 = 2 * 101, 309 = 3 * 103
+            # (two-axis layout, Rader's stage on the prime axis) or 1174 = 2 * 587
+            # (two-axis layout only)
+            N = 253 if trial < 8 else (202, 309, 1174)[trial % 3] * spec.L_c
             op = build_coupled_operator(spec, N, seed=trial, kind=kind)
             x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
             y = rng.standard_normal(op.M) + 1j * rng.standard_normal(op.M)
@@ -241,26 +241,24 @@ class TestBatchedTransforms:
                           if measurement_ops._layout(b.n)[3] is not None}
         if kind is ORTH:
             assert longest == 1 if budget == 1 else longest > 2
-            # 127 (126 = 2 * 3^2 * 7) is a column block of a 253-point trial
-            assert split == {127, 202, 309, 1174, 211} and rader == split - {1174}
+            assert split == {202, 309, 1174} and rader == {202, 309}
 
     @pytest.mark.parametrize("n, split", [
         (4369, True), (4854, True), (8738, True), (13107, True), (21845, True),
-        (786, True), (1174, True), (6553, True),
+        (786, True), (1174, True),
         (5698, False), (10082, False), (13109, False), (13122, False), (16384, False)])
     def test_layout_matches_1d_transform(self, n, split):
         # a full-rate single block (scale 1) against the 1-D DFT of its own draws:
         # 17 * 257, 2 * 3 * 809, ... split on a prime above 100; 2 * 7 * 11 * 37,
         # 2 * 71^2, a prime, 2 * 3^8 and 2^14 keep the 1-D transform and its bytes.
-        # Rader's stage takes a prime above 100 whose p - 1 has no prime factor
-        # above 31: 257 (256 = 2^8), 131 (2 * 5 * 13) of 2 * 3 * 131 and the whole
-        # prime 6553 (2^3 * 3^2 * 7 * 13), not 587 (2 * 293) of 2 * 587, 809
-        # (2^3 * 101) or the whole prime 13109 (2^2 * 29 * 113)
+        # Rader's stage takes a split prime axis above 100 whose p - 1 has no
+        # prime factor above 31: 257 (256 = 2^8) and 131 (2 * 5 * 13) of
+        # 2 * 3 * 131, not 587 (2 * 293) of 2 * 587 or 809 (2^3 * 101)
         op = build_coupled_operator(single_block_spec(0.4, 1e-4, 1.0), n, seed=n, kind=ORTH)
         block = op.blocks[(0, 0)]
         shape, time_pos, freq_pos, kernel = measurement_ops._layout(n)
         assert (time_pos is not None) is split
-        assert (kernel is not None) is (n in (786, 4369, 8738, 13107, 21845, 6553))
+        assert (kernel is not None) is (n in (786, 4369, 8738, 13107, 21845))
         for pos in (time_pos, freq_pos):
             # each composed map sends range(n) onto the stack's n flat positions
             assert pos is None if not split else np.array_equal(np.sort(pos), np.arange(n))
