@@ -38,7 +38,6 @@ import numpy as np
 from .replica_core import CouplingSpec, Ensemble
 from .scalar_channel import BernoulliGaussianPrior, _sample_prior
 
-DENSE_LIMIT = 4096
 # elements per batched FFT call: a run of equal-size DFT blocks is cut into
 # (k, n) stacks with k * n <= _FFT_BUDGET (k >= 1).  Two blocks of the
 # N = 2^17 showcase chain fit in one call; bigger stacks add peak memory
@@ -317,29 +316,6 @@ def adjoint_apply(op: CoupledOperator, y) -> np.ndarray:
     if y.shape != (op.M,):
         raise ValueError(f"y must have shape ({op.M},)")
     return _accumulate(op, y, np.zeros(op.N, dtype=complex), adjoint=True)
-
-
-def dense_materialize(op: CoupledOperator) -> np.ndarray:
-    """Full M x N matrix, defined as the operator's action on the basis.
-
-    Gaussian blocks are stored, so their matrices are copied into place;
-    the action of `apply` on a basis vector gives the same bytes.
-    """
-    if op.N > DENSE_LIMIT:
-        raise ValueError(f"dense materialization limited to N <= {DENSE_LIMIT}")
-    if op.kind is Ensemble.GAUSSIAN_IID:
-        A = np.zeros((op.M, op.N), dtype=complex)
-        for (q, p), block in op.blocks.items():
-            A[op.row_offsets[q]:op.row_offsets[q + 1],
-              op.col_offsets[p]:op.col_offsets[p + 1]] = block.matrix
-        return A
-    A = np.empty((op.M, op.N), dtype=complex)
-    e = np.zeros(op.N, dtype=complex)
-    for k in range(op.N):
-        e[k] = 1.0
-        A[:, k] = apply(op, e)
-        e[k] = 0.0
-    return A
 
 
 def gen_instance(op: CoupledOperator, prior: BernoulliGaussianPrior,

@@ -20,6 +20,15 @@ large-MSE maxima, falls along the minima and rises along the small-MSE
 maxima: the maxima at a rate are its rising crossings of that rate,
 alpha_d and alpha_s are its folds, and alpha_c equalizes F on its two
 rising branches.
+
+The transition search samples the curve on a coarse grid that only has
+to show the two turns and bracket the branch roots.  Each fold is then
+refined to the extremum of alpha(log v) near its turn, so alpha_d and
+alpha_s do not depend on the grid.  alpha_c is the Newton root of the
+height gap G(a) = F(large-MSE maximum) - F(small-MSE maximum): both
+maxima are stationary in eps, so G'(a) is the difference of the explicit
+rate derivatives of F, log((sigma2 + S_small) / (sigma2 + S_large)), in
+closed form from the two branch roots.
 """
 
 import concurrent.futures
@@ -41,6 +50,17 @@ _ROOT_MAX_ITER = 100
 # at alpha = 1 exactly the orthogonal inner extremization degenerates
 # (Delta -> 1, Lambda -> 0 for eps > sigma2), so alpha_d is capped below it
 _ALPHA_SEARCH_CAP = 1.0 - 1e-7
+# the transition search's curve (`scan_curve` keeps DEFAULT_GRID_POINTS): it only has to
+# show the two turns and bracket the branch roots.  On 400-level noise sweeps at rho 0.1,
+# 0.4 and 0.7, both ensembles, 500 points flag the same levels sharp as 2000
+_SEARCH_GRID_POINTS = 500
+# fold search stop on the log v step: at 3e-7 the folds of 41 sharp points (rho 0.1, 0.4,
+# 0.7, both ensembles) were within 2.3e-15 of a bounded Brent search, in at most 6 steps
+_FOLD_XTOL = 3e-7
+_GOLDEN = 0.5 * (3.0 - 5.0 ** 0.5)
+# Newton on the Maxwell rate stops on a step this small; near alpha_c the gap is smooth to
+# about 2e-15 (rho 0.4, sigma2 1e-4 and 1e-3, both ensembles), far below 1e-12 of rate
+_MAXWELL_STEP_TOL = 1e-12
 
 
 class NoTransitionError(ValueError):
@@ -116,7 +136,7 @@ def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
     """Locate the maxima of F at rate alpha on the fixed-point curve alpha(v).
 
     The curve is sampled at n_points of log v over [floor, 1 / floor], the
-    transition search's grid at the defaults; each rising crossing
+    transition search's range; each rising crossing
     alpha(v_k) < alpha <= alpha(v_k+1) is a maximum.  refine=True, the curve
     product, refines each to its root and evaluates F on a log eps grid over
     [floor, rho] and at the roots; refine=False, for counting, evaluates no F.
@@ -137,7 +157,7 @@ def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
     if not refine:
         eps = mmse(np.exp(log_v[k + 1]), spec.prior)
         return FreeEntropyCurve(grid, None, [(e, None) for e in eps.tolist()])
-    eps = _curve_roots(np.full(k.size, float(alpha)), k, log_v, curve, rho, sigma2, kind)
+    eps = _curve_roots(np.full(k.size, float(alpha)), k, log_v, curve, rho, sigma2, kind)[1]
     maxima = list(zip(eps.tolist(), free_entropy_grid(eps[:, None], spec, kind).tolist()))
     return FreeEntropyCurve(grid, free_entropy_grid(grid[:, None], spec, kind), maxima)
 
@@ -170,82 +190,145 @@ def _fixed_point_curve(rho, sigma2, kind, n_points=DEFAULT_GRID_POINTS, floor=No
 
 
 def _curve_roots(rates, k, log_v, alpha, rho, sigma2, kind):
-    """eps = mmse(v) at the root of alpha(v) = rates[i] in [log_v[k[i]], log_v[k[i] + 1]].
+    """(v, eps = mmse(v)) at the root of alpha(v) = rates[i] in [log_v[k[i]], log_v[k[i] + 1]].
 
     Each cell needs alpha[k] <= rate <= alpha[k + 1]: Illinois on rate - alpha(v).
     """
     prior = BernoulliGaussianPrior(rho)
     root = _illinois(lambda x: rates - _fixed_point_rates(x, prior, sigma2, kind)[0],
                      log_v[k], log_v[k + 1], rates - alpha[k], rates - alpha[k + 1])
-    return mmse(np.exp(root), prior)
+    v = np.exp(root)
+    return v, mmse(v, prior)
 
 
-def _folds(alpha):
-    """(i_d, alpha_d, i_s, alpha_s): grid index and rate of the maximum and minimum of alpha(v).
+def _folds(rho, sigma2, kind, log_v, alpha):
+    """(log v, rate) of the maximum (alpha_d) and the minimum (alpha_s) of alpha(log v), as arrays.
 
-    Each rate is the vertex of the parabola through the three grid points
-    around the turn; NoTransitionError when alpha(v) does not turn twice
-    or its maximum is not below alpha = 1.
+    Each fold is the extremum of alpha(log v) inside the two grid cells
+    around its discrete turn, found by successive parabolic steps (a
+    golden-section step where the vertex leaves the bracket); both folds
+    share one loop and one two-point mmse call per step, so the rates do
+    not depend on the grid.  NoTransitionError when alpha(v) does not turn
+    twice or its maximum is not below alpha = 1.
     """
     rising = np.diff(alpha) > 0
     turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
     if turns.size != 2:
         raise NoTransitionError(f"alpha(v) turns {turns.size} times: no two-maxima window")
-    left, mid, right = alpha[turns - 1], alpha[turns], alpha[turns + 1]
-    alpha_d, alpha_s = mid - (right - left) ** 2 / (8.0 * (right - 2.0 * mid + left))
-    if alpha_d > _ALPHA_SEARCH_CAP:
+    prior = BernoulliGaussianPrior(rho)
+    sign = np.array([1.0, -1.0])   # both folds as maxima of f = sign * alpha
+    cells = turns[:, None] + np.arange(-1, 2)
+    x, f = log_v[cells], sign[:, None] * alpha[cells]   # rows a < b < c with f(b) >= f(a), f(c)
+    for _ in range(_ROOT_MAX_ITER):
+        (a, b, c), (fa, fb, fc) = x.T, f.T
+        p, q = (b - a) * (fb - fc), (b - c) * (fb - fa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = b - 0.5 * ((b - a) * p - (b - c) * q) / (p - q)
+        u = np.where((a < u) & (u < c), u, b + _GOLDEN * (np.where(c - b > b - a, c, a) - b))
+        if np.all(np.abs(u - b) <= _FOLD_XTOL):
+            break
+        fu = sign * _fixed_point_rates(u, prior, sigma2, kind)[0]
+        # the new bracket centres on the better of b and u, the two interior points
+        order = np.argsort(np.column_stack([x, u]), axis=1)
+        x = np.take_along_axis(np.column_stack([x, u]), order, axis=1)
+        f = np.take_along_axis(np.column_stack([f, fu]), order, axis=1)
+        keep = (1 + (f[:, 2] > f[:, 1]))[:, None] + np.arange(-1, 2)
+        x, f = np.take_along_axis(x, keep, axis=1), np.take_along_axis(f, keep, axis=1)
+    else:
+        raise ConvergenceError(f"root find did not converge in {_ROOT_MAX_ITER} steps "
+                               "(folds of alpha(v))", residual=float(np.abs(u - b).max()))
+    rates = sign * f[:, 1]
+    if rates[0] > _ALPHA_SEARCH_CAP:
         raise NoTransitionError("two-maxima window extends beyond alpha = 1")
-    return int(turns[0]), float(alpha_d), int(turns[1]), float(alpha_s)
+    return x[:, 1], rates
 
 
-def _maxwell_rate(rho, sigma2, kind, log_v, alpha, i_d, i_s):
-    """Rate in [alpha[i_s], alpha[i_d]] at which F is equal on the two rising branches.
+def _search_curve(rho, sigma2, kind):
+    """(log v, alpha, fold log v, fold rates): the transition search's curve and its folds."""
+    log_v, alpha = _fixed_point_curve(rho, sigma2, kind, _SEARCH_GRID_POINTS)
+    return (log_v, alpha, *_folds(rho, sigma2, kind, log_v, alpha))
 
-    At each trial rate the large-MSE fixed point is found on
-    log_v[:i_d + 1] and the small-MSE one on log_v[i_s:] as roots of
-    alpha(v) - rate; F is evaluated at those two points only.
+
+def _maxwell_gap(rate, rho, sigma2, kind, curve):
+    """(G, dG/da) at a rate strictly inside the window: G = F(large-MSE max) - F(small-MSE max).
+
+    Each maximum is the root of alpha(v) = rate on its rising branch of the
+    search curve, which ends (large MSE) or starts (small MSE) at its fold.
+    Both maxima are stationary points of F, so only the explicit rate
+    dependence of F, -log(1 + S / sigma2) - 1 with S = 1 / Lambda, moves
+    them apart:
+
+        dG/da = log((sigma2 + S_small) / (sigma2 + S_large)) < 0,
+
+    S = eps for the Gaussian ensemble and S = eps / (1 - v eps) for the
+    orthogonal one (Lambda = (1 - Delta) / eps, Delta = v eps), in closed
+    form from each root (v, eps).
     """
-    def branch_eps(rates):
-        # the grid cell of each branch with alpha[k] < rate <= alpha[k + 1]
-        k = np.concatenate([np.searchsorted(alpha[:i_d + 1], rates) - 1,
-                            i_s + np.maximum(np.searchsorted(alpha[i_s:], rates) - 1, 0)])
-        return _curve_roots(np.tile(rates, 2), k, log_v, alpha, rho, sigma2, kind).reshape(2, -1).T
+    log_v, alpha, (x_d, x_s), (a_d, a_s) = curve
+    large, small = log_v < x_d, log_v > x_s
+    branch_x = np.concatenate([log_v[large], [x_d, x_s], log_v[small]])
+    branch_alpha = np.concatenate([alpha[large], [a_d, a_s], alpha[small]])
+    n_large = int(large.sum()) + 1
+    k = np.array([np.searchsorted(branch_alpha[:n_large], rate) - 1,
+                  np.searchsorted(branch_alpha[n_large:], rate) - 1 + n_large])
+    v, eps = _curve_roots(np.full(2, float(rate)), k, branch_x, branch_alpha, rho, sigma2, kind)
+    heights = free_entropy_grid(eps[:, None], single_block_spec(rho, sigma2, rate), kind)
+    s = eps if kind is Ensemble.GAUSSIAN_IID else eps / (1.0 - v * eps)
+    return float(heights[0] - heights[1]), float(np.log((sigma2 + s[1]) / (sigma2 + s[0])))
 
-    def height_gap(rates):
-        """F(large-MSE fixed point) - F(small-MSE fixed point) at each rate."""
-        return np.array([np.subtract(*free_entropy_grid(eps[:, None],
-                                                        single_block_spec(rho, sigma2, a), kind))
-                         for a, eps in zip(rates.tolist(), branch_eps(rates))])
 
-    ends = alpha[[i_s, i_d]]
-    gap = height_gap(ends)
-    if not gap[0] > 0 >= gap[1]:
-        raise NoTransitionError("maxima height gap does not change sign inside the window")
-    return float(_illinois(height_gap, ends[:1], ends[1:], gap[:1], gap[1:])[0])
+def _maxwell_rate(rho, sigma2, kind, curve):
+    """Rate in [alpha_s, alpha_d] at which F is equal on the two rising branches.
+
+    Newton on the height gap G(a) with its closed-form slope
+    (`_maxwell_gap`), from the middle of the window and kept inside the
+    bracket of the rates tried so far (a bisection step otherwise).  G
+    falls with a, so the fold ends, where the branch roots are double
+    roots, are never evaluated.  Rounding in G can keep |G| above any
+    fixed tolerance, or send Newton back and forth around the root, so the
+    search stops on the step size, on G = 0, or when its bracket closes; a
+    bracket that closes on an end of the window, with no sign change, is
+    NoTransitionError.
+    """
+    lo, hi = ends = tuple(curve[3][::-1].tolist())
+    rate = 0.5 * (lo + hi)
+    for _ in range(_ROOT_MAX_ITER):
+        gap, slope = _maxwell_gap(rate, rho, sigma2, kind, curve)
+        if gap == 0.0:
+            return rate
+        lo, hi = (rate, hi) if gap > 0 else (lo, rate)
+        step = -gap / slope
+        if abs(step) <= _MAXWELL_STEP_TOL:
+            return rate + step
+        rate = rate + step if lo < rate + step < hi else 0.5 * (lo + hi)
+        if hi - lo <= _MAXWELL_STEP_TOL:
+            if lo == ends[0] or hi == ends[1]:
+                raise NoTransitionError("maxima height gap does not change sign inside the window")
+            return rate
+    raise ConvergenceError(f"root find did not converge in {_ROOT_MAX_ITER} steps "
+                           "(Maxwell rate)", residual=abs(gap))
 
 
 def find_alpha_d(rho: float, sigma2: float, kind: Ensemble) -> float:
     """Largest rate with two free-entropy maxima (message-passing threshold)."""
-    return _folds(_fixed_point_curve(rho, sigma2, kind)[1])[1]
+    return float(_search_curve(rho, sigma2, kind)[3][0])
 
 
 def find_alpha_s(rho: float, sigma2: float, kind: Ensemble) -> float:
     """Smallest rate with two free-entropy maxima."""
-    return _folds(_fixed_point_curve(rho, sigma2, kind)[1])[3]
+    return float(_search_curve(rho, sigma2, kind)[3][1])
 
 
 def find_alpha_c(rho: float, sigma2: float, kind: Ensemble) -> float:
     """Rate at which the two maxima of F have equal height (Maxwell construction)."""
-    log_v, alpha = _fixed_point_curve(rho, sigma2, kind)
-    i_d, _, i_s, _ = _folds(alpha)
-    return _maxwell_rate(rho, sigma2, kind, log_v, alpha, i_d, i_s)
+    return _maxwell_rate(rho, sigma2, kind, _search_curve(rho, sigma2, kind))
 
 
 def _phase_point(rho, sigma2, kind) -> PhasePoint:
     try:
-        log_v, alpha = _fixed_point_curve(rho, sigma2, kind)
-        i_d, a_d, i_s, a_s = _folds(alpha)
-        a_c = _maxwell_rate(rho, sigma2, kind, log_v, alpha, i_d, i_s)
+        curve = _search_curve(rho, sigma2, kind)
+        a_c = _maxwell_rate(rho, sigma2, kind, curve)
+        a_d, a_s = curve[3].tolist()
         return PhasePoint(sigma2=sigma2, alpha_d=a_d, alpha_c=a_c, alpha_s=a_s, sharp=True)
     except NoTransitionError:
         return PhasePoint(sigma2=sigma2, sharp=False)

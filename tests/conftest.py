@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from coupledcs import (BernoulliGaussianPrior, CouplingSpec, NoTransitionError, find_alpha_d,
-                       run_evolution, single_block_spec)
+from coupledcs import (BernoulliGaussianPrior, CouplingSpec, Ensemble, NoTransitionError, apply,
+                       find_alpha_d, run_evolution, single_block_spec)
+from coupledcs.measurement_ops import DftBlock
+
+# dense oracles build an M x N complex matrix: 4096^2 entries are 256 MB
+DENSE_LIMIT = 4096
 
 # HYPOTHESIS_PROFILE=ci draws every property's examples from a fixed seed, so that a
 # failure in CI repeats on a rerun and on another machine; the default stays random
@@ -39,6 +43,43 @@ def random_coupled_spec(rng, max_blocks=4, dft_safe=True):
         sigma2=float(rng.uniform(1e-6, 1e-2)),
         prior=BernoulliGaussianPrior(float(rng.uniform(0.1, 0.9))),
     )
+
+
+def dense_from_blocks(op):
+    """Independent dense oracle assembled from block metadata (no FFT path)."""
+    A = np.zeros((op.M, op.N), dtype=complex)
+    for (q, p), block in op.blocks.items():
+        r0, c0 = op.row_offsets[q], op.col_offsets[p]
+        if isinstance(block, DftBlock):
+            jk = np.outer(block.row_selection, block.col_permutation)
+            sub = block.scale * np.exp(-2j * np.pi * jk / block.n) / np.sqrt(block.n)
+        else:
+            sub = block.matrix
+        A[r0:r0 + sub.shape[0], c0:c0 + sub.shape[1]] += sub
+    return A
+
+
+def dense_materialize(op):
+    """Full M x N matrix, defined as the operator's action on the basis.
+
+    Gaussian blocks are stored, so their matrices are copied into place;
+    the action of `apply` on a basis vector gives the same bytes.
+    """
+    if op.N > DENSE_LIMIT:
+        raise ValueError(f"dense materialization limited to N <= {DENSE_LIMIT}")
+    if op.kind is Ensemble.GAUSSIAN_IID:
+        A = np.zeros((op.M, op.N), dtype=complex)
+        for (q, p), block in op.blocks.items():
+            A[op.row_offsets[q]:op.row_offsets[q + 1],
+              op.col_offsets[p]:op.col_offsets[p + 1]] = block.matrix
+        return A
+    A = np.empty((op.M, op.N), dtype=complex)
+    e = np.zeros(op.N, dtype=complex)
+    for k in range(op.N):
+        e[k] = 1.0
+        A[:, k] = apply(op, e)
+        e[k] = 0.0
+    return A
 
 
 def bp_mse_at(rho, sigma2, alpha, kind):

@@ -13,7 +13,8 @@ import pytest
 
 from coupledcs import (Ensemble, SeedingParams, build_coupled_operator, build_seeding_spec,
                        run_evolution)
-from coupledcs.measurement_ops import dense_materialize
+
+from conftest import dense_materialize
 
 N = 1024
 GAUSS = Ensemble.GAUSSIAN_IID

@@ -12,26 +12,12 @@ from coupledcs import (BernoulliGaussianPrior, Ensemble, SeedingParams, adjoint_
                        single_block_spec)
 from coupledcs import measurement_ops
 from coupledcs.cli import export_instance, read_complex_csv
-from coupledcs.measurement_ops import DftBlock, dense_materialize, sample_signal
+from coupledcs.measurement_ops import DftBlock, sample_signal
 
-from conftest import random_coupled_spec
+from conftest import dense_from_blocks, dense_materialize, random_coupled_spec
 
 ORTH = Ensemble.ROW_ORTHOGONAL
 GAUSS = Ensemble.GAUSSIAN_IID
-
-
-def dense_from_blocks(op):
-    """Independent dense oracle assembled from block metadata (no FFT path)."""
-    A = np.zeros((op.M, op.N), dtype=complex)
-    for (q, p), block in op.blocks.items():
-        r0, c0 = op.row_offsets[q], op.col_offsets[p]
-        if isinstance(block, DftBlock):
-            jk = np.outer(block.row_selection, block.col_permutation)
-            sub = block.scale * np.exp(-2j * np.pi * jk / block.n) / np.sqrt(block.n)
-        else:
-            sub = block.matrix
-        A[r0:r0 + sub.shape[0], c0:c0 + sub.shape[1]] += sub
-    return A
 
 
 def per_block_loop(op, v, adjoint):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from coupledcs import (BernoulliGaussianPrior, ConvergenceError, Ensemble, NoTransitionError,
                        QuadratureError, SeedingParams, build_seeding_spec,
@@ -236,6 +237,62 @@ class TestFixedPointCurve:
         assert alpha.size == phase_analysis.DEFAULT_GRID_POINTS
 
 
+class TestGridFreeSearch:
+    @pytest.mark.parametrize("kind", [GAUSS, ORTH])
+    @pytest.mark.parametrize("sigma2", [1e-4, 1e-3])
+    def test_folds_match_a_bounded_brent_search(self, kind, sigma2):
+        # the reference owes nothing to the search grid: scipy's bounded Brent search for the
+        # extrema of alpha(log v) in the cells around each turn of the 2000-point curve
+        prior = BernoulliGaussianPrior(RHO)
+        log_v, alpha = phase_analysis._fixed_point_curve(RHO, sigma2, kind)
+        rising = np.diff(alpha) > 0
+        turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
+        assert turns.size == 2
+        (pt,) = sweep_phase_diagram(RHO, [sigma2], kind)
+        for turn, sign, got in zip(turns, (1.0, -1.0), (pt.alpha_d, pt.alpha_s)):
+            def descent(x, sign=sign):
+                return -sign * phase_analysis._fixed_point_rates(
+                    np.array([x]), prior, sigma2, kind)[0][0]
+            ref = minimize_scalar(descent, bounds=(log_v[turn - 1], log_v[turn + 1]),
+                                  method="bounded", options={"xatol": 1e-12})
+            assert abs(got + sign * ref.fun) <= 1e-11, (turn, got, -sign * ref.fun)
+
+    @pytest.mark.parametrize("kind", [GAUSS, ORTH])
+    @pytest.mark.parametrize("share", [0.25, 0.5, 0.75])
+    def test_closed_form_gap_slope(self, kind, share):
+        # dG/da = log((sigma2 + S_small) / (sigma2 + S_large)) against a central difference
+        # of the refined scans' height gap; h = 1e-5 leaves a difference error of about 3e-9
+        curve = phase_analysis._search_curve(RHO, SIGMA2, kind)
+        a_d, a_s = curve[3]
+        rate, h = a_s + share * (a_d - a_s), 1e-5
+        gap, slope = phase_analysis._maxwell_gap(rate, RHO, SIGMA2, kind, curve)
+        assert abs(gap + maxima_gap(rate, kind)) <= 1e-12
+        central = (maxima_gap(rate - h, kind) - maxima_gap(rate + h, kind)) / (2.0 * h)
+        assert slope < 0 and abs(slope / central - 1.0) <= 1e-7, (slope, central)
+
+    def test_newton_stops_in_the_gap_rounding(self, monkeypatch):
+        # rounding noise of 1e-10 that flips sign from one evaluation to the next sends plain
+        # Newton back and forth between root - 2e-11 and root + 2e-11, steps above the step
+        # tolerance: the search has to stop when its bracket closes
+        root = 0.5 * sum(phase_analysis._search_curve(RHO, SIGMA2, GAUSS)[3]) + 0.01
+        rates = []
+
+        def noisy_gap(rate, *args):
+            rates.append(rate)
+            return -5.0 * (rate - root) + 1e-10 * (-1) ** len(rates), -5.0
+
+        monkeypatch.setattr(phase_analysis, "_maxwell_gap", noisy_gap)
+        assert abs(find_alpha_c(RHO, SIGMA2, GAUSS) - root) <= 2.5e-11   # noise / slope + 1e-12
+        assert len(rates) <= 20
+
+    def test_gap_without_sign_change_is_no_transition(self, monkeypatch):
+        # the fold ends are never evaluated: the bracket closes on alpha_d instead
+        monkeypatch.setattr(phase_analysis, "_maxwell_gap", lambda rate, *args: (1.0, -1.0))
+        with pytest.raises(NoTransitionError, match="does not change sign"):
+            find_alpha_c(RHO, SIGMA2, GAUSS)
+        assert not sweep_phase_diagram(RHO, [SIGMA2], GAUSS)[0].sharp
+
+
 @settings(deadline=None, max_examples=20)
 @given(log_sigma2=st.floats(min_value=-6.0, max_value=-3.0),
        kind=st.sampled_from([GAUSS, ORTH]))
@@ -350,7 +407,7 @@ class TestPhasePointFailures:
         monkeypatch.setattr(phase_analysis, "_fixed_point_curve", counted)
         (pt,) = sweep_phase_diagram(RHO, [SIGMA2], GAUSS)
         assert pt.sharp and pt.alpha_s < pt.alpha_c < pt.alpha_d
-        assert calls == [(RHO, SIGMA2, GAUSS)]
+        assert calls == [(RHO, SIGMA2, GAUSS, phase_analysis._SEARCH_GRID_POINTS)]
 
     def test_unconverged_root_find_becomes_an_error_row(self, monkeypatch):
         monkeypatch.setattr(phase_analysis, "_ROOT_MAX_ITER", 1)
