@@ -277,7 +277,7 @@ def cmd_evolve(spec_file, L, W, alpha_seed, alpha_bulk, J, rho, sigma2, ensemble
              {**config_spec, "ensemble": ensemble, "tol": tol,
               "max_iter": max_iter, "damping": damping},
              {"converged": trace.converged, "iterations": trace.iterations,
-              "oscillating": trace.oscillating, "clamped": trace.clamped,
+              "oscillating": trace.oscillating,
               "overall_rate": spec.total_rate,
               "final_eps": trace.final_eps.tolist()})
 

@@ -17,8 +17,8 @@ with sig_p = sum_q sig_{q,p} and
                      + sum_p gamma_p (Lambda_{q,p} eps_p - log(Lambda_{q,p} eps_p) - 1),
 
 S_q = sum_p gamma_p J_{q,p} / Lambda_{q,p}.  For the row-orthogonal
-ensemble G_q is extremized over Lambda_{q,p} (Newton on each row's
-diagonal-plus-rank-one system); Gaussian = the same G at Lambda = 1/eps,
+ensemble G_q is extremized over Lambda_{q,p} (one scalar root per block
+row, see `_solve_lambda`); Gaussian = the same G at Lambda = 1/eps,
 where the bracket vanishes and only the log remains.  The conjugate
 precisions sig_{q,p} = Delta_{q,p} / eps_p, Delta = alpha W / (sigma2 + S_q)
 with W_{q,p} = gamma_p J_{q,p} / Lambda_{q,p}, are fixed by stationarity
@@ -37,9 +37,8 @@ from .errors import ConvergenceError
 from .scalar_channel import BernoulliGaussianPrior
 
 _CHANNEL_TOL = 1e-10
-_INNER_TOL = 1e-12
+_INNER_TOL = 1e-10
 _INNER_MAX_STEPS = 100
-_LAMBDA_FLOOR = 1e-12
 NO_NOISE_MESSAGE = ("free entropy diverges at sigma2 = 0; only the state-evolution "
                     "conjugates are defined there")
 
@@ -106,14 +105,19 @@ class CouplingSpec:
 
     @cached_property
     def _band(self):
-        """Per-spec constants of the Delta map: (J > 0, gamma J, 1 - alpha, rates_ok).
+        """Per-spec constants of the inner solve: (live, gamma J, alpha, ones, rates_ok).
 
+        live marks the blocks with J > 0 in rows that measure (alpha > 0);
         gamma J is zero off the band, so W = gamma J / Lambda and Delta vanish
-        there unmasked; rates_ok is alpha <= 1 on the band, which the
-        row-orthogonal ensemble needs.
+        there unmasked.  A row without measurements is solved at alpha = 1/2
+        and then reset to Delta = 0.  ones is the column that sums a row;
+        rates_ok is alpha <= 1 on the band, which the row-orthogonal
+        ensemble needs.
         """
-        active = self.J > 0
-        return active, self.gamma * self.J, 1.0 - self.alpha, not np.any(self.alpha[active] > 1.0)
+        live = (self.J > 0) & (self.alpha > 0)
+        alpha = np.where(self.alpha[:, :1] > 0, self.alpha, 0.5)
+        return (live, self.gamma * self.J, alpha, np.ones((self.L_c, 1)),
+                not np.any(self.alpha[self.J > 0] > 1.0))
 
     @property
     def row_rates(self) -> np.ndarray:
@@ -145,14 +149,12 @@ class ConjugateState:
     Each array has shape (..., L_r, L_c).  Lambda is the inner extremizer
     for the row-orthogonal ensemble and 1/eps[p] for the Gaussian one.
     Entries with J[q, p] = 0 carry varsigma = 0, Delta = 0 and
-    Lambda = 1/eps[p].  ``clamped`` flags an inner-solver positivity clamp
-    anywhere in the batch.
+    Lambda = 1/eps[p].
     """
 
     varsigma: np.ndarray
     Lambda: np.ndarray
     Delta: np.ndarray
-    clamped: bool
 
 
 # ----------------------------------------------------------------------
@@ -206,102 +208,91 @@ def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# the Delta map and the inner extremization (row-orthogonal ensemble)
+# the inner extremization (row-orthogonal ensemble)
 # ----------------------------------------------------------------------
 
-def _delta_map(Lam, spec: CouplingSpec):
-    """(W, sigma2 + S, Delta): W = gamma J / Lambda, S = sum_p W, Delta = alpha W / (sigma2 + S).
-
-    Lam has shape (..., L_r, L_c) and is positive; entries with J = 0 carry
-    W = Delta = 0.
-    """
-    W = spec._band[1] / Lam
-    den = spec.sigma2 + W.sum(axis=-1, keepdims=True)
-    return W, den, spec.alpha * W / den
+def _row_residual(z, row, k1, k0):
+    """Per row at z, f = sum_{p != p*} w_p + sigma2 tau + k1 z - k0 and f'; see `_solve_lambda`."""
+    cA2, cA, q, s2A, ones = row
+    zz, e = z * (1.0 - z), 1.0 - 2.0 * z
+    d = np.sqrt(e * e + q * zz)
+    return (((cA2 / (1.0 + d)) @ ones + s2A) * zz + k1 * z - k0,
+            ((cA / d) @ ones + s2A) * e + k1)
 
 
 def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
-    """Solve the stationarity system Lambda = (1 - Delta(Lambda)) / eps.
+    """Solve Lambda = (1 - Delta(Lambda)) / eps, eps of shape (..., L_c), as one root per row.
 
-    eps has shape (..., L_c); the solve is vectorized over the leading
-    axes and over block rows (rows are independent).  Newton on the row's
-    diagonal-plus-rank-one system in x = log Lambda keeps the iterates
-    positive, with every step bounded in log Lambda.  The solve stops at
-    the first iterate whose residual |log(1 - Delta) - log eps - log Lambda|
-    is below _INNER_TOL on every block with J > 0, and returns that
-    iterate's undamped projection Lambda = (1 - Delta) / eps together with
-    the Delta and 1 - Delta it was projected from, so that Lambda eps =
-    1 - Delta holds to rounding.  Entries with J = 0 carry Lambda = 1/eps,
-    Delta = 0 and 1 - Delta = 1.
-
-    Returns (Lambda, Delta, 1 - Delta, clamped), arrays of shape
-    (..., L_r, L_c); 1 - Delta is carried separately because it is
-    computed without cancellation.
+    With tau = 1 / (sigma2 + S_q), c_p = gamma_p J_qp eps_p and w_p = Delta_p /
+    alpha_qp, row q needs Delta_p (1 - Delta_p) = alpha_qp c_p tau and sum_p w_p +
+    sigma2 tau = 1.  Only p*, the block of largest A = alpha c, may have Delta >=
+    1/2 (a second one, or one of larger alpha c, makes sum_p w_p > 1).  In z =
+    min(Delta_p*, 1 - Delta_p*), tau = z (1 - z) / A and each other block has w_p =
+    2 c_p tau / (1 + d_p), d_p^2 = (1 - 2z)^2 + 4 (1 - alpha_qp c_p / A) z (1 - z).
+    If Delta_p* = z, f = sum_p w_p + sigma2 tau - 1 rises from -1 at z = 0: its root
+    is unique, in (0, 1/2] iff f(1/2) >= 0, as w_p >= c_p tau ensures when sum_p c_p
+    + c_p* + sigma2 >= 4 A.  Else Delta_p* = 1 - z and f = sum_{p != p*} w_p + sigma2
+    tau + ((1 - alpha*) - z) / alpha* is >= 0 at z = 1 - alpha*, < 0 at 1/2 (the
+    tests check that root unique).  Newton steps, bisecting when they leave the
+    bracket, start from the tau of Lambda0 (or 1/eps) and stop, taking the last step,
+    once each row's step or bracket is within _INNER_TOL z.  Returns (Lambda, Delta,
+    1 - Delta), the last free of cancellation; J = 0 entries and rows that do not
+    measure carry 1/eps, 0 and 1.
     """
-    active, _, one_minus_alpha, rates_ok = spec._band
+    live, gJ, alpha, ones, rates_ok = spec._band
     if not rates_ok:
         # the replica counterpart of M_q <= N_p in `build_coupled_operator`
         raise ValueError("row-orthogonal blocks need alpha[q, p] <= 1 wherever J[q, p] > 0: "
                          "a block cannot have more orthogonal rows than columns")
-    sigma2 = spec.sigma2
-    eps = np.asarray(eps, dtype=float)
-    log_eps = np.log(eps)[..., None, :]
-    inv_eps = 1.0 / eps[..., None, :]
-    Lam = inv_eps if Lambda0 is None else np.asarray(Lambda0, dtype=float)
-    clamped = bool(np.any((Lam <= 0) & active))
-    Lam = np.where(active, np.where(Lam > 0, Lam, _LAMBDA_FLOOR), inv_eps)
+    c = gJ * eps[..., None, :]
+    ac = alpha * c
+    star = ac.argmax(axis=-1)[..., None] == np.arange(spec.L_c)
+    A, a_star, C = ac.max(axis=-1, keepdims=True), (alpha * star) @ ones, c @ ones
+    cA = np.where(star, 0.0, c) / A
+    # the 1e-300 keeps d > 0 on a block tied with p* at z = 1/2, below the rounding of other d
+    row = (2.0 * cA, cA, (A - ac) * (4.0 / A) + 1e-300, spec.sigma2 / A, ones)
+    big, k1, k0, z_neg, z_pos = False, 1.0 / a_star, 1.0, 0.0, 0.5
+    maybe_big = C + A / a_star + spec.sigma2 < 4.0 * A
+    if maybe_big.any():
+        big = maybe_big & (_row_residual(0.5, row, k1, 1.0)[0] < 0.0)
+        # a big row has alpha* > 1/2, where alpha* - 1 is exact
+        k1, k0 = np.where(big, -k1, k1), np.where(big, (a_star - 1.0) * k1, 1.0)
+        z_neg, z_pos = np.where(big, 0.5, 0.0), np.where(big, 1.0 - a_star, 0.5)
+    with np.errstate(all="ignore"):  # Lambda0 <= 0 gives a NaN or negative tau: start low
+        t = A / (spec.sigma2 + (C if Lambda0 is None else (gJ / np.asarray(Lambda0)) @ ones))
+    z = np.fmin(np.fmax(2.0 * t / (1.0 + np.sqrt(np.fmax(1.0 - 4.0 * t, 0.0))),
+                        np.minimum(z_neg, z_pos)), 0.5)  # z (1 - z) = A tau
     for _ in range(_INNER_MAX_STEPS):
-        W, den, Delta = _delta_map(Lam, spec)
-        # 1 - Delta = (sigma2 + sum_{l != p} W_l + (1 - alpha) W_p) / (sigma2 + S), with a
-        # prefix plus a suffix sum over l != p, stays accurate as Delta -> 1 and in rows
-        # one block dominates, where 1 - Delta or S - W_p would not
-        before = np.zeros(W.shape)
-        np.cumsum(W[..., :-1], axis=-1, out=before[..., 1:])
-        after = np.zeros(W.shape)
-        np.cumsum(W[..., :0:-1], axis=-1, out=after[..., -2::-1])
-        omd = (sigma2 + (before + after) + one_minus_alpha * W) / den
-        if np.any(omd <= 0.0, where=active):
-            worst = np.unravel_index(int(np.argmax(Delta)), Delta.shape)
-            raise ConvergenceError(
-                f"Delta >= 1 in inner extremization at block (q, p) = {worst[-2:]}",
-                residual=float(Delta.max()))
-        log_target = np.log(omd) - log_eps
-        # off the band g is rounding-sized and, with w = u = 0 there, stays out of the step
-        g = log_target - np.log(Lam)
-        resid = np.abs(g).max(where=active, initial=0.0)
-        if resid < _INNER_TOL:
-            return (np.where(active, np.exp(log_target), inv_eps), Delta,
-                    np.where(active, omd, 1.0), clamped)
-        # g = log(1 - Delta) - log eps - x has the Jacobian -(diag(1 - r) + r w^T),
-        # r = Delta / (1 - Delta), w = W / (sigma2 + S).  A block with Delta < 1/2 is
-        # eliminated through its diagonal; the one block per row that may have
-        # Delta >= 1/2 (w sums to at most one) is solved last instead of divided by
-        # its diagonal 1 - r.
-        w = W / den
-        r = Delta / omd
-        one_minus_r = 1.0 - r
-        big = Delta >= 0.5
-        d = np.where(big, 1.0, one_minus_r)
-        u = np.where(big, 0.0, w / d)
-        a = (u * g).sum(axis=-1, keepdims=True)
-        b = 1.0 + (u * r).sum(axis=-1, keepdims=True)
-        step_big = np.where(big, (b * g - r * a) / (b * one_minus_r + r * w), 0.0)
-        s = ((w * step_big).sum(axis=-1, keepdims=True) + a) / b
-        Lam *= np.exp(np.clip(np.where(big, step_big, (g - r * s) / d), -4.0, 4.0))
-        if np.any(Lam < _LAMBDA_FLOOR, where=active):
-            Lam = np.maximum(Lam, _LAMBDA_FLOOR)
-            clamped = True
-    raise ConvergenceError(
-        f"inner extremization did not reach {_INNER_TOL} in {_INNER_MAX_STEPS} Newton steps",
-        residual=float(resid))
+        f, df = _row_residual(z, row, k1, k0)
+        step, below = f / df, f < 0.0
+        z_neg, z_pos = np.where(below, z, z_neg), np.where(below, z_pos, z)
+        # rounding can hold a nearly singular row's step above tolerance; its bracket closes
+        done = (np.minimum(abs(step), abs(z_pos - z_neg)) <= _INNER_TOL * z).all()
+        new = z - step
+        z = np.where((new - z_neg) * (new - z_pos) <= 0.0, new,
+                     z if done else 0.5 * (z_neg + z_pos))
+        if done:
+            break
+    else:
+        raise ConvergenceError(f"inner extremization did not reach {_INNER_TOL} in "
+                               f"{_INNER_MAX_STEPS} steps", residual=float(abs(f).max()))
+    zz = z * (1.0 - z)
+    d = np.sqrt((1.0 - 2.0 * z) ** 2 + row[2] * zz)
+    Delta = np.where(live, alpha * row[0] * zz / (1.0 + d) + star * np.where(big, 1.0 - z, z), 0.0)
+    omd = np.where(live, np.where(star & big, z, 0.5 * (1.0 + d)), 1.0)
+    if (omd <= 0.0).any():
+        worst = np.unravel_index(int(np.argmax(Delta)), Delta.shape)
+        raise ConvergenceError(f"Delta >= 1 in inner extremization at block (q, p) = "
+                               f"{worst[-2:]}", residual=float(Delta.max()))
+    return omd / eps[..., None, :], Delta, omd
 
 
 def _g_values(eps, spec: CouplingSpec, Lam):
     """G_q at Lambda of shape (..., L_r, L_c), per row: shape (..., L_r); needs sigma2 > 0."""
-    active = spec._band[0]
-    S = _delta_map(Lam, spec)[0].sum(axis=-1)
+    live = spec._band[0]
+    S = (spec._band[1] / Lam).sum(axis=-1)
     prod = Lam * np.asarray(eps, dtype=float)[..., None, :]
-    bracket = np.where(active, prod - np.log(np.where(active, prod, 1.0)) - 1.0, 0.0)
+    bracket = np.where(live, prod - np.log(np.where(live, prod, 1.0)) - 1.0, 0.0)
     return -spec.row_rates * np.log1p(S / spec.sigma2) + (spec.gamma * bracket).sum(axis=-1)
 
 
@@ -326,11 +317,12 @@ def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble,
         raise ValueError("eps must be > 0 on every coupled block")
     eps_b = eps[..., None, :]
     if kind is Ensemble.ROW_ORTHOGONAL:
-        Lam, Delta, _, clamped = _solve_lambda(eps, spec, Lambda0=Lambda0)
+        Lam, Delta, _ = _solve_lambda(eps, spec, Lambda0=Lambda0)
     else:
-        Lam, clamped = np.repeat(1.0 / eps_b, spec.L_r, axis=-2), False
-        Delta = _delta_map(Lam, spec)[2]
-    return ConjugateState(varsigma=Delta / eps_b, Lambda=Lam, Delta=Delta, clamped=clamped)
+        Lam = np.repeat(1.0 / eps_b, spec.L_r, axis=-2)
+        W = spec._band[1] / Lam
+        Delta = spec.alpha * W / (spec.sigma2 + W.sum(axis=-1, keepdims=True))
+    return ConjugateState(varsigma=Delta / eps_b, Lambda=Lam, Delta=Delta)
 
 
 def free_entropy_grid(eps_grid, spec: CouplingSpec, kind: Ensemble) -> np.ndarray:

@@ -5,8 +5,9 @@ One iteration refreshes the per-block MSE through the scalar channel,
     eps_p <- mmse(sum_q varsigma[q, p]),
 
 then re-solves the conjugate precisions at the new eps, warm-started from
-the previous Lambda rescaled by eps / eps_new: Lambda = (1 - Delta) / eps
-moves mostly through its 1 / eps factor.  Fixed points of this map
+the previous Lambda rescaled by eps / eps_new.  That keeps the previous
+1 - Delta = Lambda eps, so each row's root starts from the tau the new
+eps gives at the old 1 - Delta.  Fixed points of this map
 are stationary points of the replica free entropy; iterating from eps = rho
 tracks what message passing can reach, since large MSE is the only
 algorithmically possible initialization.  At sigma2 = 0 the conjugate
@@ -44,15 +45,13 @@ class EvolutionTrace:
     cycle, history[-1] within _CYCLE_TOL of history[-3] without
     convergence; the run stops at the first iteration where that distance
     is also below _CYCLE_RATIO times the last step, or else at the
-    iteration cap.  ``clamped`` flags any inner-solver positivity clamp
-    along the way.
+    iteration cap.
     """
 
     history: np.ndarray
     converged: bool
     iterations: int
     oscillating: bool
-    clamped: bool
 
     @property
     def final_eps(self) -> np.ndarray:
@@ -88,13 +87,11 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
         raise ValueError("init must satisfy 0 < eps_p <= rho")
 
     state = conjugate_fixed_point(eps, spec, kind)
-    clamped = state.clamped
     history = [eps]
     converged = False
     for t in range(int(max_iter)):
         eps_new = mmse(state.varsigma.sum(axis=0), spec.prior)
         new = conjugate_fixed_point(eps_new, spec, kind, Lambda0=state.Lambda * (eps / eps_new))
-        clamped = clamped or new.clamped
         if damping > 0.0 and t > 0:
             new.varsigma = (1.0 - damping) * new.varsigma + damping * state.varsigma
         history.append(eps_new)
@@ -110,8 +107,7 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
     oscillating = (not converged and len(history) >= 3
                    and np.abs(history[-1] - history[-3]).max() < _CYCLE_TOL)
     return EvolutionTrace(history=np.array(history), converged=bool(converged),
-                          iterations=len(history) - 1, oscillating=bool(oscillating),
-                          clamped=clamped)
+                          iterations=len(history) - 1, oscillating=bool(oscillating))
 
 
 def iterations_to_good_mse(trace: EvolutionTrace, sigma2: float):

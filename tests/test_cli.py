@@ -144,6 +144,17 @@ class TestEvolveCommand:
         meta = json.loads((tmp_path / "t.csv.json").read_text())
         assert meta["converged"] is True
 
+    def test_sidecar_keys(self, runner, tmp_path):
+        out = tmp_path / "t.csv"
+        res = runner.invoke(main, ["evolve", "--L", "2", "--W", "1",
+                                   "--alpha-seed", "0.6", "--alpha-bulk", "0.5",
+                                   "--J", "0.5", "--rho", "0.4", "--sigma2", "1e-4",
+                                   "--ensemble", "orthogonal", "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        meta = json.loads((tmp_path / "t.csv.json").read_text())
+        assert set(meta) == {"tool", "version", "command", "config", "converged", "iterations",
+                             "oscillating", "overall_rate", "final_eps"}
+
     def test_spec_file_with_bad_gamma_exits_2(self, runner, tmp_path):
         spec = build_seeding_spec(SeedingParams(L=2, W=1, alpha_seed=0.6, alpha_bulk=0.5, J=0.5),
                                   0.4, 1e-4)

@@ -171,7 +171,7 @@ class TestGOrth:
     def test_noise_free_single_block_stationarity(self):
         # sigma2 = 0 makes Delta = alpha independently of Lambda
         spec = single_block_spec(0.4, 0.0, 0.5)
-        Lam, Delta, _, _ = _solve_lambda(np.array([0.1]), spec)
+        Lam, Delta, _ = _solve_lambda(np.array([0.1]), spec)
         assert Delta[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert Lam[0, 0] == pytest.approx(5.0, abs=1e-9)
 
@@ -179,7 +179,7 @@ class TestGOrth:
         # J[q,p] = 0 entries sit at Lambda = 1/eps, Delta = 0 and add nothing to G
         spec = two_block_spec()
         eps = np.array([0.05, 0.2])
-        Lam, Delta, _, _ = _solve_lambda(eps, spec)
+        Lam, Delta, _ = _solve_lambda(eps, spec)
         assert Delta[0, 1] == 0.0
         assert Lam[0, 1] == pytest.approx(1.0 / eps[1], abs=1e-12)
         moved = Lam.copy()
@@ -190,13 +190,13 @@ class TestGOrth:
         spec = single_block_spec(0.4, 1e-4, 0.49)
         for eps0 in (0.1, 1e-3):
             eps = np.array([eps0])
-            Lam, _, _, _ = _solve_lambda(eps, spec)
+            Lam, _, _ = _solve_lambda(eps, spec)
             assert _g_gradient_norm(eps, spec, Lam) <= 1e-8
 
     def test_finite_difference_stationarity_coupled(self):
         spec = two_block_spec()
         eps = np.array([0.03, 0.15])
-        Lam, _, _, _ = _solve_lambda(eps, spec)
+        Lam, _, _ = _solve_lambda(eps, spec)
         assert _g_gradient_norm(eps, spec, Lam) <= 1e-8
 
 
@@ -260,10 +260,41 @@ def _row_jacobians_inverse_norm(spec, Lam):
     return worst
 
 
+def _big_branch_sign_changes(spec, eps, n=1001):
+    """Sign changes of the residual of each big-branch row on a dense z-grid of [1 - alpha*, 1/2].
+
+    With p* the block of largest alpha c and tau = z (1 - z) / (alpha c)*,
+    the residual is sum_{p != p*} w_p + sigma2 tau + ((1 - alpha*) - z) /
+    alpha*, each w_p the small root 2 c_p tau / (1 + sqrt(1 - 4 alpha_p c_p
+    tau)).  A row is on the big branch where it is negative at z = 1/2; it
+    is >= 0 at z = 1 - alpha*, so one change is the least there can be.
+    Values within 1e-13 of zero are rounding and are skipped.
+    """
+    c = spec.gamma * spec.J * eps
+    ac = spec.alpha * c
+    grid = np.concatenate([np.geomspace(1e-12, 1.0, n), np.linspace(0.0, 1.0, n)])
+    changes = []
+    for q in range(spec.L_r):
+        star = int(np.argmax(ac[q]))
+        a_star, rest = spec.alpha[q, star], np.arange(spec.L_c) != star
+
+        def residual(z):
+            tau = z * (1.0 - z) / ac[q, star]
+            root = np.sqrt(np.maximum(1.0 - 4.0 * ac[q, rest, None] * tau, 0.0))
+            w = 2.0 * c[q, rest, None] * tau / (1.0 + root)
+            return w.sum(axis=0) + spec.sigma2 * tau + ((1.0 - a_star) - z) / a_star
+
+        if residual(np.array([0.5]))[0] < 0.0:
+            v = residual(np.unique((1.0 - a_star) + (a_star - 0.5) * grid))
+            positive = np.concatenate([[True], v[1:][np.abs(v[1:]) > 1e-13] > 0.0])
+            changes.append(int((positive[1:] != positive[:-1]).sum()))
+    return changes
+
+
 class TestInnerSolve:
     @staticmethod
     def _check(eps, spec, Lambda0=None):
-        Lam, Delta, omd, _ = _solve_lambda(eps, spec, Lambda0=Lambda0)
+        Lam, Delta, omd = _solve_lambda(eps, spec, Lambda0=Lambda0)
         active = spec.J > 0
         # the residual of the stationarity map, formed as the solver forms it
         resid = np.log(omd) - np.log(eps)[None, :] - np.log(Lam)
@@ -306,7 +337,7 @@ class TestInnerSolve:
 
     def test_block_at_one_half(self):
         # sigma2 = 0: the seed row has one block, so Delta = alpha_seed = 1/2 at any
-        # Lambda and the diagonal 1 - r of its Newton system vanishes
+        # Lambda and its root sits at z = 1/2, where the two branches meet
         spec = build_seeding_spec(SeedingParams(L=4, W=1, alpha_seed=0.5, alpha_bulk=0.45,
                                                 J=0.0), 0.4, 0.0)
         _, Delta = self._check(np.array([0.1, 0.02, 1e-3, 1e-5]), spec)
@@ -319,9 +350,17 @@ class TestInnerSolve:
         _, Delta = self._check(np.array([0.3, 1e-6, 2e-6]), spec)
         assert Delta[0, 0] > 0.5 and Delta[1, 0] > 0.5
 
+    def test_nearly_singular_row_stops_on_its_bracket(self):
+        # rates 1 - 1e-9 and two almost equal blocks without noise: rounding in the row
+        # residual holds the Newton step at 1e-9 to 1e-8 of z, so the solve stops once
+        # its bracket has closed
+        spec = build_seeding_spec(SeedingParams(L=2, W=1, alpha_seed=1.0 - 1e-9, alpha_bulk=0.5,
+                                                J=0.99999999), 0.4, 0.0)
+        self._check(np.ones(2), spec)
+
     def test_far_warm_start_is_bounded(self):
-        # rates near one make the Jacobian nearly singular far from the solution:
-        # unbounded Newton steps from Lambda0 eight decades off overflow exp
+        # rates near one make the rows nearly singular, and a Lambda0 eight decades
+        # off starts each row root near an end of its bracket
         spec = build_seeding_spec(SeedingParams(L=2, W=1, alpha_seed=0.9999, alpha_bulk=0.9999,
                                                 J=0.5), 0.4, 1e-8)
         eps = np.full(2, 1e-4)
@@ -339,14 +378,40 @@ class TestInnerSolve:
         with pytest.raises(ConvergenceError, match="Delta >= 1"):
             _solve_lambda(np.array([0.1]), spec)
 
-    def test_non_positive_start_is_clamped(self):
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), seeding=st.booleans(),
+           log_gap=st.floats(1.0, 7.0), noise_free=st.booleans())
+    # the seed row of this chain is on the big branch
+    @example(seed=0, seeding=True, log_gap=7.0, noise_free=True)
+    def test_big_branch_root_is_unique(self, seed, seeding, log_gap, noise_free):
+        # the docstring of `_solve_lambda` proves the small-branch root unique; on the
+        # big branch, with rates up to 1 - 1e-7, it is checked here
+        rng = np.random.default_rng(seed)
+        top = 1.0 - 10.0 ** -log_gap
+        if seeding:
+            L = int(rng.integers(1, 12))
+            params = SeedingParams(L=L, W=int(rng.integers(1, L + 1)), alpha_seed=top,
+                                   alpha_bulk=rng.uniform(0.05, top), J=rng.uniform(0.0, 3.0))
+            spec = build_seeding_spec(params, 0.4, 10.0 ** rng.uniform(-10.0, -1.0))
+            alpha = spec.alpha
+        else:
+            spec = random_coupled_spec(rng, max_blocks=6, dft_safe=False)
+            alpha = spec.alpha * (top / spec.alpha.max())
+        spec = CouplingSpec(L_r=spec.L_r, L_c=spec.L_c, gamma=spec.gamma, alpha=alpha, J=spec.J,
+                            sigma2=0.0 if noise_free else spec.sigma2, prior=spec.prior)
+        eps = 10.0 ** rng.uniform(-8.0, 0.0, spec.L_c)
+        assert all(n == 1 for n in _big_branch_sign_changes(spec, eps))
+
+    def test_any_warm_start_lands_on_the_cold_solve(self):
+        # a warm start only seeds the row root: zero, negative or far-off entries
+        # of Lambda0 cannot move the solution
         spec = two_block_spec()
         eps = np.array([0.05, 0.2])
-        Lam, _, _, clamped = _solve_lambda(eps, spec, Lambda0=np.array([[-1.0, 1.0], [1.0, 0.0]]))
-        assert clamped
-        cold, _, _, cold_clamped = _solve_lambda(eps, spec)
-        assert not cold_clamped
-        assert np.abs(Lam / cold - 1.0).max() <= 1e-10
+        cold = _solve_lambda(eps, spec)[0]
+        for Lambda0 in (np.array([[-1.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2)),
+                        np.full((2, 2), -3.0), 1e-8 * cold, 1e8 * cold):
+            Lam = _solve_lambda(eps, spec, Lambda0=Lambda0)[0]
+            assert np.abs(Lam / cold - 1.0).max() <= 1e-10
 
 
 def _g_value(eps, spec, Lam):

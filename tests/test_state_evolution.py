@@ -75,7 +75,7 @@ def test_block_symmetry():
 def test_three_block_mirror_symmetry():
     # a chain invariant under reversing the block order (p -> 2 - p): the outer
     # blocks' orthogonal traces agree to the bit.  Without noise every row has
-    # one block with Delta > 1/2, which the inner Newton step solves last.
+    # one block with Delta > 1/2, the big branch of the inner row root.
     spec = CouplingSpec(
         L_r=3, L_c=3, gamma=np.full(3, 1.0 / 3.0),
         alpha=np.full((3, 3), 0.95),
@@ -154,7 +154,9 @@ def test_orthogonal_chain_period_two_cycle_and_damped_convergence():
     assert plain.iterations == 33
     damped = run_evolution(spec, ORTH, damping=0.7)
     assert damped.converged and not damped.oscillating
-    assert damped.iterations == 257
+    # the damped tail contracts by 0.91 per iteration near the 1e-12 stopping step, so
+    # the count moves by a few iterations with the inner solver's rounding
+    assert damped.iterations == 260
     assert np.abs(damped.final_eps - [0.4364, 0.2076, 0.2498, 0.2581]).max() <= 5e-5
 
 
@@ -171,9 +173,9 @@ def test_period_two_cycle_ends_the_run_where_it_closes():
 
 def test_inner_solve_work_on_the_benchmark_chains(monkeypatch):
     # the orthogonal L=10 showcase chain and the L=22 chain of acceptance criterion 8:
-    # a warm-started solve stops at the first Delta-map evaluation within tolerance,
-    # so it makes at most one evaluation per Newton step plus that one
-    calls = {"solve": 0, "delta": 0}
+    # a warm-started solve makes 2.87 row-residual evaluations on average (1352 over
+    # the 471 solves, branch tests included), so 3 per solve leaves a 5% margin
+    calls = {"solve": 0, "residual": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -183,7 +185,8 @@ def test_inner_solve_work_on_the_benchmark_chains(monkeypatch):
 
     monkeypatch.setattr(replica_core, "_solve_lambda",
                         counted("solve", replica_core._solve_lambda))
-    monkeypatch.setattr(replica_core, "_delta_map", counted("delta", replica_core._delta_map))
+    monkeypatch.setattr(replica_core, "_row_residual",
+                        counted("residual", replica_core._row_residual))
     iterations = []
     for L, a_bulk, J in ((10, 0.49, 0.5), (22, 0.484, 1.5)):
         params = SeedingParams(L=L, W=2, alpha_seed=0.70, alpha_bulk=a_bulk, J=J)
@@ -192,7 +195,7 @@ def test_inner_solve_work_on_the_benchmark_chains(monkeypatch):
         iterations.append(trace.iterations)
     assert iterations == [200, 269]
     assert calls["solve"] == 471
-    assert calls["delta"] <= 3.0 * calls["solve"], calls
+    assert calls["residual"] <= 3.0 * calls["solve"], calls
 
 
 def test_degenerate_seeding_chain_matches_uncoupled():
