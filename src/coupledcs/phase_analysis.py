@@ -28,7 +28,13 @@ alpha_s do not depend on the grid.  alpha_c is the Newton root of the
 height gap G(a) = F(large-MSE maximum) - F(small-MSE maximum): both
 maxima are stationary in eps, so G'(a) is the difference of the explicit
 rate derivatives of F, log((sigma2 + S_small) / (sigma2 + S_large)), in
-closed form from the two branch roots.
+closed form from the two branch roots.  Every curve point is stationary,
+so along the curve the same derivative integrates to G itself: G(a) is
+the integral of log(1 + S / sigma2) d alpha between the two rising
+crossings of a (the equal-area rule).  Its trapezoid sums on the grid,
+from values the curve already holds, start Newton within 3e-7 of alpha_c,
+and each step solves the branch roots from brackets that the points
+evaluated by the earlier steps narrow.
 """
 
 import concurrent.futures
@@ -147,17 +153,18 @@ def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
     top = rho if rho > 0 else 1.0  # zero-density curves have no prior scale
     if not 0 < floor < top:
         raise ValueError(f"eps floor {floor} must lie in (0, {top})")
+    if alpha <= 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
     if kind is Ensemble.ROW_ORTHOGONAL and alpha > 1.0:
         raise ValueError("row-orthogonal blocks need alpha <= 1")
-    log_v, curve = _fixed_point_curve(rho, sigma2, kind, n_points, floor)
+    _, curve, eps = points = _fixed_point_curve(rho, sigma2, kind, n_points, floor)
     # eps = mmse(v) falls as v rises, so the crossings are listed from the last;
     # at rho = 0 every fixed point has eps = 0, below the grid
     k = np.flatnonzero((curve[:-1] < alpha) & (alpha <= curve[1:]) & (rho > 0))[::-1]
     grid, spec = np.geomspace(floor, top, n_points), single_block_spec(rho, sigma2, alpha)
     if not refine:
-        eps = mmse(np.exp(log_v[k + 1]), spec.prior)
-        return FreeEntropyCurve(grid, None, [(e, None) for e in eps.tolist()])
-    eps = _curve_roots(np.full(k.size, float(alpha)), k, log_v, curve, rho, sigma2, kind)[1]
+        return FreeEntropyCurve(grid, None, [(e, None) for e in eps[k + 1].tolist()])
+    eps = _curve_roots(np.full(k.size, float(alpha)), k, points, rho, sigma2, kind)[1]
     maxima = list(zip(eps.tolist(), free_entropy_grid(eps[:, None], spec, kind).tolist()))
     return FreeEntropyCurve(grid, free_entropy_grid(grid[:, None], spec, kind), maxima)
 
@@ -176,29 +183,41 @@ def _fixed_point_rates(log_v, prior, sigma2, kind):
 
 
 def _fixed_point_curve(rho, sigma2, kind, n_points=DEFAULT_GRID_POINTS, floor=None):
-    """(log v grid, alpha on it): every single-block fixed point, from one mmse call.
+    """(log v grid, alpha, eps on it): every single-block fixed point, from one mmse call.
 
     v runs over n_points of [floor, 1 / floor], floor = default_eps_floor(sigma2) by
-    default.  rho / (1 + v) <= mmse(v) <= rho / (1 + rho v), so the fixed
-    points cover eps in [floor, rho (1 - floor)], about `scan_curve`'s eps grid.
+    default, and eps = mmse(v).  rho / (1 + v) <= mmse(v) <= rho / (1 + rho v), so
+    the fixed points cover eps in [floor, rho (1 - floor)], about `scan_curve`'s
+    eps grid.
     """
     if not 0 < sigma2 < np.inf:
         raise ValueError(NO_NOISE_MESSAGE if sigma2 == 0 else "sigma2 must be finite and > 0")
     floor = default_eps_floor(sigma2) if floor is None else floor
     log_v = np.linspace(np.log(floor), -np.log(floor), n_points)
-    return log_v, _fixed_point_rates(log_v, BernoulliGaussianPrior(rho), sigma2, kind)[0]
+    return (log_v, *_fixed_point_rates(log_v, BernoulliGaussianPrior(rho), sigma2, kind))
 
 
-def _curve_roots(rates, k, log_v, alpha, rho, sigma2, kind):
-    """(v, eps = mmse(v)) at the root of alpha(v) = rates[i] in [log_v[k[i]], log_v[k[i] + 1]].
+def _curve_roots(rates, k, points, rho, sigma2, kind):
+    """Roots of alpha(v) = rates[i] in the cells [k[i], k[i] + 1] of points = (log v, alpha, eps).
 
-    Each cell needs alpha[k] <= rate <= alpha[k + 1]: Illinois on rate - alpha(v).
+    Each cell needs alpha[k] <= rate <= alpha[k + 1]: Illinois on rate -
+    alpha(v).  Returns (log v, eps) at the roots, eps from the root's own
+    evaluation, and every point the solve evaluated as (log v, alpha, eps)
+    arrays of shape (steps, rates.size).
     """
     prior = BernoulliGaussianPrior(rho)
-    root = _illinois(lambda x: rates - _fixed_point_rates(x, prior, sigma2, kind)[0],
-                     log_v[k], log_v[k + 1], rates - alpha[k], rates - alpha[k + 1])
-    v = np.exp(root)
-    return v, mmse(v, prior)
+    ends = [tuple(c[j] for c in points) for j in (k, k + 1)]
+    evaluated = []
+
+    def residual(x):
+        evaluated.append((x, *_fixed_point_rates(x, prior, sigma2, kind)))
+        return rates - evaluated[-1][1]
+
+    root = _illinois(residual, ends[0][0], ends[1][0], rates - ends[0][1], rates - ends[1][1])
+    x, alpha, eps = (np.array(c) for c in zip(*ends, *evaluated))   # (2 + steps, rates.size)
+    # the root is the last iterate or a cell end that is a zero: one of these points
+    found = np.argmax(x == root, axis=0)
+    return root, eps[found, np.arange(root.size)], (x[2:], alpha[2:], eps[2:])
 
 
 def _folds(rho, sigma2, kind, log_v, alpha):
@@ -244,56 +263,118 @@ def _folds(rho, sigma2, kind, log_v, alpha):
 
 
 def _search_curve(rho, sigma2, kind):
-    """(log v, alpha, fold log v, fold rates): the transition search's curve and its folds."""
-    log_v, alpha = _fixed_point_curve(rho, sigma2, kind, _SEARCH_GRID_POINTS)
-    return (log_v, alpha, *_folds(rho, sigma2, kind, log_v, alpha))
+    """(log v, alpha, eps, fold log v, fold rates): the transition search's curve and its folds."""
+    log_v, alpha, eps = _fixed_point_curve(rho, sigma2, kind, _SEARCH_GRID_POINTS)
+    return (log_v, alpha, eps, *_folds(rho, sigma2, kind, log_v, alpha))
+
+
+def _log_gain(log_v, eps, sigma2, kind):
+    """log(1 + S / sigma2) at curve points (log v, eps); -1 minus it is F's explicit d/d alpha.
+
+    S = 1 / Lambda: eps for the Gaussian ensemble and eps / (1 - v eps) for
+    the orthogonal one (Lambda = (1 - Delta) / eps, Delta = v eps).
+    """
+    s = eps if kind is Ensemble.GAUSSIAN_IID else eps / (1.0 - np.exp(log_v) * eps)
+    return np.log1p(s / sigma2)
+
+
+def _area_gap(rates, log_v, alpha, gain, x_d, x_s):
+    """Trapezoid sum of gain d alpha on a curve grid between the two rising crossings of each rate.
+
+    The sum runs from the large-MSE crossing to the small-MSE one, with gain
+    linear in alpha inside each crossing's cell.  It is NaN where a crossing
+    falls outside the grid points of its rising branch.
+    """
+    area = np.concatenate([[0.0], np.cumsum(0.5 * (gain[1:] + gain[:-1]) * np.diff(alpha))])
+    n_d, n_s = np.searchsorted(log_v, x_d), np.searchsorted(log_v, x_s, side="right")
+    cells = np.array([np.searchsorted(alpha[:n_d], rates) - 1,
+                      n_s + np.searchsorted(alpha[n_s:], rates) - 1])
+    inside = ((0 <= cells[0]) & (cells[0] < n_d - 1)
+              & (n_s <= cells[1]) & (cells[1] < alpha.size - 1))
+    k = np.clip(cells, 0, alpha.size - 2)
+    share = (rates - alpha[k]) / (alpha[k + 1] - alpha[k])
+    to_crossing = area[k] + (gain[k] + 0.5 * share * (gain[k + 1] - gain[k])) * (rates - alpha[k])
+    return np.where(inside, to_crossing[1] - to_crossing[0], np.nan)
+
+
+def _equal_area_rate(curve, sigma2, kind):
+    """The search grid's Maxwell rate; None when the grid shows G no sign change in the window.
+
+    Every curve point is stationary in eps at its own rate, so along the
+    curve dF = -(log(1 + S / sigma2) + 1) d alpha, and
+
+        G(a) = integral of log(1 + S / sigma2) d alpha
+
+    from the large-MSE to the small-MSE crossing of a (the equal-area
+    rule).  Its trapezoid sums on the grid and on every second grid point
+    (`_area_gap`) are extrapolated to zero step (their error is O(step^2))
+    at as many rates across the window as the grid has points; the rate is
+    interpolated linearly where that G changes sign.
+    """
+    log_v, alpha, eps, x_folds, (a_d, a_s) = curve
+    gain = _log_gain(log_v, eps, sigma2, kind)
+    rates = np.linspace(a_s, a_d, alpha.size)[1:-1]
+    fine, coarse = (_area_gap(rates, log_v[::m], alpha[::m], gain[::m], *x_folds) for m in (1, 2))
+    gap = (4.0 * fine - coarse) / 3.0
+    change = np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))
+    if change.size == 0:
+        return None
+    j = change[0]
+    return float(rates[j] + gap[j] / (gap[j] - gap[j + 1]) * (rates[j + 1] - rates[j]))
 
 
 def _maxwell_gap(rate, rho, sigma2, kind, curve):
-    """(G, dG/da) at a rate strictly inside the window: G = F(large-MSE max) - F(small-MSE max).
+    """(G, dG/da, curve) at a rate strictly inside the window, G the height gap of the maxima.
 
-    Each maximum is the root of alpha(v) = rate on its rising branch of the
-    search curve, which ends (large MSE) or starts (small MSE) at its fold.
-    Both maxima are stationary points of F, so only the explicit rate
-    dependence of F, -log(1 + S / sigma2) - 1 with S = 1 / Lambda, moves
-    them apart:
+    G = F(large-MSE maximum) - F(small-MSE maximum).  Each maximum is the
+    root of alpha(v) = rate on its rising branch of the search curve, which
+    ends (large MSE) or starts (small MSE) at its fold.  Both maxima are
+    stationary points of F, so only the explicit rate dependence of F,
+    -log(1 + S / sigma2) - 1 (`_log_gain`), moves them apart:
 
         dG/da = log((sigma2 + S_small) / (sigma2 + S_large)) < 0,
 
-    S = eps for the Gaussian ensemble and S = eps / (1 - v eps) for the
-    orthogonal one (Lambda = (1 - Delta) / eps, Delta = v eps), in closed
-    form from each root (v, eps).
+    in closed form from each root (v, eps).  The returned curve also holds
+    every point the root solve evaluated, so the next rate's roots start
+    from brackets narrower than a grid cell.
     """
-    log_v, alpha, (x_d, x_s), (a_d, a_s) = curve
+    log_v, alpha, eps, (x_d, x_s), (a_d, a_s) = curve
     large, small = log_v < x_d, log_v > x_s
-    branch_x = np.concatenate([log_v[large], [x_d, x_s], log_v[small]])
-    branch_alpha = np.concatenate([alpha[large], [a_d, a_s], alpha[small]])
+    # no root sits on a fold for a rate inside the window, so its eps is never read
+    branch = [np.concatenate([c[large], ends, c[small]]) for c, ends in
+              ((log_v, [x_d, x_s]), (alpha, [a_d, a_s]), (eps, [np.nan, np.nan]))]
     n_large = int(large.sum()) + 1
-    k = np.array([np.searchsorted(branch_alpha[:n_large], rate) - 1,
-                  np.searchsorted(branch_alpha[n_large:], rate) - 1 + n_large])
-    v, eps = _curve_roots(np.full(2, float(rate)), k, branch_x, branch_alpha, rho, sigma2, kind)
-    heights = free_entropy_grid(eps[:, None], single_block_spec(rho, sigma2, rate), kind)
-    s = eps if kind is Ensemble.GAUSSIAN_IID else eps / (1.0 - v * eps)
-    return float(heights[0] - heights[1]), float(np.log((sigma2 + s[1]) / (sigma2 + s[0])))
+    k = np.array([np.searchsorted(branch[1][:n_large], rate) - 1,
+                  np.searchsorted(branch[1][n_large:], rate) - 1 + n_large])
+    root, root_eps, evaluated = _curve_roots(np.full(2, float(rate)), k, branch, rho, sigma2, kind)
+    heights = free_entropy_grid(root_eps[:, None], single_block_spec(rho, sigma2, rate), kind)
+    gain = _log_gain(root, root_eps, sigma2, kind)
+    points = [np.concatenate([c, e.ravel()]) for c, e in zip((log_v, alpha, eps), evaluated)]
+    order = np.argsort(points[0], kind="stable")
+    return (float(heights[0] - heights[1]), float(gain[1] - gain[0]),
+            (*(c[order] for c in points), *curve[3:]))
 
 
 def _maxwell_rate(rho, sigma2, kind, curve):
     """Rate in [alpha_s, alpha_d] at which F is equal on the two rising branches.
 
     Newton on the height gap G(a) with its closed-form slope
-    (`_maxwell_gap`), from the middle of the window and kept inside the
-    bracket of the rates tried so far (a bisection step otherwise).  G
-    falls with a, so the fold ends, where the branch roots are double
-    roots, are never evaluated.  Rounding in G can keep |G| above any
-    fixed tolerance, or send Newton back and forth around the root, so the
-    search stops on the step size, on G = 0, or when its bracket closes; a
-    bracket that closes on an end of the window, with no sign change, is
-    NoTransitionError.
+    (`_maxwell_gap`), from the grid's equal-area rate (`_equal_area_rate`;
+    the middle of the window when the grid shows no sign change) and kept
+    inside the bracket of the rates tried so far (a bisection step
+    otherwise).  Each step's branch roots start from the points the
+    earlier steps evaluated.  G falls with a, so the fold ends, where the
+    branch roots are double roots, are never evaluated.  Rounding in G can
+    keep |G| above any fixed tolerance, or send Newton back and forth
+    around the root, so the search stops on the step size, on G = 0, or
+    when its bracket closes; a bracket that closes on an end of the
+    window, with no sign change, is NoTransitionError.
     """
-    lo, hi = ends = tuple(curve[3][::-1].tolist())
-    rate = 0.5 * (lo + hi)
+    lo, hi = ends = tuple(curve[-1][::-1].tolist())
+    rate = _equal_area_rate(curve, sigma2, kind)
+    rate = 0.5 * (lo + hi) if rate is None else rate
     for _ in range(_ROOT_MAX_ITER):
-        gap, slope = _maxwell_gap(rate, rho, sigma2, kind, curve)
+        gap, slope, curve = _maxwell_gap(rate, rho, sigma2, kind, curve)
         if gap == 0.0:
             return rate
         lo, hi = (rate, hi) if gap > 0 else (lo, rate)
@@ -311,12 +392,12 @@ def _maxwell_rate(rho, sigma2, kind, curve):
 
 def find_alpha_d(rho: float, sigma2: float, kind: Ensemble) -> float:
     """Largest rate with two free-entropy maxima (message-passing threshold)."""
-    return float(_search_curve(rho, sigma2, kind)[3][0])
+    return float(_search_curve(rho, sigma2, kind)[-1][0])
 
 
 def find_alpha_s(rho: float, sigma2: float, kind: Ensemble) -> float:
     """Smallest rate with two free-entropy maxima."""
-    return float(_search_curve(rho, sigma2, kind)[3][1])
+    return float(_search_curve(rho, sigma2, kind)[-1][1])
 
 
 def find_alpha_c(rho: float, sigma2: float, kind: Ensemble) -> float:
@@ -328,7 +409,7 @@ def _phase_point(rho, sigma2, kind) -> PhasePoint:
     try:
         curve = _search_curve(rho, sigma2, kind)
         a_c = _maxwell_rate(rho, sigma2, kind, curve)
-        a_d, a_s = curve[3].tolist()
+        a_d, a_s = curve[-1].tolist()
         return PhasePoint(sigma2=sigma2, alpha_d=a_d, alpha_c=a_c, alpha_s=a_s, sharp=True)
     except NoTransitionError:
         return PhasePoint(sigma2=sigma2, sharp=False)

@@ -86,6 +86,14 @@ class TestFreeEntropyCommand:
         assert res.exit_code == 2, res.output
         assert "alpha" in res.output
 
+    @pytest.mark.parametrize("alpha", ["0", "-0.1"])
+    def test_non_positive_rate_exits_2(self, runner, tmp_path, alpha):
+        res = runner.invoke(main, ["free-entropy", "--rho", "0.4", "--sigma2", "1e-4",
+                                   "--alpha", alpha, "--ensemble", "orthogonal",
+                                   "-o", str(tmp_path / "f.csv")])
+        assert res.exit_code == 2, res.output
+        assert "alpha must be > 0" in res.output
+
     def test_deterministic_output(self, runner, tmp_path):
         args = ["free-entropy", "--rho", "0.4", "--sigma2", "1e-4", "--alpha", "0.45",
                 "--ensemble", "gaussian", "--points", "400"]

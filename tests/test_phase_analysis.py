@@ -230,10 +230,10 @@ class TestFixedPointCurve:
 
     @pytest.mark.parametrize("kind", [GAUSS, ORTH])
     def test_grid_covers_the_scan_range(self, kind):
-        log_v, alpha = phase_analysis._fixed_point_curve(RHO, SIGMA2, kind)
-        eps = mmse(np.exp(log_v[[0, -1]]), BernoulliGaussianPrior(RHO))
+        log_v, alpha, eps = phase_analysis._fixed_point_curve(RHO, SIGMA2, kind)
+        assert np.array_equal(eps, mmse(np.exp(log_v), BernoulliGaussianPrior(RHO)))
         floor = phase_analysis.default_eps_floor(SIGMA2)
-        assert eps[1] <= floor and eps[0] >= RHO * (1 - floor)
+        assert eps[-1] <= floor and eps[0] >= RHO * (1 - floor)
         assert alpha.size == phase_analysis.DEFAULT_GRID_POINTS
 
 
@@ -244,7 +244,7 @@ class TestGridFreeSearch:
         # the reference owes nothing to the search grid: scipy's bounded Brent search for the
         # extrema of alpha(log v) in the cells around each turn of the 2000-point curve
         prior = BernoulliGaussianPrior(RHO)
-        log_v, alpha = phase_analysis._fixed_point_curve(RHO, sigma2, kind)
+        log_v, alpha, _ = phase_analysis._fixed_point_curve(RHO, sigma2, kind)
         rising = np.diff(alpha) > 0
         turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
         assert turns.size == 2
@@ -263,9 +263,9 @@ class TestGridFreeSearch:
         # dG/da = log((sigma2 + S_small) / (sigma2 + S_large)) against a central difference
         # of the refined scans' height gap; h = 1e-5 leaves a difference error of about 3e-9
         curve = phase_analysis._search_curve(RHO, SIGMA2, kind)
-        a_d, a_s = curve[3]
+        a_d, a_s = curve[-1]
         rate, h = a_s + share * (a_d - a_s), 1e-5
-        gap, slope = phase_analysis._maxwell_gap(rate, RHO, SIGMA2, kind, curve)
+        gap, slope, _ = phase_analysis._maxwell_gap(rate, RHO, SIGMA2, kind, curve)
         assert abs(gap + maxima_gap(rate, kind)) <= 1e-12
         central = (maxima_gap(rate - h, kind) - maxima_gap(rate + h, kind)) / (2.0 * h)
         assert slope < 0 and abs(slope / central - 1.0) <= 1e-7, (slope, central)
@@ -274,20 +274,38 @@ class TestGridFreeSearch:
         # rounding noise of 1e-10 that flips sign from one evaluation to the next sends plain
         # Newton back and forth between root - 2e-11 and root + 2e-11, steps above the step
         # tolerance: the search has to stop when its bracket closes
-        root = 0.5 * sum(phase_analysis._search_curve(RHO, SIGMA2, GAUSS)[3]) + 0.01
+        root = 0.5 * sum(phase_analysis._search_curve(RHO, SIGMA2, GAUSS)[-1]) + 0.01
         rates = []
 
-        def noisy_gap(rate, *args):
+        def noisy_gap(rate, *args):   # args end with the curve, which it hands back
             rates.append(rate)
-            return -5.0 * (rate - root) + 1e-10 * (-1) ** len(rates), -5.0
+            return -5.0 * (rate - root) + 1e-10 * (-1) ** len(rates), -5.0, args[-1]
 
         monkeypatch.setattr(phase_analysis, "_maxwell_gap", noisy_gap)
         assert abs(find_alpha_c(RHO, SIGMA2, GAUSS) - root) <= 2.5e-11   # noise / slope + 1e-12
         assert len(rates) <= 20
 
+    @pytest.mark.parametrize("kind", [GAUSS, ORTH])
+    @pytest.mark.parametrize("sigma2", [1e-4, 1e-3])
+    def test_equal_area_start_is_near_the_maxwell_rate(self, kind, sigma2):
+        # the trapezoid sums extrapolated to zero step start Newton within 1.5e-7 of alpha_c
+        # at rho 0.1, 0.4 and 0.7 and sigma2 1e-5, 1e-4 and 1e-3 (2.8e-7 over 100-level
+        # sweeps), so that one step lands within the step tolerance; the plain grid sum is
+        # off by up to 6e-6
+        curve = phase_analysis._search_curve(RHO, sigma2, kind)
+        start = phase_analysis._equal_area_rate(curve, sigma2, kind)
+        assert abs(start - phase_analysis._maxwell_rate(RHO, sigma2, kind, curve)) <= 2.5e-7
+
+    @pytest.mark.parametrize("kind", [GAUSS, ORTH])
+    def test_mid_window_start_reaches_the_same_rate(self, kind, monkeypatch):
+        expected = find_alpha_c(RHO, SIGMA2, kind)
+        monkeypatch.setattr(phase_analysis, "_equal_area_rate", lambda *args: None)
+        assert abs(find_alpha_c(RHO, SIGMA2, kind) / expected - 1.0) <= 1e-12
+
     def test_gap_without_sign_change_is_no_transition(self, monkeypatch):
         # the fold ends are never evaluated: the bracket closes on alpha_d instead
-        monkeypatch.setattr(phase_analysis, "_maxwell_gap", lambda rate, *args: (1.0, -1.0))
+        monkeypatch.setattr(phase_analysis, "_maxwell_gap",
+                            lambda rate, *args: (1.0, -1.0, args[-1]))
         with pytest.raises(NoTransitionError, match="does not change sign"):
             find_alpha_c(RHO, SIGMA2, GAUSS)
         assert not sweep_phase_diagram(RHO, [SIGMA2], GAUSS)[0].sharp
@@ -393,6 +411,56 @@ def test_rates_agree_with_the_bisection_search(kind, phase_sweeps):
         if ref is not None:
             got = (pt.alpha_s, pt.alpha_c, pt.alpha_d)
             assert np.abs(np.subtract(got, ref)).max() <= ALPHA_TOL, (pt.sigma2, got, ref)
+
+
+# the last sharp level of a 400-level noise sweep over [1e-6, 3e-3], as (index, whether the
+# grid sums show no sign change and Newton starts mid-window): the window is 2.9e-6 to 4.4e-5
+# wide and holds 3 to 8 points of the search curve
+NEAR_CUSP_SWEEP = np.geomspace(1e-6, 3e-3, 400)
+NEAR_CUSP_LEVELS = {(0.1, ORTH): (366, True), (0.1, GAUSS): (358, True),
+                    (0.4, ORTH): (393, True), (0.4, GAUSS): (361, True),
+                    (0.7, ORTH): (382, False), (0.7, GAUSS): (311, True)}
+
+
+@pytest.mark.parametrize("rho, kind", list(NEAR_CUSP_LEVELS))
+def test_equal_heights_at_the_last_sharp_level(rho, kind, monkeypatch):
+    index, mid_window = NEAR_CUSP_LEVELS[rho, kind]
+    starts = []
+    equal_area_rate = phase_analysis._equal_area_rate
+
+    def recorded(*args):
+        starts.append(equal_area_rate(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(phase_analysis, "_equal_area_rate", recorded)
+    pt, beyond = sweep_phase_diagram(rho, NEAR_CUSP_SWEEP[index:index + 2], kind)
+    assert pt.sharp and not beyond.sharp and pt.error is None
+    assert (starts[0] is None) is mid_window
+    curve = scan_curve(rho, pt.sigma2, pt.alpha_c, kind)
+    assert curve.n_maxima == 2
+    assert abs(curve.maxima[0][1] - curve.maxima[1][1]) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [GAUSS, ORTH])
+def test_phase_point_work(kind, monkeypatch):
+    # at the benchmark's point: one mmse call for the curve, 4-5 fold steps, then two Newton
+    # steps, each one joint root solve of both maxima (6, then 3 warm-started mmse calls)
+    # and one free_entropy_grid call; 14 (orthogonal) and 15 (Gaussian) mmse calls
+    calls = {"mmse": 0, "free_entropy_grid": 0}
+
+    def counted(name):
+        fn = getattr(phase_analysis, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(phase_analysis, name, counted(name))
+    (pt,) = sweep_phase_diagram(RHO, [SIGMA2], kind)
+    assert pt.sharp and pt.error is None
+    assert calls["mmse"] <= 16 and calls["free_entropy_grid"] <= 2, calls
 
 
 class TestPhasePointFailures:
