@@ -22,19 +22,24 @@ alpha_d and alpha_s are its folds, and alpha_c equalizes F on its two
 rising branches.
 
 The transition search samples the curve on a coarse grid that only has
-to show the two turns and bracket the branch roots.  Each fold is then
-refined to the extremum of alpha(log v) near its turn, so alpha_d and
-alpha_s do not depend on the grid.  alpha_c is the Newton root of the
-height gap G(a) = F(large-MSE maximum) - F(small-MSE maximum): both
-maxima are stationary in eps, so G'(a) is the difference of the explicit
-rate derivatives of F, log((sigma2 + S_small) / (sigma2 + S_large)), in
-closed form from the two branch roots.  Every curve point is stationary,
-so along the curve the same derivative integrates to G itself: G(a) is
-the integral of log(1 + S / sigma2) d alpha between the two rising
-crossings of a (the equal-area rule).  Its trapezoid sums on the grid,
-from values the curve already holds, start Newton within 3e-7 of alpha_c,
-and each step solves the branch roots from brackets that the points
-evaluated by the earlier steps narrow.
+to show the two turns and bracket the branch roots, and evaluates it only
+where they can lie, over 1 <= v <= 1 / sigma2.  Above that slice,
+alpha(v) >= min(1, v sigma2) = 1 lies above every window; below it,
+v mmse(v) rises (checked, not proved), so alpha(v) rises there, on the
+large-MSE branch below alpha_s.  A slice that does not show the window
+falls back to the full grid.  Each fold is refined to the extremum of
+alpha(log v) near its turn, so alpha_d and alpha_s do not depend on the
+grid.  alpha_c is the Newton root of the height gap G(a) = F(large-MSE
+maximum) - F(small-MSE maximum): both maxima are stationary in eps, so
+G'(a) is the difference of the explicit rate derivatives of F,
+log((sigma2 + S_small) / (sigma2 + S_large)), in closed form from the two
+branch roots.  Every curve point is stationary, so along the curve the
+same derivative integrates to G itself: G(a) is the integral of
+log(1 + S / sigma2) d alpha between the two rising crossings of a (the
+equal-area rule).  Its trapezoid sums on the grid, from values the curve
+already holds, start Newton within 3e-7 of alpha_c, and each step solves
+the branch roots from brackets that the points evaluated by the earlier
+steps narrow.
 """
 
 import concurrent.futures
@@ -182,18 +187,22 @@ def _fixed_point_rates(log_v, prior, sigma2, kind):
     return v * (eps + sigma2 * (1.0 - delta)), eps
 
 
-def _fixed_point_curve(rho, sigma2, kind, n_points=DEFAULT_GRID_POINTS, floor=None):
-    """(log v grid, alpha, eps on it): every single-block fixed point, from one mmse call.
-
-    v runs over n_points of [floor, 1 / floor], floor = default_eps_floor(sigma2) by
-    default, and eps = mmse(v).  rho / (1 + v) <= mmse(v) <= rho / (1 + rho v), so
-    the fixed points cover eps in [floor, rho (1 - floor)], about `scan_curve`'s
-    eps grid.
-    """
+def _log_v_grid(sigma2, n_points, floor=None):
+    """n_points of log v over [floor, 1 / floor], floor = default_eps_floor(sigma2) by default."""
     if not 0 < sigma2 < np.inf:
         raise ValueError(NO_NOISE_MESSAGE if sigma2 == 0 else "sigma2 must be finite and > 0")
     floor = default_eps_floor(sigma2) if floor is None else floor
-    log_v = np.linspace(np.log(floor), -np.log(floor), n_points)
+    return np.linspace(np.log(floor), -np.log(floor), n_points)
+
+
+def _fixed_point_curve(rho, sigma2, kind, n_points=DEFAULT_GRID_POINTS, floor=None):
+    """(log v grid, alpha, eps on it): every single-block fixed point, from one mmse call.
+
+    v runs over `_log_v_grid` and eps = mmse(v).  rho / (1 + v) <= mmse(v) <=
+    rho / (1 + rho v), so the fixed points cover eps in [floor, rho (1 - floor)],
+    about `scan_curve`'s eps grid.
+    """
+    log_v = _log_v_grid(sigma2, n_points, floor)
     return (log_v, *_fixed_point_rates(log_v, BernoulliGaussianPrior(rho), sigma2, kind))
 
 
@@ -262,10 +271,45 @@ def _folds(rho, sigma2, kind, log_v, alpha):
     return x[:, 1], rates
 
 
+def _search_slice(log_v, sigma2):
+    """(lo, hi): the cells of a log v grid over 1 <= v <= 1 / sigma2, one more at each end, lo even."""
+    lo = max(int(np.searchsorted(log_v, 0.0)) - 1, 0) // 2 * 2
+    return lo, min(int(np.searchsorted(log_v, -np.log(sigma2), side="right")) + 1, log_v.size)
+
+
 def _search_curve(rho, sigma2, kind):
-    """(log v, alpha, eps, fold log v, fold rates): the transition search's curve and its folds."""
-    log_v, alpha, eps = _fixed_point_curve(rho, sigma2, kind, _SEARCH_GRID_POINTS)
-    return (log_v, alpha, eps, *_folds(rho, sigma2, kind, log_v, alpha))
+    """(log v, alpha, eps, fold log v, fold rates): the transition search's curve and its folds.
+
+    The curve is the `_SEARCH_GRID_POINTS` log v grid of `_fixed_point_curve`,
+    evaluated only on its slice over 1 <= v <= 1 / sigma2 with one cell of
+    margin at each end (`_search_slice`).  Nothing the search reads lies
+    outside it:
+    - above v = 1 / sigma2, alpha(v) >= min(1, v sigma2) = 1 > _ALPHA_SEARCH_CAP
+      (Gaussian: alpha = v (eps + sigma2) >= v sigma2; orthogonal: alpha =
+      Delta + (1 - Delta) v sigma2, a mean of 1 and v sigma2 since Delta =
+      v eps lies in [0, 1)), so no fold and no crossing of a window rate;
+    - below v = 1, v mmse(v) rises, so alpha(v) rises for both ensembles (checked
+      on a grid of rho, not proved): only the large-MSE branch below alpha_s.
+    The slice starts at an even index, so its every second point is one of
+    the grid's (`_equal_area_rate`).  When the slice does not turn exactly
+    twice, or its first point is not below the refined alpha_s, the rest of
+    the grid is evaluated too and the search runs on the full grid, with the
+    values of a full-grid call (mmse rows are independent).
+    """
+    log_v, prior = _log_v_grid(sigma2, _SEARCH_GRID_POINTS), BernoulliGaussianPrior(rho)
+    lo, hi = _search_slice(log_v, sigma2)
+    alpha, eps = _fixed_point_rates(log_v[lo:hi], prior, sigma2, kind)
+    try:
+        folds = _folds(rho, sigma2, kind, log_v[lo:hi], alpha)
+        if alpha[0] < folds[1][1]:
+            return (log_v[lo:hi], alpha, eps, *folds)
+    except NoTransitionError:
+        pass
+    rest = np.r_[:lo, hi:log_v.size]
+    curve = np.empty((2, log_v.size))
+    curve[:, lo:hi] = alpha, eps
+    curve[:, rest] = _fixed_point_rates(log_v[rest], prior, sigma2, kind)
+    return (log_v, *curve, *_folds(rho, sigma2, kind, log_v, curve[0]))
 
 
 def _log_gain(log_v, eps, sigma2, kind):
@@ -308,12 +352,16 @@ def _equal_area_rate(curve, sigma2, kind):
     from the large-MSE to the small-MSE crossing of a (the equal-area
     rule).  Its trapezoid sums on the grid and on every second grid point
     (`_area_gap`) are extrapolated to zero step (their error is O(step^2))
-    at as many rates across the window as the grid has points; the rate is
-    interpolated linearly where that G changes sign.
+    at as many rates across the window as the full search grid has points;
+    the rate is interpolated linearly where that G changes sign.  The
+    curve is the grid's slice over 1 <= v <= 1 / sigma2 (`_search_curve`),
+    which starts at an even grid index, so every second point of the slice
+    is one of the grid's every second point, and the slice holds both
+    crossings of every rate in the window.
     """
     log_v, alpha, eps, x_folds, (a_d, a_s) = curve
     gain = _log_gain(log_v, eps, sigma2, kind)
-    rates = np.linspace(a_s, a_d, alpha.size)[1:-1]
+    rates = np.linspace(a_s, a_d, _SEARCH_GRID_POINTS)[1:-1]
     fine, coarse = (_area_gap(rates, log_v[::m], alpha[::m], gain[::m], *x_folds) for m in (1, 2))
     gap = (4.0 * fine - coarse) / 3.0
     change = np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))

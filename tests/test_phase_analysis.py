@@ -228,6 +228,28 @@ class TestFixedPointCurve:
         floor = 8e-16 * (alpha + abs(1.0 - alpha)) / gamma2 * (1.0 + 1.0 / (eps * gamma2))
         assert abs(vamp - eps) <= 1e-10 * eps + floor
 
+    @settings(deadline=None, max_examples=50)
+    @given(rho=st.floats(1e-4, 1.0), log_sigma2=st.floats(-10.0, 0.0),
+           log_v=st.floats(-23.0, 23.0), kind=st.sampled_from([GAUSS, ORTH]))
+    def test_rate_is_at_least_min_of_one_and_v_sigma2(self, rho, log_sigma2, log_v, kind):
+        # the upper cut of the search slice: beyond v = 1 / sigma2 the curve lies above the
+        # rate cap (Gaussian: alpha = v (eps + sigma2); orthogonal: alpha is a mean of 1 and
+        # v sigma2 with weights Delta = v eps and 1 - Delta); 1e-15 covers the rounding of
+        # alpha, far below the 1e-7 by which _ALPHA_SEARCH_CAP sits under 1
+        sigma2, v = 10.0 ** log_sigma2, np.exp(log_v)
+        (alpha,), _ = phase_analysis._fixed_point_rates(
+            np.array([log_v]), BernoulliGaussianPrior(rho), sigma2, kind)
+        assert alpha >= min(1.0, v * sigma2) * (1.0 - 1e-15)
+
+    def test_v_mmse_rises_up_to_v_one(self):
+        # the lower cut of the search slice: below v = 1, v mmse(v) rises, so the Gaussian
+        # alpha = v mmse + v sigma2 rises, and so does the orthogonal alpha = Delta +
+        # (1 - Delta) v sigma2 (its slope is Delta' (1 - v sigma2) + sigma2 (1 - Delta));
+        # checked on this grid, not proved
+        v = np.geomspace(1e-10, 1.0, 200)
+        for rho in np.linspace(1e-4, 1.0 - 1e-4, 120):
+            assert np.all(np.diff(v * mmse(v, BernoulliGaussianPrior(rho))) > 0), rho
+
     @pytest.mark.parametrize("kind", [GAUSS, ORTH])
     def test_grid_covers_the_scan_range(self, kind):
         log_v, alpha, eps = phase_analysis._fixed_point_curve(RHO, SIGMA2, kind)
@@ -441,41 +463,84 @@ def test_equal_heights_at_the_last_sharp_level(rho, kind, monkeypatch):
     assert abs(curve.maxima[0][1] - curve.maxima[1][1]) <= 1e-12
 
 
+def count_phase_point_work(rho, sigma2, kind, monkeypatch):
+    """(PhasePoint, counts): mmse calls and values and free_entropy_grid calls of one point."""
+    calls = {"mmse": 0, "values": 0, "free_entropy_grid": 0}
+    mmse_, free_entropy_grid_ = phase_analysis.mmse, phase_analysis.free_entropy_grid
+
+    def counted_mmse(v, *args):
+        calls["mmse"] += 1
+        calls["values"] += np.size(v)
+        return mmse_(v, *args)
+
+    def counted_free_entropy_grid(*args):
+        calls["free_entropy_grid"] += 1
+        return free_entropy_grid_(*args)
+
+    monkeypatch.setattr(phase_analysis, "mmse", counted_mmse)
+    monkeypatch.setattr(phase_analysis, "free_entropy_grid", counted_free_entropy_grid)
+    (pt,) = sweep_phase_diagram(rho, [sigma2], kind)
+    return pt, calls
+
+
 @pytest.mark.parametrize("kind", [GAUSS, ORTH])
 def test_phase_point_work(kind, monkeypatch):
-    # at the benchmark's point: one mmse call for the curve, 4-5 fold steps, then two Newton
-    # steps, each one joint root solve of both maxima (6, then 3 warm-started mmse calls)
-    # and one free_entropy_grid call; 14 (orthogonal) and 15 (Gaussian) mmse calls
-    calls = {"mmse": 0, "free_entropy_grid": 0}
-
-    def counted(name):
-        fn = getattr(phase_analysis, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(phase_analysis, name, counted(name))
-    (pt,) = sweep_phase_diagram(RHO, [SIGMA2], kind)
+    # at the benchmark's point: one mmse call for the curve on the search slice (146 of
+    # the grid's 500 values), 4-5 fold steps, then two Newton steps, each one joint root
+    # solve of both maxima (6, then 2-3 warm-started mmse calls) and one free_entropy_grid
+    # call; 14 mmse calls on 172 values for each ensemble
+    pt, calls = count_phase_point_work(RHO, SIGMA2, kind, monkeypatch)
     assert pt.sharp and pt.error is None
     assert calls["mmse"] <= 16 and calls["free_entropy_grid"] <= 2, calls
+    assert calls["values"] <= 200, calls
+
+
+@pytest.mark.parametrize("kind", [GAUSS, ORTH])
+def test_work_past_the_cusp(kind, monkeypatch):
+    # no window: the slice and then the rest of the grid, each value once, plus two values
+    # per fold or root step
+    pt, calls = count_phase_point_work(RHO, 1e-2, kind, monkeypatch)
+    assert not pt.sharp and pt.error is None
+    n = phase_analysis._SEARCH_GRID_POINTS
+    assert calls["values"] <= n + 2 * (calls["mmse"] - 2) and calls["mmse"] >= 2, calls
+
+
+@pytest.mark.parametrize("kind", [GAUSS, ORTH])
+def test_fallback_is_the_full_grid_search(kind, monkeypatch):
+    # a slice that cannot hold the window sends the search to the rest of the same grid:
+    # curve and rates are bit-identical to a search that evaluates the whole grid at once
+    search_slice = phase_analysis._search_slice
+    monkeypatch.setattr(phase_analysis, "_search_slice", lambda log_v, sigma2: (0, log_v.size))
+    full = phase_analysis._search_curve(RHO, SIGMA2, kind)
+    (reference,) = sweep_phase_diagram(RHO, [SIGMA2], kind)
+    log_v, alpha, _, (x_d, _), (_, a_s) = full
+    hi = search_slice(log_v, SIGMA2)[1]
+    # a first point on the large-MSE branch above alpha_s (two turns), then one past alpha_d
+    # (one turn)
+    for lo in (int(np.flatnonzero(alpha >= a_s)[0]), int(np.searchsorted(log_v, x_d)) + 1):
+        monkeypatch.setattr(phase_analysis, "_search_slice", lambda log_v, sigma2: (lo, hi))
+        curve = phase_analysis._search_curve(RHO, SIGMA2, kind)
+        assert all(np.array_equal(got, want) for got, want in zip(curve, full, strict=True))
+        assert sweep_phase_diagram(RHO, [SIGMA2], kind) == [reference]
 
 
 class TestPhasePointFailures:
     def test_curve_is_built_once_per_phase_point(self, monkeypatch):
-        calls = []
-        build = phase_analysis._fixed_point_curve
+        # one curve evaluation, on the search slice; the folds and the branch roots then
+        # evaluate two points at a time
+        sizes = []
+        rates = phase_analysis._fixed_point_rates
 
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
+        def counted(log_v, *args):
+            sizes.append(log_v.size)
+            return rates(log_v, *args)
 
-        monkeypatch.setattr(phase_analysis, "_fixed_point_curve", counted)
+        monkeypatch.setattr(phase_analysis, "_fixed_point_rates", counted)
         (pt,) = sweep_phase_diagram(RHO, [SIGMA2], GAUSS)
         assert pt.sharp and pt.alpha_s < pt.alpha_c < pt.alpha_d
-        assert calls == [(RHO, SIGMA2, GAUSS, phase_analysis._SEARCH_GRID_POINTS)]
+        log_v = phase_analysis._log_v_grid(SIGMA2, phase_analysis._SEARCH_GRID_POINTS)
+        lo, hi = phase_analysis._search_slice(log_v, SIGMA2)
+        assert sizes[0] == hi - lo < log_v.size and max(sizes[1:]) == 2
 
     def test_unconverged_root_find_becomes_an_error_row(self, monkeypatch):
         monkeypatch.setattr(phase_analysis, "_ROOT_MAX_ITER", 1)
