@@ -333,6 +333,20 @@ class TestGridFreeSearch:
         assert not sweep_phase_diagram(RHO, [SIGMA2], GAUSS)[0].sharp
 
 
+def test_step_onto_a_bracket_end_closes_the_bracket():
+    # on [0, 1] the regula-falsi step for the root 1e-20 of 1e-20 - x rounds onto 0; a
+    # bisection there would take about 47 halvings to reach the tolerance
+    calls = []
+
+    def residual(x):
+        calls.append(x)
+        return 1e-20 - x
+
+    root = phase_analysis._illinois(residual, np.zeros(1), np.ones(1),
+                                    np.full(1, 1e-20), np.full(1, 1e-20 - 1.0))
+    assert len(calls) == 1 and abs(root[0]) <= phase_analysis._ROOT_XTOL
+
+
 @settings(deadline=None, max_examples=20)
 @given(log_sigma2=st.floats(min_value=-6.0, max_value=-3.0),
        kind=st.sampled_from([GAUSS, ORTH]))
