@@ -275,7 +275,7 @@ def _folds(rho, sigma2, kind, log_v, alpha):
 
 
 def _search_slice(log_v, sigma2):
-    """(lo, hi): the cells of a log v grid over 1 <= v <= 1 / sigma2, one more at each end, lo even."""
+    """(lo, hi) on a log v grid: 1 <= v <= 1 / sigma2, one more cell at each end, lo even."""
     lo = max(int(np.searchsorted(log_v, 0.0)) - 1, 0) // 2 * 2
     return lo, min(int(np.searchsorted(log_v, -np.log(sigma2), side="right")) + 1, log_v.size)
 
@@ -283,7 +283,7 @@ def _search_slice(log_v, sigma2):
 def _search_curve(rho, sigma2, kind):
     """(log v, alpha, eps, fold log v, fold rates): the transition search's curve and its folds.
 
-    The curve is the `_SEARCH_GRID_POINTS` log v grid of `_fixed_point_curve`,
+    The curve is `_fixed_point_curve`'s grid of `_SEARCH_GRID_POINTS` points,
     evaluated only on its slice over 1 <= v <= 1 / sigma2 with one cell of
     margin at each end (`_search_slice`).  Nothing the search reads lies
     outside it:
@@ -293,11 +293,12 @@ def _search_curve(rho, sigma2, kind):
       v eps lies in [0, 1)), so no fold and no crossing of a window rate;
     - below v = 1, v mmse(v) rises, so alpha(v) rises for both ensembles (checked
       on a grid of rho, not proved): only the large-MSE branch below alpha_s.
-    The slice starts at an even index, so its every second point is one of
-    the grid's (`_equal_area_rate`).  When the slice does not turn exactly
-    twice, or its first point is not below the refined alpha_s, the rest of
-    the grid is evaluated too and the search runs on the full grid, with the
-    values of a full-grid call (mmse rows are independent).
+    The slice starts at an even index, so its every second point is also
+    one of the grid's every second points (`_equal_area_rate`).  When the
+    slice does not turn exactly twice, or its first point is not below the
+    refined alpha_s, the rest of the grid is evaluated too and the search
+    runs on the full grid, with the values of a full-grid call (mmse rows
+    are independent).
     """
     log_v, prior = _log_v_grid(sigma2, _SEARCH_GRID_POINTS), BernoulliGaussianPrior(rho)
     lo, hi = _search_slice(log_v, sigma2)
