@@ -27,13 +27,13 @@ where they can lie, over 1 <= v <= 1 / sigma2.  Above that slice,
 alpha(v) >= min(1, v sigma2) = 1 lies above every window; below it,
 v mmse(v) rises (checked, not proved), so alpha(v) rises there, on the
 large-MSE branch below alpha_s.  A slice that does not show the window
-falls back to the full grid.  Each fold is refined to the extremum of
-alpha(log v) near its turn, so alpha_d and alpha_s do not depend on the
-grid.  alpha_c is the Newton root of the height gap G(a) = F(large-MSE
-maximum) - F(small-MSE maximum): both maxima are stationary in eps, so
-G'(a) is the difference of the explicit rate derivatives of F,
-log((sigma2 + S_small) / (sigma2 + S_large)), in closed form from the two
-branch roots.  Every curve point is stationary, so along the curve the
+thus has none on the full grid either.  Each fold is refined to the
+extremum of alpha(log v) near its turn, so alpha_d and alpha_s do not
+depend on the grid.  alpha_c is the Newton root of the height gap G(a) =
+F(large-MSE maximum) - F(small-MSE maximum): both maxima are stationary
+in eps, so G'(a) is the difference of the explicit rate derivatives of
+F, log((sigma2 + S_small) / (sigma2 + S_large)), in closed form from the
+two branch roots.  Every curve point is stationary, so along the curve the
 same derivative integrates to G itself: G(a) is the integral of
 log(1 + S / sigma2) d alpha between the two rising crossings of a (the
 equal-area rule).  Its trapezoid sums on the grid, from values the curve
@@ -293,27 +293,24 @@ def _search_curve(rho, sigma2, kind):
       v eps lies in [0, 1)), so no fold and no crossing of a window rate;
     - below v = 1, v mmse(v) rises, so alpha(v) rises for both ensembles (checked
       on a grid of rho, not proved): only the large-MSE branch below alpha_s.
+    So a slice that does not turn exactly twice, or whose fold alpha_d is not
+    below the cap, has no window on the full grid either (NoTransitionError).
     The slice starts at an even index, so its every second point is also
-    one of the grid's every second points (`_equal_area_rate`).  When the
-    slice does not turn exactly twice, or its first point is not below the
-    refined alpha_s, the rest of the grid is evaluated too and the search
-    runs on the full grid, with the values of a full-grid call (mmse rows
-    are independent).
+    one of the grid's every second points (`_equal_area_rate`).
+    ConvergenceError when the slice's first point is not below the refined
+    alpha_s, so that the large-MSE branch would not bracket every window rate
+    (at the 1409 sharp points of a grid of rho in [1e-4, 0.995] and sigma2 in
+    [1e-10, 0.1], both ensembles, it lay at most at 0.86 alpha_s).
     """
-    log_v, prior = _log_v_grid(sigma2, _SEARCH_GRID_POINTS), BernoulliGaussianPrior(rho)
+    log_v = _log_v_grid(sigma2, _SEARCH_GRID_POINTS)
     lo, hi = _search_slice(log_v, sigma2)
-    alpha, eps = _fixed_point_rates(log_v[lo:hi], prior, sigma2, kind)
-    try:
-        folds = _folds(rho, sigma2, kind, log_v[lo:hi], alpha)
-        if alpha[0] < folds[1][1]:
-            return (log_v[lo:hi], alpha, eps, *folds)
-    except NoTransitionError:
-        pass
-    rest = np.r_[:lo, hi:log_v.size]
-    curve = np.empty((2, log_v.size))
-    curve[:, lo:hi] = alpha, eps
-    curve[:, rest] = _fixed_point_rates(log_v[rest], prior, sigma2, kind)
-    return (log_v, *curve, *_folds(rho, sigma2, kind, log_v, curve[0]))
+    log_v = log_v[lo:hi]
+    alpha, eps = _fixed_point_rates(log_v, BernoulliGaussianPrior(rho), sigma2, kind)
+    x_folds, rates = _folds(rho, sigma2, kind, log_v, alpha)
+    if alpha[0] >= rates[1]:
+        raise ConvergenceError("the search slice starts above alpha_s: the large-MSE branch "
+                               "does not bracket the window", residual=float(alpha[0] - rates[1]))
+    return log_v, alpha, eps, x_folds, rates
 
 
 def _log_gain(log_v, eps, sigma2, kind):

@@ -511,31 +511,29 @@ def test_phase_point_work(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", [GAUSS, ORTH])
 def test_work_past_the_cusp(kind, monkeypatch):
-    # no window: the slice and then the rest of the grid, each value once, plus two values
-    # per fold or root step
+    # no window: the slice, each value once, plus two values per fold step
     pt, calls = count_phase_point_work(RHO, 1e-2, kind, monkeypatch)
     assert not pt.sharp and pt.error is None
-    n = phase_analysis._SEARCH_GRID_POINTS
-    assert calls["values"] <= n + 2 * (calls["mmse"] - 2) and calls["mmse"] >= 2, calls
+    log_v = phase_analysis._log_v_grid(1e-2, phase_analysis._SEARCH_GRID_POINTS)
+    lo, hi = phase_analysis._search_slice(log_v, 1e-2)
+    assert calls["values"] <= hi - lo + 2 * (calls["mmse"] - 1), calls
 
 
 @pytest.mark.parametrize("kind", [GAUSS, ORTH])
-def test_fallback_is_the_full_grid_search(kind, monkeypatch):
-    # a slice that cannot hold the window sends the search to the rest of the same grid:
-    # curve and rates are bit-identical to a search that evaluates the whole grid at once
-    search_slice = phase_analysis._search_slice
+@pytest.mark.parametrize("rho", [0.1, 0.4, 0.9])
+def test_slice_search_matches_the_full_grid_search(rho, kind, monkeypatch):
+    # levels with and without a window, up to past the cusp: the search on the whole grid
+    # finds the same folds bit for bit, and alpha_c up to the rounding of its area sums
+    levels = np.geomspace(1e-6, 3e-2, 9)
+    sliced = sweep_phase_diagram(rho, levels, kind)
     monkeypatch.setattr(phase_analysis, "_search_slice", lambda log_v, sigma2: (0, log_v.size))
-    full = phase_analysis._search_curve(RHO, SIGMA2, kind)
-    (reference,) = sweep_phase_diagram(RHO, [SIGMA2], kind)
-    log_v, alpha, _, (x_d, _), (_, a_s) = full
-    hi = search_slice(log_v, SIGMA2)[1]
-    # a first point on the large-MSE branch above alpha_s (two turns), then one past alpha_d
-    # (one turn)
-    for lo in (int(np.flatnonzero(alpha >= a_s)[0]), int(np.searchsorted(log_v, x_d)) + 1):
-        monkeypatch.setattr(phase_analysis, "_search_slice", lambda log_v, sigma2: (lo, hi))
-        curve = phase_analysis._search_curve(RHO, SIGMA2, kind)
-        assert all(np.array_equal(got, want) for got, want in zip(curve, full, strict=True))
-        assert sweep_phase_diagram(RHO, [SIGMA2], kind) == [reference]
+    full = sweep_phase_diagram(rho, levels, kind)
+    assert any(pt.sharp for pt in full) and not all(pt.sharp for pt in full)
+    for got, want in zip(sliced, full, strict=True):
+        assert (got.sharp, got.error, got.alpha_d, got.alpha_s) == (
+            want.sharp, want.error, want.alpha_d, want.alpha_s)
+        if want.sharp:
+            assert abs(got.alpha_c - want.alpha_c) <= 1e-13 * want.alpha_c
 
 
 class TestPhasePointFailures:
@@ -555,6 +553,19 @@ class TestPhasePointFailures:
         log_v = phase_analysis._log_v_grid(SIGMA2, phase_analysis._SEARCH_GRID_POINTS)
         lo, hi = phase_analysis._search_slice(log_v, SIGMA2)
         assert sizes[0] == hi - lo < log_v.size and max(sizes[1:]) == 2
+
+    @pytest.mark.parametrize("kind", [GAUSS, ORTH])
+    def test_slice_above_alpha_s_becomes_an_error_row(self, kind, monkeypatch):
+        # a slice whose first point is on the large-MSE branch above alpha_s cannot bracket
+        # the window's rates on that branch
+        log_v, alpha, _, _, (_, a_s) = phase_analysis._search_curve(RHO, SIGMA2, kind)
+        grid = phase_analysis._log_v_grid(SIGMA2, phase_analysis._SEARCH_GRID_POINTS)
+        lo = int(np.searchsorted(grid, log_v[np.flatnonzero(alpha >= a_s)[0]]))
+        hi = phase_analysis._search_slice(grid, SIGMA2)[1]
+        monkeypatch.setattr(phase_analysis, "_search_slice", lambda log_v, sigma2: (lo, hi))
+        (pt,) = sweep_phase_diagram(RHO, [SIGMA2], kind)
+        assert not pt.sharp and pt.alpha_d is None
+        assert pt.error.startswith("ConvergenceError: the search slice starts above alpha_s")
 
     def test_unconverged_root_find_becomes_an_error_row(self, monkeypatch):
         monkeypatch.setattr(phase_analysis, "_ROOT_MAX_ITER", 1)
