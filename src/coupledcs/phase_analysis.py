@@ -119,10 +119,11 @@ def _illinois(residual, a, b, fa, fb):
     """A root of residual in each bracket [a[i], b[i]] with fa >= 0 >= fb, all at once.
 
     Illinois regula falsi: an end kept twice in a row has its residual
-    halved, for superlinear convergence.  A step that rounds onto or past
-    an end, whose residual is then rounding noise, moves half a tolerance
-    inside the bracket, which closes it in one evaluation when the root is
-    that close.  A zero at an end is that bracket's root.
+    halved, for superlinear convergence.  A step within half a tolerance
+    of an end, or onto or past it, where the residual is rounding noise,
+    moves to half a tolerance inside the bracket, which closes it in one
+    evaluation when the root is that close.  A zero at an end is that
+    bracket's root.
     """
     moved = np.zeros(a.size)   # +1: a moved last, -1: b moved last
     for _ in range(_ROOT_MAX_ITER):
@@ -131,7 +132,7 @@ def _illinois(residual, a, b, fa, fb):
         if not live.any():
             break
         c = b - fb * (b - a) / (fb - fa)   # fa > 0 or fb < 0: the step is finite
-        c = np.where(c < b, np.maximum(c, a + 0.5 * tol), b - 0.5 * tol)
+        c = np.clip(c, a + 0.5 * tol, b - 0.5 * tol)
         fc = residual(c)
         up, down = live & (fc > 0), live & (fc <= 0)
         fa = np.where(up, fc, np.where(down & (moved < 0), 0.5 * fa, fa))
