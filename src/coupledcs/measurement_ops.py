@@ -5,10 +5,9 @@ a CouplingSpec.  Row-orthogonal blocks select M_q distinct rows of the
 N_p-point unitary DFT, permute its columns, and scale by
 sqrt(J[q,p] * N_p / N), so every entry has squared modulus exactly
 J[q,p] / N.  Gaussian blocks are dense i.i.d. complex Gaussian with the
-same per-entry variance.  Application stacks each run of consecutive
-equal-size DFT blocks into one multi-row FFT call instead of an O(M_q N_p)
-product, and adds the block outputs in (q, p) order, so every sum is
-formed as a per-block loop would form it.
+same per-entry variance.  Application takes one transform per DFT block
+instead of an O(M_q N_p) product and adds the block outputs in (q, p)
+order.
 
 Block sizes N_p = N / L_c are seldom FFT-friendly, and pocketfft is slow
 on a large prime factor: at N = 2^17, L_c = 10 a 13107 = 3 * 17 * 257-point
@@ -38,17 +37,12 @@ import numpy as np
 from .replica_core import CouplingSpec, Ensemble
 from .scalar_channel import BernoulliGaussianPrior, _sample_prior
 
-# elements per batched FFT call: a run of equal-size DFT blocks is cut into
-# (k, n) stacks with k * n <= _FFT_BUDGET (k >= 1).  Two blocks of the
-# N = 2^17 showcase chain fit in one call; bigger stacks add peak memory
-# for little time.
-_FFT_BUDGET = 2 ** 15
 # block sizes whose largest prime-power factor p^a has p above this take the
 # two-axis layout.  Over the N_p of N = 2^15 and 2^17 at L_c = 6..30 (numpy
-# 2.4's pocketfft, BENCH_14.json) the split took 1.2-2.3x the 1-D time
-# wherever p <= 97 and 0.37-0.86x wherever p >= 127 and N_p > 2400; p = 101,
-# 103 and smaller N_p read 1.0-1.3x on transforms of under 0.6 ms.  The
-# alternative rule p^2 > N_p would also split 1328 = 2^4 * 83 (2.3x).
+# 2.4's pocketfft, two-row stacks, BENCH_14.json) the split took 1.2-2.3x the
+# 1-D time wherever p <= 97 and 0.37-0.86x wherever p >= 127 and N_p > 2400;
+# p = 101, 103 and smaller N_p read 1.0-1.3x on transforms of under 0.6 ms.
+# The alternative rule p^2 > N_p would also split 1328 = 2^4 * 83 (2.3x).
 _SPLIT_PRIME = 100
 # the prime axis p^1 of a split block takes Rader's algorithm when p - 1 has
 # no prime factor above this.  Over the split sizes of BENCH_14.json's table
@@ -56,7 +50,10 @@ _SPLIT_PRIME = 100
 # all 28 whose p - 1 passes, 257 (2^8) among them at 0.51-0.64x, and
 # 1.02-2.3x at 15 of the 16 that fail, 809 (2^3 * 101) among them at
 # 1.4-1.5x; 3284 = 4 * 821 (820 = 2^2 * 5 * 41) read 0.78x.  Whole prime
-# blocks keep the 1-D call: the table times only nine of them.
+# blocks keep the 1-D call: the table times only nine of them.  Re-timed
+# one block at a time (numpy 2.4.6), the 13107 = 51 x 257 layout with
+# Rader's stage took 0.29-0.46 ms with its scatter against 2.2-2.4 ms for
+# the 1-D transform; no other size was re-timed.
 _RADER_FACTOR = 31
 
 
@@ -163,18 +160,6 @@ def build_coupled_operator(spec: CouplingSpec, N: int, seed: int,
                            row_offsets=np.concatenate([[0], np.cumsum(row_sizes)]))
 
 
-def _dft_runs(blocks: dict):
-    """Consecutive equal-size DFT blocks in (q, p) order, cut to _FFT_BUDGET elements."""
-    run = []
-    for key, block in blocks.items():
-        if run and (block.n != run[0][1].n or (len(run) + 1) * block.n > _FFT_BUDGET):
-            yield run
-            run = []
-        run.append((key, block))
-    if run:
-        yield run
-
-
 def _factor(n: int) -> dict:
     """{prime: prime power} of n's factorization."""
     powers, m, d = {}, n, 2
@@ -209,8 +194,8 @@ def _layout(n: int):
     index g^-m at 1 + m, so X[g^-m] = x[0] + sum_q x[g^q] w^(g^(q - m)),
     w = e^(-2 pi i / p), is a cyclic convolution of length p - 1 with
     b_j = w^(g^-j), and kernel = FFT(b) / (p - 1).  The inverse DFT's kernel
-    b_j* read backwards has the FFT conj(kernel).  `_transform` says how the
-    stack is transformed.
+    b_j* read backwards has the FFT conj(kernel).  `_transform` says how a
+    block laid out in this shape is transformed.
     """
     p, n2 = max(_factor(n).items(), key=lambda item: item[1], default=(1, n))
     if p <= _SPLIT_PRIME or n2 == n:
@@ -237,72 +222,61 @@ def _layout(n: int):
     return (n1, n2), time_pos, (k % n1) * n2 + axis_out[k % n2], kernel
 
 
-def _transform(stack: np.ndarray, kernel, adjoint: bool):
-    """(stack', norm): the DFT of each row of a (k, *shape) stack is norm * stack'.
+def _transform(w: np.ndarray, kernel, adjoint: bool):
+    """(w', norm): the DFT of a block laid out as w is norm * w'.
 
     The inverse DFT when adjoint, both unitary.  Without a Rader kernel one
-    fftn / ifftn call over every axis but the first (norm 1).  With one, the
-    stack is transformed in place, unnormalized (norm 1 / sqrt(n)): an FFT
-    along the n1 axis, then Rader's stage on the last axis: position 0 takes
-    the axis sum, positions 1.. take x[0] plus the cyclic convolution of
-    positions 1.. with the kernel's inverse FFT, one FFT pair of length p - 1.
+    fftn / ifftn call over every axis (norm 1).  With one, w is transformed
+    in place, unnormalized (norm 1 / sqrt(n)): an FFT along the n1 axis,
+    then Rader's stage on the last axis: position 0 takes the axis sum,
+    positions 1.. take x[0] plus the cyclic convolution of positions 1..
+    with the kernel's inverse FFT, one FFT pair of length p - 1.
     """
     if kernel is None:
-        transform = np.fft.ifftn if adjoint else np.fft.fftn
-        return transform(stack, axes=tuple(range(1, stack.ndim)), norm="ortho"), 1.0
+        return (np.fft.ifftn if adjoint else np.fft.fftn)(w, norm="ortho"), 1.0
     if adjoint:
-        np.fft.ifft(stack, axis=1, norm="forward", out=stack)
+        np.fft.ifft(w, axis=0, norm="forward", out=w)
     else:
-        np.fft.fft(stack, axis=1, out=stack)
-    spec = np.fft.fft(stack[..., 1:], axis=-1)
-    total = spec[..., 0] + stack[..., 0]
+        np.fft.fft(w, axis=0, out=w)
+    spec = np.fft.fft(w[:, 1:], axis=-1)
+    total = spec[:, 0] + w[:, 0]
     spec *= kernel.conj() if adjoint else kernel
     # x[0] added to the zero-frequency bin reaches every output of the inverse
-    spec[..., 0] += stack[..., 0]
-    np.fft.ifft(spec, axis=-1, norm="forward", out=stack[..., 1:])
-    stack[..., 0] = total
-    return stack, 1.0 / np.sqrt(stack[0].size)
+    spec[:, 0] += w[:, 0]
+    np.fft.ifft(spec, axis=-1, norm="forward", out=w[:, 1:])
+    w[:, 0] = total
+    return w, 1.0 / np.sqrt(w.size)
 
 
 def _accumulate(op: CoupledOperator, v: np.ndarray, out: np.ndarray,
                 adjoint: bool) -> np.ndarray:
     """out += A v (A^H v when adjoint), adding the blocks into out in (q, p) order."""
-    def slices(q, p):
+    for (q, p), block in op.blocks.items():
         rows = slice(op.row_offsets[q], op.row_offsets[q + 1])
         cols = slice(op.col_offsets[p], op.col_offsets[p + 1])
-        return (rows, cols) if adjoint else (cols, rows)
-
-    if op.kind is Ensemble.GAUSSIAN_IID:
-        for (q, p), block in op.blocks.items():
-            src, dst = slices(q, p)
+        src, dst = (rows, cols) if adjoint else (cols, rows)
+        if isinstance(block, GaussianBlock):
             # conj(v^H M) is M^H v without materializing the conjugate transpose
             out[dst] += (v[src].conj() @ block.matrix).conj() if adjoint else block.matrix @ v[src]
-        return out
-    for run in _dft_runs(op.blocks):
-        # scatter each block's input into its own row through the layout's
-        # positions, transform the stack in one pass, then gather each row's
-        # outputs with the transform's norm folded into the block scale
-        shape, time_pos, freq_pos, kernel = _layout(run[0][1].n)
-        stack = np.zeros((len(run), *shape), dtype=complex)
-        gathers = []
-        for row, ((q, p), b) in zip(stack.reshape(len(run), -1), run):
-            time_idx, freq_idx = b.col_permutation, b.row_selection
-            if time_pos is not None:
-                time_idx, freq_idx = time_pos[time_idx], freq_pos[freq_idx]
-            scatter, gather = (freq_idx, time_idx) if adjoint else (time_idx, freq_idx)
-            row[scatter] = v[slices(q, p)[0]]
-            gathers.append(gather)
-        stack, norm = _transform(stack, kernel, adjoint)
-        for row, ((q, p), b), gather in zip(stack.reshape(len(run), -1), run, gathers):
-            out[slices(q, p)[1]] += b.scale * norm * row[gather]
+            continue
+        # scatter the input through the layout's positions, transform, then
+        # gather the outputs with the transform's norm folded into the block scale
+        shape, time_pos, freq_pos, kernel = _layout(block.n)
+        time_idx, freq_idx = block.col_permutation, block.row_selection
+        if time_pos is not None:
+            time_idx, freq_idx = time_pos[time_idx], freq_pos[freq_idx]
+        scatter, gather = (freq_idx, time_idx) if adjoint else (time_idx, freq_idx)
+        w = np.zeros(shape, dtype=complex)
+        w.reshape(-1)[scatter] = v[src]
+        w, norm = _transform(w, kernel, adjoint)
+        out[dst] += block.scale * norm * w.reshape(-1)[gather]
     return out
 
 
 def apply(op: CoupledOperator, x) -> np.ndarray:
-    """y = A x, with one FFT call per run of consecutive equal-size DFT blocks.
+    """y = A x, one transform per DFT block and a dense product per Gaussian block.
 
-    A run is cut at _FFT_BUDGET elements per call; Gaussian blocks are
-    dense products.  Block outputs are added into y in (q, p) order.
+    Block outputs are added into y in (q, p) order.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (op.N,):
@@ -311,7 +285,7 @@ def apply(op: CoupledOperator, x) -> np.ndarray:
 
 
 def adjoint_apply(op: CoupledOperator, y) -> np.ndarray:
-    """x = A^H y, the exact conjugate-transpose action, batched as in `apply`."""
+    """x = A^H y, the exact conjugate-transpose action, block by block as in `apply`."""
     y = np.asarray(y, dtype=complex)
     if y.shape != (op.M,):
         raise ValueError(f"y must have shape ({op.M},)")

@@ -20,40 +20,52 @@ ORTH = Ensemble.ROW_ORTHOGONAL
 GAUSS = Ensemble.GAUSSIAN_IID
 
 
-def per_block_loop(op, v, adjoint):
-    """A v (A^H v when adjoint) with one transform per block on a fresh zero array.
+def dft_oracle(op, v, adjoint):
+    """A v (A^H v when adjoint) block by block, added into the output in (q, p) order.
 
-    The unbatched application, added into the output in (q, p) order.  The
-    Gaussian adjoint multiplies by the materialized conjugate transpose:
-    conj(y^H M) runs the same BLAS kernel on conjugated inputs, and negating
-    imaginary parts commutes with every rounding, so the bytes agree.
+    A DFT block is the 1-D unitary DFT of its input scattered by the column
+    permutation, read at the selected rows (the adjoint: the inverse DFT of
+    the input scattered by the row selection, read at the permutation), with
+    no transform layout.  The Gaussian adjoint multiplies by the materialized
+    conjugate transpose: conj(y^H M) runs the same BLAS kernel on conjugated
+    inputs, and negating imaginary parts commutes with every rounding, so the
+    bytes agree.
     """
     out = np.zeros(op.N if adjoint else op.M, dtype=complex)
     for (q, p), block in op.blocks.items():
         rows = slice(op.row_offsets[q], op.row_offsets[q + 1])
         cols = slice(op.col_offsets[p], op.col_offsets[p + 1])
         if isinstance(block, DftBlock):
-            # the block's own transform layout and stack transform on a one-row
-            # stack (checked against the 1-D DFT by test_layout_matches_1d_transform),
-            # with its index maps composed
-            shape, time_pos, freq_pos, kernel = measurement_ops._layout(block.n)
-            time_idx, freq_idx = block.col_permutation, block.row_selection
-            if time_pos is not None:
-                time_idx, freq_idx = time_pos[time_idx], freq_pos[freq_idx]
-            w = np.zeros((1, *shape), dtype=complex)
+            w = np.zeros(block.n, dtype=complex)
             if adjoint:
-                w.reshape(-1)[freq_idx] = v[rows]
-                w, norm = measurement_ops._transform(w, kernel, adjoint=True)
-                out[cols] += block.scale * norm * w.reshape(-1)[time_idx]
+                w[block.row_selection] = v[rows]
+                out[cols] += block.scale * np.fft.ifft(w, norm="ortho")[block.col_permutation]
             else:
-                w.reshape(-1)[time_idx] = v[cols]
-                w, norm = measurement_ops._transform(w, kernel, adjoint=False)
-                out[rows] += block.scale * norm * w.reshape(-1)[freq_idx]
+                w[block.col_permutation] = v[cols]
+                out[rows] += block.scale * np.fft.fft(w, norm="ortho")[block.row_selection]
         elif adjoint:
             out[cols] += block.matrix.conj().T @ v[rows]
         else:
             out[rows] += block.matrix @ v[cols]
     return out
+
+
+def assert_matches_dft_oracle(op, v, adjoint):
+    """Each output block row (column, when adjoint) against `dft_oracle`.
+
+    The bytes where every block it sums keeps the 1-D transform; within
+    1e-13 of its largest entry where one takes the two-axis layout.
+    """
+    got = (adjoint_apply if adjoint else apply)(op, v)
+    ref = dft_oracle(op, v, adjoint)
+    offsets = op.col_offsets if adjoint else op.row_offsets
+    for k in range(len(offsets) - 1):
+        seg = slice(offsets[k], offsets[k + 1])
+        if any(isinstance(b, DftBlock) and measurement_ops._layout(b.n)[1] is not None
+               for key, b in op.blocks.items() if key[1 if adjoint else 0] == k):
+            assert np.abs(got[seg] - ref[seg]).max() <= 1e-13 * np.abs(ref[seg]).max()
+        else:
+            assert np.array_equal(got[seg], ref[seg])
 
 
 def equal_width_spec(spec):
@@ -195,16 +207,12 @@ class TestApply:
             adjoint_apply(op, np.zeros(op.M + 1))
 
 
-class TestBatchedTransforms:
-    """Batched application gives the bytes of the per-block loop at any batch size."""
+class TestBlockTransforms:
+    """Block-by-block application against 1-D DFTs and dense products."""
 
-    @pytest.mark.parametrize("budget", [1, 2 ** 20])
     @pytest.mark.parametrize("kind", [ORTH, GAUSS])
-    def test_bytes_match_per_block_loop(self, rng, monkeypatch, kind, budget):
-        # budget 1 puts every block in its own call; 2^20 stacks whole runs,
-        # across block rows when the column fractions are equal
-        monkeypatch.setattr(measurement_ops, "_FFT_BUDGET", budget)
-        longest, split, rader = 0, set(), set()
+    def test_matches_dft_oracle(self, rng, kind):
+        split, rader = set(), set()
         for trial in range(14):
             spec = random_coupled_spec(rng)
             if trial % 2 or trial >= 8:
@@ -217,16 +225,14 @@ class TestBatchedTransforms:
             op = build_coupled_operator(spec, N, seed=trial, kind=kind)
             x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
             y = rng.standard_normal(op.M) + 1j * rng.standard_normal(op.M)
-            assert np.array_equal(apply(op, x), per_block_loop(op, x, adjoint=False))
-            assert np.array_equal(adjoint_apply(op, y), per_block_loop(op, y, adjoint=True))
+            assert_matches_dft_oracle(op, x, adjoint=False)
+            assert_matches_dft_oracle(op, y, adjoint=True)
             if kind is ORTH:
-                longest = max(longest, *map(len, measurement_ops._dft_runs(op.blocks)))
                 split |= {b.n for b in op.blocks.values()
                           if measurement_ops._layout(b.n)[1] is not None}
                 rader |= {b.n for b in op.blocks.values()
                           if measurement_ops._layout(b.n)[3] is not None}
         if kind is ORTH:
-            assert longest == 1 if budget == 1 else longest > 2
             assert split == {202, 309, 1174} and rader == {202, 309}
 
     @pytest.mark.parametrize("n, split", [
@@ -262,18 +268,19 @@ class TestBatchedTransforms:
             else:
                 assert np.array_equal(got, ref)
 
-    def test_showcase_chain_batches(self):
-        # the N = 2^17 seeding chain: blocks of 13107 and 13109 points
+    def test_showcase_chain_matches_dft_oracle(self):
+        # the N = 2^17 seeding chain: blocks of 13107 = 3 * 17 * 257 points
+        # (two-axis layout, Rader's stage) and a last column of 13109 (a prime)
         params = SeedingParams(L=10, W=2, alpha_seed=0.70, alpha_bulk=0.49, J=0.5)
         op = build_coupled_operator(build_seeding_spec(params, 0.4, 1e-6), 2 ** 17,
                                     seed=0, kind=ORTH)
-        runs = list(measurement_ops._dft_runs(op.blocks))
-        assert sum(map(len, runs)) == len(op.blocks) and len(runs) < len(op.blocks)
+        assert {b.n for b in op.blocks.values()} == {13107, 13109}
+        assert measurement_ops._layout(13107)[3] is not None
+        assert measurement_ops._layout(13109)[1] is None
         rng = np.random.default_rng(0)
         x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
-        y = apply(op, x)
-        assert np.array_equal(y, per_block_loop(op, x, adjoint=False))
-        assert np.array_equal(adjoint_apply(op, y), per_block_loop(op, y, adjoint=True))
+        assert_matches_dft_oracle(op, x, adjoint=False)
+        assert_matches_dft_oracle(op, apply(op, x), adjoint=True)
 
 
 class TestDenseMaterialize:
