@@ -308,13 +308,14 @@ def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble,
     extremization Lambda = (1 - Delta) / eps (row-orthogonal, warm-started
     at Lambda0) or 1/eps (Gaussian, Lambda0 unused), which makes varsigma
     alpha gamma J / (sigma2 + sum_l gamma_l J_{q,l} eps_l).  Raises
-    ValueError unless eps > 0.
+    ValueError unless eps is finite and > 0.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.shape[-1:] != (spec.L_c,):
         raise ValueError(f"eps must have shape (..., {spec.L_c})")
-    if np.any(eps <= 0):
-        raise ValueError("eps must be > 0 on every coupled block")
+    # NaN fails every comparison, so only a test that eps passes rejects it
+    if not np.all((eps > 0) & np.isfinite(eps)):
+        raise ValueError("eps must be > 0 and finite on every coupled block")
     eps_b = eps[..., None, :]
     if kind is Ensemble.ROW_ORTHOGONAL:
         Lam, Delta, _ = _solve_lambda(eps, spec, Lambda0=Lambda0)

@@ -135,8 +135,8 @@ def mmse_mc_oracle(varsigma: float, prior: BernoulliGaussianPrior,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if not varsigma > 0:
-        raise ValueError("varsigma must be > 0 for the Monte-Carlo oracle")
+    if not (np.isfinite(varsigma) and varsigma > 0):
+        raise ValueError("varsigma must be finite and > 0 for the Monte-Carlo oracle")
     ch = ScalarChannel(varsigma)
     rng = np.random.default_rng(seed)
     total = 0.0

@@ -83,7 +83,7 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
     eps = np.full(spec.L_c, rho) if init is None else np.asarray(init, dtype=float).copy()
     if eps.shape != (spec.L_c,):
         raise ValueError(f"init must have shape ({spec.L_c},)")
-    if np.any(eps <= 0) or np.any(eps > rho + 1e-15):
+    if not np.all((eps > 0) & (eps <= rho + 1e-15)):
         raise ValueError("init must satisfy 0 < eps_p <= rho")
 
     state = conjugate_fixed_point(eps, spec, kind)

@@ -187,3 +187,7 @@ class TestMcOracle:
             mmse_mc_oracle(1.0, RHO, 0, seed=0)
         with pytest.raises(ValueError):
             mmse_mc_oracle(0.0, RHO, 10, seed=0)
+        # an infinite precision passes varsigma > 0; its noise scale 0 gave (nan, nan)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                mmse_mc_oracle(bad, RHO, 10, seed=0)
