@@ -187,7 +187,9 @@ class TestMcOracle:
             mmse_mc_oracle(1.0, RHO, 0, seed=0)
         with pytest.raises(ValueError):
             mmse_mc_oracle(0.0, RHO, 10, seed=0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_precision(self, bad):
         # an infinite precision passes varsigma > 0; its noise scale 0 gave (nan, nan)
-        for bad in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="finite"):
-                mmse_mc_oracle(bad, RHO, 10, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            mmse_mc_oracle(bad, RHO, 10, seed=0)

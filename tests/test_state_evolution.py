@@ -217,12 +217,16 @@ def test_input_validation():
         run_evolution(spec, GAUSS, damping=1.0)
     with pytest.raises(ValueError):
         run_evolution(spec, GAUSS, init=np.array([0.9]))  # above rho
-    # NaN fails both eps <= 0 and eps > rho, so only a test that eps passes rejects it
-    for kind in (GAUSS, ORTH):
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="init must satisfy"):
-                run_evolution(spec, kind, init=np.array([bad]))
     # no MSE vector satisfies 0 < eps <= rho = 0, so the default init is no start either
     for kind in (GAUSS, ORTH):
         with pytest.raises(ValueError, match="rho = 0"):
             run_evolution(single_block_spec(0.0, 1e-4, 0.6), kind)
+
+
+@pytest.mark.parametrize("kind", [GAUSS, ORTH])
+def test_non_finite_init_is_rejected(kind):
+    # NaN fails both eps <= 0 and eps > rho, so only a test that eps passes rejects it
+    spec = single_block_spec(0.4, 1e-4, 0.6)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="init must satisfy"):
+            run_evolution(spec, kind, init=np.array([bad]))
