@@ -15,6 +15,24 @@ Every panel carries a 17-node Gauss-Legendre rule.  The interpolatory
 rule on the 16 nodes left when the centre node is dropped is the embedded
 check: it costs no extra integrand evaluation, and the summed per-panel
 disagreement of the two rules is the error estimate.
+
+`integrate` evaluates only the panels that carry work, and returns the
+bytes of the dense rule, which evaluates every node of every panel:
+
+- zero-width panels, where clipped breakpoints coincide at 0 or at
+  TAIL_CUTOFF, are skipped: with h = 0, any finite f gives h (f @ w) = 0;
+- an integrand of the form weight * factor whose factor is exactly 1.0
+  past a point (mmse's 1 + vs sigmoid) gets the factor only on the panels
+  before that point.  The panels past it are the ladder's own panels,
+  after every breakpoint, and take the weight alone on the ladder's nodes;
+- the other panels are gathered node-major, (nodes, panels), so that
+  numpy's inner loops run over the panels.
+
+The bytes cannot move.  Every node is a + h x from the same edges, every
+value comes from the same elementwise operations in the same order (a
+factor of exactly 1.0 changes no product), and the values go back into
+the dense (rows, panels, nodes) layout before the same per-row
+matrix-vector products and sums.
 """
 
 import numpy as np
@@ -68,58 +86,113 @@ def _panel_rules(m):
 _NODES, _WEIGHTS, _CHECK_WEIGHTS = _panel_rules(17)
 
 
+def _ladder_nodes(ladder):
+    """Nodes of the ladder's own panels, flat and panel-major.
+
+    Built as `integrate` builds every panel's nodes, h x + a, so to the
+    same bits.
+    """
+    return (np.diff(ladder)[:, None] * _NODES + ladder[:-1, None]).ravel()
+
+
+_LADDER_NODES = _ladder_nodes(_LADDER)
+
+
 def _edges(transitions, rows):
-    """Sorted panel edges, shape (len(rows), n_edges), all inside [0, TAIL_CUTOFF]."""
-    n = rows.stop - rows.start
-    parts = [np.broadcast_to(_LADDER, (n, _LADDER.size))]
+    """Sorted panel edges, shape (len(rows), n_edges), all inside [0, TAIL_CUTOFF].
+
+    Runs under the caller's np.errstate(over="ignore"): the clip bound
+    ``TAIL_CUTOFF * rate`` may overflow to inf, which clips nothing.
+    """
+    edges = np.empty((rows.stop - rows.start, _LADDER.size + len(transitions) * _OFFSETS.size))
+    edges[:, :_LADDER.size] = _LADDER
+    col = _LADDER.size
     for centre, rate in transitions:
         r = rate[rows, None]
-        # clip before dividing so that subnormal rates give no inf or NaN;
-        # the bound itself may overflow to inf, which clips nothing
-        with np.errstate(over="ignore"):
-            z = np.clip(centre[rows, None] + _OFFSETS, 0.0, TAIL_CUTOFF * r)
-        parts.append(np.minimum(z / r, TAIL_CUTOFF))
-    return np.sort(np.concatenate(parts, axis=1), axis=1)
+        # clip before dividing so that subnormal rates give no inf or NaN
+        z = centre[rows, None] + _OFFSETS
+        np.maximum(z, 0.0, out=z)
+        np.minimum(z, TAIL_CUTOFF * r, out=z)
+        z /= r
+        np.minimum(z, TAIL_CUTOFF, out=edges[:, col:col + _OFFSETS.size])
+        col += _OFFSETS.size
+    edges.sort(axis=1)
+    return edges
 
 
-def integrate(integrand, params, transitions, atol, rtol, what, at):
+def integrate(integrand, params, transitions, atol, rtol, what, at, factor=None):
     """Integral of ``integrand(t, *params)`` over [0, TAIL_CUTOFF], per batch row.
 
-    params are arrays of shape (n,); the integrand receives them as
-    (rows, 1) blocks that broadcast against node blocks of shape
-    (rows, panels * nodes).  transitions is a list of (centre, rate) pairs
-    of shape-(n,) arrays, rate > 0.  Rows are evaluated in blocks of
-    bounded size, and every row's value depends on that row alone.  The
-    integrand runs with overflow ignored: an exponential that overflows
-    to inf is a sigmoid's or a log-sum's far tail.
+    params are arrays of shape (n,), and the integrand is elementwise in t
+    and its params.  It receives the nodes of the panels of positive width
+    as t of shape (nodes, panels), node-major so that numpy's inner loops
+    run over the panels, with each param gathered per panel, shape
+    (panels,); it must leave t unchanged.  transitions is a list of
+    (centre, rate) pairs of shape-(n,) arrays, rate > 0.
 
-    Raises QuadratureError when the check rule and the main rule disagree
-    by more than max(atol, rtol * |value|); ``what`` and ``at`` (the
-    batch's precisions) name the failing integral in the message.
+    factor, if given, is (factor_fn, factor_params, lim) for a single
+    transition, with factor_params and lim > _OFFSETS.max() + 1 of shape (n,).
+    The integrand is then ``integrand(t, *params) * factor_fn(t,
+    *factor_params)``, where factor_fn must be exactly 1.0 wherever
+    ``rate * t - centre >= lim``.  The panels past that point are ladder
+    panels after every breakpoint: they take the integrand alone, on the
+    ladder's own nodes, and factor_fn runs on the other panels only.
+
+    Rows are evaluated in blocks of bounded size, and every row's value
+    depends on that row alone.  The integrands run with overflow ignored:
+    an exponential that overflows to inf is a sigmoid's or a log-sum's far
+    tail.  Raises QuadratureError when the check rule and the main rule
+    disagree by more than max(atol, rtol * |value|); ``what`` and ``at``
+    (the batch's precisions) name the failing integral in the message.
     """
     n = len(params[0])
     n_panels = _LADDER.size + len(transitions) * _OFFSETS.size - 1
     step = max(1, _BLOCK_NODES // (n_panels * _NODES.size))
-    value = np.empty(n)
-    error = np.empty(n)
+    values, errors = [], []
     with np.errstate(over="ignore"):
-        for start in range(0, n, step):
+        if factor is not None:
+            factor_fn, factor_params, lim = factor
+            centre, rate = transitions[0]
+            flat_from = ((centre + lim) / rate)[:, None]
+        for start in range(0, max(n, 1), step):   # one block, empty, for an empty batch
             rows = slice(start, min(n, start + step))
             edges = _edges(transitions, rows)
-            a = edges[:, :-1, None]
-            h = edges[:, 1:, None] - a
-            t = a + h * _NODES
-            # flat rows keep numpy's inner loops long: (rows, panels * nodes)
-            f = integrand(t.reshape(len(t), -1), *(p[rows, None] for p in params))
-            f = f.reshape(t.shape)
-            main = h[..., 0] * (f @ _WEIGHTS)
-            check = h[..., 0] * (f @ _CHECK_WEIGHTS)
-            value[rows] = main.sum(axis=1)
-            error[rows] = np.abs(main - check).sum(axis=1)
-    ok = error <= np.maximum(atol, rtol * np.abs(value))
-    if not ok.all():
-        i = int(np.argmin(ok))   # the first failing row
-        raise QuadratureError(
-            f"{what} quadrature error {error[i]:.3e} above tolerance at varsigma={float(at[i])!r}",
-            value=float(value[i]), error_estimate=float(error[i]))
+            a = edges[:, :-1]
+            h = edges[:, 1:] - a
+            # f in the dense rule's (rows, panels, nodes) layout, so that each
+            # row's matrix-vector products, and with them the bytes, are the
+            # dense rule's.  Zero-width panels (breakpoints clipped onto each
+            # other) are never evaluated: any finite f there gives h * (f @ w) = 0
+            f = np.zeros((*h.shape, _NODES.size))
+            live = h > 0
+            if factor is not None:
+                # past flat_from every panel is the ladder panel at its place among
+                # the row's last _LADDER.size - 1; the ones before it are overwritten
+                live &= a < flat_from[rows]
+                f[:, 1 - _LADDER.size:] = integrand(_LADDER_NODES, *[x[rows, None] for x in params]
+                                                    ).reshape(len(h), _LADDER.size - 1, _NODES.size)
+            k = live.ravel().nonzero()[0]
+            r = k // n_panels
+            t = h.ravel()[k] * _NODES[:, None]
+            t += edges.ravel()[k + r]   # the node a + h x, as the dense rule rounds it
+            g = integrand(t, *[x[rows].take(r) for x in params])
+            if factor is not None:
+                g *= factor_fn(t, *[x[rows].take(r) for x in factor_params])
+            f.reshape(-1, _NODES.size)[k] = g.T
+            main = f @ _WEIGHTS
+            main *= h
+            check = f @ _CHECK_WEIGHTS
+            check *= h
+            check -= main
+            values.append(np.add.reduce(main, axis=1))
+            errors.append(np.add.reduce(np.abs(check, out=check), axis=1))
+    value, error = (np.concatenate(x) if len(x) > 1 else x[0] for x in (values, errors))
+    # one reduction clears the common case; a NaN error fails it too
+    if not np.maximum.reduce(error, initial=0.0) <= atol:
+        ok = error <= np.maximum(atol, rtol * np.abs(value))
+        if not ok.all():
+            i = int(np.argmin(ok))   # the first failing row
+            raise QuadratureError(
+                f"{what} quadrature error {error[i]:.3e} above tolerance at "
+                f"varsigma={float(at[i])!r}", value=float(value[i]), error_estimate=float(error[i]))
     return value

@@ -186,7 +186,7 @@ def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
     disagrees by more than 1e-10.
     """
     vs = np.atleast_1d(np.asarray(varsigma, dtype=float))
-    if np.any(~np.isfinite(vs)) or np.any(vs <= 0):
+    if not (0 < np.minimum.reduce(vs, initial=np.inf) and np.maximum.reduce(vs, initial=0.0) < np.inf):
         raise ValueError("channel term needs finite varsigma > 0")
     rho = prior.rho
     if rho == 0.0:
@@ -314,15 +314,16 @@ def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble,
     if eps.shape[-1:] != (spec.L_c,):
         raise ValueError(f"eps must have shape (..., {spec.L_c})")
     # NaN fails every comparison, so only a test that eps passes rejects it
-    if not np.all((eps > 0) & np.isfinite(eps)):
+    if not (0 < np.minimum.reduce(eps, axis=None, initial=np.inf)
+            and np.maximum.reduce(eps, axis=None, initial=0.0) < np.inf):
         raise ValueError("eps must be > 0 and finite on every coupled block")
     eps_b = eps[..., None, :]
     if kind is Ensemble.ROW_ORTHOGONAL:
         Lam, Delta, _ = _solve_lambda(eps, spec, Lambda0=Lambda0)
     else:
-        Lam = np.repeat(1.0 / eps_b, spec.L_r, axis=-2)
+        Lam = (1.0 / eps_b).repeat(spec.L_r, axis=-2)
         W = spec._band[1] / Lam
-        Delta = spec.alpha * W / (spec.sigma2 + W.sum(axis=-1, keepdims=True))
+        Delta = spec.alpha * W / (spec.sigma2 + np.add.reduce(W, axis=-1, keepdims=True))
     return ConjugateState(varsigma=Delta / eps_b, Lambda=Lam, Delta=Delta)
 
 

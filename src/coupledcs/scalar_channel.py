@@ -35,7 +35,7 @@ class BernoulliGaussianPrior:
 
 @dataclass(frozen=True)
 class ScalarChannel:
-    """Effective scalar channel with precision varsigma >= 0.
+    """Effective scalar channel with finite precision varsigma >= 0.
 
     varsigma = 0 is the pure-noise channel carrying no information.
     """
@@ -43,8 +43,9 @@ class ScalarChannel:
     varsigma: float
 
     def __post_init__(self):
-        if not (self.varsigma >= 0.0):
-            raise ValueError(f"varsigma must be >= 0, got {self.varsigma}")
+        # NaN fails both comparisons
+        if not (0.0 <= self.varsigma < np.inf):
+            raise ValueError(f"varsigma must be finite and >= 0, got {self.varsigma}")
 
 
 def posterior_mean(y, ch: ScalarChannel, prior: BernoulliGaussianPrior):
@@ -73,9 +74,34 @@ def posterior_mean(y, ch: ScalarChannel, prior: BernoulliGaussianPrior):
     return out if out.ndim else complex(out)
 
 
-def _mmse_integrand(t, vs, centre, scale):
-    # t e^{-t} (1 + vs * sigmoid(centre - vs t)), scaled by rho / (1 + vs)
-    return scale * t * np.exp(-t) * (1.0 + vs / (1.0 + np.exp(vs * t - centre)))
+def _mmse_weight(t, scale):
+    # t e^{-t}, scaled by rho / (1 + vs): the whole integrand where its factor is 1
+    g = scale * t
+    e = np.negative(t)
+    g *= np.exp(e, out=e)
+    return g
+
+
+def _mmse_factor(t, vs, centre):
+    # 1 + vs sigmoid(centre - vs t), in place on one temporary
+    z = vs * t
+    z -= centre
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(vs, z, out=z)
+    z += 1.0
+    return z
+
+
+def _mmse_live(v, rho):
+    """mmse at precisions v > 0, shape (n,), for 0 < rho < 1."""
+    log1p_v = np.log1p(v)
+    centre = np.log1p(-rho) + log1p_v - np.log(rho)
+    # past vs t - centre = log(1 + vs) + 40, vs / (1 + e^{vs t - centre}) < e^{-40},
+    # and 1 + e^{-40} rounds to exactly 1.0
+    return integrate(_mmse_weight, [rho / (1.0 + v)], [(centre, v)],
+                     atol=_QUAD_TOL, rtol=_QUAD_TOL, what="mmse", at=v,
+                     factor=(_mmse_factor, [v, centre], log1p_v + 40.0))
 
 
 def mmse(varsigma, prior: BernoulliGaussianPrior):
@@ -91,25 +117,29 @@ def mmse(varsigma, prior: BernoulliGaussianPrior):
     an everywhere-positive form without the catastrophic cancellation of
     the direct ``rho - rho^2 (...) I`` evaluation at large varsigma.  The
     sigmoid steps down at t = u*/vs over a width 1/vs, and the shared
-    fixed rule (`coupledcs._quadrature`) puts breakpoints there.  Raises
+    fixed rule (`coupledcs._quadrature`) puts breakpoints there.  Past
+    vs t - u* = log(1 + vs) + 40 the factor 1 + vs sigmoid(...) is exactly
+    1.0, and the rule integrates the weight t e^{-t} alone.  Raises
     QuadratureError when the rule's embedded check disagrees by more than
     max(1e-12, 1e-12 * mmse).
     """
     vs = np.asarray(varsigma, dtype=float)
-    ok = np.isfinite(vs) & (vs >= 0)
-    if not ok.all():
-        raise ValueError(f"varsigma must be finite and >= 0, got {vs[~ok].flat[0]}")
     rho = prior.rho
-    if rho == 1.0:
-        out = 1.0 / (1.0 + vs)
+    # the common case first: every precision finite and > 0 (NaN fails the test)
+    if (0 < rho < 1 and 0 < np.minimum.reduce(vs, axis=None, initial=np.inf)
+            and np.maximum.reduce(vs, axis=None, initial=0.0) < np.inf):
+        out = _mmse_live(vs.ravel(), rho).reshape(vs.shape)
     else:
-        out = np.full(vs.shape, rho)
-        live = vs > 0
-        if rho > 0 and np.any(live):
-            v = vs[live]
-            centre = np.log1p(-rho) + np.log1p(v) - np.log(rho)
-            out[live] = integrate(_mmse_integrand, [v, centre, rho / (1.0 + v)], [(centre, v)],
-                                  atol=_QUAD_TOL, rtol=_QUAD_TOL, what="mmse", at=v)
+        ok = np.isfinite(vs) & (vs >= 0)
+        if not ok.all():
+            raise ValueError(f"varsigma must be finite and >= 0, got {vs[~ok].flat[0]}")
+        if rho == 1.0:
+            out = 1.0 / (1.0 + vs)
+        else:
+            out = np.full(vs.shape, rho)
+            live = vs > 0
+            if rho > 0 and live.any():
+                out[live] = _mmse_live(vs[live], rho)
     return out if out.ndim else float(out)
 
 

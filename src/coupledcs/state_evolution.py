@@ -89,19 +89,21 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
     state = conjugate_fixed_point(eps, spec, kind)
     history = [eps]
     converged = False
+    warm = kind is Ensemble.ROW_ORTHOGONAL   # the Gaussian Lambda = 1/eps needs no start
     for t in range(int(max_iter)):
-        eps_new = mmse(state.varsigma.sum(axis=0), spec.prior)
-        new = conjugate_fixed_point(eps_new, spec, kind, Lambda0=state.Lambda * (eps / eps_new))
+        eps_new = mmse(np.add.reduce(state.varsigma, axis=0), spec.prior)
+        new = conjugate_fixed_point(eps_new, spec, kind,
+                                    Lambda0=state.Lambda * (eps / eps_new) if warm else None)
         if damping > 0.0 and t > 0:
             new.varsigma = (1.0 - damping) * new.varsigma + damping * state.varsigma
         history.append(eps_new)
-        step = np.abs(eps_new - eps).max()
+        step = np.maximum.reduce(np.abs(eps_new - eps))
         converged = step < tol
         state, eps = new, eps_new
         if converged:
             break
         if t > 0:
-            back = np.abs(eps_new - history[-3]).max()
+            back = np.maximum.reduce(np.abs(eps_new - history[-3]))
             if back < _CYCLE_TOL and back < _CYCLE_RATIO * step:
                 break
     oscillating = (not converged and len(history) >= 3

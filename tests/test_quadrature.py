@@ -66,13 +66,16 @@ class TestRule:
     @pytest.mark.parametrize("rate", [5e-324, 1.1e-308, 1.0, 1e308])
     def test_breakpoints_stay_finite_and_inside(self, rate):
         centre = np.array([0.0, 3.0, -50.0, 700.0])
-        edges = _quadrature._edges([(centre, np.full(4, rate))], slice(0, 4))
+        with np.errstate(over="ignore"):   # as `integrate` runs it
+            edges = _quadrature._edges([(centre, np.full(4, rate))], slice(0, 4))
         assert np.all(np.isfinite(edges))
         assert edges.min() == 0.0 and edges.max() == _quadrature.TAIL_CUTOFF
         assert np.all(np.diff(edges, axis=1) >= 0)
 
     def test_too_coarse_layout_trips_the_check(self, monkeypatch):
-        monkeypatch.setattr(_quadrature, "_LADDER", np.array([0.0, 40.0]))
+        ladder = np.array([0.0, 40.0])
+        monkeypatch.setattr(_quadrature, "_LADDER", ladder)
+        monkeypatch.setattr(_quadrature, "_LADDER_NODES", _quadrature._ladder_nodes(ladder))
         monkeypatch.setattr(_quadrature, "_OFFSETS", np.array([0.0]))
         prior = BernoulliGaussianPrior(0.4)
         with pytest.raises(QuadratureError, match="mmse") as info:
@@ -100,3 +103,64 @@ class TestAgainstAdaptiveOracles:
         got = channel_term_batch(SWEEP_VS, BernoulliGaussianPrior(rho))
         expect = np.array([_channel_quad_vec_oracle(v, rho) for v in SWEEP_VS])
         assert np.abs(got - expect).max() <= 1e-12
+
+
+def _dense_rule(integrand, params, transitions):
+    """The rule with no panel skipped: every panel, every node, in one (rows, panels * nodes) block.
+
+    A copy of the evaluator the skipping one replaced, without its error check.
+    """
+    n = len(params[0])
+    q = _quadrature
+    parts = [np.broadcast_to(q._LADDER, (n, q._LADDER.size))]
+    with np.errstate(over="ignore"):
+        for centre, rate in transitions:
+            r = rate[:, None]
+            z = np.clip(centre[:, None] + q._OFFSETS, 0.0, q.TAIL_CUTOFF * r)
+            parts.append(np.minimum(z / r, q.TAIL_CUTOFF))
+        edges = np.sort(np.concatenate(parts, axis=1), axis=1)
+        a = edges[:, :-1, None]
+        h = edges[:, 1:, None] - a
+        t = a + h * q._NODES
+        f = integrand(t.reshape(n, -1), *(p[:, None] for p in params)).reshape(t.shape)
+    return (h[..., 0] * (f @ q._WEIGHTS)).sum(axis=1)
+
+
+def _dense_mmse(vs, rho):
+    def integrand(t, vs, centre, scale):
+        return scale * t * np.exp(-t) * (1.0 + vs / (1.0 + np.exp(vs * t - centre)))
+
+    out = np.full(vs.shape, rho)
+    v = vs[vs > 0]
+    centre = np.log1p(-rho) + np.log1p(v) - np.log(rho)
+    out[vs > 0] = _dense_rule(integrand, [v, centre, rho / (1.0 + v)], [(centre, v)])
+    return out
+
+
+def _dense_channel_term(vs, rho):
+    def lse(x, y):
+        return np.maximum(x, y) + np.log1p(np.exp(-np.abs(x - y)))
+
+    c1 = np.log1p(-rho)
+    c2 = np.log(rho) - np.log1p(vs)
+    slope = vs / (1.0 + vs)
+
+    def integrand(s, vs, slope, c2):
+        return np.exp(-s) * (-s + (1.0 - rho) * lse(c1, c2 + slope * s)
+                             + rho * lse(c1 - vs * s, c2))
+
+    return _dense_rule(integrand, [vs, slope, c2], [(c1 - c2, slope), (c1 - c2, vs)])
+
+
+BYTE_VS = np.concatenate([[0.0, 5e-324, 1e-300, 1e-3], np.geomspace(1e-2, 1e12, 400),
+                          [1e300, 1.7e308]])
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.4, 0.95])
+def test_skipped_panels_change_no_byte(rho):
+    # zero-width panels and the panels past the sigmoid are not evaluated, and the
+    # ones that are run node-major: the values are still the dense rule's, bit for bit
+    prior = BernoulliGaussianPrior(rho)
+    assert np.array_equal(mmse(BYTE_VS, prior), _dense_mmse(BYTE_VS, rho))
+    live = BYTE_VS[1:]
+    assert np.array_equal(channel_term_batch(live, prior), _dense_channel_term(live, rho))

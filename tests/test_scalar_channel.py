@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from coupledcs import BernoulliGaussianPrior, ScalarChannel, mmse, mmse_mc_oracle, posterior_mean
+from coupledcs.replica_core import channel_term_batch
 
 RHO = BernoulliGaussianPrior(0.4)
 
@@ -85,6 +86,13 @@ class TestPosteriorMean:
         with pytest.raises(ValueError):
             posterior_mean(np.inf * 1j, ScalarChannel(1.0), RHO)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    def test_channel_rejects_non_finite_or_negative_precision(self, bad):
+        # an infinite precision was accepted, and posterior_mean([0.5, 0], ...) then
+        # returned NaN with two RuntimeWarnings
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ScalarChannel(bad)
+
     def test_magnitude_bound(self, rng):
         y = rng.standard_normal(100) + 1j * rng.standard_normal(100)
         out = posterior_mean(y, ScalarChannel(2.0), RHO)
@@ -141,12 +149,17 @@ class TestMmse:
                                                                  rel=1e-15, abs=0)
 
     def test_array_input_matches_scalar_calls(self):
+        # to the bit: which panels a row skips depends on that row alone, so the
+        # batch can never couple rows
         vs = np.array([[0.0, 1e-3, 2.0], [50.0, 1e4, 1e9]])
         got = mmse(vs, RHO)
         assert got.shape == vs.shape
         expect = np.array([[mmse(float(v), RHO) for v in row] for row in vs])
-        np.testing.assert_allclose(got, expect, rtol=1e-15, atol=0)
+        assert np.array_equal(got, expect)
         assert isinstance(mmse(2.0, RHO), float)
+        live = vs[vs > 0]
+        got = channel_term_batch(live, RHO)
+        assert np.array_equal(got, [channel_term_batch(v, RHO)[0] for v in live])
 
     @pytest.mark.parametrize("vs", [5e-324, 1.1e-308, 1e-300])
     def test_subnormal_precision_gives_prior_variance(self, vs):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from coupledcs import (BernoulliGaussianPrior, CouplingSpec, Ensemble, SeedingParams,
                        build_seeding_spec, conjugate_fixed_point, free_entropy_grid, mmse,
                        run_evolution, single_block_spec)
-from coupledcs import replica_core
+from coupledcs import _quadrature, replica_core, scalar_channel, state_evolution
 
 GAUSS = Ensemble.GAUSSIAN_IID
 ORTH = Ensemble.ROW_ORTHOGONAL
@@ -196,6 +196,45 @@ def test_inner_solve_work_on_the_benchmark_chains(monkeypatch):
     assert iterations == [200, 269]
     assert calls["solve"] == 471
     assert calls["residual"] <= 3.0 * calls["solve"], calls
+
+
+def test_mmse_work_on_the_benchmark_chains(monkeypatch):
+    # the four benchmark chains (both ensembles, sigma2 1e-6): no panel of zero width
+    # reaches the mmse integrand, and the sigmoid factor runs on 0.556 of the dense
+    # rule's 408 nodes per value, the rest being past the sigmoid or of zero width
+    nodes = {"dense": 0, "factor": 0}
+    dense_per_value = ((_quadrature._LADDER.size + _quadrature._OFFSETS.size - 1)
+                       * _quadrature._NODES.size)
+    weight, factor, chain_mmse = (scalar_channel._mmse_weight, scalar_channel._mmse_factor,
+                                  state_evolution.mmse)
+
+    def positive_width(t):
+        # node-major panels: the last node lies past the first one
+        return t.shape[0] == _quadrature._NODES.size and np.all(t[-1] > t[0])
+
+    def counted_weight(t, *params):
+        # the other call evaluates the ladder's own panels, all of positive width
+        assert positive_width(t) if t.ndim == 2 else t is _quadrature._LADDER_NODES
+        return weight(t, *params)
+
+    def counted_factor(t, *params):
+        assert positive_width(t)
+        nodes["factor"] += t.size
+        return factor(t, *params)
+
+    def counted_mmse(varsigma, prior):
+        nodes["dense"] += np.size(varsigma) * dense_per_value
+        return chain_mmse(varsigma, prior)
+
+    monkeypatch.setattr(scalar_channel, "_mmse_weight", counted_weight)
+    monkeypatch.setattr(scalar_channel, "_mmse_factor", counted_factor)
+    monkeypatch.setattr(state_evolution, "mmse", counted_mmse)
+    for kind, chains in ((ORTH, ((10, 0.49, 0.5), (22, 0.484, 1.5))),
+                         (GAUSS, ((10, 0.49, 0.5), (22, 0.489, 2.5)))):
+        for L, a_bulk, J in chains:
+            params = SeedingParams(L=L, W=2, alpha_seed=0.70, alpha_bulk=a_bulk, J=J)
+            assert run_evolution(build_seeding_spec(params, 0.4, 1e-6), kind).converged
+    assert 0 < nodes["factor"] <= 0.6 * nodes["dense"], nodes
 
 
 def test_degenerate_seeding_chain_matches_uncoupled():
