@@ -87,11 +87,7 @@ _NODES, _WEIGHTS, _CHECK_WEIGHTS = _panel_rules(17)
 
 
 def _ladder_nodes(ladder):
-    """Nodes of the ladder's own panels, flat and panel-major.
-
-    Built as `integrate` builds every panel's nodes, h x + a, so to the
-    same bits.
-    """
+    """The ladder's own panel nodes, flat and panel-major, built as `integrate` does (h x + a)."""
     return (np.diff(ladder)[:, None] * _NODES + ladder[:-1, None]).ravel()
 
 
@@ -169,8 +165,8 @@ def integrate(integrand, params, transitions, atol, rtol, what, at, factor=None)
                 # past flat_from every panel is the ladder panel at its place among
                 # the row's last _LADDER.size - 1; the ones before it are overwritten
                 live &= a < flat_from[rows]
-                f[:, 1 - _LADDER.size:] = integrand(_LADDER_NODES, *[x[rows, None] for x in params]
-                                                    ).reshape(len(h), _LADDER.size - 1, _NODES.size)
+                tail = integrand(_LADDER_NODES, *[x[rows, None] for x in params])
+                f[:, 1 - _LADDER.size:] = tail.reshape(len(h), _LADDER.size - 1, _NODES.size)
             k = live.ravel().nonzero()[0]
             r = k // n_panels
             t = h.ravel()[k] * _NODES[:, None]
@@ -186,7 +182,8 @@ def integrate(integrand, params, transitions, atol, rtol, what, at, factor=None)
             check -= main
             values.append(np.add.reduce(main, axis=1))
             errors.append(np.add.reduce(np.abs(check, out=check), axis=1))
-    value, error = (np.concatenate(x) if len(x) > 1 else x[0] for x in (values, errors))
+    value, error = ((values[0], errors[0]) if len(values) == 1
+                    else map(np.concatenate, (values, errors)))
     # one reduction clears the common case; a NaN error fails it too
     if not np.maximum.reduce(error, initial=0.0) <= atol:
         ok = error <= np.maximum(atol, rtol * np.abs(value))
@@ -194,5 +191,6 @@ def integrate(integrand, params, transitions, atol, rtol, what, at, factor=None)
             i = int(np.argmin(ok))   # the first failing row
             raise QuadratureError(
                 f"{what} quadrature error {error[i]:.3e} above tolerance at "
-                f"varsigma={float(at[i])!r}", value=float(value[i]), error_estimate=float(error[i]))
+                f"varsigma={float(at[i])!r}",
+                value=float(value[i]), error_estimate=float(error[i]))
     return value

@@ -186,7 +186,9 @@ def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
     disagrees by more than 1e-10.
     """
     vs = np.atleast_1d(np.asarray(varsigma, dtype=float))
-    if not (0 < np.minimum.reduce(vs, initial=np.inf) and np.maximum.reduce(vs, initial=0.0) < np.inf):
+    # NaN fails both comparisons
+    if not (0 < np.minimum.reduce(vs, initial=np.inf)
+            and np.maximum.reduce(vs, initial=0.0) < np.inf):
         raise ValueError("channel term needs finite varsigma > 0")
     rho = prior.rho
     if rho == 0.0:

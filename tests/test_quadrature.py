@@ -106,7 +106,7 @@ class TestAgainstAdaptiveOracles:
 
 
 def _dense_rule(integrand, params, transitions):
-    """The rule with no panel skipped: every panel, every node, in one (rows, panels * nodes) block.
+    """Every node of every panel, as one (rows, panels * nodes) block: no panel skipped.
 
     A copy of the evaluator the skipping one replaced, without its error check.
     """
