@@ -8,7 +8,7 @@ the channel precision.  The panel layout is fixed:
 
 - a geometric ladder, the same for every precision, resolves the e^{-t}
   weight;
-- breakpoints at ``(centre + k) / rate`` for k in 0, +-1, +-2, ..., +-32
+- breakpoints at ``(centre + k) / rate`` for k in 0, +-2, +-4, ..., +-32
   resolve each transition, whatever decade it sits in.
 
 Every panel carries a 17-node Gauss-Legendre rule.  The interpolatory
@@ -16,23 +16,20 @@ rule on the 16 nodes left when the centre node is dropped is the embedded
 check: it costs no extra integrand evaluation, and the summed per-panel
 disagreement of the two rules is the error estimate.
 
-`integrate` evaluates only the panels that carry work, and returns the
-bytes of the dense rule, which evaluates every node of every panel:
+`integrate` evaluates only the panels that carry work.  Zero-width
+panels, where clipped breakpoints coincide at 0 or at TAIL_CUTOFF, add
+nothing, and a caller may cut the panels past the point where its
+integrand is negligible (mmse integrates only its sigmoid excess, which
+vanishes past the step).  The live panels of a block of rows are gathered
+node-major, (nodes, panels), so that numpy's inner loops run over the
+panels.  One product with the two rules' weights gives every panel's main
+and check sums, and per-row bincounts add them up in panel order.
 
-- zero-width panels, where clipped breakpoints coincide at 0 or at
-  TAIL_CUTOFF, are skipped: with h = 0, any finite f gives h (f @ w) = 0;
-- an integrand of the form weight * factor whose factor is exactly 1.0
-  past a point (mmse's 1 + vs sigmoid) gets the factor only on the panels
-  before that point.  The panels past it are the ladder's own panels,
-  after every breakpoint, and take the weight alone on the ladder's nodes;
-- the other panels are gathered node-major, (nodes, panels), so that
-  numpy's inner loops run over the panels.
-
-The bytes cannot move.  Every node is a + h x from the same edges, every
-value comes from the same elementwise operations in the same order (a
-factor of exactly 1.0 changes no product), and the values go back into
-the dense (rows, panels, nodes) layout before the same per-row
-matrix-vector products and sums.
+A row's value depends on its own panels alone, so a batch returns the
+bytes of single calls.  The product is numpy's einsum loop, which sums
+each panel's nodes in the same order wherever the panel sits; a BLAS
+product would not do, since OpenBLAS rounds an output by its place in its
+tile.
 """
 
 import numpy as np
@@ -43,7 +40,7 @@ from .errors import QuadratureError
 # tolerance for every integrand used here.
 TAIL_CUTOFF = 40.0
 _LADDER = np.concatenate([[0.0], TAIL_CUTOFF * (2.0 / 3.0) ** np.arange(10, -1, -1)])
-_OFFSETS = np.array([-32, -16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16, 32], dtype=float)
+_OFFSETS = np.array([-32, -16, -8, -4, -2, 0, 2, 4, 8, 16, 32], dtype=float)
 # integrand evaluations per block: bounds the temporaries of long batches
 _BLOCK_NODES = 1 << 14
 
@@ -84,14 +81,7 @@ def _panel_rules(m):
 
 
 _NODES, _WEIGHTS, _CHECK_WEIGHTS = _panel_rules(17)
-
-
-def _ladder_nodes(ladder):
-    """The ladder's own panel nodes, flat and panel-major, built as `integrate` does (h x + a)."""
-    return (np.diff(ladder)[:, None] * _NODES + ladder[:-1, None]).ravel()
-
-
-_LADDER_NODES = _ladder_nodes(_LADDER)
+_RULES = np.stack([_WEIGHTS, _CHECK_WEIGHTS])
 
 
 def _edges(transitions, rows):
@@ -116,7 +106,7 @@ def _edges(transitions, rows):
     return edges
 
 
-def integrate(integrand, params, transitions, atol, rtol, what, at, factor=None):
+def integrate(integrand, params, transitions, atol, rtol, what, at, cut=None):
     """Integral of ``integrand(t, *params)`` over [0, TAIL_CUTOFF], per batch row.
 
     params are arrays of shape (n,), and the integrand is elementwise in t
@@ -124,15 +114,9 @@ def integrate(integrand, params, transitions, atol, rtol, what, at, factor=None)
     as t of shape (nodes, panels), node-major so that numpy's inner loops
     run over the panels, with each param gathered per panel, shape
     (panels,); it must leave t unchanged.  transitions is a list of
-    (centre, rate) pairs of shape-(n,) arrays, rate > 0.
-
-    factor, if given, is (factor_fn, factor_params, lim) for a single
-    transition, with factor_params and lim > _OFFSETS.max() + 1 of shape (n,).
-    The integrand is then ``integrand(t, *params) * factor_fn(t,
-    *factor_params)``, where factor_fn must be exactly 1.0 wherever
-    ``rate * t - centre >= lim``.  The panels past that point are ladder
-    panels after every breakpoint: they take the integrand alone, on the
-    ladder's own nodes, and factor_fn runs on the other panels only.
+    (centre, rate) pairs of shape-(n,) arrays, rate > 0.  cut, if given, is
+    a shape-(n,) array of points past which the integrand is negligible:
+    the panels that start at or after it are not evaluated.
 
     Rows are evaluated in blocks of bounded size, and every row's value
     depends on that row alone.  The integrands run with overflow ignored:
@@ -146,42 +130,28 @@ def integrate(integrand, params, transitions, atol, rtol, what, at, factor=None)
     step = max(1, _BLOCK_NODES // (n_panels * _NODES.size))
     values, errors = [], []
     with np.errstate(over="ignore"):
-        if factor is not None:
-            factor_fn, factor_params, lim = factor
-            centre, rate = transitions[0]
-            flat_from = ((centre + lim) / rate)[:, None]
         for start in range(0, max(n, 1), step):   # one block, empty, for an empty batch
             rows = slice(start, min(n, start + step))
             edges = _edges(transitions, rows)
             a = edges[:, :-1]
             h = edges[:, 1:] - a
-            # f in the dense rule's (rows, panels, nodes) layout, so that each
-            # row's matrix-vector products, and with them the bytes, are the
-            # dense rule's.  Zero-width panels (breakpoints clipped onto each
-            # other) are never evaluated: any finite f there gives h * (f @ w) = 0
-            f = np.zeros((*h.shape, _NODES.size))
+            # zero-width panels (breakpoints clipped onto each other) add nothing
             live = h > 0
-            if factor is not None:
-                # past flat_from every panel is the ladder panel at its place among
-                # the row's last _LADDER.size - 1; the ones before it are overwritten
-                live &= a < flat_from[rows]
-                tail = integrand(_LADDER_NODES, *[x[rows, None] for x in params])
-                f[:, 1 - _LADDER.size:] = tail.reshape(len(h), _LADDER.size - 1, _NODES.size)
+            if cut is not None:
+                live &= a < cut[rows, None]
             k = live.ravel().nonzero()[0]
             r = k // n_panels
-            t = h.ravel()[k] * _NODES[:, None]
-            t += edges.ravel()[k + r]   # the node a + h x, as the dense rule rounds it
+            hk = h.ravel()[k]
+            t = hk * _NODES[:, None]
+            t += edges.ravel()[k + r]   # the node a + h x
             g = integrand(t, *[x[rows].take(r) for x in params])
-            if factor is not None:
-                g *= factor_fn(t, *[x[rows].take(r) for x in factor_params])
-            f.reshape(-1, _NODES.size)[k] = g.T
-            main = f @ _WEIGHTS
-            main *= h
-            check = f @ _CHECK_WEIGHTS
-            check *= h
+            # each panel's main and check sums, then each row's panels in order
+            main, check = np.einsum("ij,jk->ik", _RULES, g)
+            main *= hk
+            check *= hk
             check -= main
-            values.append(np.add.reduce(main, axis=1))
-            errors.append(np.add.reduce(np.abs(check, out=check), axis=1))
+            values.append(np.bincount(r, main, len(h)))
+            errors.append(np.bincount(r, np.abs(check, out=check), len(h)))
     value, error = ((values[0], errors[0]) if len(values) == 1
                     else map(np.concatenate, (values, errors)))
     # one reduction clears the common case; a NaN error fails it too

@@ -77,7 +77,7 @@ class CouplingSpec:
         object.__setattr__(self, "J", J)
         for name, value in (("gamma", gamma), ("alpha", alpha), ("J", J),
                             ("sigma2", self.sigma2)):
-            if not np.all(np.isfinite(value)):
+            if not np.logical_and.reduce(np.isfinite(value), axis=None):
                 raise ValueError(f"{name} must be finite")
         if self.L_r < 1 or self.L_c < 1:
             raise ValueError("L_r and L_c must be >= 1")
@@ -85,20 +85,20 @@ class CouplingSpec:
             raise ValueError(f"gamma must have shape ({self.L_c},)")
         if alpha.shape != (self.L_r, self.L_c) or J.shape != (self.L_r, self.L_c):
             raise ValueError(f"alpha and J must have shape ({self.L_r}, {self.L_c})")
-        if not np.all(gamma > 0):
+        if not np.logical_and.reduce(gamma > 0):
             raise ValueError("gamma: all block fractions must be > 0")
         if abs(gamma.sum() - 1.0) > 1e-12:
             raise ValueError(f"gamma must sum to 1, got {gamma.sum()!r}")
-        if np.any(alpha < 0):
+        if np.logical_or.reduce(alpha < 0, axis=None):
             raise ValueError("alpha: measurement rates must be >= 0")
         rates = alpha * gamma[None, :]
-        if np.any(np.abs(rates - rates[:, :1]) > 1e-12):
+        if np.logical_or.reduce(np.abs(rates - rates[:, :1]) > 1e-12, axis=None):
             raise ValueError("alpha: alpha[q,p] * gamma[p] must be constant over p")
-        if np.any(J < 0):
+        if np.logical_or.reduce(J < 0, axis=None):
             raise ValueError("J: coupling variances must be >= 0")
-        if np.any((J > 0).sum(axis=1) == 0):
+        if not np.logical_and.reduce(np.logical_or.reduce(J > 0, axis=1)):
             raise ValueError("J: every block row needs at least one J > 0 entry")
-        if np.any((J > 0).sum(axis=0) == 0):
+        if not np.logical_and.reduce(np.logical_or.reduce(J > 0, axis=0)):
             raise ValueError("J: every block column needs at least one J > 0 entry")
         if not (self.sigma2 >= 0):
             raise ValueError("sigma2 must be >= 0")
@@ -117,7 +117,7 @@ class CouplingSpec:
         live = (self.J > 0) & (self.alpha > 0)
         alpha = np.where(self.alpha[:, :1] > 0, self.alpha, 0.5)
         return (live, self.gamma * self.J, alpha, np.ones((self.L_c, 1)),
-                not np.any(self.alpha[self.J > 0] > 1.0))
+                not np.logical_or.reduce(self.alpha[self.J > 0] > 1.0))
 
     @property
     def row_rates(self) -> np.ndarray:
@@ -255,7 +255,7 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
     row = (2.0 * cA, cA, (A - ac) * (4.0 / A) + 1e-300, spec.sigma2 / A, ones)
     big, k1, k0, z_neg, z_pos = False, 1.0 / a_star, 1.0, 0.0, 0.5
     maybe_big = C + A / a_star + spec.sigma2 < 4.0 * A
-    if maybe_big.any():
+    if np.logical_or.reduce(maybe_big, axis=None):
         big = maybe_big & (_row_residual(0.5, row, k1, 1.0)[0] < 0.0)
         # a big row has alpha* > 1/2, where alpha* - 1 is exact
         k1, k0 = np.where(big, -k1, k1), np.where(big, (a_star - 1.0) * k1, 1.0)
@@ -269,7 +269,8 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
         step, below = f / df, f < 0.0
         z_neg, z_pos = np.where(below, z, z_neg), np.where(below, z_pos, z)
         # rounding can hold a nearly singular row's step above tolerance; its bracket closes
-        done = (np.minimum(abs(step), abs(z_pos - z_neg)) <= _INNER_TOL * z).all()
+        done = np.logical_and.reduce(np.minimum(abs(step), abs(z_pos - z_neg)) <= _INNER_TOL * z,
+                                     axis=None)
         new = z - step
         z = np.where((new - z_neg) * (new - z_pos) <= 0.0, new,
                      z if done else 0.5 * (z_neg + z_pos))
@@ -282,7 +283,7 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
     d = np.sqrt((1.0 - 2.0 * z) ** 2 + row[2] * zz)
     Delta = np.where(live, alpha * row[0] * zz / (1.0 + d) + star * np.where(big, 1.0 - z, z), 0.0)
     omd = np.where(live, np.where(star & big, z, 0.5 * (1.0 + d)), 1.0)
-    if (omd <= 0.0).any():
+    if np.logical_or.reduce(omd <= 0.0, axis=None):
         worst = np.unravel_index(int(np.argmax(Delta)), Delta.shape)
         raise ConvergenceError(f"Delta >= 1 in inner extremization at block (q, p) = "
                                f"{worst[-2:]}", residual=float(Delta.max()))

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import integrate
+from ._quadrature import TAIL_CUTOFF, integrate
 
 _QUAD_TOL = 1e-12
+# the integral of t e^{-t} over [0, TAIL_CUTOFF], 1 - (T + 1) e^{-T}
+_WEIGHT_MASS = 1.0 - (TAIL_CUTOFF + 1.0) * np.exp(-TAIL_CUTOFF)
 _MC_CHUNK = 10 ** 6  # Monte-Carlo samples drawn at once
 
 
@@ -74,22 +76,16 @@ def posterior_mean(y, ch: ScalarChannel, prior: BernoulliGaussianPrior):
     return out if out.ndim else complex(out)
 
 
-def _mmse_weight(t, scale):
-    # t e^{-t}, scaled by rho / (1 + vs): the whole integrand where its factor is 1
-    g = scale * t
-    e = np.negative(t)
-    g *= np.exp(e, out=e)
-    return g
-
-
-def _mmse_factor(t, vs, centre):
-    # 1 + vs sigmoid(centre - vs t), in place on one temporary
+def _mmse_excess(t, sv, vs, centre):
+    # sv t e^{-t} sigmoid(centre - vs t), sv = rho vs / (1 + vs), on two temporaries
     z = vs * t
     z -= centre
     np.exp(z, out=z)
     z += 1.0
-    np.divide(vs, z, out=z)
-    z += 1.0
+    np.divide(sv, z, out=z)
+    z *= t
+    e = np.negative(t)
+    z *= np.exp(e, out=e)
     return z
 
 
@@ -97,11 +93,14 @@ def _mmse_live(v, rho):
     """mmse at precisions v > 0, shape (n,), for 0 < rho < 1."""
     log1p_v = np.log1p(v)
     centre = np.log1p(-rho) + log1p_v - np.log(rho)
-    # past vs t - centre = log(1 + vs) + 40, vs / (1 + e^{vs t - centre}) < e^{-40},
-    # and 1 + e^{-40} rounds to exactly 1.0
-    return integrate(_mmse_weight, [rho / (1.0 + v)], [(centre, v)],
-                     atol=_QUAD_TOL, rtol=_QUAD_TOL, what="mmse", at=v,
-                     factor=(_mmse_factor, [v, centre], log1p_v + 40.0))
+    scale = rho / (1.0 + v)
+    # past vs t - centre = log(1 + vs) + 40 the excess is below e^{-40} of the weight's
+    # integrand (a subnormal vs overflows the cut to inf, which cuts nothing)
+    with np.errstate(over="ignore"):
+        cut = (centre + log1p_v + 40.0) / v
+    excess = integrate(_mmse_excess, [scale * v, v, centre], [(centre, v)],
+                       atol=_QUAD_TOL, rtol=_QUAD_TOL, what="mmse", at=v, cut=cut)
+    return scale * _WEIGHT_MASS + excess
 
 
 def mmse(varsigma, prior: BernoulliGaussianPrior):
@@ -115,13 +114,18 @@ def mmse(varsigma, prior: BernoulliGaussianPrior):
         u* = log((1 - rho)(1 + vs) / rho),
 
     an everywhere-positive form without the catastrophic cancellation of
-    the direct ``rho - rho^2 (...) I`` evaluation at large varsigma.  The
-    sigmoid steps down at t = u*/vs over a width 1/vs, and the shared
-    fixed rule (`coupledcs._quadrature`) puts breakpoints there.  Past
-    vs t - u* = log(1 + vs) + 40 the factor 1 + vs sigmoid(...) is exactly
-    1.0, and the rule integrates the weight t e^{-t} alone.  Raises
-    QuadratureError when the rule's embedded check disagrees by more than
-    max(1e-12, 1e-12 * mmse).
+    the direct ``rho - rho^2 (...) I`` evaluation at large varsigma.  On
+    [0, T], T = TAIL_CUTOFF, the weight's part has a closed form:
+
+        mmse = rho / (1 + vs) [1 - (T + 1) e^{-T}
+                               + int_0^T t e^{-t} vs sigmoid(u* - vs t) dt],
+
+    and the shared fixed rule (`coupledcs._quadrature`) integrates only
+    the sigmoid excess.  The sigmoid steps down at t = u*/vs over a width
+    1/vs, where the rule puts breakpoints; past vs t - u* = log(1 + vs) +
+    40 the excess is below e^{-40} t e^{-t}, and the rule stops there.
+    Raises QuadratureError when the rule's embedded check disagrees by more
+    than max(1e-12, 1e-12 * excess), which is 1e-12, as mmse < 1.
     """
     vs = np.asarray(varsigma, dtype=float)
     rho = prior.rho

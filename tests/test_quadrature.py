@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad, quad_vec
 
 from coupledcs import BernoulliGaussianPrior, QuadratureError, mmse
-from coupledcs import _quadrature
+from coupledcs import _quadrature, replica_core, scalar_channel
 from coupledcs.replica_core import channel_term_batch
 
 SWEEP_RHO = (1e-3, 0.01, 0.1, 0.4, 0.5, 0.6, 0.9, 0.99, 0.995, 0.999)
@@ -73,9 +73,7 @@ class TestRule:
         assert np.all(np.diff(edges, axis=1) >= 0)
 
     def test_too_coarse_layout_trips_the_check(self, monkeypatch):
-        ladder = np.array([0.0, 40.0])
-        monkeypatch.setattr(_quadrature, "_LADDER", ladder)
-        monkeypatch.setattr(_quadrature, "_LADDER_NODES", _quadrature._ladder_nodes(ladder))
+        monkeypatch.setattr(_quadrature, "_LADDER", np.array([0.0, 40.0]))
         monkeypatch.setattr(_quadrature, "_OFFSETS", np.array([0.0]))
         prior = BernoulliGaussianPrior(0.4)
         with pytest.raises(QuadratureError, match="mmse") as info:
@@ -105,10 +103,14 @@ class TestAgainstAdaptiveOracles:
         assert np.abs(got - expect).max() <= 1e-12
 
 
-def _dense_rule(integrand, params, transitions):
-    """Every node of every panel, as one (rows, panels * nodes) block: no panel skipped.
+# the breakpoint offsets of the rule's earlier, denser layout, with +-1
+DENSE_OFFSETS = np.array([-32, -16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16, 32], dtype=float)
 
-    A copy of the evaluator the skipping one replaced, without its error check.
+
+def _dense_rule(integrand, params, transitions):
+    """Every node of every panel of the 13-offset layout, as one (rows, panels * nodes) block.
+
+    A copy of the evaluator that the panel-skipping ones replaced, without its error check.
     """
     n = len(params[0])
     q = _quadrature
@@ -116,7 +118,7 @@ def _dense_rule(integrand, params, transitions):
     with np.errstate(over="ignore"):
         for centre, rate in transitions:
             r = rate[:, None]
-            z = np.clip(centre[:, None] + q._OFFSETS, 0.0, q.TAIL_CUTOFF * r)
+            z = np.clip(centre[:, None] + DENSE_OFFSETS, 0.0, q.TAIL_CUTOFF * r)
             parts.append(np.minimum(z / r, q.TAIL_CUTOFF))
         edges = np.sort(np.concatenate(parts, axis=1), axis=1)
         a = edges[:, :-1, None]
@@ -127,6 +129,7 @@ def _dense_rule(integrand, params, transitions):
 
 
 def _dense_mmse(vs, rho):
+    """mmse as weight x factor over every node, without the closed-form weight mass."""
     def integrand(t, vs, centre, scale):
         return scale * t * np.exp(-t) * (1.0 + vs / (1.0 + np.exp(vs * t - centre)))
 
@@ -157,10 +160,27 @@ BYTE_VS = np.concatenate([[0.0, 5e-324, 1e-300, 1e-3], np.geomspace(1e-2, 1e12, 
 
 
 @pytest.mark.parametrize("rho", [0.05, 0.4, 0.95])
-def test_skipped_panels_change_no_byte(rho):
-    # zero-width panels and the panels past the sigmoid are not evaluated, and the
-    # ones that are run node-major: the values are still the dense rule's, bit for bit
+def test_sparse_rule_rounds_like_the_dense_one(rho):
+    # the rule skips zero-width panels and those past the sigmoid, drops the +-1
+    # offsets and integrates mmse's weight in closed form: the values move by rounding.
+    # At vs = 1.7e308 mmse is subnormal (about 1e-310), and the dense rule rounds each
+    # node's value onto the 5e-324 grid; the channel term reaches -700, where its
+    # spacing is 1.1e-13, and both rules sum their panels in different orders
     prior = BernoulliGaussianPrior(rho)
-    assert np.array_equal(mmse(BYTE_VS, prior), _dense_mmse(BYTE_VS, rho))
+    dense = _dense_mmse(BYTE_VS, rho)
+    assert np.all(np.abs(mmse(BYTE_VS, prior) - dense) <= 2e-15 * dense + 1e-320)
     live = BYTE_VS[1:]
-    assert np.array_equal(channel_term_batch(live, prior), _dense_channel_term(live, rho))
+    dense = _dense_channel_term(live, rho)
+    assert np.all(np.abs(channel_term_batch(live, prior) - dense)
+                  <= np.maximum(5e-14, 4 * np.spacing(np.abs(dense))))
+
+
+@pytest.mark.parametrize("rho", SWEEP_RHO)
+def test_rule_clears_a_tenth_of_both_tolerances(rho, monkeypatch):
+    # the embedded check keeps a margin of ten on the whole range, so that a coarser
+    # layout (the +-1 offsets are already gone) shows before it reaches the tolerance
+    monkeypatch.setattr(scalar_channel, "_QUAD_TOL", scalar_channel._QUAD_TOL / 10)
+    monkeypatch.setattr(replica_core, "_CHANNEL_TOL", replica_core._CHANNEL_TOL / 10)
+    prior = BernoulliGaussianPrior(rho)
+    assert np.all(np.isfinite(mmse(BYTE_VS, prior)))
+    assert np.all(np.isfinite(channel_term_batch(BYTE_VS[1:], prior)))

@@ -161,6 +161,18 @@ class TestMmse:
         got = channel_term_batch(live, RHO)
         assert np.array_equal(got, [channel_term_batch(v, RHO)[0] for v in live])
 
+    @settings(deadline=None, max_examples=40)
+    @given(log_vs=st.lists(st.floats(-8.0, 14.0), min_size=1, max_size=64),
+           rho=st.floats(0.01, 0.99))
+    def test_random_batches_match_single_calls(self, log_vs, rho):
+        # a batch sums each row's panels apart from the other rows', so a value's
+        # bytes cannot depend on where its panels sit among the batch's
+        vs = 10.0 ** np.array(log_vs)
+        prior = BernoulliGaussianPrior(rho)
+        assert np.array_equal(mmse(vs, prior), [mmse(float(v), prior) for v in vs])
+        assert np.array_equal(channel_term_batch(vs, prior),
+                              [channel_term_batch(v, prior)[0] for v in vs])
+
     @pytest.mark.parametrize("vs", [5e-324, 1.1e-308, 1e-300])
     def test_subnormal_precision_gives_prior_variance(self, vs):
         for rho in (1e-3, 0.4, 0.999):

@@ -200,41 +200,29 @@ def test_inner_solve_work_on_the_benchmark_chains(monkeypatch):
 
 def test_mmse_work_on_the_benchmark_chains(monkeypatch):
     # the four benchmark chains (both ensembles, sigma2 1e-6): no panel of zero width
-    # reaches the mmse integrand, and the sigmoid factor runs on 0.556 of the dense
-    # rule's 408 nodes per value, the rest being past the sigmoid or of zero width
-    nodes = {"dense": 0, "factor": 0}
-    dense_per_value = ((_quadrature._LADDER.size + _quadrature._OFFSETS.size - 1)
-                       * _quadrature._NODES.size)
-    weight, factor, chain_mmse = (scalar_channel._mmse_weight, scalar_channel._mmse_factor,
-                                  state_evolution.mmse)
+    # reaches the excess integrand, and it runs on at most 200 nodes per mmse value
+    # (192.8), against 408 of the dense layout's, each with the weight and the factor
+    nodes, values = [0], [0]
+    excess, chain_mmse = scalar_channel._mmse_excess, state_evolution.mmse
 
-    def positive_width(t):
+    def counted_excess(t, *params):
         # node-major panels: the last node lies past the first one
-        return t.shape[0] == _quadrature._NODES.size and np.all(t[-1] > t[0])
-
-    def counted_weight(t, *params):
-        # the other call evaluates the ladder's own panels, all of positive width
-        assert positive_width(t) if t.ndim == 2 else t is _quadrature._LADDER_NODES
-        return weight(t, *params)
-
-    def counted_factor(t, *params):
-        assert positive_width(t)
-        nodes["factor"] += t.size
-        return factor(t, *params)
+        assert t.shape[0] == _quadrature._NODES.size and np.all(t[-1] > t[0])
+        nodes[0] += t.size
+        return excess(t, *params)
 
     def counted_mmse(varsigma, prior):
-        nodes["dense"] += np.size(varsigma) * dense_per_value
+        values[0] += np.size(varsigma)
         return chain_mmse(varsigma, prior)
 
-    monkeypatch.setattr(scalar_channel, "_mmse_weight", counted_weight)
-    monkeypatch.setattr(scalar_channel, "_mmse_factor", counted_factor)
+    monkeypatch.setattr(scalar_channel, "_mmse_excess", counted_excess)
     monkeypatch.setattr(state_evolution, "mmse", counted_mmse)
     for kind, chains in ((ORTH, ((10, 0.49, 0.5), (22, 0.484, 1.5))),
                          (GAUSS, ((10, 0.49, 0.5), (22, 0.489, 2.5)))):
         for L, a_bulk, J in chains:
             params = SeedingParams(L=L, W=2, alpha_seed=0.70, alpha_bulk=a_bulk, J=J)
             assert run_evolution(build_seeding_spec(params, 0.4, 1e-6), kind).converged
-    assert 0 < nodes["factor"] <= 0.6 * nodes["dense"], nodes
+    assert 0 < nodes[0] <= 200 * values[0], (nodes, values)
 
 
 def test_degenerate_seeding_chain_matches_uncoupled():
