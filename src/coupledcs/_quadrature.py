@@ -106,7 +106,7 @@ def _edges(transitions, rows):
     return edges
 
 
-def integrate(integrand, params, transitions, atol, rtol, what, at, cut=None):
+def integrate(integrand, params, transitions, atol, what, at, cut=None):
     """Integral of ``integrand(t, *params)`` over [0, TAIL_CUTOFF], per batch row.
 
     params are arrays of shape (n,), and the integrand is elementwise in t
@@ -122,8 +122,8 @@ def integrate(integrand, params, transitions, atol, rtol, what, at, cut=None):
     depends on that row alone.  The integrands run with overflow ignored:
     an exponential that overflows to inf is a sigmoid's or a log-sum's far
     tail.  Raises QuadratureError when the check rule and the main rule
-    disagree by more than max(atol, rtol * |value|); ``what`` and ``at``
-    (the batch's precisions) name the failing integral in the message.
+    disagree by more than atol; ``what`` and ``at`` (the batch's
+    precisions) name the failing integral in the message.
     """
     n = len(params[0])
     n_panels = _LADDER.size + len(transitions) * _OFFSETS.size - 1
@@ -156,11 +156,9 @@ def integrate(integrand, params, transitions, atol, rtol, what, at, cut=None):
                     else map(np.concatenate, (values, errors)))
     # one reduction clears the common case; a NaN error fails it too
     if not np.maximum.reduce(error, initial=0.0) <= atol:
-        ok = error <= np.maximum(atol, rtol * np.abs(value))
-        if not ok.all():
-            i = int(np.argmin(ok))   # the first failing row
-            raise QuadratureError(
-                f"{what} quadrature error {error[i]:.3e} above tolerance at "
-                f"varsigma={float(at[i])!r}",
-                value=float(value[i]), error_estimate=float(error[i]))
+        i = int(np.argmin(error <= atol))   # the first failing row
+        raise QuadratureError(
+            f"{what} quadrature error {error[i]:.3e} above tolerance at "
+            f"varsigma={float(at[i])!r}",
+            value=float(value[i]), error_estimate=float(error[i]))
     return value

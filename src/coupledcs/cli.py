@@ -17,10 +17,10 @@ import numpy as np
 from . import __version__
 from .coupling import SeedingParams, build_seeding_spec, spec_from_json, spec_to_json
 from .measurement_ops import block_variance_report, build_coupled_operator, gen_instance
-from .phase_analysis import scan_curve, sweep_phase_diagram
+from .phase_analysis import DEFAULT_GRID_POINTS, scan_curve, sweep_phase_diagram
 from .replica_core import Ensemble, single_block_spec
 from .scalar_channel import BernoulliGaussianPrior, mmse, mmse_mc_oracle
-from .state_evolution import run_evolution
+from .state_evolution import DEFAULT_MAX_ITER, DEFAULT_TOL, run_evolution
 
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
@@ -80,11 +80,6 @@ def write_phase_csv(path, points):
 def write_complex_csv(path, values):
     """(re, im) column pairs, one complex entry per row."""
     _write_csv(path, "re,im", ((_num(v.real), _num(v.imag)) for v in values))
-
-
-def read_complex_csv(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0] + 1j * data[:, 1]
 
 
 def export_instance(op, inst, prefix):
@@ -192,7 +187,7 @@ def cmd_mmse(rho, grid_text, samples, seed, output):
 @click.option("--sigma2", type=float, required=True)
 @click.option("--alpha", type=float, required=True)
 @_ensemble_option
-@click.option("--points", type=int, default=2000, show_default=True)
+@click.option("--points", type=int, default=DEFAULT_GRID_POINTS, show_default=True)
 @click.option("--eps-floor", type=float, default=None)
 @click.option("-o", "--output", type=click.Path(), required=True)
 @_config_option
@@ -242,8 +237,8 @@ def cmd_phase_diagram(rho, sigma2_text, ensemble, threads, output):
 @click.option("--rho", type=float, default=None)
 @click.option("--sigma2", type=float, default=None)
 @_ensemble_option
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--max-iter", type=int, default=10 ** 5, show_default=True)
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
+@click.option("--max-iter", type=int, default=DEFAULT_MAX_ITER, show_default=True)
 @click.option("--damping", type=float, default=0.0, show_default=True)
 @click.option("-o", "--output", type=click.Path(), required=True)
 @_config_option

@@ -102,11 +102,9 @@ class SyntheticInstance:
     seed: int
 
 
-def sample_signal(N: int, prior: BernoulliGaussianPrior, seed) -> np.ndarray:
-    """i.i.d. Bernoulli-Gaussian draws of length N, reproducible per seed."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+def _sample_signal(N: int, prior: BernoulliGaussianPrior,
+                   seed_seq: np.random.SeedSequence) -> np.ndarray:
+    """N i.i.d. Bernoulli-Gaussian draws from the Philox stream of seed_seq."""
     return _sample_prior(_generator(seed_seq), N, prior)
 
 
@@ -299,7 +297,7 @@ def gen_instance(op: CoupledOperator, prior: BernoulliGaussianPrior,
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     root = np.random.SeedSequence(seed)
     sig_seq, noise_seq = root.spawn(2)
-    x = sample_signal(op.N, prior, sig_seq)
+    x = _sample_signal(op.N, prior, sig_seq)
     y = apply(op, x)
     if sigma > 0:
         rng = _generator(noise_seq)

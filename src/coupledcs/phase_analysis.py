@@ -110,7 +110,7 @@ class PhasePoint:
     error: str | None = None
 
 
-def default_eps_floor(sigma2: float) -> float:
+def _default_eps_floor(sigma2: float) -> float:
     """Lower end of the scan grid: maxima live between O(sigma2) and O(rho)."""
     return max(1e-10, sigma2 * 1e-3)
 
@@ -158,7 +158,7 @@ def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
     """
     if n_points < 3:
         raise ValueError("need at least 3 grid points")
-    floor = default_eps_floor(sigma2) if eps_floor is None else float(eps_floor)
+    floor = _default_eps_floor(sigma2) if eps_floor is None else float(eps_floor)
     top = rho if rho > 0 else 1.0  # zero-density curves have no prior scale
     if not 0 < floor < top:
         raise ValueError(f"eps floor {floor} must lie in (0, {top})")
@@ -166,14 +166,19 @@ def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if kind is Ensemble.ROW_ORTHOGONAL and alpha > 1.0:
         raise ValueError("row-orthogonal blocks need alpha <= 1")
-    _, curve, eps = points = _fixed_point_curve(rho, sigma2, kind, n_points, floor)
+    # every single-block fixed point from one mmse call: rho / (1 + v) <= mmse(v) <=
+    # rho / (1 + rho v), so over [floor, 1 / floor] they cover eps in [floor, rho (1 - floor)],
+    # about the eps grid below
+    log_v = _log_v_grid(sigma2, n_points, floor)
+    curve, eps = _fixed_point_rates(log_v, BernoulliGaussianPrior(rho), sigma2, kind)
     # eps = mmse(v) falls as v rises, so the crossings are listed from the last;
     # at rho = 0 every fixed point has eps = 0, below the grid
     k = np.flatnonzero((curve[:-1] < alpha) & (alpha <= curve[1:]) & (rho > 0))[::-1]
     grid, spec = np.geomspace(floor, top, n_points), single_block_spec(rho, sigma2, alpha)
     if not refine:
         return FreeEntropyCurve(grid, None, [(e, None) for e in eps[k + 1].tolist()])
-    eps = _curve_roots(np.full(k.size, float(alpha)), k, points, rho, sigma2, kind)[1]
+    eps = _curve_roots(np.full(k.size, float(alpha)), k, (log_v, curve, eps), rho, sigma2,
+                       kind)[1]
     maxima = list(zip(eps.tolist(), free_entropy_grid(eps[:, None], spec, kind).tolist()))
     return FreeEntropyCurve(grid, free_entropy_grid(grid[:, None], spec, kind), maxima)
 
@@ -192,22 +197,11 @@ def _fixed_point_rates(log_v, prior, sigma2, kind):
 
 
 def _log_v_grid(sigma2, n_points, floor=None):
-    """n_points of log v over [floor, 1 / floor], floor = default_eps_floor(sigma2) by default."""
+    """n_points of log v over [floor, 1 / floor], floor = _default_eps_floor(sigma2) by default."""
     if not 0 < sigma2 < np.inf:
         raise ValueError(NO_NOISE_MESSAGE if sigma2 == 0 else "sigma2 must be finite and > 0")
-    floor = default_eps_floor(sigma2) if floor is None else floor
+    floor = _default_eps_floor(sigma2) if floor is None else floor
     return np.linspace(np.log(floor), -np.log(floor), n_points)
-
-
-def _fixed_point_curve(rho, sigma2, kind, n_points=DEFAULT_GRID_POINTS, floor=None):
-    """(log v grid, alpha, eps on it): every single-block fixed point, from one mmse call.
-
-    v runs over `_log_v_grid` and eps = mmse(v).  rho / (1 + v) <= mmse(v) <=
-    rho / (1 + rho v), so the fixed points cover eps in [floor, rho (1 - floor)],
-    about `scan_curve`'s eps grid.
-    """
-    log_v = _log_v_grid(sigma2, n_points, floor)
-    return (log_v, *_fixed_point_rates(log_v, BernoulliGaussianPrior(rho), sigma2, kind))
 
 
 def _curve_roots(rates, k, points, rho, sigma2, kind):
@@ -284,7 +278,7 @@ def _search_slice(log_v, sigma2):
 def _search_curve(rho, sigma2, kind):
     """(log v, alpha, eps, fold log v, fold rates): the transition search's curve and its folds.
 
-    The curve is `_fixed_point_curve`'s grid of `_SEARCH_GRID_POINTS` points,
+    The curve is `_log_v_grid`'s grid of `_SEARCH_GRID_POINTS` points,
     evaluated only on its slice over 1 <= v <= 1 / sigma2 with one cell of
     margin at each end (`_search_slice`).  Nothing the search reads lies
     outside it:
@@ -471,10 +465,12 @@ def _phase_point(rho, sigma2, kind) -> PhasePoint:
 
 def sweep_phase_diagram(rho: float, sigma2_grid, kind: Ensemble,
                         threads: int = 1) -> list:
-    """One PhasePoint per noise level; points are independent computations."""
+    """One PhasePoint per noise level; the independent points run on threads >= 1 threads."""
     sigma2_grid = [float(s) for s in sigma2_grid]
     if not sigma2_grid:
         raise ValueError("sigma2 grid must be nonempty")
+    if not threads >= 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda s2: _phase_point(rho, s2, kind), sigma2_grid))

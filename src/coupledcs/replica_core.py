@@ -148,13 +148,11 @@ class ConjugateState:
 
     Each array has shape (..., L_r, L_c).  Lambda is the inner extremizer
     for the row-orthogonal ensemble and 1/eps[p] for the Gaussian one.
-    Entries with J[q, p] = 0 carry varsigma = 0, Delta = 0 and
-    Lambda = 1/eps[p].
+    Entries with J[q, p] = 0 carry varsigma = 0 and Lambda = 1/eps[p].
     """
 
     varsigma: np.ndarray
     Lambda: np.ndarray
-    Delta: np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -206,7 +204,7 @@ def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
                              + rho * _log_sum_exp(c1 - vs * s, c2))
 
     return integrate(integrand, [vs, slope, c2], [(gap, slope), (gap, vs)],
-                     atol=_CHANNEL_TOL, rtol=0.0, what="channel term", at=vs)
+                     atol=_CHANNEL_TOL, what="channel term", at=vs)
 
 
 # ----------------------------------------------------------------------
@@ -307,11 +305,12 @@ def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble,
                           Lambda0=None) -> ConjugateState:
     """Conjugate parameters at stationarity of F for block MSE vectors eps of shape (..., L_c).
 
-    varsigma = Delta / eps, with Lambda the solution of the inner
+    Returns varsigma = Delta / eps and Lambda, the solution of the inner
     extremization Lambda = (1 - Delta) / eps (row-orthogonal, warm-started
     at Lambda0) or 1/eps (Gaussian, Lambda0 unused), which makes varsigma
-    alpha gamma J / (sigma2 + sum_l gamma_l J_{q,l} eps_l).  Raises
-    ValueError unless eps is finite and > 0.
+    alpha gamma J / (sigma2 + sum_l gamma_l J_{q,l} eps_l).  Delta is not
+    kept: it is varsigma * eps.  Raises ValueError unless eps is finite
+    and > 0.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.shape[-1:] != (spec.L_c,):
@@ -327,7 +326,7 @@ def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble,
         Lam = (1.0 / eps_b).repeat(spec.L_r, axis=-2)
         W = spec._band[1] / Lam
         Delta = spec.alpha * W / (spec.sigma2 + np.add.reduce(W, axis=-1, keepdims=True))
-    return ConjugateState(varsigma=Delta / eps_b, Lambda=Lam, Delta=Delta)
+    return ConjugateState(varsigma=Delta / eps_b, Lambda=Lam)
 
 
 def free_entropy_grid(eps_grid, spec: CouplingSpec, kind: Ensemble) -> np.ndarray:

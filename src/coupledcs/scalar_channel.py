@@ -99,7 +99,7 @@ def _mmse_live(v, rho):
     with np.errstate(over="ignore"):
         cut = (centre + log1p_v + 40.0) / v
     excess = integrate(_mmse_excess, [scale * v, v, centre], [(centre, v)],
-                       atol=_QUAD_TOL, rtol=_QUAD_TOL, what="mmse", at=v, cut=cut)
+                       atol=_QUAD_TOL, what="mmse", at=v, cut=cut)
     return scale * _WEIGHT_MASS + excess
 
 
@@ -125,7 +125,8 @@ def mmse(varsigma, prior: BernoulliGaussianPrior):
     1/vs, where the rule puts breakpoints; past vs t - u* = log(1 + vs) +
     40 the excess is below e^{-40} t e^{-t}, and the rule stops there.
     Raises QuadratureError when the rule's embedded check disagrees by more
-    than max(1e-12, 1e-12 * excess), which is 1e-12, as mmse < 1.
+    than 1e-12, absolute: the excess lies in [0, rho vs / (1 + vs)), below
+    1, so a bound relative to it would be tighter still.
     """
     vs = np.asarray(varsigma, dtype=float)
     rho = prior.rho
@@ -165,17 +166,20 @@ def mmse_mc_oracle(varsigma: float, prior: BernoulliGaussianPrior,
     |x - E{x|y}|^2.  Deterministic for a fixed seed; sampling runs in
     chunks of _MC_CHUNK so n_samples = 1e7 stays within a few hundred MB.
 
-    Returns (estimate, std_err).
+    Returns (estimate, std_err).  n_samples must be a whole number >= 1;
+    an integral float such as 1e7 is accepted.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    # NaN fails every comparison, inf the upper bound
+    if not (1 <= n_samples < np.inf and n_samples % 1 == 0):
+        raise ValueError(f"n_samples must be a whole number >= 1, got {n_samples!r}")
+    n_samples = int(n_samples)
     if not (np.isfinite(varsigma) and varsigma > 0):
         raise ValueError("varsigma must be finite and > 0 for the Monte-Carlo oracle")
     ch = ScalarChannel(varsigma)
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    left = int(n_samples)
+    left = n_samples
     noise_scale = 1.0 / np.sqrt(varsigma)
     while left > 0:
         m = min(_MC_CHUNK, left)

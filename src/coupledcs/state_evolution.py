@@ -41,30 +41,39 @@ class EvolutionTrace:
     """Record of one state-evolution run.
 
     history[t] is the per-block MSE vector after t iterations
-    (history[0] is the initialization).  ``oscillating`` flags a period-2
-    cycle, history[-1] within _CYCLE_TOL of history[-3] without
+    (history[0] is the start, eps_p = rho).  ``oscillating`` flags a
+    period-2 cycle, history[-1] within _CYCLE_TOL of history[-3] without
     convergence; the run stops at the first iteration where that distance
     is also below _CYCLE_RATIO times the last step, or else at the
-    iteration cap.
+    iteration cap.  iterations, oscillating and final_eps are read off
+    history and converged.
     """
 
     history: np.ndarray
     converged: bool
-    iterations: int
-    oscillating: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history) - 1
+
+    @property
+    def oscillating(self) -> bool:
+        h = self.history
+        return bool(not self.converged and len(h) >= 3
+                    and np.abs(h[-1] - h[-3]).max() < _CYCLE_TOL)
 
     @property
     def final_eps(self) -> np.ndarray:
         return self.history[-1]
 
 
-def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
+def run_evolution(spec: CouplingSpec, kind: Ensemble,
                   tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                   damping: float = 0.0) -> EvolutionTrace:
-    """Iterate the state evolution to a fixed point.
+    """Iterate the state evolution to a fixed point from eps_p = rho.
 
-    init defaults to eps_p = rho, the large-MSE starting point (with no
-    prior channel information, mmse(0) = rho).  damping in [0, 1) mixes
+    eps_p = rho is the large-MSE starting point (with no prior channel
+    information, mmse(0) = rho).  damping in [0, 1) mixes
     theta * old + (1 - theta) * new conjugate precisions; the plain
     iteration is damping = 0.  Non-convergence at max_iter is reported in
     the trace rather than raised, and so is a period-2 cycle, which ends
@@ -80,11 +89,7 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
     if rho == 0.0:
         raise ValueError("rho = 0 has no state evolution: its only fixed point is eps = 0, "
                          "where the conjugate precisions are undefined")
-    eps = np.full(spec.L_c, rho) if init is None else np.asarray(init, dtype=float).copy()
-    if eps.shape != (spec.L_c,):
-        raise ValueError(f"init must have shape ({spec.L_c},)")
-    if not np.all((eps > 0) & (eps <= rho + 1e-15)):
-        raise ValueError("init must satisfy 0 < eps_p <= rho")
+    eps = np.full(spec.L_c, rho)
 
     state = conjugate_fixed_point(eps, spec, kind)
     history = [eps]
@@ -106,10 +111,7 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble, init=None,
             back = np.maximum.reduce(np.abs(eps_new - history[-3]))
             if back < _CYCLE_TOL and back < _CYCLE_RATIO * step:
                 break
-    oscillating = (not converged and len(history) >= 3
-                   and np.abs(history[-1] - history[-3]).max() < _CYCLE_TOL)
-    return EvolutionTrace(history=np.array(history), converged=bool(converged),
-                          iterations=len(history) - 1, oscillating=bool(oscillating))
+    return EvolutionTrace(history=np.array(history), converged=bool(converged))
 
 
 def iterations_to_good_mse(trace: EvolutionTrace, sigma2: float):

@@ -10,6 +10,8 @@ from click.testing import CliRunner
 
 from coupledcs import SeedingParams, build_seeding_spec, run_evolution, spec_to_json
 from coupledcs.cli import main
+from coupledcs.phase_analysis import DEFAULT_GRID_POINTS
+from coupledcs.state_evolution import DEFAULT_MAX_ITER, DEFAULT_TOL
 from coupledcs.replica_core import Ensemble
 
 
@@ -94,6 +96,16 @@ class TestFreeEntropyCommand:
         assert res.exit_code == 2, res.output
         assert "alpha must be > 0" in res.output
 
+    def test_points_default_is_the_library_default(self, runner, tmp_path):
+        res = runner.invoke(main, ["free-entropy", "--rho", "0.4", "--sigma2", "1e-4",
+                                   "--alpha", "0.49", "--ensemble", "gaussian",
+                                   "-o", str(tmp_path / "f.csv")])
+        assert res.exit_code == 0, res.output
+        config = json.loads((tmp_path / "f.csv.json").read_text())["config"]
+        assert config["points"] == DEFAULT_GRID_POINTS
+        _, rows = read_csv_rows(tmp_path / "f.csv")
+        assert len(rows) == DEFAULT_GRID_POINTS
+
     def test_deterministic_output(self, runner, tmp_path):
         args = ["free-entropy", "--rho", "0.4", "--sigma2", "1e-4", "--alpha", "0.45",
                 "--ensemble", "gaussian", "--points", "400"]
@@ -117,6 +129,16 @@ class TestPhaseDiagramCommand:
         assert res.exit_code == 2, res.output
         assert "diverges at sigma2 = 0" in res.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_non_positive_threads_exit_2(self, runner, tmp_path, threads):
+        out = tmp_path / "p.csv"
+        res = runner.invoke(main, ["phase-diagram", "--rho", "0.4", "--sigma2-grid", "1e-4",
+                                   "--threads", threads, "--ensemble", "gaussian",
+                                   "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "threads must be >= 1" in res.output
+        assert not out.exists() and not (tmp_path / "p.csv.json").exists()
 
     def test_dense_signal_points_not_sharp(self, runner, tmp_path):
         # rho = 1 has no bistable window at any rate: alpha(v) is monotone
@@ -162,6 +184,16 @@ class TestEvolveCommand:
         meta = json.loads((tmp_path / "t.csv.json").read_text())
         assert set(meta) == {"tool", "version", "command", "config", "converged", "iterations",
                              "oscillating", "overall_rate", "final_eps"}
+
+    def test_tol_and_max_iter_defaults_are_the_library_defaults(self, runner, tmp_path):
+        res = runner.invoke(main, ["evolve", "--L", "2", "--W", "1",
+                                   "--alpha-seed", "0.6", "--alpha-bulk", "0.5",
+                                   "--J", "0.5", "--rho", "0.4", "--sigma2", "1e-4",
+                                   "--ensemble", "gaussian", "-o", str(tmp_path / "t.csv")])
+        assert res.exit_code == 0, res.output
+        config = json.loads((tmp_path / "t.csv.json").read_text())["config"]
+        assert config["tol"] == DEFAULT_TOL and config["max_iter"] == DEFAULT_MAX_ITER
+        assert type(config["max_iter"]) is int
 
     def test_spec_file_with_bad_gamma_exits_2(self, runner, tmp_path):
         spec = build_seeding_spec(SeedingParams(L=2, W=1, alpha_seed=0.6, alpha_bulk=0.5, J=0.5),

@@ -194,6 +194,12 @@ class TestTransitions:
         with pytest.raises(ValueError, match="diverges at sigma2 = 0"):
             sweep_phase_diagram(RHO, [1e-4, 0.0], GAUSS)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_non_positive_threads_are_rejected(self, threads):
+        # -3 ran serially and 0 was recorded as the sweep's thread count
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            sweep_phase_diagram(RHO, [1e-4], GAUSS, threads=threads)
+
 
 class TestFixedPointCurve:
     @pytest.mark.parametrize("kind", [GAUSS, ORTH])
@@ -252,9 +258,12 @@ class TestFixedPointCurve:
 
     @pytest.mark.parametrize("kind", [GAUSS, ORTH])
     def test_grid_covers_the_scan_range(self, kind):
-        log_v, alpha, eps = phase_analysis._fixed_point_curve(RHO, SIGMA2, kind)
-        assert np.array_equal(eps, mmse(np.exp(log_v), BernoulliGaussianPrior(RHO)))
-        floor = phase_analysis.default_eps_floor(SIGMA2)
+        # scan_curve's default curve: the fixed points of its log v grid span its eps grid
+        log_v = phase_analysis._log_v_grid(SIGMA2, phase_analysis.DEFAULT_GRID_POINTS)
+        prior = BernoulliGaussianPrior(RHO)
+        alpha, eps = phase_analysis._fixed_point_rates(log_v, prior, SIGMA2, kind)
+        assert np.array_equal(eps, mmse(np.exp(log_v), prior))
+        floor = phase_analysis._default_eps_floor(SIGMA2)
         assert eps[-1] <= floor and eps[0] >= RHO * (1 - floor)
         assert alpha.size == phase_analysis.DEFAULT_GRID_POINTS
 
@@ -266,7 +275,8 @@ class TestGridFreeSearch:
         # the reference owes nothing to the search grid: scipy's bounded Brent search for the
         # extrema of alpha(log v) in the cells around each turn of the 2000-point curve
         prior = BernoulliGaussianPrior(RHO)
-        log_v, alpha, _ = phase_analysis._fixed_point_curve(RHO, sigma2, kind)
+        log_v = phase_analysis._log_v_grid(sigma2, phase_analysis.DEFAULT_GRID_POINTS)
+        alpha = phase_analysis._fixed_point_rates(log_v, prior, sigma2, kind)[0]
         rising = np.diff(alpha) > 0
         turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
         assert turns.size == 2

@@ -184,3 +184,33 @@ def test_rule_clears_a_tenth_of_both_tolerances(rho, monkeypatch):
     prior = BernoulliGaussianPrior(rho)
     assert np.all(np.isfinite(mmse(BYTE_VS, prior)))
     assert np.all(np.isfinite(channel_term_batch(BYTE_VS[1:], prior)))
+
+
+@pytest.mark.parametrize("rho", SWEEP_RHO)
+def test_mmse_excess_lies_below_one(rho):
+    # why the check is absolute: mmse integrates only its excess over the closed-form
+    # weight mass, which lies in [0, rho vs / (1 + vs)), below 1, so a bound of
+    # 1e-12 * |excess| would never be looser than the absolute 1e-12
+    vs = np.geomspace(1e-8, 1e14, 400)
+    mass = rho / (1.0 + vs) * scalar_channel._WEIGHT_MASS
+    excess = mmse(vs, BernoulliGaussianPrior(rho)) - mass
+    assert np.all(excess >= 0.0) and np.all(excess < rho * vs / (1.0 + vs))
+
+
+def test_check_raises_just_above_its_tolerance(monkeypatch):
+    # the check is error <= atol for both callers: a tolerance at the error estimate
+    # passes, and the next float below it raises
+    prior = BernoulliGaussianPrior(0.4)
+    calls = ((scalar_channel, "_QUAD_TOL", lambda: mmse(np.array([1.0]), prior)),
+             (replica_core, "_CHANNEL_TOL", lambda: channel_term_batch([1.0], prior)))
+    for module, name, call in calls:
+        monkeypatch.setattr(module, name, 0.0)
+        with pytest.raises(QuadratureError) as info:
+            call()
+        error = info.value.error_estimate
+        assert error > 0.0, name
+        monkeypatch.setattr(module, name, error)
+        assert np.isfinite(call()).all()
+        monkeypatch.setattr(module, name, np.nextafter(error, 0.0))
+        with pytest.raises(QuadratureError):
+            call()

@@ -515,7 +515,8 @@ class TestConjugateFixedPoint:
         act = spec.J > 0
         lhs = np.where(act, 1.0 / eps[None, :] - st.varsigma, st.Lambda)
         assert np.abs(lhs - st.Lambda)[act].max() <= 1e-10 * st.Lambda[act].max()
-        recon = st.Lambda * st.Delta / (1.0 - st.Delta)
+        Delta = st.varsigma * eps[None, :]
+        recon = st.Lambda * Delta / (1.0 - Delta)
         assert np.abs(np.where(act, recon, 0.0) - st.varsigma).max() <= 1e-10
 
 
@@ -559,7 +560,7 @@ class TestConjugateFixedPoint:
         for kind, rtol in ((GAUSS, 0.0), (ORTH, 1e-10)):
             batch = conjugate_fixed_point(eps, spec, kind)
             rows = [conjugate_fixed_point(e, spec, kind) for e in eps]
-            for field in ("varsigma", "Lambda", "Delta"):
+            for field in ("varsigma", "Lambda"):
                 got = getattr(batch, field)
                 ref = np.array([getattr(row, field) for row in rows])
                 assert got.shape == (5, spec.L_r, spec.L_c)

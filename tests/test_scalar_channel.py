@@ -213,6 +213,15 @@ class TestMcOracle:
         with pytest.raises(ValueError):
             mmse_mc_oracle(0.0, RHO, 10, seed=0)
 
+    @pytest.mark.parametrize("bad", [2.9, 0.5, np.nan, np.inf])
+    def test_rejects_a_sample_count_that_is_not_whole(self, bad):
+        # 2.9 drew int(2.9) = 2 samples and divided their sum by 2.9
+        with pytest.raises(ValueError, match="whole number"):
+            mmse_mc_oracle(1.0, RHO, bad, seed=0)
+
+    def test_integral_float_sample_count_counts_as_its_int(self):
+        assert mmse_mc_oracle(1.0, RHO, 1e3, seed=0) == mmse_mc_oracle(1.0, RHO, 1000, seed=0)
+
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_precision(self, bad):
         # an infinite precision passes varsigma > 0; its noise scale 0 gave (nan, nan)
