@@ -196,7 +196,6 @@ class TestTransitions:
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_non_positive_threads_are_rejected(self, threads):
-        # -3 ran serially and 0 was recorded as the sweep's thread count
         with pytest.raises(ValueError, match="threads must be >= 1"):
             sweep_phase_diagram(RHO, [1e-4], GAUSS, threads=threads)
 

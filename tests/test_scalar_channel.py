@@ -215,7 +215,7 @@ class TestMcOracle:
 
     @pytest.mark.parametrize("bad", [2.9, 0.5, np.nan, np.inf])
     def test_rejects_a_sample_count_that_is_not_whole(self, bad):
-        # 2.9 drew int(2.9) = 2 samples and divided their sum by 2.9
+        # only whole draws exist: 2.9 would draw 2 samples and average them over 2.9
         with pytest.raises(ValueError, match="whole number"):
             mmse_mc_oracle(1.0, RHO, bad, seed=0)
 
