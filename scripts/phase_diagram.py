@@ -15,14 +15,13 @@ from coupledcs.cli import write_phase_csv
 
 RHO = 0.4
 SIGMA2_GRID = np.geomspace(1e-6, 3e-3, 12)
-THREADS = 1
 OUT_DIR = "results"
 
 
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
     for kind in (Ensemble.ROW_ORTHOGONAL, Ensemble.GAUSSIAN_IID):
-        points = sweep_phase_diagram(RHO, SIGMA2_GRID, kind, threads=THREADS)
+        points = sweep_phase_diagram(RHO, SIGMA2_GRID, kind)
         path = os.path.join(OUT_DIR, f"phase_{kind.value}.csv")
         write_phase_csv(path, points)
         for pt in points:

@@ -72,9 +72,8 @@ def write_phase_csv(path, points):
     """One row per sweep point; rates of a point without them are empty cells."""
     def row(pt):
         rates = ("" if v is None else _num(v) for v in (pt.alpha_d, pt.alpha_c, pt.alpha_s))
-        status = "ok" if pt.error is None else "error"
-        return (_num(pt.sigma2), *rates, str(int(pt.sharp)), status)
-    _write_csv(path, "sigma2,alpha_d,alpha_c,alpha_s,sharp,status", map(row, points))
+        return (_num(pt.sigma2), *rates, str(int(pt.sharp)))
+    _write_csv(path, "sigma2,alpha_d,alpha_c,alpha_s,sharp", map(row, points))
 
 
 def write_complex_csv(path, values):
@@ -208,22 +207,16 @@ def cmd_free_entropy(rho, sigma2, alpha, ensemble, points, eps_floor, output):
 @click.option("--sigma2-grid", "sigma2_text", required=True,
               help="Noise grid: comma list or lo:hi:n (log-spaced).")
 @_ensemble_option
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Parallel sweep points.")
 @click.option("-o", "--output", type=click.Path(), required=True)
 @_config_option
 @_run_guarded
-def cmd_phase_diagram(rho, sigma2_text, ensemble, threads, output):
-    """Transition rates alpha_d, alpha_c, alpha_s per noise level."""
+def cmd_phase_diagram(rho, sigma2_text, ensemble, output):
+    """Transition rates alpha_d, alpha_c, alpha_s per noise level; a numeric failure exits 3."""
     grid = _parse_grid(sigma2_text, "--sigma2-grid")
-    points = sweep_phase_diagram(rho, grid, Ensemble(ensemble), threads=threads)
-    if all(pt.error is not None for pt in points):
-        click.echo("numeric failure: every sweep point failed", err=True)
-        sys.exit(EXIT_NUMERIC)
+    points = sweep_phase_diagram(rho, grid, Ensemble(ensemble))
     write_phase_csv(output, points)
     _sidecar(f"{output}.json", "phase-diagram",
-             {"rho": rho, "sigma2_grid": grid, "ensemble": ensemble, "threads": threads},
-             {"errors": {repr(pt.sigma2): pt.error for pt in points if pt.error}})
+             {"rho": rho, "sigma2_grid": grid, "ensemble": ensemble})
 
 
 @main.command("evolve")

@@ -42,14 +42,13 @@ the branch roots from brackets that the points evaluated by the earlier
 steps narrow.
 """
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, QuadratureError
+from .errors import ConvergenceError
 from .replica_core import NO_NOISE_MESSAGE, Ensemble, free_entropy_grid, single_block_spec
-from .scalar_channel import BernoulliGaussianPrior, mmse
+from .scalar_channel import BernoulliGaussianPrior, _whole_number, mmse
 
 DEFAULT_GRID_POINTS = 2000
 # unread in the package; it stays because tests and perfbench/workloads.py import it as
@@ -100,14 +99,15 @@ class FreeEntropyCurve:
 
 @dataclass
 class PhasePoint:
-    """Transition rates at one noise level; rates are None when not sharp."""
+    """Transition rates at one noise level; rates are None when it has no two-maxima window."""
 
     sigma2: float
     alpha_d: float | None = None
     alpha_c: float | None = None
     alpha_s: float | None = None
     sharp: bool = False
-    error: str | None = None
+    # not a field: perfbench/workloads.py reads it; it goes with the next change there
+    error = None
 
 
 def _default_eps_floor(sigma2: float) -> float:
@@ -156,8 +156,7 @@ def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
     product, refines each to its root and evaluates F on a log eps grid over
     [floor, rho] and at the roots; refine=False, for counting, evaluates no F.
     """
-    if n_points < 3:
-        raise ValueError("need at least 3 grid points")
+    n_points = _whole_number("n_points", n_points, 3)
     floor = _default_eps_floor(sigma2) if eps_floor is None else float(eps_floor)
     top = rho if rho > 0 else 1.0  # zero-density curves have no prior scale
     if not 0 < floor < top:
@@ -453,26 +452,20 @@ def _phase_point(rho, sigma2, kind) -> PhasePoint:
     try:
         curve = _search_curve(rho, sigma2, kind)
         a_c = _maxwell_rate(rho, sigma2, kind, curve)
-        a_d, a_s = curve[-1].tolist()
-        return PhasePoint(sigma2=sigma2, alpha_d=a_d, alpha_c=a_c, alpha_s=a_s, sharp=True)
     except NoTransitionError:
         return PhasePoint(sigma2=sigma2, sharp=False)
-    except (QuadratureError, ConvergenceError) as exc:
-        # a numeric failure at one noise level must not abort the sweep;
-        # anything else is a bug and propagates
-        return PhasePoint(sigma2=sigma2, sharp=False, error=f"{type(exc).__name__}: {exc}")
+    a_d, a_s = curve[-1].tolist()
+    return PhasePoint(sigma2=sigma2, alpha_d=a_d, alpha_c=a_c, alpha_s=a_s, sharp=True)
 
 
-def sweep_phase_diagram(rho: float, sigma2_grid, kind: Ensemble,
-                        threads: int = 1) -> list:
-    """One PhasePoint per noise level; the independent points run on threads >= 1 threads."""
+def sweep_phase_diagram(rho: float, sigma2_grid, kind: Ensemble, threads: int = 1) -> list:
+    """One PhasePoint per noise level, serially; a QuadratureError or ConvergenceError at
+    any level propagates, so a sweep returns every level or nothing."""
+    # only the threads=1 that perfbench/workloads.py passes; it goes with the next change there
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}")
     sigma2_grid = [float(s) for s in sigma2_grid]
     if not sigma2_grid:
         raise ValueError("sigma2 grid must be nonempty")
-    if not threads >= 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s2: _phase_point(rho, s2, kind), sigma2_grid))
     return [_phase_point(rho, s2, kind) for s2 in sigma2_grid]
 

@@ -148,6 +148,13 @@ def mmse(varsigma, prior: BernoulliGaussianPrior):
     return out if out.ndim else float(out)
 
 
+def _whole_number(name, value, least):
+    """int(value) for a whole number >= least (1e3 counts; NaN and inf do not), else ValueError."""
+    if not (least <= value < np.inf and value % 1 == 0):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
 def _sample_prior(rng: np.random.Generator, n: int, prior: BernoulliGaussianPrior):
     """n i.i.d. prior draws: one uniform per entry for the support, then its Gaussian values."""
     x = np.zeros(n, dtype=complex)
@@ -169,10 +176,7 @@ def mmse_mc_oracle(varsigma: float, prior: BernoulliGaussianPrior,
     Returns (estimate, std_err).  n_samples must be a whole number >= 1;
     an integral float such as 1e7 is accepted.
     """
-    # NaN fails every comparison, inf the upper bound
-    if not (1 <= n_samples < np.inf and n_samples % 1 == 0):
-        raise ValueError(f"n_samples must be a whole number >= 1, got {n_samples!r}")
-    n_samples = int(n_samples)
+    n_samples = _whole_number("n_samples", n_samples, 1)
     if not (np.isfinite(varsigma) and varsigma > 0):
         raise ValueError("varsigma must be finite and > 0 for the Monte-Carlo oracle")
     ch = ScalarChannel(varsigma)

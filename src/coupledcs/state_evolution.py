@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .replica_core import CouplingSpec, Ensemble, conjugate_fixed_point
-from .scalar_channel import mmse
+from .scalar_channel import _whole_number, mmse
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10 ** 5
@@ -81,8 +81,7 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble,
     """
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    max_iter = _whole_number("max_iter", max_iter, 1)
     if not (0.0 <= damping < 1.0):
         raise ValueError("damping must lie in [0, 1)")
     rho = spec.prior.rho
@@ -95,7 +94,7 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble,
     history = [eps]
     converged = False
     warm = kind is Ensemble.ROW_ORTHOGONAL   # the Gaussian Lambda = 1/eps needs no start
-    for t in range(int(max_iter)):
+    for t in range(max_iter):
         eps_new = mmse(np.add.reduce(state.varsigma, axis=0), spec.prior)
         new = conjugate_fixed_point(eps_new, spec, kind,
                                     Lambda0=state.Lambda * (eps / eps_new) if warm else None)

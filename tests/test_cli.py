@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from coupledcs import SeedingParams, build_seeding_spec, run_evolution, spec_to_json
+from coupledcs import (QuadratureError, SeedingParams, build_seeding_spec, run_evolution,
+                       spec_to_json)
+from coupledcs import phase_analysis
 from coupledcs.cli import main
 from coupledcs.phase_analysis import DEFAULT_GRID_POINTS
 from coupledcs.state_evolution import DEFAULT_MAX_ITER, DEFAULT_TOL
@@ -130,30 +132,46 @@ class TestPhaseDiagramCommand:
         assert "diverges at sigma2 = 0" in res.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_non_positive_threads_exit_2(self, runner, tmp_path, threads):
+    def test_numeric_failure_exits_3_and_writes_nothing(self, runner, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureError("stub failure", value=0.0, error_estimate=1.0)
+
+        monkeypatch.setattr(phase_analysis, "mmse", fail)
         out = tmp_path / "p.csv"
-        res = runner.invoke(main, ["phase-diagram", "--rho", "0.4", "--sigma2-grid", "1e-4",
-                                   "--threads", threads, "--ensemble", "gaussian",
-                                   "-o", str(out)])
-        assert res.exit_code == 2, res.output
-        assert "threads must be >= 1" in res.output
+        res = runner.invoke(main, ["phase-diagram", "--rho", "0.4", "--sigma2-grid", "1e-4,1e-3",
+                                   "--ensemble", "gaussian", "-o", str(out)])
+        assert res.exit_code == 3, res.output
+        assert "numeric failure: stub failure" in res.output
         assert not out.exists() and not (tmp_path / "p.csv.json").exists()
+
+    def test_threads_names_no_flag(self, runner, tmp_path):
+        out, config = tmp_path / "p.csv", tmp_path / "c.json"
+        config.write_text(json.dumps({"threads": 2}))
+        args = ["phase-diagram", "--rho", "0.4", "--sigma2-grid", "1e-4", "--ensemble",
+                "gaussian", "-o", str(out)]
+        res = runner.invoke(main, args + ["--config", str(config)])
+        assert res.exit_code == 2, res.output
+        assert "key 'threads' names no flag" in res.output
+        assert runner.invoke(main, args + ["--threads", "1"]).exit_code == 2
+        assert not out.exists() and not (tmp_path / "p.csv.json").exists()
+        assert "--threads" not in runner.invoke(main, ["phase-diagram", "--help"]).output
 
     def test_dense_signal_points_not_sharp(self, runner, tmp_path):
         # rho = 1 has no bistable window at any rate: alpha(v) is monotone
         out = tmp_path / "p.csv"
         res = runner.invoke(main, ["phase-diagram", "--rho", "1.0",
-                                   "--sigma2-grid", "1e-3,2e-3", "--threads", "2",
+                                   "--sigma2-grid", "1e-3,2e-3",
                                    "--ensemble", "gaussian", "-o", str(out)])
         assert res.exit_code == 0, res.output
         header, rows = read_csv_rows(out)
-        assert header == ["sigma2", "alpha_d", "alpha_c", "alpha_s", "sharp", "status"]
+        assert header == ["sigma2", "alpha_d", "alpha_c", "alpha_s", "sharp"]
         assert len(rows) == 2
         assert float(rows[0][0]) == 1e-3 and float(rows[1][0]) == 2e-3
         for row in rows:
-            assert row[4] == "0" and row[5] == "ok"
-            assert row[1] == "" and row[2] == "" and row[3] == ""
+            assert row[1:] == ["", "", "", "0"]
+        meta = json.loads((tmp_path / "p.csv.json").read_text())
+        assert set(meta) == {"tool", "version", "command", "config"}
+        assert set(meta["config"]) == {"rho", "sigma2_grid", "ensemble"}
 
 
 class TestEvolveCommand:

@@ -57,6 +57,17 @@ class TestScanCurve:
         with pytest.raises(ValueError):
             scan_curve(RHO, SIGMA2, 0.5, GAUSS, n_points=2)
 
+    @pytest.mark.parametrize("bad", [100.5, np.nan, np.inf])
+    def test_points_must_be_a_whole_number(self, bad):
+        # 100.5 reached np.linspace, which raised TypeError
+        with pytest.raises(ValueError, match="whole number"):
+            scan_curve(RHO, SIGMA2, 0.5, GAUSS, n_points=bad, refine=False)
+
+    def test_integral_float_points_count_as_their_int(self):
+        got = scan_curve(RHO, SIGMA2, 0.49, GAUSS, n_points=200.0, refine=False)
+        want = scan_curve(RHO, SIGMA2, 0.49, GAUSS, n_points=200, refine=False)
+        assert np.array_equal(got.eps_grid, want.eps_grid) and got.maxima == want.maxima
+
     def test_zero_density_peaks_at_floor(self):
         curve = scan_curve(0.0, SIGMA2, 0.5, GAUSS, n_points=200)
         assert int(np.argmax(curve.values)) == 0
@@ -170,7 +181,7 @@ class TestTransitions:
         # rho = 0: eps = 0 and alpha = v sigma2; rho = 1: mmse is 1 / (1 + v)
         assert not window_exists(rho, sigma2, kind)
         (pt,) = sweep_phase_diagram(rho, [sigma2], kind)
-        assert not pt.sharp and pt.error is None
+        assert not pt.sharp
 
     @pytest.mark.parametrize("kind", [GAUSS, ORTH])
     def test_window_reaching_the_rate_cap_is_no_transition(self, kind, monkeypatch):
@@ -194,9 +205,9 @@ class TestTransitions:
         with pytest.raises(ValueError, match="diverges at sigma2 = 0"):
             sweep_phase_diagram(RHO, [1e-4, 0.0], GAUSS)
 
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_non_positive_threads_are_rejected(self, threads):
-        with pytest.raises(ValueError, match="threads must be >= 1"):
+    @pytest.mark.parametrize("threads", [0, -3, 2, 2.5])
+    def test_threads_other_than_one_are_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads must be 1"):
             sweep_phase_diagram(RHO, [1e-4], GAUSS, threads=threads)
 
 
@@ -362,7 +373,7 @@ def test_step_onto_a_bracket_end_closes_the_bracket():
 def test_transition_ordering_and_grid_predicate(log_sigma2, kind):
     sigma2 = 10.0 ** log_sigma2
     (pt,) = sweep_phase_diagram(RHO, [sigma2], kind)
-    assert pt.sharp and pt.error is None
+    assert pt.sharp
     assert pt.alpha_s < pt.alpha_c < pt.alpha_d
     for alpha, expect in ((pt.alpha_d - ALPHA_TOL, True), (pt.alpha_s + ALPHA_TOL, True),
                           (pt.alpha_d + ALPHA_TOL, False), (pt.alpha_s - ALPHA_TOL, False)):
@@ -422,7 +433,7 @@ class TestCommittedResults:
         points = phase_sweeps[kind]
         assert [float(row["sigma2"]) for row in ref] == [pt.sigma2 for pt in points]
         for row, pt in zip(ref, points):
-            assert (row["sharp"], row["status"]) == (str(int(pt.sharp)), "ok")
+            assert row["sharp"] == str(int(pt.sharp))
             for name in ("alpha_d", "alpha_c", "alpha_s"):
                 got = getattr(pt, name)
                 if row[name] == "":
@@ -452,7 +463,7 @@ BISECTION_PHASE_ROWS = {
 @pytest.mark.parametrize("kind", [GAUSS, ORTH])
 def test_rates_agree_with_the_bisection_search(kind, phase_sweeps):
     for pt, ref in zip(phase_sweeps[kind], BISECTION_PHASE_ROWS[kind], strict=True):
-        assert pt.sharp is (ref is not None) and pt.error is None, pt
+        assert pt.sharp is (ref is not None), pt
         if ref is not None:
             got = (pt.alpha_s, pt.alpha_c, pt.alpha_d)
             assert np.abs(np.subtract(got, ref)).max() <= ALPHA_TOL, (pt.sigma2, got, ref)
@@ -479,7 +490,7 @@ def test_equal_heights_at_the_last_sharp_level(rho, kind, monkeypatch):
 
     monkeypatch.setattr(phase_analysis, "_equal_area_rate", recorded)
     pt, beyond = sweep_phase_diagram(rho, NEAR_CUSP_SWEEP[index:index + 2], kind)
-    assert pt.sharp and not beyond.sharp and pt.error is None
+    assert pt.sharp and not beyond.sharp
     assert (starts[0] is None) is mid_window
     curve = scan_curve(rho, pt.sigma2, pt.alpha_c, kind)
     assert curve.n_maxima == 2
@@ -513,7 +524,7 @@ def test_phase_point_work(kind, monkeypatch):
     # solve of both maxima (6, then 2-3 warm-started mmse calls) and one free_entropy_grid
     # call; 14 mmse calls on 172 values for each ensemble
     pt, calls = count_phase_point_work(RHO, SIGMA2, kind, monkeypatch)
-    assert pt.sharp and pt.error is None
+    assert pt.sharp
     assert calls["mmse"] <= 16 and calls["free_entropy_grid"] <= 2, calls
     assert calls["values"] <= 200, calls
 
@@ -522,7 +533,7 @@ def test_phase_point_work(kind, monkeypatch):
 def test_work_past_the_cusp(kind, monkeypatch):
     # no window: the slice, each value once, plus two values per fold step
     pt, calls = count_phase_point_work(RHO, 1e-2, kind, monkeypatch)
-    assert not pt.sharp and pt.error is None
+    assert not pt.sharp
     log_v = phase_analysis._log_v_grid(1e-2, phase_analysis._SEARCH_GRID_POINTS)
     lo, hi = phase_analysis._search_slice(log_v, 1e-2)
     assert calls["values"] <= hi - lo + 2 * (calls["mmse"] - 1), calls
@@ -539,8 +550,7 @@ def test_slice_search_matches_the_full_grid_search(rho, kind, monkeypatch):
     full = sweep_phase_diagram(rho, levels, kind)
     assert any(pt.sharp for pt in full) and not all(pt.sharp for pt in full)
     for got, want in zip(sliced, full, strict=True):
-        assert (got.sharp, got.error, got.alpha_d, got.alpha_s) == (
-            want.sharp, want.error, want.alpha_d, want.alpha_s)
+        assert (got.sharp, got.alpha_d, got.alpha_s) == (want.sharp, want.alpha_d, want.alpha_s)
         if want.sharp:
             assert abs(got.alpha_c - want.alpha_c) <= 1e-13 * want.alpha_c
 
@@ -564,7 +574,7 @@ class TestPhasePointFailures:
         assert sizes[0] == hi - lo < log_v.size and max(sizes[1:]) == 2
 
     @pytest.mark.parametrize("kind", [GAUSS, ORTH])
-    def test_slice_above_alpha_s_becomes_an_error_row(self, kind, monkeypatch):
+    def test_slice_above_alpha_s_raises_out_of_the_sweep(self, kind, monkeypatch):
         # a slice whose first point is on the large-MSE branch above alpha_s cannot bracket
         # the window's rates on that branch
         log_v, alpha, _, _, (_, a_s) = phase_analysis._search_curve(RHO, SIGMA2, kind)
@@ -572,25 +582,35 @@ class TestPhasePointFailures:
         lo = int(np.searchsorted(grid, log_v[np.flatnonzero(alpha >= a_s)[0]]))
         hi = phase_analysis._search_slice(grid, SIGMA2)[1]
         monkeypatch.setattr(phase_analysis, "_search_slice", lambda log_v, sigma2: (lo, hi))
-        (pt,) = sweep_phase_diagram(RHO, [SIGMA2], kind)
-        assert not pt.sharp and pt.alpha_d is None
-        assert pt.error.startswith("ConvergenceError: the search slice starts above alpha_s")
+        with pytest.raises(ConvergenceError, match="the search slice starts above alpha_s"):
+            sweep_phase_diagram(RHO, [SIGMA2], kind)
 
-    def test_unconverged_root_find_becomes_an_error_row(self, monkeypatch):
+    def test_unconverged_root_find_raises_out_of_the_sweep(self, monkeypatch):
         monkeypatch.setattr(phase_analysis, "_ROOT_MAX_ITER", 1)
         with pytest.raises(ConvergenceError, match="root find did not converge"):
             find_alpha_c(RHO, SIGMA2, ORTH)
-        (pt,) = sweep_phase_diagram(RHO, [SIGMA2], ORTH)
-        assert not pt.sharp and pt.alpha_d is None
-        assert pt.error.startswith("ConvergenceError: root find did not converge")
+        with pytest.raises(ConvergenceError, match="root find did not converge"):
+            sweep_phase_diagram(RHO, [SIGMA2], ORTH)
 
-    def test_quadrature_failure_becomes_an_error_row(self, monkeypatch):
+    def test_failure_after_good_levels_returns_no_level(self, monkeypatch):
+        maxwell_rate = phase_analysis._maxwell_rate
+
+        def fail_at_the_last_level(rho, sigma2, kind, curve):
+            if sigma2 == 2e-4:
+                raise ConvergenceError("stub failure", residual=1.0)
+            return maxwell_rate(rho, sigma2, kind, curve)
+
+        monkeypatch.setattr(phase_analysis, "_maxwell_rate", fail_at_the_last_level)
+        with pytest.raises(ConvergenceError, match="stub failure"):
+            sweep_phase_diagram(RHO, [1e-2, SIGMA2, 2e-4], GAUSS)
+
+    def test_quadrature_failure_raises_out_of_the_sweep(self, monkeypatch):
         def fail(*args, **kwargs):
             raise QuadratureError("stub failure", value=0.0, error_estimate=1.0)
 
         monkeypatch.setattr(phase_analysis, "mmse", fail)
-        (pt,) = sweep_phase_diagram(RHO, [SIGMA2], GAUSS)
-        assert not pt.sharp and pt.error == "QuadratureError: stub failure"
+        with pytest.raises(QuadratureError, match="stub failure"):
+            sweep_phase_diagram(RHO, [SIGMA2], GAUSS)
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

@@ -247,3 +247,16 @@ def test_input_validation():
     for kind in (GAUSS, ORTH):
         with pytest.raises(ValueError, match="rho = 0"):
             run_evolution(single_block_spec(0.0, 1e-4, 0.6), kind)
+
+
+@pytest.mark.parametrize("bad", [2.5, np.nan, np.inf])
+def test_max_iter_must_be_a_whole_number(bad):
+    # 2.5 ran 2 iterations and reported an unconverged trace without complaint
+    with pytest.raises(ValueError, match="whole number"):
+        run_evolution(single_block_spec(0.4, 1e-4, 0.6), GAUSS, max_iter=bad)
+
+
+def test_integral_float_max_iter_counts_as_its_int():
+    spec = single_block_spec(0.4, 1e-4, 0.6)
+    got, want = run_evolution(spec, GAUSS, max_iter=1e3), run_evolution(spec, GAUSS, max_iter=1000)
+    assert np.array_equal(got.history, want.history) and got.converged == want.converged

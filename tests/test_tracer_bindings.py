@@ -5,7 +5,8 @@ name a module of the package binds them to, and reads some of their
 parameters by name for the span detail.  A traced function that is
 removed or renamed fails here, not only in a traced benchmark run.  The
 benchmark's set-up probe, `perfbench/setup_probe.py`, calls some of them
-positionally and is run here as the benchmark runs it.
+positionally and is run here as the benchmark runs it, and the phase-point
+workload's call, with the attribute it reads, is made here as it makes it.
 """
 
 import importlib
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import coupledcs
 from coupledcs import (BernoulliGaussianPrior, Ensemble, SeedingParams, build_seeding_spec,
@@ -102,6 +104,13 @@ def test_every_traced_function_leaves_a_span():
         for name in names:
             assert fn(layer, name) is originals[name]
     assert coupledcs.mmse is originals["mmse"]
+
+
+@pytest.mark.parametrize("kind", [GAUSS, ORTH])
+def test_phase_point_workload_call(kind):
+    # the call and the attribute read of the phase-point workload (perfbench/workloads.py)
+    (pt,) = coupledcs.sweep_phase_diagram(0.4, [1e-4], kind, threads=1)
+    assert pt.error is None and pt.sharp
 
 
 def test_setup_probe_exits_0():
