@@ -68,8 +68,8 @@ def build_seeding_spec(params: SeedingParams, rho: float, sigma2: float) -> Coup
     alpha = np.empty((L, L))
     alpha[0, :] = params.alpha_seed
     alpha[1:, :] = params.alpha_bulk
-    return CouplingSpec(L_r=L, L_c=L, gamma=gamma, alpha=alpha, J=J,
-                        sigma2=float(sigma2), prior=BernoulliGaussianPrior(rho))
+    return CouplingSpec(gamma=gamma, alpha=alpha, J=J, sigma2=float(sigma2),
+                        prior=BernoulliGaussianPrior(rho))
 
 
 def spec_to_json(spec: CouplingSpec) -> str:
@@ -117,7 +117,8 @@ def spec_from_json(text: str) -> CouplingSpec:
     """Parse the versioned JSON document back into a CouplingSpec.
 
     Raises ValueError for a document that is not an object, a missing
-    field, or a field of the wrong type.
+    field, a field of the wrong type, or sizes L_r, L_c that are not
+    alpha's shape.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -134,5 +135,9 @@ def spec_from_json(text: str) -> CouplingSpec:
             fields[key] = convert(doc[key])
         except (TypeError, ValueError):
             raise ValueError(f"spec field {key} has the wrong type: {doc[key]!r}") from None
+    sizes = (fields.pop("L_r"), fields.pop("L_c"))
+    if fields["alpha"].shape != sizes:
+        raise ValueError(f"spec sizes (L_r, L_c) = {sizes} differ from alpha's shape "
+                         f"{fields['alpha'].shape}")
     rho = fields.pop("rho")
     return CouplingSpec(**fields, prior=BernoulliGaussianPrior(rho))

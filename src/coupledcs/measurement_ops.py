@@ -102,12 +102,6 @@ class SyntheticInstance:
     seed: int
 
 
-def _sample_signal(N: int, prior: BernoulliGaussianPrior,
-                   seed_seq: np.random.SeedSequence) -> np.ndarray:
-    """N i.i.d. Bernoulli-Gaussian draws from the Philox stream of seed_seq."""
-    return _sample_prior(_generator(seed_seq), N, prior)
-
-
 def _block_sizes(spec: CouplingSpec, N: int):
     # N_p = floor(gamma_p N), remainder assigned to the last block
     col_sizes = np.floor(spec.gamma * N).astype(int)
@@ -297,7 +291,7 @@ def gen_instance(op: CoupledOperator, prior: BernoulliGaussianPrior,
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     root = np.random.SeedSequence(seed)
     sig_seq, noise_seq = root.spawn(2)
-    x = _sample_signal(op.N, prior, sig_seq)
+    x = _sample_prior(_generator(sig_seq), op.N, prior)
     y = apply(op, x)
     if sigma > 0:
         rng = _generator(noise_seq)

@@ -111,7 +111,12 @@ class PhasePoint:
 
 
 def _default_eps_floor(sigma2: float) -> float:
-    """Lower end of the scan grid: maxima live between O(sigma2) and O(rho)."""
+    """Lower end of the scan grid: maxima live between O(sigma2) and O(rho).
+
+    Raises ValueError unless 0 < sigma2 < inf, the range the grid needs.
+    """
+    if not 0 < sigma2 < np.inf:
+        raise ValueError(NO_NOISE_MESSAGE if sigma2 == 0 else "sigma2 must be finite and > 0")
     return max(1e-10, sigma2 * 1e-3)
 
 
@@ -157,10 +162,13 @@ def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
     [floor, rho] and at the roots; refine=False, for counting, evaluates no F.
     """
     n_points = _whole_number("n_points", n_points, 3)
-    floor = _default_eps_floor(sigma2) if eps_floor is None else float(eps_floor)
+    floor = _default_eps_floor(sigma2)  # checks sigma2 before any floor is judged
+    origin = " (the default, max(1e-10, 1e-3 sigma2); eps_floor or --eps-floor sets it)"
+    if eps_floor is not None:
+        floor, origin = float(eps_floor), ""
     top = rho if rho > 0 else 1.0  # zero-density curves have no prior scale
     if not 0 < floor < top:
-        raise ValueError(f"eps floor {floor} must lie in (0, {top})")
+        raise ValueError(f"eps floor {floor}{origin} must lie in (0, {top})")
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if kind is Ensemble.ROW_ORTHOGONAL and alpha > 1.0:
@@ -197,8 +205,6 @@ def _fixed_point_rates(log_v, prior, sigma2, kind):
 
 def _log_v_grid(sigma2, n_points, floor=None):
     """n_points of log v over [floor, 1 / floor], floor = _default_eps_floor(sigma2) by default."""
-    if not 0 < sigma2 < np.inf:
-        raise ValueError(NO_NOISE_MESSAGE if sigma2 == 0 else "sigma2 must be finite and > 0")
     floor = _default_eps_floor(sigma2) if floor is None else floor
     return np.linspace(np.log(floor), -np.log(floor), n_points)
 

@@ -54,14 +54,14 @@ class Ensemble(enum.Enum):
 class CouplingSpec:
     """Block structure of a coupled measurement system.
 
-    gamma[p] = N_p / N must sum to one, and alpha[q, p] * gamma[p] = M_q / N
-    must not depend on p (each measurement row block has one size).  Every
-    block row and block column must touch at least one J > 0 entry,
-    otherwise some part of the system is disconnected.
+    The L_r x L_c block grid is read off alpha's shape: gamma has shape
+    (L_c,) and J has alpha's shape.  gamma[p] = N_p / N must sum to one,
+    and alpha[q, p] * gamma[p] = M_q / N must not depend on p (each
+    measurement row block has one size).  Every block row and block column
+    must touch at least one J > 0 entry, otherwise some part of the system
+    is disconnected.
     """
 
-    L_r: int
-    L_c: int
     gamma: np.ndarray
     alpha: np.ndarray
     J: np.ndarray
@@ -79,12 +79,10 @@ class CouplingSpec:
                             ("sigma2", self.sigma2)):
             if not np.logical_and.reduce(np.isfinite(value), axis=None):
                 raise ValueError(f"{name} must be finite")
-        if self.L_r < 1 or self.L_c < 1:
-            raise ValueError("L_r and L_c must be >= 1")
-        if gamma.shape != (self.L_c,):
-            raise ValueError(f"gamma must have shape ({self.L_c},)")
-        if alpha.shape != (self.L_r, self.L_c) or J.shape != (self.L_r, self.L_c):
-            raise ValueError(f"alpha and J must have shape ({self.L_r}, {self.L_c})")
+        if alpha.ndim != 2 or alpha.size == 0:
+            raise ValueError(f"alpha must be a nonempty 2-D array, got shape {alpha.shape}")
+        if gamma.shape != alpha.shape[1:] or J.shape != alpha.shape:
+            raise ValueError(f"gamma must have shape {alpha.shape[1:]} and J {alpha.shape}")
         if not np.logical_and.reduce(gamma > 0):
             raise ValueError("gamma: all block fractions must be > 0")
         if abs(gamma.sum() - 1.0) > 1e-12:
@@ -102,6 +100,16 @@ class CouplingSpec:
             raise ValueError("J: every block column needs at least one J > 0 entry")
         if not (self.sigma2 >= 0):
             raise ValueError("sigma2 must be >= 0")
+
+    @property
+    def L_r(self) -> int:
+        """Number of block rows."""
+        return self.alpha.shape[0]
+
+    @property
+    def L_c(self) -> int:
+        """Number of block columns."""
+        return self.alpha.shape[1]
 
     @cached_property
     def _band(self):
@@ -133,26 +141,12 @@ class CouplingSpec:
 def single_block_spec(rho: float, sigma2: float, alpha: float) -> CouplingSpec:
     """Uncoupled system: one block with gamma = J = 1."""
     return CouplingSpec(
-        L_r=1, L_c=1,
         gamma=np.ones(1),
         alpha=np.full((1, 1), float(alpha)),
         J=np.ones((1, 1)),
         sigma2=float(sigma2),
         prior=BernoulliGaussianPrior(rho),
     )
-
-
-@dataclass
-class ConjugateState:
-    """Conjugate parameters per block (q, p) at block MSE vectors eps of shape (..., L_c).
-
-    Each array has shape (..., L_r, L_c).  Lambda is the inner extremizer
-    for the row-orthogonal ensemble and 1/eps[p] for the Gaussian one.
-    Entries with J[q, p] = 0 carry varsigma = 0 and Lambda = 1/eps[p].
-    """
-
-    varsigma: np.ndarray
-    Lambda: np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -301,16 +295,16 @@ def _g_values(eps, spec: CouplingSpec, Lam):
 # conjugate parameters and free entropy
 # ----------------------------------------------------------------------
 
-def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble,
-                          Lambda0=None) -> ConjugateState:
-    """Conjugate parameters at stationarity of F for block MSE vectors eps of shape (..., L_c).
+def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble, Lambda0=None):
+    """(varsigma, Lambda) at stationarity of F for block MSE vectors eps of shape (..., L_c).
 
-    Returns varsigma = Delta / eps and Lambda, the solution of the inner
-    extremization Lambda = (1 - Delta) / eps (row-orthogonal, warm-started
-    at Lambda0) or 1/eps (Gaussian, Lambda0 unused), which makes varsigma
-    alpha gamma J / (sigma2 + sum_l gamma_l J_{q,l} eps_l).  Delta is not
-    kept: it is varsigma * eps.  Raises ValueError unless eps is finite
-    and > 0.
+    Both arrays have shape (..., L_r, L_c).  varsigma = Delta / eps, and
+    Lambda solves the inner extremization Lambda = (1 - Delta) / eps
+    (row-orthogonal, warm-started at Lambda0) or is 1/eps (Gaussian,
+    Lambda0 unused), which makes varsigma alpha gamma J / (sigma2 +
+    sum_l gamma_l J_{q,l} eps_l).  Entries with J[q, p] = 0 carry varsigma
+    = 0 and Lambda = 1/eps[p].  Delta is not returned: it is varsigma *
+    eps.  Raises ValueError unless eps is finite and > 0.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.shape[-1:] != (spec.L_c,):
@@ -326,7 +320,7 @@ def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble,
         Lam = (1.0 / eps_b).repeat(spec.L_r, axis=-2)
         W = spec._band[1] / Lam
         Delta = spec.alpha * W / (spec.sigma2 + np.add.reduce(W, axis=-1, keepdims=True))
-    return ConjugateState(varsigma=Delta / eps_b, Lambda=Lam)
+    return Delta / eps_b, Lam
 
 
 def free_entropy_grid(eps_grid, spec: CouplingSpec, kind: Ensemble) -> np.ndarray:
@@ -342,11 +336,11 @@ def free_entropy_grid(eps_grid, spec: CouplingSpec, kind: Ensemble) -> np.ndarra
         raise ValueError(f"eps_grid must have shape (n, {spec.L_c})")
     if spec.sigma2 == 0.0:
         raise ValueError(NO_NOISE_MESSAGE)
-    state = conjugate_fixed_point(eps_grid, spec, kind)
-    sig_p = state.varsigma.sum(axis=-2)
+    varsigma, Lam = conjugate_fixed_point(eps_grid, spec, kind)
+    sig_p = varsigma.sum(axis=-2)
     ct = channel_term_batch(sig_p.ravel(), spec.prior).reshape(sig_p.shape)
     term_channel = (spec.gamma[None, :] * ct).sum(axis=-1)
-    term_cross = (spec.gamma * eps_grid[:, None, :] * state.varsigma).sum(axis=(-2, -1))
-    g = _g_values(eps_grid, spec, state.Lambda).sum(axis=-1)
+    term_cross = (spec.gamma * eps_grid[:, None, :] * varsigma).sum(axis=(-2, -1))
+    g = _g_values(eps_grid, spec, Lam).sum(axis=-1)
     return term_channel + term_cross + g + (1.0 - spec.total_rate)
 

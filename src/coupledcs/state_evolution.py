@@ -90,20 +90,19 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble,
                          "where the conjugate precisions are undefined")
     eps = np.full(spec.L_c, rho)
 
-    state = conjugate_fixed_point(eps, spec, kind)
+    varsigma, Lam = conjugate_fixed_point(eps, spec, kind)
     history = [eps]
     converged = False
     warm = kind is Ensemble.ROW_ORTHOGONAL   # the Gaussian Lambda = 1/eps needs no start
     for t in range(max_iter):
-        eps_new = mmse(np.add.reduce(state.varsigma, axis=0), spec.prior)
-        new = conjugate_fixed_point(eps_new, spec, kind,
-                                    Lambda0=state.Lambda * (eps / eps_new) if warm else None)
-        if damping > 0.0 and t > 0:
-            new.varsigma = (1.0 - damping) * new.varsigma + damping * state.varsigma
+        eps_new = mmse(np.add.reduce(varsigma, axis=0), spec.prior)
+        new, Lam = conjugate_fixed_point(eps_new, spec, kind,
+                                         Lambda0=Lam * (eps / eps_new) if warm else None)
+        varsigma = (1.0 - damping) * new + damping * varsigma if damping > 0.0 and t > 0 else new
         history.append(eps_new)
         step = np.maximum.reduce(np.abs(eps_new - eps))
         converged = step < tol
-        state, eps = new, eps_new
+        eps = eps_new
         if converged:
             break
         if t > 0:

@@ -11,6 +11,15 @@ from coupledcs.measurement_ops import DftBlock
 # dense oracles build an M x N complex matrix: 4096^2 entries are 256 MB
 DENSE_LIMIT = 4096
 
+# overrides that give a 2-row seeding chain's spec document sizes L_r, L_c that are not
+# alpha's shape; spec_from_json must reject each
+BAD_SIZES = {
+    "L_r-3": {"L_r": 3},
+    "L_c-1": {"L_c": 1},
+    "alpha-1d": {"alpha": [0.7, 0.5]},
+    "empty": {"L_r": 0, "L_c": 0, "gamma": [], "alpha": [], "J": []},
+}
+
 # HYPOTHESIS_PROFILE=ci draws every property's examples from a fixed seed, so that a
 # failure in CI repeats on a rerun and on another machine; the default stays random
 settings.register_profile("ci", derandomize=True)
@@ -39,7 +48,7 @@ def random_coupled_spec(rng, max_blocks=4, dft_safe=True):
     row_rates = rng.uniform(0.2 * cap, cap, size=L_r)
     alpha = row_rates[:, None] / gamma[None, :]
     return CouplingSpec(
-        L_r=L_r, L_c=L_c, gamma=gamma, alpha=alpha, J=J,
+        gamma=gamma, alpha=alpha, J=J,
         sigma2=float(rng.uniform(1e-6, 1e-2)),
         prior=BernoulliGaussianPrior(float(rng.uniform(0.1, 0.9))),
     )

@@ -141,8 +141,8 @@ def test_criterion_02_noise_free_ensemble_coincidence():
             for _ in range(100):
                 sig = {}
                 for kind in BOTH:
-                    st = conjugate_fixed_point(eps[kind], spec, kind)
-                    sig[kind] = st.varsigma[0, 0]
+                    varsigma, _ = conjugate_fixed_point(eps[kind], spec, kind)
+                    sig[kind] = varsigma[0, 0]
                 assert abs(sig[ORTH] - sig[GAUSS]) <= 1e-12
                 for kind in BOTH:
                     eps[kind] = np.array([mmse(float(sig[kind]), spec.prior)])

@@ -16,6 +16,8 @@ from coupledcs.phase_analysis import DEFAULT_GRID_POINTS
 from coupledcs.state_evolution import DEFAULT_MAX_ITER, DEFAULT_TOL
 from coupledcs.replica_core import Ensemble
 
+from conftest import BAD_SIZES
+
 
 @pytest.fixture
 def runner():
@@ -97,6 +99,23 @@ class TestFreeEntropyCommand:
                                    "-o", str(tmp_path / "f.csv")])
         assert res.exit_code == 2, res.output
         assert "alpha must be > 0" in res.output
+
+    def test_infinite_noise_exits_2_naming_sigma2(self, runner, tmp_path):
+        # the default eps floor 1e-3 sigma2 is derived only from a valid sigma2
+        res = runner.invoke(main, ["free-entropy", "--rho", "0.4", "--sigma2", "inf",
+                                   "--alpha", "0.5", "--ensemble", "gaussian",
+                                   "-o", str(tmp_path / "f.csv")])
+        assert res.exit_code == 2, res.output
+        assert "sigma2 must be finite and > 0" in res.output
+        assert "eps floor" not in res.output
+
+    def test_default_floor_not_below_rho_names_its_source(self, runner, tmp_path):
+        res = runner.invoke(main, ["free-entropy", "--rho", "0.4", "--sigma2", "1e3",
+                                   "--alpha", "0.5", "--ensemble", "gaussian",
+                                   "-o", str(tmp_path / "f.csv")])
+        assert res.exit_code == 2, res.output
+        assert "eps floor 1.0" in res.output
+        assert "sigma2" in res.output and "--eps-floor" in res.output
 
     def test_points_default_is_the_library_default(self, runner, tmp_path):
         res = runner.invoke(main, ["free-entropy", "--rho", "0.4", "--sigma2", "1e-4",
@@ -268,6 +287,18 @@ class TestEvolveCommand:
                                    "--ensemble", "gaussian", "-o", str(tmp_path / "t.csv")])
         assert res.exit_code == 2, res.output
         assert message in res.output
+
+    @pytest.mark.parametrize("override", BAD_SIZES.values(), ids=BAD_SIZES.keys())
+    def test_spec_file_whose_sizes_are_not_alphas_shape_exits_2(self, runner, tmp_path,
+                                                                override):
+        spec = build_seeding_spec(SeedingParams(L=2, W=1, alpha_seed=0.7, alpha_bulk=0.5, J=0.5),
+                                  0.4, 1e-4)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**json.loads(spec_to_json(spec)), **override}))
+        res = runner.invoke(main, ["evolve", "--spec-file", str(path), "--ensemble", "gaussian",
+                                   "-o", str(tmp_path / "t.csv")])
+        assert res.exit_code == 2, res.output
+        assert not (tmp_path / "t.csv").exists()
 
     def test_non_convergence_is_exit_0(self, runner, tmp_path):
         out = tmp_path / "t.csv"

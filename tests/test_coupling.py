@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from coupledcs import SeedingParams, build_seeding_spec, spec_from_json, spec_to_json
 
+from conftest import BAD_SIZES, random_coupled_spec
+
 
 def test_degenerate_single_block():
     spec = build_seeding_spec(SeedingParams(L=1, W=1, alpha_seed=0.6, alpha_bulk=0.5, J=0.7), 0.4, 1e-4)
@@ -80,6 +82,28 @@ def test_json_round_trip():
     assert np.array_equal(back.J, spec.J)
     assert back.sigma2 == spec.sigma2
     assert back.prior.rho == spec.prior.rho
+
+
+def test_json_round_trip_of_random_specs():
+    # random block grids, most of them not square; the text is the spec's fixed point
+    specs = [random_coupled_spec(np.random.default_rng(seed), max_blocks=6) for seed in range(30)]
+    assert sum(spec.L_r != spec.L_c for spec in specs) >= 15
+    for seed, spec in enumerate(specs):
+        text = spec_to_json(spec)
+        back = spec_from_json(text)
+        assert spec_to_json(back) == text, seed
+        assert (back.L_r, back.L_c) == (spec.L_r, spec.L_c), seed
+        for name in ("gamma", "alpha", "J"):
+            assert np.array_equal(getattr(back, name), getattr(spec, name)), (seed, name)
+        assert back.sigma2 == spec.sigma2 and back.prior.rho == spec.prior.rho, seed
+
+
+@pytest.mark.parametrize("override", BAD_SIZES.values(), ids=BAD_SIZES.keys())
+def test_json_rejects_sizes_that_are_not_alphas_shape(override):
+    import json
+    spec = build_seeding_spec(SeedingParams(L=2, W=1, alpha_seed=0.7, alpha_bulk=0.5, J=0.5), 0.4, 1e-4)
+    with pytest.raises(ValueError):
+        spec_from_json(json.dumps({**json.loads(spec_to_json(spec)), **override}))
 
 
 def test_json_rejects_bad_documents():

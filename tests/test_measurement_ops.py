@@ -12,7 +12,8 @@ from coupledcs import (BernoulliGaussianPrior, Ensemble, SeedingParams, adjoint_
                        single_block_spec)
 from coupledcs import measurement_ops
 from coupledcs.cli import export_instance
-from coupledcs.measurement_ops import DftBlock, _sample_signal
+from coupledcs.measurement_ops import DftBlock, _generator
+from coupledcs.scalar_channel import _sample_prior
 
 from conftest import dense_from_blocks, dense_materialize, random_coupled_spec
 
@@ -83,23 +84,24 @@ def equal_width_spec(spec):
 
 class TestSampleSignal:
     def test_zero_density(self):
-        x = _sample_signal(100, BernoulliGaussianPrior(0.0), np.random.SeedSequence(0))
+        x = _sample_prior(_generator(np.random.SeedSequence(0)), 100, BernoulliGaussianPrior(0.0))
         assert np.all(x == 0)
 
     def test_unit_density_second_moment(self):
-        x = _sample_signal(10 ** 5, BernoulliGaussianPrior(1.0), np.random.SeedSequence(1))
+        x = _sample_prior(_generator(np.random.SeedSequence(1)), 10 ** 5,
+                          BernoulliGaussianPrior(1.0))
         power = np.abs(x) ** 2
         assert abs(power.mean() - 1.0) <= 3 * power.std() / np.sqrt(x.size)
 
     def test_nonzero_fraction_concentrates(self):
         n, rho = 10 ** 5, 0.4
-        x = _sample_signal(n, BernoulliGaussianPrior(rho), np.random.SeedSequence(2))
+        x = _sample_prior(_generator(np.random.SeedSequence(2)), n, BernoulliGaussianPrior(rho))
         frac = np.count_nonzero(x) / n
         assert abs(frac - rho) <= 3 * np.sqrt(rho * (1 - rho) / n)
 
     def test_deterministic(self):
-        a = _sample_signal(1000, BernoulliGaussianPrior(0.4), np.random.SeedSequence(3))
-        b = _sample_signal(1000, BernoulliGaussianPrior(0.4), np.random.SeedSequence(3))
+        a = _sample_prior(_generator(np.random.SeedSequence(3)), 1000, BernoulliGaussianPrior(0.4))
+        b = _sample_prior(_generator(np.random.SeedSequence(3)), 1000, BernoulliGaussianPrior(0.4))
         assert np.array_equal(a, b)
 
 

@@ -99,7 +99,7 @@ class TestScanCurve:
         spec = single_block_spec(RHO, SIGMA2, alpha)
         for eps, height in curve.maxima:
             # phi(eps) = mmse(varsigma(eps)) - eps, through the public single-point path
-            varsigma = conjugate_fixed_point(np.array([eps]), spec, kind).varsigma.sum()
+            varsigma = conjugate_fixed_point(np.array([eps]), spec, kind)[0].sum()
             assert abs(mmse(varsigma, spec.prior) - eps) <= 1e-12 * eps
             around = free_entropy_grid(eps * np.array([[1 - 1e-4], [1 + 1e-4]]), spec, kind)
             assert np.all(around < height)
@@ -223,8 +223,9 @@ class TestFixedPointCurve:
         for lv, a, e in zip(log_v, alpha, eps):
             if a > 1.0:  # the orthogonal inner solve needs rates up to 1
                 continue
-            state = conjugate_fixed_point(np.array([e]), single_block_spec(RHO, sigma2, a), kind)
-            assert abs(state.varsigma.sum() / np.exp(lv) - 1.0) <= 1e-12
+            varsigma, _ = conjugate_fixed_point(np.array([e]), single_block_spec(RHO, sigma2, a),
+                                                kind)
+            assert abs(varsigma.sum() / np.exp(lv) - 1.0) <= 1e-12
 
     @settings(deadline=None, max_examples=50)
     @given(rho=st.floats(0.01, 1.0), log_sigma2=st.floats(-8.0, 0.0),

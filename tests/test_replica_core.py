@@ -1,5 +1,7 @@
 """Replica free entropy, channel term, and conjugate fixed points."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -50,7 +52,6 @@ def _channel_mpmath_oracle(vs, rho):
 
 def two_block_spec(rho=0.4, sigma2=1e-3):
     return CouplingSpec(
-        L_r=2, L_c=2,
         gamma=np.array([0.5, 0.5]),
         alpha=np.array([[0.6, 0.6], [0.5, 0.5]]),
         J=np.array([[1.0, 0.0], [0.5, 2.0]]),
@@ -62,23 +63,23 @@ def two_block_spec(rho=0.4, sigma2=1e-3):
 class TestCouplingSpecValidation:
     def test_gamma_must_sum_to_one(self):
         with pytest.raises(ValueError, match="gamma"):
-            CouplingSpec(L_r=1, L_c=2, gamma=np.array([0.6, 0.6]),
+            CouplingSpec(gamma=np.array([0.6, 0.6]),
                          alpha=np.full((1, 2), 0.5), J=np.ones((1, 2)),
                          sigma2=0.0, prior=BernoulliGaussianPrior(0.4))
 
     def test_row_rate_must_be_block_independent(self):
         with pytest.raises(ValueError, match="alpha"):
-            CouplingSpec(L_r=1, L_c=2, gamma=np.array([0.5, 0.5]),
+            CouplingSpec(gamma=np.array([0.5, 0.5]),
                          alpha=np.array([[0.5, 0.9]]), J=np.ones((1, 2)),
                          sigma2=0.0, prior=BernoulliGaussianPrior(0.4))
 
     def test_connectivity_required(self):
         with pytest.raises(ValueError, match="row"):
-            CouplingSpec(L_r=2, L_c=1, gamma=np.ones(1),
+            CouplingSpec(gamma=np.ones(1),
                          alpha=np.full((2, 1), 0.3), J=np.array([[1.0], [0.0]]),
                          sigma2=0.0, prior=BernoulliGaussianPrior(0.4))
         with pytest.raises(ValueError, match="column"):
-            CouplingSpec(L_r=1, L_c=2, gamma=np.array([0.5, 0.5]),
+            CouplingSpec(gamma=np.array([0.5, 0.5]),
                          alpha=np.full((1, 2), 0.5), J=np.array([[1.0, 0.0]]),
                          sigma2=0.0, prior=BernoulliGaussianPrior(0.4))
 
@@ -86,11 +87,33 @@ class TestCouplingSpecValidation:
         ("gamma", np.array([np.nan, 0.5])), ("alpha", np.full((1, 2), np.nan)),
         ("J", np.array([[np.inf, 1.0]])), ("sigma2", np.inf), ("sigma2", np.nan)])
     def test_non_finite_entries_rejected(self, field, value):
-        args = dict(L_r=1, L_c=2, gamma=np.array([0.5, 0.5]), alpha=np.full((1, 2), 0.5),
+        args = dict(gamma=np.array([0.5, 0.5]), alpha=np.full((1, 2), 0.5),
                     J=np.ones((1, 2)), sigma2=1e-3, prior=BernoulliGaussianPrior(0.4))
         args[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             CouplingSpec(**args)
+
+    @pytest.mark.parametrize("gamma, alpha, J, message", [
+        (np.full(3, 1.0 / 3.0), np.full((1, 2), 0.5), np.ones((1, 2)), "gamma must have shape"),
+        (np.array([0.5, 0.5]), np.full((1, 2), 0.5), np.ones((2, 2)), "J"),
+        (np.array([0.5, 0.5]), np.full(2, 0.5), np.ones((1, 2)), "alpha must be a nonempty 2-D"),
+        (np.array([0.5, 0.5]), np.empty((0, 2)), np.empty((0, 2)), "alpha must be a nonempty"),
+        (np.empty(0), np.empty((1, 0)), np.empty((1, 0)), "alpha must be a nonempty"),
+    ], ids=["gamma-length", "J-shape", "alpha-1d", "alpha-no-rows", "alpha-no-columns"])
+    def test_sizes_must_match_alpha(self, gamma, alpha, J, message):
+        with pytest.raises(ValueError, match=message):
+            CouplingSpec(gamma=gamma, alpha=alpha, J=J, sigma2=1e-3,
+                         prior=BernoulliGaussianPrior(0.4))
+
+    def test_sizes_are_read_off_alpha(self, rng):
+        assert [f.name for f in dataclasses.fields(CouplingSpec)] == [
+            "gamma", "alpha", "J", "sigma2", "prior"]
+        for _ in range(10):
+            spec = random_coupled_spec(rng)
+            assert (spec.L_r, spec.L_c) == spec.alpha.shape
+        with pytest.raises(TypeError):
+            CouplingSpec(L_r=1, L_c=1, gamma=np.ones(1), alpha=np.full((1, 1), 0.5),
+                         J=np.ones((1, 1)), sigma2=1e-3, prior=BernoulliGaussianPrior(0.4))
 
     def test_random_specs_validate(self, rng):
         for _ in range(20):
@@ -397,7 +420,7 @@ class TestInnerSolve:
         else:
             spec = random_coupled_spec(rng, max_blocks=6, dft_safe=False)
             alpha = spec.alpha * (top / spec.alpha.max())
-        spec = CouplingSpec(L_r=spec.L_r, L_c=spec.L_c, gamma=spec.gamma, alpha=alpha, J=spec.J,
+        spec = CouplingSpec(gamma=spec.gamma, alpha=alpha, J=spec.J,
                             sigma2=0.0 if noise_free else spec.sigma2, prior=spec.prior)
         eps = 10.0 ** rng.uniform(-8.0, 0.0, spec.L_c)
         assert all(n == 1 for n in _big_branch_sign_changes(spec, eps))
@@ -490,34 +513,41 @@ class TestGGauss:
 
 
 class TestConjugateFixedPoint:
+    def test_returns_the_varsigma_lambda_pair(self):
+        spec = two_block_spec()
+        for kind in (GAUSS, ORTH):
+            got = conjugate_fixed_point(np.full((3, 2), 0.1), spec, kind)
+            assert isinstance(got, tuple) and len(got) == 2
+            assert all(a.shape == (3, 2, 2) for a in got)
+
     def test_gaussian_single_block(self):
         spec = single_block_spec(0.4, 0.01, 0.6)
-        st = conjugate_fixed_point(np.array([0.05]), spec, GAUSS)
-        assert st.varsigma[0, 0] == pytest.approx(0.6 / 0.06, abs=1e-14)
+        varsigma, _ = conjugate_fixed_point(np.array([0.05]), spec, GAUSS)
+        assert varsigma[0, 0] == pytest.approx(0.6 / 0.06, abs=1e-14)
 
     def test_noise_free_ensemble_coincidence(self):
         spec = single_block_spec(0.4, 0.0, 0.55)
         for eps0 in (0.4, 0.05, 1e-4):
-            a = conjugate_fixed_point(np.array([eps0]), spec, ORTH).varsigma[0, 0]
-            b = conjugate_fixed_point(np.array([eps0]), spec, GAUSS).varsigma[0, 0]
+            a = conjugate_fixed_point(np.array([eps0]), spec, ORTH)[0][0, 0]
+            b = conjugate_fixed_point(np.array([eps0]), spec, GAUSS)[0][0, 0]
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     def test_zero_coupling_entries_carry_zero_precision(self):
         spec = two_block_spec()
-        st = conjugate_fixed_point(np.array([0.1, 0.1]), spec, ORTH)
-        assert st.varsigma[0, 1] == 0.0
+        varsigma, _ = conjugate_fixed_point(np.array([0.1, 0.1]), spec, ORTH)
+        assert varsigma[0, 1] == 0.0
 
     def test_orthogonal_internal_consistency(self):
         # Lambda = 1/eps - varsigma and varsigma = Lambda Delta / (1 - Delta) together
         spec = two_block_spec()
         eps = np.array([0.02, 0.3])
-        st = conjugate_fixed_point(eps, spec, ORTH)
+        varsigma, Lam = conjugate_fixed_point(eps, spec, ORTH)
         act = spec.J > 0
-        lhs = np.where(act, 1.0 / eps[None, :] - st.varsigma, st.Lambda)
-        assert np.abs(lhs - st.Lambda)[act].max() <= 1e-10 * st.Lambda[act].max()
-        Delta = st.varsigma * eps[None, :]
-        recon = st.Lambda * Delta / (1.0 - Delta)
-        assert np.abs(np.where(act, recon, 0.0) - st.varsigma).max() <= 1e-10
+        lhs = np.where(act, 1.0 / eps[None, :] - varsigma, Lam)
+        assert np.abs(lhs - Lam)[act].max() <= 1e-10 * Lam[act].max()
+        Delta = varsigma * eps[None, :]
+        recon = Lam * Delta / (1.0 - Delta)
+        assert np.abs(np.where(act, recon, 0.0) - varsigma).max() <= 1e-10
 
 
     def test_orthogonal_rate_above_one_is_rejected(self):
@@ -560,9 +590,9 @@ class TestConjugateFixedPoint:
         for kind, rtol in ((GAUSS, 0.0), (ORTH, 1e-10)):
             batch = conjugate_fixed_point(eps, spec, kind)
             rows = [conjugate_fixed_point(e, spec, kind) for e in eps]
-            for field in ("varsigma", "Lambda"):
-                got = getattr(batch, field)
-                ref = np.array([getattr(row, field) for row in rows])
+            for i, field in enumerate(("varsigma", "Lambda")):
+                got = batch[i]
+                ref = np.array([row[i] for row in rows])
                 assert got.shape == (5, spec.L_r, spec.L_c)
                 assert np.all(np.abs(got - ref) <= rtol * np.abs(ref)), (kind, field)
             got = free_entropy_grid(eps, spec, kind)
@@ -577,7 +607,7 @@ class TestConjugateFixedPoint:
         # the closed forms it replaced are the oracle
         spec = random_coupled_spec(np.random.default_rng(seed))
         eps = spec.prior.rho * 10.0 ** np.array(log_eps[:spec.L_c])
-        sig = conjugate_fixed_point(eps, spec, GAUSS).varsigma
+        sig, _ = conjugate_fixed_point(eps, spec, GAUSS)
         ref = _gauss_varsigma_oracle(eps, spec)
         assert np.all(np.abs(sig - ref) <= 1e-13 * ref)
         got = free_entropy_grid(eps[None, :], spec, GAUSS)[0]
@@ -591,20 +621,20 @@ class TestConjugateFixedPoint:
         # (the row-orthogonal one is not, see ROADMAP item 2)
         spec = random_coupled_spec(np.random.default_rng(seed))
         eps = spec.prior.rho * 10.0 ** np.array(log_eps[:spec.L_c])
-        sig = conjugate_fixed_point(eps, spec, GAUSS).varsigma.sum(axis=0)
+        sig = conjugate_fixed_point(eps, spec, GAUSS)[0].sum(axis=0)
         h = 1e-3
         for l in range(spec.L_c):
             up, dn = eps.copy(), eps.copy()
             up[l] *= np.exp(h)
             dn[l] *= np.exp(-h)
-            slope = (conjugate_fixed_point(up, spec, GAUSS).varsigma.sum(axis=0)
-                     - conjugate_fixed_point(dn, spec, GAUSS).varsigma.sum(axis=0)) / (2 * h)
+            slope = (conjugate_fixed_point(up, spec, GAUSS)[0].sum(axis=0)
+                     - conjugate_fixed_point(dn, spec, GAUSS)[0].sum(axis=0)) / (2 * h)
             assert np.all(slope <= 1e-12 * sig), (l, slope)
 
     def test_gaussian_rate_above_one_still_evaluates(self):
         spec = single_block_spec(0.4, 1e-4, 1.5)
-        st = conjugate_fixed_point(np.array([0.1]), spec, GAUSS)
-        assert st.varsigma[0, 0] == pytest.approx(1.5 / (1e-4 + 0.1), rel=1e-14)
+        varsigma, _ = conjugate_fixed_point(np.array([0.1]), spec, GAUSS)
+        assert varsigma[0, 0] == pytest.approx(1.5 / (1e-4 + 0.1), rel=1e-14)
         assert np.isfinite(free_entropy_grid(np.array([[0.1]]), spec, GAUSS)).all()
 
 
@@ -616,7 +646,6 @@ class TestFreeEntropy:
             perm_r = rng.permutation(spec.L_r)
             perm_c = rng.permutation(spec.L_c)
             permuted = CouplingSpec(
-                L_r=spec.L_r, L_c=spec.L_c,
                 gamma=spec.gamma[perm_c],
                 alpha=spec.alpha[np.ix_(perm_r, perm_c)],
                 J=spec.J[np.ix_(perm_r, perm_c)],
@@ -643,15 +672,15 @@ class TestFreeEntropy:
         eps = spec.prior.rho * 10.0 ** np.array(log_eps[:spec.L_c])
         h = 1e-4
         for kind in (GAUSS, ORTH):
-            sig = conjugate_fixed_point(eps, spec, kind).varsigma
+            sig, _ = conjugate_fixed_point(eps, spec, kind)
             weight = spec.gamma * (eps - mmse(sig.sum(axis=0), spec.prior))
             for p in range(spec.L_c):
                 up, dn = eps.copy(), eps.copy()
                 up[p] *= np.exp(h)
                 dn[p] *= np.exp(-h)
                 lhs = np.subtract(*free_entropy_grid(np.array([up, dn]), spec, kind)) / (2 * h)
-                terms = weight * (conjugate_fixed_point(up, spec, kind).varsigma
-                                  - conjugate_fixed_point(dn, spec, kind).varsigma) / (2 * h)
+                terms = weight * (conjugate_fixed_point(up, spec, kind)[0]
+                                  - conjugate_fixed_point(dn, spec, kind)[0]) / (2 * h)
                 assert abs(lhs - terms.sum()) <= 1e-5 * np.abs(terms).sum() + 1e-10, \
                     (kind, p, lhs, terms.sum())
 

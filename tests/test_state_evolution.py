@@ -20,8 +20,8 @@ def test_fixed_point_preserved():
     for kind in (GAUSS, ORTH):
         trace = run_evolution(spec, kind)
         assert trace.converged
-        state = conjugate_fixed_point(trace.final_eps, spec, kind)
-        again = mmse(state.varsigma.sum(axis=0), spec.prior)
+        varsigma, _ = conjugate_fixed_point(trace.final_eps, spec, kind)
+        again = mmse(varsigma.sum(axis=0), spec.prior)
         assert np.abs(again - trace.final_eps).max() <= 1e-12
 
 
@@ -64,7 +64,7 @@ def test_deterministic_traces():
 def test_block_symmetry():
     # a spec invariant under swapping the two blocks gives a symmetric trace
     spec = CouplingSpec(
-        L_r=2, L_c=2, gamma=np.array([0.5, 0.5]),
+        gamma=np.array([0.5, 0.5]),
         alpha=np.full((2, 2), 0.55), J=np.array([[2.0, 1.0], [1.0, 2.0]]),
         sigma2=1e-4, prior=BernoulliGaussianPrior(0.4))
     for kind in (GAUSS, ORTH):
@@ -77,13 +77,14 @@ def test_three_block_mirror_symmetry():
     # blocks' orthogonal traces agree to the bit.  Without noise every row has
     # one block with Delta > 1/2, the big branch of the inner row root.
     spec = CouplingSpec(
-        L_r=3, L_c=3, gamma=np.full(3, 1.0 / 3.0),
+        gamma=np.full(3, 1.0 / 3.0),
         alpha=np.full((3, 3), 0.95),
         J=np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]),
         sigma2=0.0, prior=BernoulliGaussianPrior(0.4))
     trace = run_evolution(spec, ORTH, max_iter=500)
     assert trace.converged
-    Delta = conjugate_fixed_point(trace.final_eps, spec, ORTH).varsigma * trace.final_eps
+    varsigma, _ = conjugate_fixed_point(trace.final_eps, spec, ORTH)
+    Delta = varsigma * trace.final_eps
     assert np.all(Delta.max(axis=1) > 0.5)
     assert np.abs(trace.history[:, 0] - trace.history[:, 2]).max() == 0.0
     assert np.abs(trace.history[:, 0] - trace.history[:, 1]).max() > 0.0
