@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .replica_core import CouplingSpec, Ensemble
-from .scalar_channel import BernoulliGaussianPrior, _sample_prior
+from .scalar_channel import BernoulliGaussianPrior, _sample_prior, _whole_number
 
 # block sizes whose largest prime-power factor p^a has p above this take the
 # two-axis layout.  Over the N_p of N = 2^15 and 2^17 at L_c = 6..30 (numpy
@@ -119,6 +119,7 @@ def build_coupled_operator(spec: CouplingSpec, N: int, seed: int,
     Row-orthogonal blocks require M_q <= N_p wherever J[q,p] > 0, since
     distinct DFT rows cannot be selected beyond the block dimension.
     """
+    N, seed = _whole_number("N", N, 1), _whole_number("seed", seed, 0)
     col_sizes, row_sizes = _block_sizes(spec, N)
     root = np.random.SeedSequence(seed)
     streams = root.spawn(spec.L_r * spec.L_c)
@@ -289,6 +290,7 @@ def gen_instance(op: CoupledOperator, prior: BernoulliGaussianPrior,
     """Draw x from the prior and measure it: y = A x + sigma z."""
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    seed = _whole_number("seed", seed, 0)
     root = np.random.SeedSequence(seed)
     sig_seq, noise_seq = root.spawn(2)
     x = _sample_prior(_generator(sig_seq), op.N, prior)
@@ -297,7 +299,7 @@ def gen_instance(op: CoupledOperator, prior: BernoulliGaussianPrior,
         rng = _generator(noise_seq)
         y = y + sigma * (rng.standard_normal(op.M)
                          + 1j * rng.standard_normal(op.M)) / np.sqrt(2)
-    return SyntheticInstance(x=x, y=y, sigma=float(sigma), seed=int(seed))
+    return SyntheticInstance(x=x, y=y, sigma=float(sigma), seed=seed)
 
 
 def block_variance_report(op: CoupledOperator) -> dict:

@@ -68,9 +68,14 @@ _SEARCH_GRID_POINTS = 500
 # 0.7, both ensembles) were within 2.3e-15 of a bounded Brent search, in at most 6 steps
 _FOLD_XTOL = 3e-7
 _GOLDEN = 0.5 * (3.0 - 5.0 ** 0.5)
-# Newton on the Maxwell rate stops on a step this small; near alpha_c the gap is smooth to
-# about 2e-15 (rho 0.4, sigma2 1e-4 and 1e-3, both ensembles), far below 1e-12 of rate
+# Newton on the Maxwell rate stops on a step this small, or on a step whose error bound
+# (`_maxwell_rate`) is this small; near alpha_c the gap is smooth to about 2e-15 (rho 0.4,
+# sigma2 1e-4 and 1e-3, both ensembles), far below 1e-12 of rate
 _MAXWELL_STEP_TOL = 1e-12
+# the bound's margin: on 400-level sweeps at rho 0.1, 0.4 and 0.7, both ensembles, 10 moved
+# alpha_c by up to 9.6e-14 from a search that confirms every step and 30 by 3.5e-14, with
+# 2146 and 2037 of the 2177 sharp levels stopping after one evaluation
+_NEWTON_SAFETY = 30.0
 
 
 class NoTransitionError(ValueError):
@@ -404,6 +409,16 @@ def _maxwell_gap(rate, rho, sigma2, kind, curve):
             (*(c[order] for c in points), *curve[3:]))
 
 
+def _gap_curvature(rate, curve, grid):
+    """|G''(rate)|: d gain / d alpha at the small-MSE maximum minus that at the large-MSE one,
+    each the ratio of the log v derivatives in grid = (log v, d gain, d alpha), interpolated
+    to the branch's crossing of the rate on the curve."""
+    log_v, alpha, _, (x_d, x_s), _ = curve
+    x = [np.interp(rate, alpha[on], log_v[on]) for on in (log_v < x_d, log_v > x_s)]
+    slopes = np.interp(x, grid[0], grid[1]) / np.interp(x, grid[0], grid[2])
+    return float(abs(slopes[1] - slopes[0]))
+
+
 def _maxwell_rate(rho, sigma2, kind, curve):
     """Rate in [alpha_s, alpha_d] at which F is equal on the two rising branches.
 
@@ -413,22 +428,32 @@ def _maxwell_rate(rho, sigma2, kind, curve):
     inside the bracket of the rates tried so far (a bisection step
     otherwise).  Each step's branch roots start from the points the
     earlier steps evaluated.  G falls with a, so the fold ends, where the
-    branch roots are double roots, are never evaluated.  Rounding in G can
+    branch roots are double roots, are never evaluated.  A step s inside
+    the bracket leaves an error of about |G''| s^2 / (2 |G'|), G'' from
+    central differences on the search grid (`_gap_curvature`); after an
+    equal-area start (a grid that shows G no sign change is too coarse for
+    G''), once that bound times `_NEWTON_SAFETY` is within
+    `_MAXWELL_STEP_TOL`, the stepped rate is returned without evaluating G
+    there, so the search usually needs one evaluation.  Rounding in G can
     keep |G| above any fixed tolerance, or send Newton back and forth
-    around the root, so the search stops on the step size, on G = 0, or
-    when its bracket closes; a bracket that closes on an end of the
+    around the root, so the search also stops on the step size, on G = 0,
+    or when its bracket closes; a bracket that closes on an end of the
     window, with no sign change, is NoTransitionError.
     """
     lo, hi = ends = tuple(curve[-1][::-1].tolist())
-    rate = _equal_area_rate(curve, sigma2, kind)
-    rate = 0.5 * (lo + hi) if rate is None else rate
+    start = _equal_area_rate(curve, sigma2, kind)
+    rate = 0.5 * (lo + hi) if start is None else start
+    log_v, alpha, eps = curve[:3]
+    grid = (log_v, *np.gradient(np.stack([_log_gain(log_v, eps, sigma2, kind), alpha]), axis=1))
     for _ in range(_ROOT_MAX_ITER):
         gap, slope, curve = _maxwell_gap(rate, rho, sigma2, kind, curve)
         if gap == 0.0:
             return rate
         lo, hi = (rate, hi) if gap > 0 else (lo, rate)
         step = -gap / slope
-        if abs(step) <= _MAXWELL_STEP_TOL:
+        if abs(step) <= _MAXWELL_STEP_TOL or (start is not None and lo < rate + step < hi and
+                _NEWTON_SAFETY * _gap_curvature(rate, curve, grid) * step * step
+                <= 2.0 * abs(slope) * _MAXWELL_STEP_TOL):
             return rate + step
         rate = rate + step if lo < rate + step < hi else 0.5 * (lo + hi)
         if hi - lo <= _MAXWELL_STEP_TOL:

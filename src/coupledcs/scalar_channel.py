@@ -12,6 +12,7 @@ Monte-Carlo estimator used as an independent cross-check of the
 quadrature.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,8 +150,8 @@ def mmse(varsigma, prior: BernoulliGaussianPrior):
 
 
 def _whole_number(name, value, least):
-    """int(value) for a whole number >= least (1e3 counts; NaN and inf do not), else ValueError."""
-    if not (least <= value < np.inf and value % 1 == 0):
+    """int(value) for a whole number >= least (1e3 counts; NaN, inf, None fail) or ValueError."""
+    if not (isinstance(value, numbers.Real) and least <= value < np.inf and value % 1 == 0):
         raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
     return int(value)
 

@@ -154,6 +154,25 @@ class TestOperatorConstruction:
             assert np.array_equal(a.blocks[key].row_selection, b.blocks[key].row_selection)
             assert np.array_equal(a.blocks[key].col_permutation, b.blocks[key].col_permutation)
 
+    @pytest.mark.parametrize("N, seed, name", [(64.5, 0, "N"), (0, 0, "N"), (64, None, "seed"),
+                                               (64, -1, "seed"), (64, 2.5, "seed")])
+    def test_size_and_seed_must_be_whole_numbers(self, N, seed, name, monkeypatch):
+        # 64.5 built a 64-column operator and None drew from fresh OS entropy; both fail
+        # now before any draw (a draw fails the test)
+        spec = single_block_spec(0.4, 1e-4, 0.5)
+        monkeypatch.setattr(measurement_ops, "_generator", lambda seq: pytest.fail("drew"))
+        with pytest.raises(ValueError, match=f"{name} must be a whole number >= "):
+            build_coupled_operator(spec, N, seed=seed, kind=ORTH)
+
+    def test_numpy_integers_build_the_same_operator(self, rng):
+        spec = random_coupled_spec(rng)
+        a = build_coupled_operator(spec, 128, seed=9, kind=ORTH)
+        b = build_coupled_operator(spec, np.int64(128), seed=np.uint8(9), kind=ORTH)
+        assert b.N == 128 and type(b.N) is int
+        for key in a.blocks:
+            assert np.array_equal(a.blocks[key].row_selection, b.blocks[key].row_selection)
+            assert np.array_equal(a.blocks[key].col_permutation, b.blocks[key].col_permutation)
+
 
 class TestApply:
     def test_zero_input(self, rng):
@@ -331,6 +350,20 @@ class TestInstances:
         op = build_coupled_operator(random_coupled_spec(rng), 64, seed=0, kind=ORTH)
         with pytest.raises(ValueError, match="sigma must be finite"):
             gen_instance(op, BernoulliGaussianPrior(0.4), sigma=sigma, seed=5)
+
+    @pytest.mark.parametrize("seed", [None, -1, 2.5, 64.5])
+    def test_seed_must_be_a_whole_number(self, rng, seed, monkeypatch):
+        # None reached int(seed) only after x was drawn and measured
+        op = build_coupled_operator(random_coupled_spec(rng), 64, seed=0, kind=ORTH)
+        monkeypatch.setattr(measurement_ops, "_generator", lambda seq: pytest.fail("drew"))
+        with pytest.raises(ValueError, match="seed must be a whole number >= 0"):
+            gen_instance(op, BernoulliGaussianPrior(0.4), sigma=0.1, seed=seed)
+
+    def test_numpy_integer_seed_draws_the_same_instance(self, rng):
+        op = build_coupled_operator(random_coupled_spec(rng), 64, seed=0, kind=GAUSS)
+        a = gen_instance(op, BernoulliGaussianPrior(0.4), sigma=0.1, seed=7)
+        b = gen_instance(op, BernoulliGaussianPrior(0.4), sigma=0.1, seed=np.int64(7))
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y) and b.seed == 7
 
     def test_deterministic(self, rng):
         op = build_coupled_operator(random_coupled_spec(rng), 64, seed=0, kind=GAUSS)

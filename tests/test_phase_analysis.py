@@ -333,7 +333,8 @@ class TestGridFreeSearch:
     def test_equal_area_start_is_near_the_maxwell_rate(self, kind, sigma2):
         # the trapezoid sums extrapolated to zero step start Newton within 1.5e-7 of alpha_c
         # at rho 0.1, 0.4 and 0.7 and sigma2 1e-5, 1e-4 and 1e-3 (2.8e-7 over 100-level
-        # sweeps), so that one step lands within the step tolerance; the plain grid sum is
+        # sweeps); the search relies on that: one step from there lands within the step
+        # tolerance by its own error bound, so G is evaluated once; the plain grid sum is
         # off by up to 6e-6
         curve = phase_analysis._search_curve(RHO, sigma2, kind)
         start = phase_analysis._equal_area_rate(curve, sigma2, kind)
@@ -521,13 +522,44 @@ def count_phase_point_work(rho, sigma2, kind, monkeypatch):
 @pytest.mark.parametrize("kind", [GAUSS, ORTH])
 def test_phase_point_work(kind, monkeypatch):
     # at the benchmark's point: one mmse call for the curve on the search slice (146 of
-    # the grid's 500 values), 4-5 fold steps, then two Newton steps, each one joint root
-    # solve of both maxima (6, then 2-3 warm-started mmse calls) and one free_entropy_grid
-    # call; 14 mmse calls on 172 values for each ensemble
+    # the grid's 500 values), 4-5 fold steps, then one Newton step: a joint root solve of
+    # both maxima (6 mmse calls) and one free_entropy_grid call, after which the step's
+    # error bound stops the search; 11 mmse calls on 166 values for each ensemble, and one
+    # warm-started call (2 values) of margin
     pt, calls = count_phase_point_work(RHO, SIGMA2, kind, monkeypatch)
     assert pt.sharp
-    assert calls["mmse"] <= 16 and calls["free_entropy_grid"] <= 2, calls
-    assert calls["values"] <= 200, calls
+    assert calls["mmse"] <= 12 and calls["free_entropy_grid"] <= 1, calls
+    assert calls["values"] <= 168, calls
+
+
+@pytest.mark.parametrize("kind", [GAUSS, ORTH])
+def test_error_bound_stop_keeps_the_confirmed_rate(kind, monkeypatch):
+    # every 30th level of the near-cusp sweep and its last 10 sharp ones, where the window
+    # is narrow and the bound matters most: the rate returned on the step's error bound is
+    # within 1e-13 of the rate a confirming evaluation gives (safety inf turns the bound
+    # off), and most levels make one evaluation of G
+    index = NEAR_CUSP_LEVELS[RHO, kind][0]
+    levels = NEAR_CUSP_SWEEP[list(range(0, index - 9, 30)) + list(range(index - 9, index + 1))]
+    evaluations, maxwell_gap = [], phase_analysis._maxwell_gap
+
+    def counted(*args):
+        evaluations[-1] += 1
+        return maxwell_gap(*args)
+
+    monkeypatch.setattr(phase_analysis, "_maxwell_gap", counted)
+    stopped = []
+    for sigma2 in levels:
+        evaluations.append(0)
+        stopped += sweep_phase_diagram(RHO, [sigma2], kind)
+    monkeypatch.setattr(phase_analysis, "_maxwell_gap", maxwell_gap)
+    monkeypatch.setattr(phase_analysis, "_NEWTON_SAFETY", np.inf)
+    confirmed = sweep_phase_diagram(RHO, levels, kind)
+    assert all(pt.sharp for pt in stopped + confirmed)
+    for got, want in zip(stopped, confirmed, strict=True):
+        assert abs(got.alpha_c - want.alpha_c) <= 1e-13, (got, want)
+    # 14 of 22 (Gaussian) and 17 of 23 (orthogonal), all of the far levels; the largest
+    # difference is 3.0e-14, and a margin of 3 in place of 30 fails at 2.1e-13
+    assert evaluations.count(1) > 0.5 * len(levels), evaluations
 
 
 @pytest.mark.parametrize("kind", [GAUSS, ORTH])
