@@ -119,43 +119,42 @@ def integrate(integrand, params, transitions, atol, what, at, cut=None):
     the panels that start at or after it are not evaluated.
 
     Rows are evaluated in blocks of bounded size, and every row's value
-    depends on that row alone.  The integrands run with overflow ignored:
-    an exponential that overflows to inf is a sigmoid's or a log-sum's far
-    tail.  Raises QuadratureError when the check rule and the main rule
-    disagree by more than atol; ``what`` and ``at`` (the batch's
-    precisions) name the failing integral in the message.
+    depends on that row alone.  Runs under the caller's
+    np.errstate(over="ignore"): an exponential of the integrand that
+    overflows to inf is a sigmoid's or a log-sum's far tail.  Raises
+    QuadratureError when the check rule and the main rule disagree by more
+    than atol; ``what`` and ``at`` (the batch's precisions) name the
+    failing integral in the message.
     """
     n = len(params[0])
     n_panels = _LADDER.size + len(transitions) * _OFFSETS.size - 1
     step = max(1, _BLOCK_NODES // (n_panels * _NODES.size))
     values, errors = [], []
-    with np.errstate(over="ignore"):
-        for start in range(0, max(n, 1), step):   # one block, empty, for an empty batch
-            rows = slice(start, min(n, start + step))
-            edges = _edges(transitions, rows)
-            a = edges[:, :-1]
-            h = edges[:, 1:] - a
-            # zero-width panels (breakpoints clipped onto each other) add nothing
-            live = h > 0
-            if cut is not None:
-                live &= a < cut[rows, None]
-            k = live.ravel().nonzero()[0]
-            r = k // n_panels
-            hk = h.ravel()[k]
-            t = hk * _NODES[:, None]
-            t += edges.ravel()[k + r]   # the node a + h x
-            g = integrand(t, *[x[rows].take(r) for x in params])
-            # each panel's main and check sums, then each row's panels in order
-            main, check = np.einsum("ij,jk->ik", _RULES, g)
-            main *= hk
-            check *= hk
-            check -= main
-            values.append(np.bincount(r, main, len(h)))
-            errors.append(np.bincount(r, np.abs(check, out=check), len(h)))
+    for start in range(0, max(n, 1), step):   # one block, empty, for an empty batch
+        rows = slice(start, min(n, start + step))
+        edges = _edges(transitions, rows)
+        a, b = edges[:, :-1], edges[:, 1:]
+        h = b - a
+        # zero-width panels (breakpoints clipped onto each other) add nothing, nor do those
+        # that start at or past the cut
+        live = a < (b if cut is None else np.minimum(b, cut[rows, None]))
+        k = live.ravel().nonzero()[0]
+        r = k // n_panels
+        hk = h.ravel()[k]
+        t = hk * _NODES[:, None]
+        t += edges.ravel()[k + r]   # the node a + h x
+        g = integrand(t, *[x[rows].take(r) for x in params])
+        # each panel's main and check sums, then each row's panels in order
+        sums = np.einsum("ij,jk->ik", _RULES, g)
+        sums *= hk
+        main, check = sums
+        check -= main
+        values.append(np.bincount(r, main, len(h)))
+        errors.append(np.bincount(r, np.abs(check, out=check), len(h)))
     value, error = ((values[0], errors[0]) if len(values) == 1
                     else map(np.concatenate, (values, errors)))
-    # one reduction clears the common case; a NaN error fails it too
-    if not np.maximum.reduce(error, initial=0.0) <= atol:
+    # one count clears the common case; a NaN error fails it too
+    if np.count_nonzero(error <= atol) < len(error):
         i = int(np.argmin(error <= atol))   # the first failing row
         raise QuadratureError(
             f"{what} quadrature error {error[i]:.3e} above tolerance at "

@@ -29,6 +29,7 @@ maxima of F(eps) are exactly the fixed points of the MSE state evolution.
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +49,41 @@ class Ensemble(enum.Enum):
 
     ROW_ORTHOGONAL = "orthogonal"
     GAUSSIAN_IID = "gaussian"
+
+
+class _Band(NamedTuple):
+    """Per-spec constants of G and of the inner solve (`CouplingSpec._band`).
+
+    live marks the blocks with J > 0 in rows that measure (alpha > 0); gamma
+    J is zero off the band, so W = gamma J / Lambda and Delta vanish there
+    unmasked.  rates_ok is alpha <= 1 on the band, which the row-orthogonal
+    ensemble needs.
+
+    The inner solve runs in a band-compact (L_r, B) layout, B the largest
+    number of J > 0 blocks in a row: entry (q, b) is block (q, cols[q, b]),
+    and flat is its index in the flattened (L_r, L_c) grid.  Row q lists its
+    J > 0 columns in order, then J = 0 columns, where gamma J is zero too.
+    gJ_c, alpha_c and dead_c are gamma J, alpha and ~live in that layout; a
+    row without measurements is solved at alpha = 1/2 and then reset to
+    Delta = 0.  S = ones((B, B)) sums a compact row into each of its entries,
+    ar numbers the entries of a row, and zero, one and tol are 0, 1 and
+    _INNER_TOL in every entry: the solve's numpy calls take operands of one
+    shape, which costs less per call than a scalar or a broadcast one.
+    """
+
+    live: np.ndarray
+    gJ: np.ndarray
+    rates_ok: bool
+    cols: np.ndarray
+    flat: np.ndarray
+    gJ_c: np.ndarray
+    alpha_c: np.ndarray
+    dead_c: np.ndarray
+    S: np.ndarray
+    ar: np.ndarray
+    zero: np.ndarray
+    one: np.ndarray
+    tol: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -112,20 +148,19 @@ class CouplingSpec:
         return self.alpha.shape[1]
 
     @cached_property
-    def _band(self):
-        """Per-spec constants of the inner solve: (live, gamma J, alpha, ones, rates_ok).
-
-        live marks the blocks with J > 0 in rows that measure (alpha > 0);
-        gamma J is zero off the band, so W = gamma J / Lambda and Delta vanish
-        there unmasked.  A row without measurements is solved at alpha = 1/2
-        and then reset to Delta = 0.  ones is the column that sums a row;
-        rates_ok is alpha <= 1 on the band, which the row-orthogonal
-        ensemble needs.
-        """
-        live = (self.J > 0) & (self.alpha > 0)
+    def _band(self) -> _Band:
+        """Per-spec constants of G and of the inner solve; see `_Band`."""
+        on = self.J > 0
+        live = on & (self.alpha > 0)
+        gJ = self.gamma * self.J
+        B = int(np.add.reduce(on, axis=1).max())
+        cols = np.argsort(~on, axis=1, kind="stable")[:, :B]
+        flat = cols + self.L_c * np.arange(self.L_r)[:, None]
         alpha = np.where(self.alpha[:, :1] > 0, self.alpha, 0.5)
-        return (live, self.gamma * self.J, alpha, np.ones((self.L_c, 1)),
-                not np.logical_or.reduce(self.alpha[self.J > 0] > 1.0))
+        return _Band(live, gJ, not np.logical_or.reduce(self.alpha[on] > 1.0), cols, flat,
+                     gJ.take(flat), alpha.take(flat), ~live.take(flat), np.ones((B, B)),
+                     np.arange(B), np.zeros(cols.shape), np.ones(cols.shape),
+                     np.full(cols.shape, _INNER_TOL))
 
     @property
     def row_rates(self) -> np.ndarray:
@@ -197,8 +232,9 @@ def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
         return np.exp(-s) * (-s + (1.0 - rho) * _log_sum_exp(c1, c2 + slope * s)
                              + rho * _log_sum_exp(c1 - vs * s, c2))
 
-    return integrate(integrand, [vs, slope, c2], [(gap, slope), (gap, vs)],
-                     atol=_CHANNEL_TOL, what="channel term", at=vs)
+    with np.errstate(over="ignore"):
+        return integrate(integrand, [vs, slope, c2], [(gap, slope), (gap, vs)],
+                         atol=_CHANNEL_TOL, what="channel term", at=vs)
 
 
 # ----------------------------------------------------------------------
@@ -206,12 +242,15 @@ def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _row_residual(z, row, k1, k0):
-    """Per row at z, f = sum_{p != p*} w_p + sigma2 tau + k1 z - k0 and f'; see `_solve_lambda`."""
-    cA2, cA, q, s2A, ones = row
-    zz, e = z * (1.0 - z), 1.0 - 2.0 * z
+    """f = sum_{p != p*} w_p + sigma2 tau + k1 z - k0 and f' at z, per row; see `_solve_lambda`.
+
+    z, k1, k0 and the results hold each row's value in every entry of the row.
+    """
+    cA2, cA, q, s2A, S, one = row
+    zz, e = z * (one - z), one - (z + z)
     d = np.sqrt(e * e + q * zz)
-    return (((cA2 / (1.0 + d)) @ ones + s2A) * zz + k1 * z - k0,
-            ((cA / d) @ ones + s2A) * e + k1)
+    return (((cA2 / (one + d)) @ S + s2A) * zz + k1 * z - k0,
+            ((cA / d) @ S + s2A) * e + k1)
 
 
 def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
@@ -229,63 +268,91 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
     tau + ((1 - alpha*) - z) / alpha* is >= 0 at z = 1 - alpha*, < 0 at 1/2 (the
     tests check that root unique).  Newton steps, bisecting when they leave the
     bracket, start from the tau of Lambda0 (or 1/eps) and stop, taking the last step,
-    once each row's step or bracket is within _INNER_TOL z.  Returns (Lambda, Delta,
-    1 - Delta), the last free of cancellation; J = 0 entries and rows that do not
-    measure carry 1/eps, 0 and 1.
+    once each row's step or bracket is within _INNER_TOL z.
+
+    The solve runs in the band-compact layout of `CouplingSpec._band`, shape (...,
+    L_r, B), and holds each row's A, alpha*, z, bracket and step in every entry of
+    the row.  Returns (Lambda, Delta, 1 - Delta) of shape (..., L_r, L_c), the last
+    free of cancellation; J = 0 entries and rows that do not measure carry 1/eps, 0
+    and 1.
     """
-    live, gJ, alpha, ones, rates_ok = spec._band
-    if not rates_ok:
+    band = spec._band
+    if not band.rates_ok:
         # the replica counterpart of M_q <= N_p in `build_coupled_operator`
         raise ValueError("row-orthogonal blocks need alpha[q, p] <= 1 wherever J[q, p] > 0: "
                          "a block cannot have more orthogonal rows than columns")
-    c = gJ * eps[..., None, :]
+    alpha, S, zero, one, flat = band.alpha_c, band.S, band.zero, band.one, band.flat
+    shape = eps.shape[:-1] + band.live.shape
+    if len(shape) > 2:   # the (L_r, L_c) grid of each MSE vector follows the last one's
+        batch = np.arange(eps.size // spec.L_c).reshape(shape[:-2] + (1, 1))
+        flat = flat + band.live.size * batch
+    c = band.gJ_c * eps.take(band.cols, axis=-1)
     ac = alpha * c
-    star = ac.argmax(axis=-1)[..., None] == np.arange(spec.L_c)
-    A, a_star, C = ac.max(axis=-1, keepdims=True), (alpha * star) @ ones, c @ ones
-    cA = np.where(star, 0.0, c) / A
+    is_star = ac.argmax(axis=-1)[..., None] == band.ar   # p*: the first block of largest alpha c
+    star = is_star.astype(float)
+    A, a_star, C = (ac * star) @ S, (alpha * star) @ S, c @ S
+    cA = (c - c * star) / A
     # the 1e-300 keeps d > 0 on a block tied with p* at z = 1/2, below the rounding of other d
-    row = (2.0 * cA, cA, (A - ac) * (4.0 / A) + 1e-300, spec.sigma2 / A, ones)
-    big, k1, k0, z_neg, z_pos = False, 1.0 / a_star, 1.0, 0.0, 0.5
+    row = (cA + cA, cA, (A - ac) * (4.0 / A) + 1e-300, spec.sigma2 / A, S, one)
+    big, k1, k0 = False, one / a_star, one
+    z_neg, z_pos = np.zeros(A.shape), np.full(A.shape, 0.5)
+    low = z_neg   # the bracket's lower end, 1 - alpha* on a big row
     maybe_big = C + A / a_star + spec.sigma2 < 4.0 * A
-    if np.logical_or.reduce(maybe_big, axis=None):
-        big = maybe_big & (_row_residual(0.5, row, k1, 1.0)[0] < 0.0)
+    if np.count_nonzero(maybe_big):
+        big = maybe_big & (_row_residual(0.5, row, k1, one)[0] < 0.0)
         # a big row has alpha* > 1/2, where alpha* - 1 is exact
         k1, k0 = np.where(big, -k1, k1), np.where(big, (a_star - 1.0) * k1, 1.0)
         z_neg, z_pos = np.where(big, 0.5, 0.0), np.where(big, 1.0 - a_star, 0.5)
+        low = np.minimum(z_neg, z_pos)
     with np.errstate(all="ignore"):  # Lambda0 <= 0 gives a NaN or negative tau: start low
-        t = A / (spec.sigma2 + (C if Lambda0 is None else (gJ / np.asarray(Lambda0)) @ ones))
-    z = np.fmin(np.fmax(2.0 * t / (1.0 + np.sqrt(np.fmax(1.0 - 4.0 * t, 0.0))),
-                        np.minimum(z_neg, z_pos)), 0.5)  # z (1 - z) = A tau
+        if Lambda0 is not None:
+            W0 = band.gJ / Lambda0
+            C = (W0 if W0.shape == shape else np.broadcast_to(W0, shape)).take(flat) @ S
+        t = A / (spec.sigma2 + C)
+        z = np.fmin(np.fmax((t + t) / (one + np.sqrt(np.fmax(one - 4.0 * t, zero))), low),
+                    0.5)  # z (1 - z) = A tau
+    tol = band.tol
     for _ in range(_INNER_MAX_STEPS):
         f, df = _row_residual(z, row, k1, k0)
-        step, below = f / df, f < 0.0
-        z_neg, z_pos = np.where(below, z, z_neg), np.where(below, z_pos, z)
+        step, below = f / df, f < zero
+        np.putmask(z_neg, below, z)
+        np.putmask(z_pos, ~below, z)
         # rounding can hold a nearly singular row's step above tolerance; its bracket closes
-        done = np.logical_and.reduce(np.minimum(abs(step), abs(z_pos - z_neg)) <= _INNER_TOL * z,
-                                     axis=None)
+        done = np.count_nonzero(np.minimum(abs(step), abs(z_pos - z_neg)) <= tol * z) == z.size
         new = z - step
-        z = np.where((new - z_neg) * (new - z_pos) <= 0.0, new,
-                     z if done else 0.5 * (z_neg + z_pos))
+        inside = (new - z_neg) * (new - z_pos) <= zero
+        z = new if np.count_nonzero(inside) == z.size else \
+            np.where(inside, new, z if done else 0.5 * (z_neg + z_pos))
         if done:
             break
     else:
         raise ConvergenceError(f"inner extremization did not reach {_INNER_TOL} in "
                                f"{_INNER_MAX_STEPS} steps", residual=float(abs(f).max()))
-    zz = z * (1.0 - z)
-    d = np.sqrt((1.0 - 2.0 * z) ** 2 + row[2] * zz)
-    Delta = np.where(live, alpha * row[0] * zz / (1.0 + d) + star * np.where(big, 1.0 - z, z), 0.0)
-    omd = np.where(live, np.where(star & big, z, 0.5 * (1.0 + d)), 1.0)
-    if np.logical_or.reduce(omd <= 0.0, axis=None):
-        worst = np.unravel_index(int(np.argmax(Delta)), Delta.shape)
+    zz, e = z * (one - z), one - (z + z)
+    d1 = one + np.sqrt(e * e + row[2] * zz)
+    Delta_c, omd_c = alpha * row[0] * zz / d1, 0.5 * d1
+    if big is False:
+        Delta_c += star * z
+    else:
+        Delta_c += star * np.where(big, 1.0 - z, z)
+        np.putmask(omd_c, is_star & big, z)
+    np.copyto(Delta_c, 0.0, where=band.dead_c)
+    np.copyto(omd_c, 1.0, where=band.dead_c)
+    # 1 - Delta = (1 + d) / 2 >= 1/2 but on the p* of a big row
+    if big is not False and np.count_nonzero(omd_c <= 0.0):
+        *_, q, b = np.unravel_index(int(np.argmax(Delta_c)), Delta_c.shape)
         raise ConvergenceError(f"Delta >= 1 in inner extremization at block (q, p) = "
-                               f"{worst[-2:]}", residual=float(Delta.max()))
+                               f"({q}, {band.cols[q, b]})", residual=float(Delta_c.max()))
+    Delta, omd = np.zeros(shape), np.ones(shape)
+    Delta.put(flat, Delta_c)
+    omd.put(flat, omd_c)
     return omd / eps[..., None, :], Delta, omd
 
 
 def _g_values(eps, spec: CouplingSpec, Lam):
     """G_q at Lambda of shape (..., L_r, L_c), per row: shape (..., L_r); needs sigma2 > 0."""
-    live = spec._band[0]
-    S = (spec._band[1] / Lam).sum(axis=-1)
+    live = spec._band.live
+    S = (spec._band.gJ / Lam).sum(axis=-1)
     prod = Lam * np.asarray(eps, dtype=float)[..., None, :]
     bracket = np.where(live, prod - np.log(np.where(live, prod, 1.0)) - 1.0, 0.0)
     return -spec.row_rates * np.log1p(S / spec.sigma2) + (spec.gamma * bracket).sum(axis=-1)
@@ -318,7 +385,7 @@ def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble, Lambda0=None)
         Lam, Delta, _ = _solve_lambda(eps, spec, Lambda0=Lambda0)
     else:
         Lam = (1.0 / eps_b).repeat(spec.L_r, axis=-2)
-        W = spec._band[1] / Lam
+        W = spec._band.gJ / Lam
         Delta = spec.alpha * W / (spec.sigma2 + np.add.reduce(W, axis=-1, keepdims=True))
     return Delta / eps_b, Lam
 

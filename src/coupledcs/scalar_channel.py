@@ -96,11 +96,12 @@ def _mmse_live(v, rho):
     centre = np.log1p(-rho) + log1p_v - np.log(rho)
     scale = rho / (1.0 + v)
     # past vs t - centre = log(1 + vs) + 40 the excess is below e^{-40} of the weight's
-    # integrand (a subnormal vs overflows the cut to inf, which cuts nothing)
+    # integrand (a subnormal vs overflows the cut to inf, which cuts nothing); the
+    # sigmoid's exponential overflows to inf past the step as well
     with np.errstate(over="ignore"):
         cut = (centre + log1p_v + 40.0) / v
-    excess = integrate(_mmse_excess, [scale * v, v, centre], [(centre, v)],
-                       atol=_QUAD_TOL, what="mmse", at=v, cut=cut)
+        excess = integrate(_mmse_excess, [scale * v, v, centre], [(centre, v)],
+                           atol=_QUAD_TOL, what="mmse", at=v, cut=cut)
     return scale * _WEIGHT_MASS + excess
 
 
@@ -150,8 +151,12 @@ def mmse(varsigma, prior: BernoulliGaussianPrior):
 
 
 def _whole_number(name, value, least):
-    """int(value) for a whole number >= least (1e3 counts; NaN, inf, None fail) or ValueError."""
-    if not (isinstance(value, numbers.Real) and least <= value < np.inf and value % 1 == 0):
+    """int(value) for a whole number >= least (1e3 counts; bool, NaN, inf, None fail) or ValueError.
+
+    bool is a numbers.Real, so it is refused by name, as `coupling._integer` does.
+    """
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and least <= value < np.inf and value % 1 == 0):
         raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
     return int(value)
 

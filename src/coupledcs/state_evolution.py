@@ -92,7 +92,7 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble,
 
     varsigma, Lam = conjugate_fixed_point(eps, spec, kind)
     history = [eps]
-    converged = False
+    converged, last = False, np.inf
     warm = kind is Ensemble.ROW_ORTHOGONAL   # the Gaussian Lambda = 1/eps needs no start
     for t in range(max_iter):
         eps_new = mmse(np.add.reduce(varsigma, axis=0), spec.prior)
@@ -105,10 +105,13 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble,
         eps = eps_new
         if converged:
             break
-        if t > 0:
+        # |e_t - e_{t-2}| >= |step - last| (the triangle inequality), so a cycle needs
+        # the last two steps within 2 _CYCLE_TOL of each other; rounding is far below that
+        if abs(step - last) < 2.0 * _CYCLE_TOL:
             back = np.maximum.reduce(np.abs(eps_new - history[-3]))
             if back < _CYCLE_TOL and back < _CYCLE_RATIO * step:
                 break
+        last = step
     return EvolutionTrace(history=np.array(history), converged=bool(converged))
 
 

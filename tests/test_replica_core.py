@@ -436,6 +436,24 @@ class TestInnerSolve:
             Lam = _solve_lambda(eps, spec, Lambda0=Lambda0)[0]
             assert np.abs(Lam / cold - 1.0).max() <= 1e-10
 
+    @pytest.mark.parametrize("spec, eps, big", [
+        # the seed row and the next one hold a block with Delta > 1/2
+        (build_seeding_spec(SeedingParams(L=3, W=2, alpha_seed=0.95, alpha_bulk=0.9, J=1.0),
+                            0.4, 1e-8), np.array([0.3, 1e-6, 2e-6]), True),
+        (single_block_spec(0.4, 1e-4, 0.49), np.array([0.1]), False),
+    ], ids=["seeding-big-rows", "single-block"])
+    def test_a_batch_of_one_gives_the_bytes_of_one_vector(self, spec, eps, big):
+        # the evolution solves one (L_c,) vector at a time and the phase point (n, L_c)
+        # batches through free_entropy_grid: a batch of one is the same solve, cold or
+        # warm, with a batched or a shared warm start
+        warm = _solve_lambda(eps * 1.5, spec)[0]
+        for Lambda0, batched in ((None, None), (warm, warm[None]), (warm, warm)):
+            one = _solve_lambda(eps, spec, Lambda0=Lambda0)
+            batch = _solve_lambda(eps[None, :], spec, Lambda0=batched)
+            assert np.any(one[1] > 0.5) == big
+            for a, b in zip(one, batch):
+                assert b.shape == (1,) + a.shape and np.array_equal(a, b[0])
+
 
 def _g_value(eps, spec, Lam):
     """G summed over rows, evaluated at an arbitrary Lambda (not extremized)."""

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
-from coupledcs import BernoulliGaussianPrior, ScalarChannel, mmse, mmse_mc_oracle, posterior_mean
+from coupledcs import (BernoulliGaussianPrior, Ensemble, ScalarChannel, build_coupled_operator,
+                       gen_instance, mmse, mmse_mc_oracle, posterior_mean, run_evolution,
+                       scan_curve, single_block_spec)
 from coupledcs.replica_core import channel_term_batch
 
 RHO = BernoulliGaussianPrior(0.4)
@@ -227,3 +229,24 @@ class TestMcOracle:
         # an infinite precision passes varsigma > 0; its noise scale 0 gave (nan, nan)
         with pytest.raises(ValueError, match="finite"):
             mmse_mc_oracle(bad, RHO, 10, seed=0)
+
+
+_FLAT = single_block_spec(0.4, 1e-4, 0.5)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("max_iter", lambda v: run_evolution(_FLAT, Ensemble.GAUSSIAN_IID, max_iter=v)),
+    ("n_points", lambda v: scan_curve(0.4, 1e-4, 0.5, Ensemble.GAUSSIAN_IID, n_points=v,
+                                      refine=False)),
+    ("n_samples", lambda v: mmse_mc_oracle(1.0, RHO, v, seed=0)),
+    ("N", lambda v: build_coupled_operator(_FLAT, v, seed=0, kind=Ensemble.ROW_ORTHOGONAL)),
+    ("seed", lambda v: build_coupled_operator(_FLAT, 64, seed=v, kind=Ensemble.ROW_ORTHOGONAL)),
+    ("seed", lambda v: gen_instance(build_coupled_operator(
+        _FLAT, 64, seed=0, kind=Ensemble.ROW_ORTHOGONAL), RHO, 0.0, seed=v)),
+])
+@pytest.mark.parametrize("value", [True, False])
+def test_whole_number_arguments_refuse_bools(name, call, value):
+    # bool is a numbers.Real: True ran one iteration, took one Monte-Carlo sample with
+    # std_err 0.0 or drew seed 1, and False drew seed 0
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        call(value)

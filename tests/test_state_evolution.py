@@ -203,8 +203,9 @@ def test_inner_solve_work_on_the_benchmark_chains(monkeypatch):
 def test_mmse_work_on_the_benchmark_chains(monkeypatch):
     # the four benchmark chains (both ensembles, sigma2 1e-6): no panel of zero width
     # reaches the excess integrand, and it runs on at most 200 nodes per mmse value
-    # (192.8), against 408 of the dense layout's, each with the weight and the factor
-    nodes, values = [0], [0]
+    # (192.8), against 408 of the dense layout's, each with the weight and the factor.
+    # Each iteration makes exactly one mmse call: 469 on the orthogonal pair
+    nodes, values, calls = [0], [0], [0]
     excess, chain_mmse = scalar_channel._mmse_excess, state_evolution.mmse
 
     def counted_excess(t, *params):
@@ -214,16 +215,21 @@ def test_mmse_work_on_the_benchmark_chains(monkeypatch):
         return excess(t, *params)
 
     def counted_mmse(varsigma, prior):
+        calls[0] += 1
         values[0] += np.size(varsigma)
         return chain_mmse(varsigma, prior)
 
     monkeypatch.setattr(scalar_channel, "_mmse_excess", counted_excess)
     monkeypatch.setattr(state_evolution, "mmse", counted_mmse)
-    for kind, chains in ((ORTH, ((10, 0.49, 0.5), (22, 0.484, 1.5))),
-                         (GAUSS, ((10, 0.49, 0.5), (22, 0.489, 2.5)))):
+    for kind, chains, iterations in ((ORTH, ((10, 0.49, 0.5), (22, 0.484, 1.5)), 469),
+                                     (GAUSS, ((10, 0.49, 0.5), (22, 0.489, 2.5)), 491)):
+        calls[0], ran = 0, 0
         for L, a_bulk, J in chains:
             params = SeedingParams(L=L, W=2, alpha_seed=0.70, alpha_bulk=a_bulk, J=J)
-            assert run_evolution(build_seeding_spec(params, 0.4, 1e-6), kind).converged
+            trace = run_evolution(build_seeding_spec(params, 0.4, 1e-6), kind)
+            assert trace.converged
+            ran += trace.iterations
+        assert ran == iterations and calls[0] == iterations, (kind, ran, calls)
     assert 0 < nodes[0] <= 200 * values[0], (nodes, values)
 
 
