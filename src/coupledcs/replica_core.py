@@ -66,9 +66,10 @@ class _Band(NamedTuple):
     gJ_c, alpha_c and dead_c are gamma J, alpha and ~live in that layout; a
     row without measurements is solved at alpha = 1/2 and then reset to
     Delta = 0.  S = ones((B, B)) sums a compact row into each of its entries,
-    ar numbers the entries of a row, and zero, one and tol are 0, 1 and
-    _INNER_TOL in every entry: the solve's numpy calls take operands of one
-    shape, which costs less per call than a scalar or a broadcast one.
+    and ar numbers the entries of a row.  zero, one, half, four, tol and s2
+    hold 0, 1, 1/2, 4, _INNER_TOL and sigma2 in every entry: the solve's
+    numpy calls take operands of one shape, which costs less per call than a
+    Python scalar or a broadcast operand.
     """
 
     live: np.ndarray
@@ -83,7 +84,10 @@ class _Band(NamedTuple):
     ar: np.ndarray
     zero: np.ndarray
     one: np.ndarray
+    half: np.ndarray
+    four: np.ndarray
     tol: np.ndarray
+    s2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -159,8 +163,8 @@ class CouplingSpec:
         alpha = np.where(self.alpha[:, :1] > 0, self.alpha, 0.5)
         return _Band(live, gJ, not np.logical_or.reduce(self.alpha[on] > 1.0), cols, flat,
                      gJ.take(flat), alpha.take(flat), ~live.take(flat), np.ones((B, B)),
-                     np.arange(B), np.zeros(cols.shape), np.ones(cols.shape),
-                     np.full(cols.shape, _INNER_TOL))
+                     np.arange(B), *(np.full(cols.shape, v) for v in
+                                     (0.0, 1.0, 0.5, 4.0, _INNER_TOL, float(self.sigma2))))
 
     @property
     def row_rates(self) -> np.ndarray:
@@ -281,7 +285,8 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
         # the replica counterpart of M_q <= N_p in `build_coupled_operator`
         raise ValueError("row-orthogonal blocks need alpha[q, p] <= 1 wherever J[q, p] > 0: "
                          "a block cannot have more orthogonal rows than columns")
-    alpha, S, zero, one, flat = band.alpha_c, band.S, band.zero, band.one, band.flat
+    alpha, S, flat = band.alpha_c, band.S, band.flat
+    zero, one, half, four, s2 = band.zero, band.one, band.half, band.four, band.s2
     shape = eps.shape[:-1] + band.live.shape
     if len(shape) > 2:   # the (L_r, L_c) grid of each MSE vector follows the last one's
         batch = np.arange(eps.size // spec.L_c).reshape(shape[:-2] + (1, 1))
@@ -293,11 +298,12 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
     A, a_star, C = (ac * star) @ S, (alpha * star) @ S, c @ S
     cA = (c - c * star) / A
     # the 1e-300 keeps d > 0 on a block tied with p* at z = 1/2, below the rounding of other d
-    row = (cA + cA, cA, (A - ac) * (4.0 / A) + 1e-300, spec.sigma2 / A, S, one)
+    row = (cA + cA, cA, (A - ac) * (four / A) + 1e-300, s2 / A, S, one)
     big, k1, k0 = False, one / a_star, one
-    z_neg, z_pos = np.zeros(A.shape), np.full(A.shape, 0.5)
+    z_neg = np.zeros(A.shape)
+    z_pos = z_neg + half
     low = z_neg   # the bracket's lower end, 1 - alpha* on a big row
-    maybe_big = C + A / a_star + spec.sigma2 < 4.0 * A
+    maybe_big = C + A / a_star + s2 < four * A
     if np.count_nonzero(maybe_big):
         big = maybe_big & (_row_residual(0.5, row, k1, one)[0] < 0.0)
         # a big row has alpha* > 1/2, where alpha* - 1 is exact
@@ -308,9 +314,9 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
         if Lambda0 is not None:
             W0 = band.gJ / Lambda0
             C = (W0 if W0.shape == shape else np.broadcast_to(W0, shape)).take(flat) @ S
-        t = A / (spec.sigma2 + C)
-        z = np.fmin(np.fmax((t + t) / (one + np.sqrt(np.fmax(one - 4.0 * t, zero))), low),
-                    0.5)  # z (1 - z) = A tau
+        t = A / (s2 + C)
+        z = np.fmin(np.fmax((t + t) / (one + np.sqrt(np.fmax(one - four * t, zero))), low),
+                    half)  # z (1 - z) = A tau
     tol = band.tol
     for _ in range(_INNER_MAX_STEPS):
         f, df = _row_residual(z, row, k1, k0)
@@ -330,7 +336,7 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
                                f"{_INNER_MAX_STEPS} steps", residual=float(abs(f).max()))
     zz, e = z * (one - z), one - (z + z)
     d1 = one + np.sqrt(e * e + row[2] * zz)
-    Delta_c, omd_c = alpha * row[0] * zz / d1, 0.5 * d1
+    Delta_c, omd_c = alpha * row[0] * zz / d1, half * d1
     if big is False:
         Delta_c += star * z
     else:
@@ -343,7 +349,8 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
         *_, q, b = np.unravel_index(int(np.argmax(Delta_c)), Delta_c.shape)
         raise ConvergenceError(f"Delta >= 1 in inner extremization at block (q, p) = "
                                f"({q}, {band.cols[q, b]})", residual=float(Delta_c.max()))
-    Delta, omd = np.zeros(shape), np.ones(shape)
+    Delta = np.zeros(shape)
+    omd = Delta + 1.0
     Delta.put(flat, Delta_c)
     omd.put(flat, omd_c)
     return omd / eps[..., None, :], Delta, omd
