@@ -14,13 +14,16 @@ on a large prime factor: at N = 2^17, L_c = 10 a 13107 = 3 * 17 * 257-point
 transform costs five to six 16384-point ones.  So an N_p whose largest
 prime-power factor p^a has p > _SPLIT_PRIME is transformed as an
 (N_p / p^a) x p^a two-axis DFT through the prime-factor (Good-Thomas)
-layout of `_layout`, whose index maps are composed with each block's row
-selection and column permutation; every other N_p keeps the 1-D
-transform and its bytes.  When a = 1 and p - 1 has no prime factor above
+layout of `_layout`.  When a = 1 and p - 1 has no prime factor above
 _RADER_FACTOR, the p axis is transformed by Rader's algorithm: reordered
 by powers of a primitive root, the p-point DFT is a cyclic convolution of
-length p - 1, one FFT pair with a cached kernel (BENCH_15.json).  Split
-and Rader sizes change outputs by rounding only.
+length p - 1, one FFT pair with a cached kernel (BENCH_15.json).  A whole
+prime N_p = p takes Rader's algorithm as a 1 x p layout under its own rule,
+_PRIME_RADER_SIZE (BENCH_35.json).  Every other N_p keeps the 1-D
+transform and its bytes; split and Rader sizes change outputs by rounding
+only.  Each DftBlock keeps its row selection and column permutation
+composed with the layout's index maps once, when the operator is drawn,
+so a block application is a gather, one transform and a gather.
 
 All randomness flows from one counter-based Philox generator: the
 instance seed feeds a SeedSequence whose spawned children are assigned,
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .replica_core import CouplingSpec, Ensemble
+from .replica_core import CouplingSpec, Ensemble, _check_ensemble
 from .scalar_channel import BernoulliGaussianPrior, _sample_prior, _whole_number
 
 # block sizes whose largest prime-power factor p^a has p above this take the
@@ -49,12 +52,24 @@ _SPLIT_PRIME = 100
 # (BENCH_15.json, two-row stacks) Rader took 0.51-0.93x pocketfft's time at
 # all 28 whose p - 1 passes, 257 (2^8) among them at 0.51-0.64x, and
 # 1.02-2.3x at 15 of the 16 that fail, 809 (2^3 * 101) among them at
-# 1.4-1.5x; 3284 = 4 * 821 (820 = 2^2 * 5 * 41) read 0.78x.  Whole prime
-# blocks keep the 1-D call: the table times only nine of them.  Re-timed
-# one block at a time (numpy 2.4.6), the 13107 = 51 x 257 layout with
-# Rader's stage took 0.29-0.46 ms with its scatter against 2.2-2.4 ms for
-# the 1-D transform; no other size was re-timed.
+# 1.4-1.5x; 3284 = 4 * 821 (820 = 2^2 * 5 * 41) read 0.78x.  Re-timed one
+# block at a time (numpy 2.4.6), the 13107 = 51 x 257 layout with Rader's
+# stage took 0.29-0.46 ms with its scatter against 2.2-2.4 ms for the 1-D
+# transform; no other size was re-timed.
 _RADER_FACTOR = 31
+# a whole prime block p takes Rader's stage, as a (1, p) layout, when p is at
+# least this and no prime factor q of p - 1 has q^2 > p - 1: then pocketfft
+# transforms the p - 1 axis without Bluestein's algorithm.  The q <= 31 rule
+# above would refuse the showcase's 13109 (13108 = 2^2 * 29 * 113).  Timed one
+# row at a time, a forward plus an inverse transform, minimum of 21 calls,
+# on all 2237 primes in 101-20000 (numpy 2.4.6, table in BENCH_35.json): the
+# 920 the rule admits took 0.16-0.98x the 1-D time (median 0.39x; 13109 at
+# 0.52x, 1373 at 0.41x, 409 at 0.69x); the four smaller primes the q rule
+# admits, 101, 109, 113 and 127, read 1.06-1.09x.  Of the 1317 refused, 981
+# read 1.8-2.5x (pocketfft takes their p - 1 by Bluestein, e.g. 9719 =
+# 2 * 43 * 113 + 1 at 2.0x), and 299 read 0.44-1.0x (median 0.65x, e.g. 1213,
+# q = 101, at 0.84x): taking those too would save 12% more time than the rule.
+_PRIME_RADER_SIZE = 150
 
 
 def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
@@ -63,13 +78,33 @@ def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
 
 @dataclass
 class DftBlock:
-    """Subsampled, column-permuted unitary DFT block with constant entry modulus."""
+    """Subsampled, column-permuted unitary DFT block with constant entry modulus.
+
+    The drawn rows and column permutation are kept composed with the
+    transform layout of `_layout(n)`: column j enters the stack at flat
+    position time_map[j], time_inv is that map's inverse, and selected row
+    r is read at freq_map[r].  int32 holds the three in (2n + m) * 4 bytes,
+    no more than the (n + m) * 8 of the drawn intp arrays.  gain is scale
+    times the layout's transform norm.
+    """
 
     n: int
     m: int
-    row_selection: np.ndarray
-    col_permutation: np.ndarray
     scale: float
+    gain: float
+    time_map: np.ndarray
+    time_inv: np.ndarray
+    freq_map: np.ndarray
+
+    @property
+    def row_selection(self) -> np.ndarray:
+        """The drawn DFT rows, in draw order."""
+        return _drawn(self.freq_map, _layout(self.n)[2])
+
+    @property
+    def col_permutation(self) -> np.ndarray:
+        """The drawn column permutation: column j holds DFT time index col_permutation[j]."""
+        return _drawn(self.time_map, _layout(self.n)[1])
 
 
 @dataclass
@@ -119,6 +154,7 @@ def build_coupled_operator(spec: CouplingSpec, N: int, seed: int,
     Row-orthogonal blocks require M_q <= N_p wherever J[q,p] > 0, since
     distinct DFT rows cannot be selected beyond the block dimension.
     """
+    _check_ensemble(kind)
     N, seed = _whole_number("N", N, 1), _whole_number("seed", seed, 0)
     col_sizes, row_sizes = _block_sizes(spec, N)
     root = np.random.SeedSequence(seed)
@@ -140,8 +176,7 @@ def build_coupled_operator(spec: CouplingSpec, N: int, seed: int,
                 # realized block fraction n_p / N keeps the entry variance at
                 # exactly J / N despite integer block sizing
                 scale = float(np.sqrt(spec.J[q, p] * n_p / N))
-                blocks[(q, p)] = DftBlock(n=n_p, m=m_q, row_selection=rows,
-                                          col_permutation=perm, scale=scale)
+                blocks[(q, p)] = _dft_block(n_p, rows, perm, scale)
             else:
                 std = np.sqrt(spec.J[q, p] / N / 2.0)
                 mat = std * (rng.standard_normal((m_q, n_p))
@@ -177,27 +212,32 @@ def _layout(n: int):
     time_pos and freq_pos hold the flat positions of each index.  The kernel
     is symmetric in i and k, so the inverse DFT reads the same maps with the
     roles of input and output swapped.  n2 = p^a is the largest prime-power
-    factor of n; when p <= _SPLIT_PRIME or n is a prime power the shape is
-    (n,) and the other three are None.
+    factor of n; when p <= _SPLIT_PRIME, or n is a prime power that Rader's
+    stage does not take, the shape is (n,) and the other three are None.
 
     Rader's stage (C. M. Rader, Proc. IEEE 56, 1968) takes an n2 = p axis
-    whose p - 1 has no prime factor above _RADER_FACTOR, the sizes where it
-    beat pocketfft in BENCH_15.json.  With g a primitive root mod p, the p
-    axis holds index 0 at position 0, time index g^q at 1 + q and frequency
-    index g^-m at 1 + m, so X[g^-m] = x[0] + sum_q x[g^q] w^(g^(q - m)),
+    whose p - 1 has no prime factor above _RADER_FACTOR (n1 > 1, the sizes
+    where it beat pocketfft in BENCH_15.json), and a whole prime n = p >=
+    _PRIME_RADER_SIZE, shape (1, p), whose p - 1 has no prime factor f with
+    f^2 > p - 1 (BENCH_35.json).  With g a primitive root mod p, the p axis
+    holds index 0 at position 0, time index g^q at 1 + q and frequency index
+    g^-m at 1 + m, so X[g^-m] = x[0] + sum_q x[g^q] w^(g^(q - m)),
     w = e^(-2 pi i / p), is a cyclic convolution of length p - 1 with
     b_j = w^(g^-j), and kernel = FFT(b) / (p - 1).  The inverse DFT's kernel
     b_j* read backwards has the FFT conj(kernel).  `_transform` says how a
     block laid out in this shape is transformed.
     """
     p, n2 = max(_factor(n).items(), key=lambda item: item[1], default=(1, n))
-    if p <= _SPLIT_PRIME or n2 == n:
-        return (n,), None, None, None
     n1 = n // n2
+    top = max(_factor(p - 1), default=1)  # the largest prime factor of p - 1
+    rader = n2 == p and (top <= _RADER_FACTOR if n1 > 1
+                         else p >= _PRIME_RADER_SIZE and top * top < p)
+    if p <= _SPLIT_PRIME or (n1 == 1 and not rader):
+        return (n,), None, None, None
     # positions along the n2 axis of its time and frequency indices
     axis_in = axis_out = np.arange(n2)
     kernel = None
-    if n2 == p and max(_factor(p - 1)) <= _RADER_FACTOR:
+    if rader:
         g = next(g for g in range(2, p)
                  if all(pow(g, (p - 1) // f, p) != 1 for f in _factor(p - 1)))
         g_pow = np.empty(p - 1, dtype=np.intp)  # g^q mod p
@@ -215,22 +255,43 @@ def _layout(n: int):
     return (n1, n2), time_pos, (k % n1) * n2 + axis_out[k % n2], kernel
 
 
-def _transform(w: np.ndarray, kernel, adjoint: bool):
-    """(w', norm): the DFT of a block laid out as w is norm * w'.
+def _dft_block(n: int, rows: np.ndarray, perm: np.ndarray, scale: float) -> DftBlock:
+    """The drawn rows and column permutation composed with `_layout(n)`'s positions."""
+    _, time_pos, freq_pos, kernel = _layout(n)
+    if time_pos is not None:
+        perm, rows = time_pos[perm], freq_pos[rows]
+    time_map = perm.astype(np.int32)
+    time_inv = np.empty(n, dtype=np.int32)
+    time_inv[time_map] = np.arange(n, dtype=np.int32)
+    # Rader's stage leaves its transform unnormalized: the unitary norm goes into the gain
+    gain = scale * (1.0 / np.sqrt(n)) if kernel is not None else scale
+    return DftBlock(n=n, m=len(rows), scale=scale, gain=gain, time_map=time_map,
+                    time_inv=time_inv, freq_map=rows.astype(np.int32))
 
-    The inverse DFT when adjoint, both unitary.  Without a Rader kernel one
-    fftn / ifftn call over every axis (norm 1).  With one, w is transformed
-    in place, unnormalized (norm 1 / sqrt(n)): an FFT along the n1 axis,
+
+def _drawn(flat: np.ndarray, pos) -> np.ndarray:
+    """The DFT indices that a layout's positions pos (None: the identity) put at flat."""
+    # argsort inverts the permutation pos
+    return flat.astype(np.intp) if pos is None else np.argsort(pos)[flat]
+
+
+def _transform(w: np.ndarray, kernel, adjoint: bool) -> np.ndarray:
+    """The DFT of a block laid out as w, the inverse DFT when adjoint.
+
+    Without a Rader kernel one unitary fftn / ifftn call over every axis.
+    With one, w is transformed in place and unnormalized (the block's gain
+    holds the norm 1 / sqrt(n)): an FFT along the n1 axis unless n1 = 1,
     then Rader's stage on the last axis: position 0 takes the axis sum,
     positions 1.. take x[0] plus the cyclic convolution of positions 1..
     with the kernel's inverse FFT, one FFT pair of length p - 1.
     """
     if kernel is None:
-        return (np.fft.ifftn if adjoint else np.fft.fftn)(w, norm="ortho"), 1.0
-    if adjoint:
-        np.fft.ifft(w, axis=0, norm="forward", out=w)
-    else:
-        np.fft.fft(w, axis=0, out=w)
+        return (np.fft.ifftn if adjoint else np.fft.fftn)(w, norm="ortho")
+    if w.shape[0] > 1:  # a whole prime's length-1 axis needs no FFT
+        if adjoint:
+            np.fft.ifft(w, axis=0, norm="forward", out=w)
+        else:
+            np.fft.fft(w, axis=0, out=w)
     spec = np.fft.fft(w[:, 1:], axis=-1)
     total = spec[:, 0] + w[:, 0]
     spec *= kernel.conj() if adjoint else kernel
@@ -238,7 +299,7 @@ def _transform(w: np.ndarray, kernel, adjoint: bool):
     spec[:, 0] += w[:, 0]
     np.fft.ifft(spec, axis=-1, norm="forward", out=w[:, 1:])
     w[:, 0] = total
-    return w, 1.0 / np.sqrt(w.size)
+    return w
 
 
 def _accumulate(op: CoupledOperator, v: np.ndarray, out: np.ndarray,
@@ -252,17 +313,17 @@ def _accumulate(op: CoupledOperator, v: np.ndarray, out: np.ndarray,
             # conj(v^H M) is M^H v without materializing the conjugate transpose
             out[dst] += (v[src].conj() @ block.matrix).conj() if adjoint else block.matrix @ v[src]
             continue
-        # scatter the input through the layout's positions, transform, then
-        # gather the outputs with the transform's norm folded into the block scale
-        shape, time_pos, freq_pos, kernel = _layout(block.n)
-        time_idx, freq_idx = block.col_permutation, block.row_selection
-        if time_pos is not None:
-            time_idx, freq_idx = time_pos[time_idx], freq_pos[freq_idx]
-        scatter, gather = (freq_idx, time_idx) if adjoint else (time_idx, freq_idx)
-        w = np.zeros(shape, dtype=complex)
-        w.reshape(-1)[scatter] = v[src]
-        w, norm = _transform(w, kernel, adjoint)
-        out[dst] += block.scale * norm * w.reshape(-1)[gather]
+        # lay the input out on the stack, transform, and read the outputs at
+        # their positions; the forward input fills every position, so it is a gather
+        shape, _, _, kernel = _layout(block.n)
+        if adjoint:
+            w = np.zeros(shape, dtype=complex)
+            w.put(block.freq_map, v[src])
+            gather = block.time_map
+        else:
+            w = v[src].take(block.time_inv).reshape(shape)
+            gather = block.freq_map
+        out[dst] += block.gain * _transform(w, kernel, adjoint).take(gather)
     return out
 
 

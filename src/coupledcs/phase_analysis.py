@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .replica_core import NO_NOISE_MESSAGE, Ensemble, free_entropy_grid, single_block_spec
+from .replica_core import (NO_NOISE_MESSAGE, Ensemble, _check_ensemble, free_entropy_grid,
+                           single_block_spec)
 from .scalar_channel import BernoulliGaussianPrior, _whole_number, mmse
 
 DEFAULT_GRID_POINTS = 2000
@@ -166,6 +167,7 @@ def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
     product, refines each to its root and evaluates F on a log eps grid over
     [floor, rho] and at the roots; refine=False, for counting, evaluates no F.
     """
+    _check_ensemble(kind)
     n_points = _whole_number("n_points", n_points, 3)
     floor = _default_eps_floor(sigma2)  # checks sigma2 before any floor is judged
     origin = " (the default, max(1e-10, 1e-3 sigma2); eps_floor or --eps-floor sets it)"
@@ -307,6 +309,7 @@ def _search_curve(rho, sigma2, kind):
     (at the 1409 sharp points of a grid of rho in [1e-4, 0.995] and sigma2 in
     [1e-10, 0.1], both ensembles, it lay at most at 0.86 alpha_s).
     """
+    _check_ensemble(kind)  # every find_alpha_* and sweep_phase_diagram level comes here
     log_v = _log_v_grid(sigma2, _SEARCH_GRID_POINTS)
     lo, hi = _search_slice(log_v, sigma2)
     log_v = log_v[lo:hi]

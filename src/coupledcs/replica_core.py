@@ -51,6 +51,12 @@ class Ensemble(enum.Enum):
     GAUSSIAN_IID = "gaussian"
 
 
+def _check_ensemble(kind) -> None:
+    """Raise ValueError unless kind is an Ensemble member (its value string is not one)."""
+    if not isinstance(kind, Ensemble):
+        raise ValueError(f"kind must be an Ensemble member, got {kind!r}")
+
+
 class _Band(NamedTuple):
     """Per-spec constants of G and of the inner solve (`CouplingSpec._band`).
 
@@ -378,8 +384,10 @@ def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble, Lambda0=None)
     Lambda0 unused), which makes varsigma alpha gamma J / (sigma2 +
     sum_l gamma_l J_{q,l} eps_l).  Entries with J[q, p] = 0 carry varsigma
     = 0 and Lambda = 1/eps[p].  Delta is not returned: it is varsigma *
-    eps.  Raises ValueError unless eps is finite and > 0.
+    eps.  Raises ValueError unless kind is an Ensemble and eps is finite
+    and > 0.
     """
+    _check_ensemble(kind)
     eps = np.asarray(eps, dtype=float)
     if eps.shape[-1:] != (spec.L_c,):
         raise ValueError(f"eps must have shape (..., {spec.L_c})")

@@ -61,7 +61,8 @@ def assert_matches_dft_oracle(op, v, adjoint):
     """Each output block row (column, when adjoint) against `dft_oracle`.
 
     The bytes where every block it sums keeps the 1-D transform; within
-    1e-13 of its largest entry where one takes the two-axis layout.
+    1e-13 of its largest entry where one takes the two-axis layout or is a
+    whole prime transformed by Rader's stage.
     """
     got = (adjoint_apply if adjoint else apply)(op, v)
     ref = dft_oracle(op, v, adjoint)
@@ -154,6 +155,28 @@ class TestOperatorConstruction:
             assert np.array_equal(a.blocks[key].row_selection, b.blocks[key].row_selection)
             assert np.array_equal(a.blocks[key].col_permutation, b.blocks[key].col_permutation)
 
+    @pytest.mark.parametrize("n", [64, 1174, 13107, 13109])
+    def test_composed_maps_give_back_the_draws(self, n):
+        # the draws of `build_coupled_operator`, repeated from the block's own stream, against
+        # the maps a DftBlock keeps composed with the layout: 1-D, two-axis, two-axis with
+        # Rader's stage and a whole prime by Rader
+        op = build_coupled_operator(single_block_spec(0.4, 1e-4, 0.5), n, seed=n, kind=ORTH)
+        block = op.blocks[(0, 0)]
+        rng = _generator(np.random.SeedSequence(n).spawn(1)[0])
+        rows = rng.choice(n, size=block.m, replace=False)
+        perm = rng.permutation(n)
+        for got, drawn in ((block.row_selection, rows), (block.col_permutation, perm)):
+            assert got.dtype == drawn.dtype and got.tobytes() == drawn.tobytes()
+
+    @pytest.mark.parametrize("n", [64, 1174, 13107, 13109])
+    def test_index_bytes_stay_within_the_draws(self, n):
+        # the composed maps may take no more memory than the drawn rows and permutation,
+        # (n + m) intp entries
+        op = build_coupled_operator(single_block_spec(0.4, 1e-4, 0.5), n, seed=0, kind=ORTH)
+        block = op.blocks[(0, 0)]
+        index_bytes = sum(a.nbytes for a in vars(block).values() if isinstance(a, np.ndarray))
+        assert index_bytes <= (block.n + block.m) * 8
+
     @pytest.mark.parametrize("N, seed, name", [(64.5, 0, "N"), (0, 0, "N"), (64, None, "seed"),
                                                (64, -1, "seed"), (64, 2.5, "seed")])
     def test_size_and_seed_must_be_whole_numbers(self, N, seed, name, monkeypatch):
@@ -203,16 +226,17 @@ class TestApply:
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1, np.abs(rhs).max())
 
     @settings(deadline=None, max_examples=10)
-    @given(seed=st.integers(0, 10 ** 6), rader=st.booleans())
-    def test_adjoint_identity(self, seed, rader):
+    @given(seed=st.integers(0, 10 ** 6), width=st.sampled_from([None, 202, 1373, 1213]))
+    def test_adjoint_identity(self, seed, width):
         # N = 96 never splits; equal-width blocks of 202 = 2 * 101 points take
-        # the two-axis layout with Rader's stage on the 101 axis
+        # the two-axis layout with Rader's stage on the 101 axis, the whole prime
+        # 1373 takes Rader's stage, the whole prime 1213 the 1-D transform
         rng = np.random.default_rng(seed)
         spec = random_coupled_spec(rng)
-        if rader:
+        if width:
             spec = equal_width_spec(spec)
-            assert measurement_ops._layout(202)[3] is not None
-        op = build_coupled_operator(spec, 202 * spec.L_c if rader else 96, seed=seed, kind=ORTH)
+            assert (measurement_ops._layout(width)[3] is not None) is (width != 1213)
+        op = build_coupled_operator(spec, width * spec.L_c if width else 96, seed=seed, kind=ORTH)
         x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
         y = rng.standard_normal(op.M) + 1j * rng.standard_normal(op.M)
         lhs = np.vdot(y, apply(op, x))
@@ -265,20 +289,23 @@ class TestBlockTransforms:
 
     @pytest.mark.parametrize("n, split", [
         (4369, True), (4854, True), (8738, True), (13107, True), (21845, True),
-        (786, True), (1174, True),
-        (5698, False), (10082, False), (13109, False), (13122, False), (16384, False)])
+        (786, True), (1174, True), (13109, True), (1373, True),
+        (5698, False), (10082, False), (1213, False), (13122, False), (16384, False)])
     def test_layout_matches_1d_transform(self, n, split):
         # a full-rate single block (scale 1) against the 1-D DFT of its own draws:
         # 17 * 257, 2 * 3 * 809, ... split on a prime above 100; 2 * 7 * 11 * 37,
-        # 2 * 71^2, a prime, 2 * 3^8 and 2^14 keep the 1-D transform and its bytes.
+        # 2 * 71^2, 2 * 3^8 and 2^14 keep the 1-D transform and its bytes.
         # Rader's stage takes a split prime axis above 100 whose p - 1 has no
         # prime factor above 31: 257 (256 = 2^8) and 131 (2 * 5 * 13) of
-        # 2 * 3 * 131, not 587 (2 * 293) of 2 * 587 or 809 (2^3 * 101)
+        # 2 * 3 * 131, not 587 (2 * 293) of 2 * 587 or 809 (2^3 * 101); and a
+        # whole prime p >= 150 whose p - 1 has no prime factor q with q^2 > p - 1,
+        # as a (1, p) layout: 13109 (4 * 29 * 113) and 1373 (4 * 7^3), not the
+        # prime 1213 (4 * 3 * 101), which keeps the 1-D transform and its bytes
         op = build_coupled_operator(single_block_spec(0.4, 1e-4, 1.0), n, seed=n, kind=ORTH)
         block = op.blocks[(0, 0)]
         shape, time_pos, freq_pos, kernel = measurement_ops._layout(n)
         assert (time_pos is not None) is split
-        assert (kernel is not None) is (n in (786, 4369, 8738, 13107, 21845))
+        assert (kernel is not None) is (n in (786, 4369, 8738, 13107, 21845, 13109, 1373))
         for pos in (time_pos, freq_pos):
             # each composed map sends range(n) onto the stack's n flat positions
             assert pos is None if not split else np.array_equal(np.sort(pos), np.arange(n))
@@ -298,13 +325,15 @@ class TestBlockTransforms:
 
     def test_showcase_chain_matches_dft_oracle(self):
         # the N = 2^17 seeding chain: blocks of 13107 = 3 * 17 * 257 points
-        # (two-axis layout, Rader's stage) and a last column of 13109 (a prime)
+        # (two-axis layout, Rader's stage) and a last column of 13109 (a whole
+        # prime by Rader's stage), both within 1e-13 of the oracle's largest entry
         params = SeedingParams(L=10, W=2, alpha_seed=0.70, alpha_bulk=0.49, J=0.5)
         op = build_coupled_operator(build_seeding_spec(params, 0.4, 1e-6), 2 ** 17,
                                     seed=0, kind=ORTH)
         assert {b.n for b in op.blocks.values()} == {13107, 13109}
         assert measurement_ops._layout(13107)[3] is not None
-        assert measurement_ops._layout(13109)[1] is None
+        assert measurement_ops._layout(13109)[0] == (1, 13109)
+        assert measurement_ops._layout(13109)[3] is not None
         rng = np.random.default_rng(0)
         x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
         assert_matches_dft_oracle(op, x, adjoint=False)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coupledcs as cc
 from coupledcs import (BernoulliGaussianPrior, CouplingSpec, ConvergenceError, Ensemble,
                        SeedingParams, build_seeding_spec, conjugate_fixed_point,
                        free_entropy_grid, mmse, single_block_spec)
@@ -712,3 +713,27 @@ class TestFreeEntropy:
             h = 3e-4
             up, dn = free_entropy_grid(np.array([eps * np.exp(h), eps * np.exp(-h)]), spec, kind)
             assert abs(up - dn) / (2 * h) <= 1e-6
+
+
+# each public entry point that takes an ensemble, called with a valid rest of its arguments
+ENTRY_POINTS = {
+    "build_coupled_operator": lambda spec, kind: cc.build_coupled_operator(spec, 64, 0, kind),
+    "conjugate_fixed_point": lambda spec, kind: conjugate_fixed_point(np.array([0.1]), spec,
+                                                                      kind),
+    "free_entropy_grid": lambda spec, kind: free_entropy_grid(np.array([[0.1]]), spec, kind),
+    "run_evolution": lambda spec, kind: cc.run_evolution(spec, kind),
+    "scan_curve": lambda spec, kind: cc.scan_curve(0.4, 1e-4, 0.5, kind, refine=False),
+    "find_alpha_d": lambda spec, kind: cc.find_alpha_d(0.4, 1e-4, kind),
+    "find_alpha_s": lambda spec, kind: cc.find_alpha_s(0.4, 1e-4, kind),
+    "find_alpha_c": lambda spec, kind: cc.find_alpha_c(0.4, 1e-4, kind),
+    "sweep_phase_diagram": lambda spec, kind: cc.sweep_phase_diagram(0.4, [1e-4], kind),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("kind", ["orthogonal", "gaussian", None])
+def test_kind_must_be_an_ensemble_member(entry, kind):
+    # "orthogonal" is Ensemble.ROW_ORTHOGONAL's value, not the member: `kind is
+    # Ensemble.ROW_ORTHOGONAL` tests sent it down the Gaussian branch without complaint
+    with pytest.raises(ValueError, match="kind must be an Ensemble member"):
+        ENTRY_POINTS[entry](single_block_spec(0.4, 1e-4, 0.5), kind)
