@@ -18,8 +18,8 @@ from . import __version__
 from .coupling import SeedingParams, build_seeding_spec, spec_from_json, spec_to_json
 from .measurement_ops import block_variance_report, build_coupled_operator, gen_instance
 from .phase_analysis import DEFAULT_GRID_POINTS, scan_curve, sweep_phase_diagram
-from .replica_core import Ensemble, single_block_spec
-from .scalar_channel import BernoulliGaussianPrior, mmse, mmse_mc_oracle
+from .replica_core import Ensemble
+from .scalar_channel import BernoulliGaussianPrior, _whole_number, mmse, mmse_mc_oracle
 from .state_evolution import DEFAULT_MAX_ITER, DEFAULT_TOL, run_evolution
 
 EXIT_VALIDATION = 2
@@ -116,14 +116,23 @@ def _apply_config(ctx, param, value):
         raise click.BadParameter(f"unreadable JSON: {exc}") from None
     if not isinstance(defaults, dict):
         raise click.BadParameter("must hold a JSON object of flag defaults")
-    names = {key: p.name for p in ctx.command.params if p is not param
+    names = {key: p for p in ctx.command.params if p is not param
              for key in (p.name, *(opt[2:] for opt in p.opts if opt.startswith("--")))}
     unknown = [key for key in defaults if key not in names]
     if unknown:
         raise click.BadParameter(f"key {unknown[0]!r} names no flag of this command")
-    ctx.default_map = {names[key]: v for key, v in defaults.items()}
+    ctx.default_map = {names[key].name: v for key, v in defaults.items()}
     if len(ctx.default_map) < len(defaults):
         raise click.BadParameter("two keys name the same flag")
+    # click's int() would truncate 4.7 and its int() and float() take a bool as a number
+    for key, v in defaults.items():
+        if isinstance(v, bool) and names[key].type is click.FLOAT:
+            raise click.BadParameter(f"{key} must be a number, got {v!r}")
+        if isinstance(v, (int, float)) and names[key].type is click.INT:
+            try:
+                _whole_number(key, v, 0)
+            except ValueError as exc:
+                raise click.BadParameter(str(exc)) from None
     return value
 
 

@@ -17,11 +17,12 @@ chain grows.
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .replica_core import CouplingSpec
-from .scalar_channel import BernoulliGaussianPrior
+from .scalar_channel import BernoulliGaussianPrior, _whole_number
 
 SPEC_SCHEMA = "coupledcs-spec-v1"
 
@@ -87,15 +88,6 @@ def spec_to_json(spec: CouplingSpec) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _integer(value):
-    """An integral JSON number as int; anything int() would truncate or coerce is refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError
-
-
 def _number(value):
     """A JSON number as float; the strings and booleans float() would coerce are refused."""
     if isinstance(value, (bool, str)):
@@ -109,7 +101,8 @@ def _array(value):
     return np.reshape([_number(v) for v in cells.flat], cells.shape)
 
 
-_FIELDS = {"L_r": _integer, "L_c": _integer, "gamma": _array, "alpha": _array, "J": _array,
+_size = partial(_whole_number, "size", least=0)
+_FIELDS = {"L_r": _size, "L_c": _size, "gamma": _array, "alpha": _array, "J": _array,
            "sigma2": _number, "rho": _number}
 
 

@@ -240,10 +240,9 @@ def _layout(n: int):
     if rader:
         g = next(g for g in range(2, p)
                  if all(pow(g, (p - 1) // f, p) != 1 for f in _factor(p - 1)))
-        g_pow = np.empty(p - 1, dtype=np.intp)  # g^q mod p
-        g_pow[0] = 1
-        for q in range(1, p - 1):
-            g_pow[q] = g_pow[q - 1] * g % p
+        g_pow = np.ones(1, dtype=np.intp)  # g^q mod p; each pass appends it times g^size (< p^2)
+        while g_pow.size < p - 1:
+            g_pow = np.concatenate([g_pow, g_pow[:p - 1 - g_pow.size] * pow(g, g_pow.size, p) % p])
         g_inv = g_pow[-np.arange(p - 1)]  # g^-m mod p
         axis_in, axis_out = np.zeros(p, dtype=np.intp), np.zeros(p, dtype=np.intp)
         axis_in[g_pow] = axis_out[g_inv] = np.arange(1, p)

@@ -30,16 +30,16 @@ large-MSE branch below alpha_s.  A slice that does not show the window
 thus has none on the full grid either.  Each fold is refined to the
 extremum of alpha(log v) near its turn, so alpha_d and alpha_s do not
 depend on the grid.  alpha_c is the Newton root of the height gap G(a) =
-F(large-MSE maximum) - F(small-MSE maximum): both maxima are stationary
-in eps, so G'(a) is the difference of the explicit rate derivatives of
-F, log((sigma2 + S_small) / (sigma2 + S_large)), in closed form from the
-two branch roots.  Every curve point is stationary, so along the curve the
+F(large-MSE maximum) - F(small-MSE maximum).  Each maximum is a curve
+point (v, eps = mmse(v)), where varsigma = v: its height is F in closed
+form, with no replica solve (`_curve_free_entropy`).  Both maxima are
+stationary in eps, so G'(a) is the difference of the explicit rate
+derivatives of F, log((sigma2 + S_small) / (sigma2 + S_large)), from the
+same two points.  Every curve point is stationary, so along the curve the
 same derivative integrates to G itself: G(a) is the integral of
 log(1 + S / sigma2) d alpha between the two rising crossings of a (the
 equal-area rule).  Its trapezoid sums on the grid, from values the curve
-already holds, start Newton within 3e-7 of alpha_c, and each step solves
-the branch roots from brackets that the points evaluated by the earlier
-steps narrow.
+already holds, start Newton within 3e-7 of alpha_c.
 """
 
 from dataclasses import dataclass, field
@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError
-from .replica_core import (NO_NOISE_MESSAGE, Ensemble, _check_ensemble, free_entropy_grid,
-                           single_block_spec)
+from .replica_core import (NO_NOISE_MESSAGE, Ensemble, _check_ensemble, channel_term_batch,
+                           free_entropy_grid, single_block_spec)
 from .scalar_channel import BernoulliGaussianPrior, _whole_number, mmse
 
 DEFAULT_GRID_POINTS = 2000
@@ -58,8 +58,8 @@ ALPHA_TOL = 1e-5
 # root-find bracket width relative to max(1, |end|): a few dozen ulps
 _ROOT_XTOL = 1e-14
 _ROOT_MAX_ITER = 100
-# at alpha = 1 exactly the orthogonal inner extremization degenerates
-# (Delta -> 1, Lambda -> 0 for eps > sigma2), so alpha_d is capped below it
+# windows are searched below alpha = 1: the orthogonal ensemble takes no rate above it, and
+# toward it a maximum with eps > sigma2 has Delta -> 1, where F's log(1 - Delta) diverges
 _ALPHA_SEARCH_CAP = 1.0 - 1e-7
 # the transition search's curve (`scan_curve` keeps DEFAULT_GRID_POINTS): it only has to
 # show the two turns and bracket the branch roots.  On 400-level noise sweeps at rho 0.1,
@@ -191,10 +191,10 @@ def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
     grid, spec = np.geomspace(floor, top, n_points), single_block_spec(rho, sigma2, alpha)
     if not refine:
         return FreeEntropyCurve(grid, None, [(e, None) for e in eps[k + 1].tolist()])
-    eps = _curve_roots(np.full(k.size, float(alpha)), k, (log_v, curve, eps), rho, sigma2,
-                       kind)[1]
-    maxima = list(zip(eps.tolist(), free_entropy_grid(eps[:, None], spec, kind).tolist()))
-    return FreeEntropyCurve(grid, free_entropy_grid(grid[:, None], spec, kind), maxima)
+    root, eps = _curve_roots(np.full(k.size, float(alpha)), k, (log_v, curve, eps), rho, sigma2,
+                             kind)
+    maxima = zip(eps.tolist(), _curve_free_entropy(root, eps, alpha, rho, sigma2, kind)[0].tolist())
+    return FreeEntropyCurve(grid, free_entropy_grid(grid[:, None], spec, kind), list(maxima))
 
 
 def _fixed_point_rates(log_v, prior, sigma2, kind):
@@ -221,8 +221,7 @@ def _curve_roots(rates, k, points, rho, sigma2, kind):
 
     Each cell needs alpha[k] <= rate <= alpha[k + 1]: Illinois on rate -
     alpha(v).  Returns (log v, eps) at the roots, eps from the root's own
-    evaluation, and every point the solve evaluated as (log v, alpha, eps)
-    arrays of shape (steps, rates.size).
+    evaluation.
     """
     prior = BernoulliGaussianPrior(rho)
     ends = [tuple(c[j] for c in points) for j in (k, k + 1)]
@@ -233,10 +232,10 @@ def _curve_roots(rates, k, points, rho, sigma2, kind):
         return rates - evaluated[-1][1]
 
     root = _illinois(residual, ends[0][0], ends[1][0], rates - ends[0][1], rates - ends[1][1])
-    x, alpha, eps = (np.array(c) for c in zip(*ends, *evaluated))   # (2 + steps, rates.size)
+    x, _, eps = (np.array(c) for c in zip(*ends, *evaluated))   # (2 + steps, rates.size)
     # the root is the last iterate or a cell end that is a zero: one of these points
     found = np.argmax(x == root, axis=0)
-    return root, eps[found, np.arange(root.size)], (x[2:], alpha[2:], eps[2:])
+    return root, eps[found, np.arange(root.size)]
 
 
 def _folds(rho, sigma2, kind, log_v, alpha):
@@ -331,6 +330,19 @@ def _log_gain(log_v, eps, sigma2, kind):
     return np.log1p(s / sigma2)
 
 
+def _curve_free_entropy(log_v, eps, rate, rho, sigma2, kind):
+    """(F, `_log_gain`) at curve points (log v, eps), F in closed form at the rate.
+
+    varsigma = v at a curve point, so no conjugate solve is needed: F = ct(v) + v eps -
+    rate log(1 + S / sigma2) + (1 - rate) + (1 - Delta) - log(1 - Delta) - 1, ct the
+    channel term, Delta = v eps and S = eps / (1 - Delta) (orthogonal) or 0 and eps (Gaussian).
+    """
+    v, gain = np.exp(log_v), _log_gain(log_v, eps, sigma2, kind)
+    omd = 1.0 - v * eps if kind is Ensemble.ROW_ORTHOGONAL else 1.0   # 1 - Delta
+    return (channel_term_batch(v, BernoulliGaussianPrior(rho)) + v * eps - rate * gain
+            + (omd - np.log(omd) - 1.0) + (1.0 - rate)), gain
+
+
 def _area_gap(rates, log_v, alpha, gain, x_d, x_s):
     """Trapezoid sum of gain d alpha on a curve grid between the two rising crossings of each rate.
 
@@ -354,19 +366,15 @@ def _equal_area_rate(curve, sigma2, kind):
     """The search grid's Maxwell rate; None when the grid shows G no sign change in the window.
 
     Every curve point is stationary in eps at its own rate, so along the
-    curve dF = -(log(1 + S / sigma2) + 1) d alpha, and
-
-        G(a) = integral of log(1 + S / sigma2) d alpha
-
-    from the large-MSE to the small-MSE crossing of a (the equal-area
-    rule).  Its trapezoid sums on the grid and on every second grid point
-    (`_area_gap`) are extrapolated to zero step (their error is O(step^2))
-    at as many rates across the window as the full search grid has points;
-    the rate is interpolated linearly where that G changes sign.  The
-    curve is the grid's slice over 1 <= v <= 1 / sigma2 (`_search_curve`),
-    which starts at an even grid index, so every second point of the slice
-    is one of the grid's every second point, and the slice holds both
-    crossings of every rate in the window.
+    curve dF = -(log(1 + S / sigma2) + 1) d alpha, and G(a) is the integral
+    of log(1 + S / sigma2) d alpha from the large-MSE to the small-MSE
+    crossing of a (the equal-area rule).  Its trapezoid sums on the grid and
+    on every second grid point (`_area_gap`) are extrapolated to zero step
+    (their error is O(step^2)) at as many rates across the window as the
+    full search grid has points; the rate is interpolated linearly where
+    that G changes sign.  The curve is `_search_curve`'s slice, which holds
+    both crossings of every rate in the window and whose every second point
+    is one of the grid's.
     """
     log_v, alpha, eps, x_folds, (a_d, a_s) = curve
     gain = _log_gain(log_v, eps, sigma2, kind)
@@ -381,19 +389,15 @@ def _equal_area_rate(curve, sigma2, kind):
 
 
 def _maxwell_gap(rate, rho, sigma2, kind, curve):
-    """(G, dG/da, curve) at a rate strictly inside the window, G the height gap of the maxima.
+    """(G, dG/da) at a rate strictly inside the window, G the height gap of the maxima.
 
     G = F(large-MSE maximum) - F(small-MSE maximum).  Each maximum is the
     root of alpha(v) = rate on its rising branch of the search curve, which
-    ends (large MSE) or starts (small MSE) at its fold.  Both maxima are
-    stationary points of F, so only the explicit rate dependence of F,
-    -log(1 + S / sigma2) - 1 (`_log_gain`), moves them apart:
+    ends (large MSE) or starts (small MSE) at its fold; `_curve_free_entropy`
+    gives its height.  Both maxima are stationary points of F, so only the
+    explicit rate dependence of F, -log(1 + S / sigma2) - 1, moves them apart:
 
-        dG/da = log((sigma2 + S_small) / (sigma2 + S_large)) < 0,
-
-    in closed form from each root (v, eps).  The returned curve also holds
-    every point the root solve evaluated, so the next rate's roots start
-    from brackets narrower than a grid cell.
+        dG/da = log((sigma2 + S_small) / (sigma2 + S_large)) < 0.
     """
     log_v, alpha, eps, (x_d, x_s), (a_d, a_s) = curve
     large, small = log_v < x_d, log_v > x_s
@@ -403,13 +407,9 @@ def _maxwell_gap(rate, rho, sigma2, kind, curve):
     n_large = int(large.sum()) + 1
     k = np.array([np.searchsorted(branch[1][:n_large], rate) - 1,
                   np.searchsorted(branch[1][n_large:], rate) - 1 + n_large])
-    root, root_eps, evaluated = _curve_roots(np.full(2, float(rate)), k, branch, rho, sigma2, kind)
-    heights = free_entropy_grid(root_eps[:, None], single_block_spec(rho, sigma2, rate), kind)
-    gain = _log_gain(root, root_eps, sigma2, kind)
-    points = [np.concatenate([c, e.ravel()]) for c, e in zip((log_v, alpha, eps), evaluated)]
-    order = np.argsort(points[0], kind="stable")
-    return (float(heights[0] - heights[1]), float(gain[1] - gain[0]),
-            (*(c[order] for c in points), *curve[3:]))
+    root, root_eps = _curve_roots(np.full(2, float(rate)), k, branch, rho, sigma2, kind)
+    heights, gain = _curve_free_entropy(root, root_eps, rate, rho, sigma2, kind)
+    return float(heights[0] - heights[1]), float(gain[1] - gain[0])
 
 
 def _gap_curvature(rate, curve, grid):
@@ -429,19 +429,18 @@ def _maxwell_rate(rho, sigma2, kind, curve):
     (`_maxwell_gap`), from the grid's equal-area rate (`_equal_area_rate`;
     the middle of the window when the grid shows no sign change) and kept
     inside the bracket of the rates tried so far (a bisection step
-    otherwise).  Each step's branch roots start from the points the
-    earlier steps evaluated.  G falls with a, so the fold ends, where the
-    branch roots are double roots, are never evaluated.  A step s inside
-    the bracket leaves an error of about |G''| s^2 / (2 |G'|), G'' from
-    central differences on the search grid (`_gap_curvature`); after an
-    equal-area start (a grid that shows G no sign change is too coarse for
-    G''), once that bound times `_NEWTON_SAFETY` is within
-    `_MAXWELL_STEP_TOL`, the stepped rate is returned without evaluating G
-    there, so the search usually needs one evaluation.  Rounding in G can
-    keep |G| above any fixed tolerance, or send Newton back and forth
-    around the root, so the search also stops on the step size, on G = 0,
-    or when its bracket closes; a bracket that closes on an end of the
-    window, with no sign change, is NoTransitionError.
+    otherwise).  G falls with a, so the fold ends, where the branch roots
+    are double roots, are never evaluated.  A step s inside the bracket
+    leaves an error of about |G''| s^2 / (2 |G'|), G'' from central
+    differences on the search grid (`_gap_curvature`); after an equal-area
+    start (a grid that shows G no sign change is too coarse for G''), once
+    that bound times `_NEWTON_SAFETY` is within `_MAXWELL_STEP_TOL`, the
+    stepped rate is returned without evaluating G there, so the search
+    usually needs one evaluation.  Rounding in G can keep |G| above any
+    fixed tolerance, or send Newton back and forth around the root, so the
+    search also stops on the step size, on G = 0, or when its bracket
+    closes; a bracket that closes on an end of the window, with no sign
+    change, is NoTransitionError.
     """
     lo, hi = ends = tuple(curve[-1][::-1].tolist())
     start = _equal_area_rate(curve, sigma2, kind)
@@ -449,7 +448,7 @@ def _maxwell_rate(rho, sigma2, kind, curve):
     log_v, alpha, eps = curve[:3]
     grid = (log_v, *np.gradient(np.stack([_log_gain(log_v, eps, sigma2, kind), alpha]), axis=1))
     for _ in range(_ROOT_MAX_ITER):
-        gap, slope, curve = _maxwell_gap(rate, rho, sigma2, kind, curve)
+        gap, slope = _maxwell_gap(rate, rho, sigma2, kind, curve)
         if gap == 0.0:
             return rate
         lo, hi = (rate, hi) if gap > 0 else (lo, rate)

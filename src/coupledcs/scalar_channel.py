@@ -153,7 +153,7 @@ def mmse(varsigma, prior: BernoulliGaussianPrior):
 def _whole_number(name, value, least):
     """int(value) for a whole number >= least (1e3 counts; bool, NaN, inf, None fail) or ValueError.
 
-    bool is a numbers.Real, so it is refused by name, as `coupling._integer` does.
+    bool is a numbers.Real, so it is refused by name.
     """
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and least <= value < np.inf and value % 1 == 0):

@@ -417,6 +417,30 @@ class TestConfigAndVersion:
         meta = json.loads((tmp_path / "t.csv.json").read_text())
         assert meta["config"]["alpha_seed"] == 0.6 and meta["config"]["max_iter"] == 3
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("evolve", "L", 4.7), ("mmse", "samples", True), ("gen-matrix", "N", 4096.5),
+        ("evolve", "rho", True)])
+    def test_config_number_that_click_would_coerce_exits_2(self, runner, tmp_path, command,
+                                                           key, value):
+        # click's int() truncates 4.7 to 4, and its int() and float() take true as 1: each
+        # run would exit 0 and record the coerced value; a whole float (max-iter 3.0) passes
+        spec = tmp_path / "spec.json"
+        spec.write_text(spec_to_json(build_seeding_spec(
+            SeedingParams(L=2, W=1, alpha_seed=0.6, alpha_bulk=0.5, J=0.5), 0.4, 1e-4)))
+        valid = {"evolve": {"L": 2, "W": 1, "alpha-seed": 0.6, "alpha-bulk": 0.6, "J": 0.5,
+                            "rho": 0.4, "sigma2": 1e-4, "max-iter": 3.0, "ensemble": "gaussian"},
+                 "mmse": {"rho": 0.4, "grid": "1", "samples": 1000},
+                 "gen-matrix": {"spec-file": str(spec), "N": 64, "ensemble": "orthogonal"}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**valid[command], "output": str(tmp_path / "ok")}))
+        res = runner.invoke(main, [command, "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        cfg.write_text(json.dumps({**valid[command], key: value, "output": str(tmp_path / "bad")}))
+        res = runner.invoke(main, [command, "--config", str(cfg)])
+        assert res.exit_code == 2, res.output
+        assert f"{key} must be a" in res.output and repr(value) in res.output
+        assert not list(tmp_path.glob("bad*"))
+
     def test_version(self, runner):
         res = runner.invoke(main, ["--version"])
         assert res.exit_code == 0

@@ -339,6 +339,19 @@ class TestBlockTransforms:
         assert_matches_dft_oracle(op, x, adjoint=False)
         assert_matches_dft_oracle(op, apply(op, x), adjoint=True)
 
+    @pytest.mark.parametrize("n", [257, 409, 1373, 13109, 786, 4369, 13107])
+    def test_rader_power_table(self, n):
+        # whole primes 257, 409, 1373 and 13109, and the split prime axes 131 of 2 * 3 * 131
+        # and 257 of 17 * 257 and 3 * 17 * 257: the p axis holds time index g^q at position
+        # 1 + q, so the table read back from the layout's row i1 = 0, which holds time index
+        # i2 n1 at its axis position, is the powers of g mod p (and g a primitive root)
+        shape, time_pos, _, kernel = measurement_ops._layout(n)
+        n1, p = shape
+        assert kernel is not None
+        table = np.argsort(time_pos[np.arange(p) * n1 % n])[1:]
+        g = int(table[1])
+        assert table.tolist() == [pow(g, q, p) for q in range(p - 1)]
+
 
 class TestDenseMaterialize:
     @pytest.mark.parametrize("kind", [ORTH, GAUSS])

@@ -308,7 +308,7 @@ class TestGridFreeSearch:
         curve = phase_analysis._search_curve(RHO, SIGMA2, kind)
         a_d, a_s = curve[-1]
         rate, h = a_s + share * (a_d - a_s), 1e-5
-        gap, slope, _ = phase_analysis._maxwell_gap(rate, RHO, SIGMA2, kind, curve)
+        gap, slope = phase_analysis._maxwell_gap(rate, RHO, SIGMA2, kind, curve)
         assert abs(gap + maxima_gap(rate, kind)) <= 1e-12
         central = (maxima_gap(rate - h, kind) - maxima_gap(rate + h, kind)) / (2.0 * h)
         assert slope < 0 and abs(slope / central - 1.0) <= 1e-7, (slope, central)
@@ -320,9 +320,9 @@ class TestGridFreeSearch:
         root = 0.5 * sum(phase_analysis._search_curve(RHO, SIGMA2, GAUSS)[-1]) + 0.01
         rates = []
 
-        def noisy_gap(rate, *args):   # args end with the curve, which it hands back
+        def noisy_gap(rate, *args):
             rates.append(rate)
-            return -5.0 * (rate - root) + 1e-10 * (-1) ** len(rates), -5.0, args[-1]
+            return -5.0 * (rate - root) + 1e-10 * (-1) ** len(rates), -5.0
 
         monkeypatch.setattr(phase_analysis, "_maxwell_gap", noisy_gap)
         assert abs(find_alpha_c(RHO, SIGMA2, GAUSS) - root) <= 2.5e-11   # noise / slope + 1e-12
@@ -349,7 +349,7 @@ class TestGridFreeSearch:
     def test_gap_without_sign_change_is_no_transition(self, monkeypatch):
         # the fold ends are never evaluated: the bracket closes on alpha_d instead
         monkeypatch.setattr(phase_analysis, "_maxwell_gap",
-                            lambda rate, *args: (1.0, -1.0, args[-1]))
+                            lambda rate, *args: (1.0, -1.0))
         with pytest.raises(NoTransitionError, match="does not change sign"):
             find_alpha_c(RHO, SIGMA2, GAUSS)
         assert not sweep_phase_diagram(RHO, [SIGMA2], GAUSS)[0].sharp
@@ -500,21 +500,21 @@ def test_equal_heights_at_the_last_sharp_level(rho, kind, monkeypatch):
 
 
 def count_phase_point_work(rho, sigma2, kind, monkeypatch):
-    """(PhasePoint, counts): mmse calls and values and free_entropy_grid calls of one point."""
-    calls = {"mmse": 0, "values": 0, "free_entropy_grid": 0}
-    mmse_, free_entropy_grid_ = phase_analysis.mmse, phase_analysis.free_entropy_grid
+    """(PhasePoint, counts): mmse calls and values, and free_entropy_grid and
+    conjugate_fixed_point calls, of one point."""
+    calls = {"mmse": 0, "values": 0, "free_entropy_grid": 0, "conjugate_fixed_point": 0}
 
-    def counted_mmse(v, *args):
-        calls["mmse"] += 1
-        calls["values"] += np.size(v)
-        return mmse_(v, *args)
+    def counted(name, fn, module):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "mmse":
+                calls["values"] += np.size(args[0])
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
 
-    def counted_free_entropy_grid(*args):
-        calls["free_entropy_grid"] += 1
-        return free_entropy_grid_(*args)
-
-    monkeypatch.setattr(phase_analysis, "mmse", counted_mmse)
-    monkeypatch.setattr(phase_analysis, "free_entropy_grid", counted_free_entropy_grid)
+    counted("mmse", phase_analysis.mmse, phase_analysis)
+    counted("free_entropy_grid", phase_analysis.free_entropy_grid, phase_analysis)
+    counted("conjugate_fixed_point", replica_core.conjugate_fixed_point, replica_core)
     (pt,) = sweep_phase_diagram(rho, [sigma2], kind)
     return pt, calls
 
@@ -523,13 +523,31 @@ def count_phase_point_work(rho, sigma2, kind, monkeypatch):
 def test_phase_point_work(kind, monkeypatch):
     # at the benchmark's point: one mmse call for the curve on the search slice (146 of
     # the grid's 500 values), 4-5 fold steps, then one Newton step: a joint root solve of
-    # both maxima (6 mmse calls) and one free_entropy_grid call, after which the step's
-    # error bound stops the search; 11 mmse calls on 166 values for each ensemble, and one
-    # warm-started call (2 values) of margin
+    # both maxima (6 mmse calls) and their heights in closed form from the two roots, with
+    # no replica solve, after which the step's error bound stops the search; 11 mmse calls
+    # on 166 values for each ensemble, and one warm-started call (2 values) of margin
     pt, calls = count_phase_point_work(RHO, SIGMA2, kind, monkeypatch)
     assert pt.sharp
-    assert calls["mmse"] <= 12 and calls["free_entropy_grid"] <= 1, calls
-    assert calls["values"] <= 168, calls
+    assert calls["mmse"] <= 12 and calls["values"] <= 168, calls
+    assert calls["free_entropy_grid"] == calls["conjugate_fixed_point"] == 0, calls
+
+
+@pytest.mark.parametrize("kind", [GAUSS, ORTH])
+@pytest.mark.parametrize("rho", [0.1, 0.4, 0.7])
+@pytest.mark.parametrize("sigma2", [1e-6, 1e-4, 1e-2])
+def test_closed_form_heights_match_the_replica_free_entropy(rho, sigma2, kind):
+    # the transition search's heights (`_curve_free_entropy`) against free_entropy_grid,
+    # which solves the conjugates again at each eps and rate: the largest gap was 3.6e-15
+    prior = BernoulliGaussianPrior(rho)
+    log_v = phase_analysis._log_v_grid(sigma2, 41)
+    rates, eps = phase_analysis._fixed_point_rates(log_v, prior, sigma2, kind)
+    inside = (rates < phase_analysis._ALPHA_SEARCH_CAP) & (eps > 1e-9)
+    assert inside.sum() >= 10
+    for x, e, rate in zip(log_v[inside], eps[inside], rates[inside]):
+        got = phase_analysis._curve_free_entropy(np.array([x]), np.array([e]), rate, rho,
+                                                 sigma2, kind)[0]
+        want = free_entropy_grid(np.array([[e]]), single_block_spec(rho, sigma2, rate), kind)
+        assert abs(got[0] - want[0]) <= 1e-14, (x, e, rate, got, want)
 
 
 @pytest.mark.parametrize("kind", [GAUSS, ORTH])
