@@ -388,23 +388,31 @@ def _equal_area_rate(curve, sigma2, kind):
     return float(rates[j] + gap[j] / (gap[j] - gap[j + 1]) * (rates[j + 1] - rates[j]))
 
 
-def _maxwell_gap(rate, rho, sigma2, kind, curve):
-    """(G, dG/da) at a rate strictly inside the window, G the height gap of the maxima.
-
-    G = F(large-MSE maximum) - F(small-MSE maximum).  Each maximum is the
-    root of alpha(v) = rate on its rising branch of the search curve, which
-    ends (large MSE) or starts (small MSE) at its fold; `_curve_free_entropy`
-    gives its height.  Both maxima are stationary points of F, so only the
-    explicit rate dependence of F, -log(1 + S / sigma2) - 1, moves them apart:
-
-        dG/da = log((sigma2 + S_small) / (sigma2 + S_large)) < 0.
-    """
+def _rising_branches(curve):
+    """(log v, alpha, eps) of the curve's two rising branches, the large-MSE one first,
+    each running up to (large MSE) or on from (small MSE) its fold, and the large-MSE
+    branch's length: the cells `_maxwell_gap` looks a rate up in."""
     log_v, alpha, eps, (x_d, x_s), (a_d, a_s) = curve
     large, small = log_v < x_d, log_v > x_s
     # no root sits on a fold for a rate inside the window, so its eps is never read
-    branch = [np.concatenate([c[large], ends, c[small]]) for c, ends in
-              ((log_v, [x_d, x_s]), (alpha, [a_d, a_s]), (eps, [np.nan, np.nan]))]
-    n_large = int(large.sum()) + 1
+    branches = tuple(np.concatenate([c[large], ends, c[small]]) for c, ends in
+                     ((log_v, [x_d, x_s]), (alpha, [a_d, a_s]), (eps, [np.nan, np.nan])))
+    return branches, int(large.sum()) + 1
+
+
+def _maxwell_gap(rate, rho, sigma2, kind, branches):
+    """(G, dG/da) at a rate strictly inside the window, G the height gap of the maxima.
+
+    G = F(large-MSE maximum) - F(small-MSE maximum).  Each maximum is the
+    root of alpha(v) = rate on its rising branch of the search curve
+    (`_rising_branches`, built once per curve), which ends (large MSE) or
+    starts (small MSE) at its fold; `_curve_free_entropy` gives its height.
+    Both maxima are stationary points of F, so only the explicit rate
+    dependence of F, -log(1 + S / sigma2) - 1, moves them apart:
+
+        dG/da = log((sigma2 + S_small) / (sigma2 + S_large)) < 0.
+    """
+    branch, n_large = branches
     k = np.array([np.searchsorted(branch[1][:n_large], rate) - 1,
                   np.searchsorted(branch[1][n_large:], rate) - 1 + n_large])
     root, root_eps = _curve_roots(np.full(2, float(rate)), k, branch, rho, sigma2, kind)
@@ -447,8 +455,9 @@ def _maxwell_rate(rho, sigma2, kind, curve):
     rate = 0.5 * (lo + hi) if start is None else start
     log_v, alpha, eps = curve[:3]
     grid = (log_v, *np.gradient(np.stack([_log_gain(log_v, eps, sigma2, kind), alpha]), axis=1))
+    branches = _rising_branches(curve)
     for _ in range(_ROOT_MAX_ITER):
-        gap, slope = _maxwell_gap(rate, rho, sigma2, kind, curve)
+        gap, slope = _maxwell_gap(rate, rho, sigma2, kind, branches)
         if gap == 0.0:
             return rate
         lo, hi = (rate, hi) if gap > 0 else (lo, rate)

@@ -5,13 +5,17 @@ and varsigma the channel precision (inverse noise variance).  The prior
 puts mass 1-rho at zero and draws the remaining entries from a standard
 complex Gaussian, so the prior second moment is rho.
 
-Provides the posterior mean, the exact scalar mmse by 1-D quadrature
-(the circularly-symmetric 2-D integral reduces to a radial one, which
-the package's fixed Gauss-Legendre rule evaluates), and a
-Monte-Carlo estimator used as an independent cross-check of the
-quadrature.
+Provides the posterior mean, the scalar mmse, and a Monte-Carlo estimator
+used as an independent cross-check.  The mmse is exact by 1-D quadrature
+(the circularly-symmetric 2-D integral reduces to a radial one, which the
+package's fixed Gauss-Legendre rule evaluates), and for 0 < rho < 1 and
+log varsigma in [-30, 30) it is read from a per-rho table of Chebyshev
+interpolants that the quadrature builds one panel at a time, on first use,
+and certifies panel by panel; a panel that fails its certificate, and every
+precision outside the table's range, stays on the quadrature.
 """
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -23,6 +27,22 @@ _QUAD_TOL = 1e-12
 # the integral of t e^{-t} over [0, TAIL_CUTOFF], 1 - (T + 1) e^{-T}
 _WEIGHT_MASS = 1.0 - (TAIL_CUTOFF + 1.0) * np.exp(-TAIL_CUTOFF)
 _MC_CHUNK = 10 ** 6  # Monte-Carlo samples drawn at once
+
+# The mmse table: equal panels of x = log varsigma over [_TABLE_LO, -_TABLE_LO), one
+# Chebyshev interpolant of degree _TABLE_DEGREE each, on the first-kind nodes
+# cos(pi (j + 1/2) / (degree + 1)), certified at the extremum cos(pi / (degree + 1)) of
+# the next Chebyshev polynomial, between the panel's two last nodes, to _TABLE_TOL relative
+_TABLE_LO, _TABLE_PANELS, _TABLE_DEGREE, _TABLE_TOL = -30.0, 240, 12, 1e-14
+_PANELS_PER_UNIT = _TABLE_PANELS / (-2.0 * _TABLE_LO)   # 4: a panel is 0.25 wide
+_DEGREES = np.arange(_TABLE_DEGREE + 1.0)
+_NODE_ANGLES = np.pi * (_DEGREES + 0.5) / _DEGREES.size
+# the interpolant's coefficients from its node values, c = q @ _DCT.T (a DCT-II)
+_DCT = np.cos(np.multiply.outer(_DEGREES, _NODE_ANGLES)) * (2.0 / _DEGREES.size)
+_DCT[0] /= 2.0
+_CHECK = np.cos(np.pi / _DEGREES.size)
+# the panel's node points and its check point, as shares of the panel's width
+_PANEL_POINTS = 0.5 * (1.0 + np.append(np.cos(_NODE_ANGLES), _CHECK))
+_TABLE_RHOS = 16   # tables kept at once, about 28 KB each
 
 
 @dataclass(frozen=True)
@@ -91,7 +111,10 @@ def _mmse_excess(t, sv, vs, centre):
 
 
 def _mmse_live(v, rho):
-    """mmse at precisions v > 0, shape (n,), for 0 < rho < 1."""
+    """mmse at precisions v > 0, shape (n,), for 0 < rho < 1, by the quadrature.
+
+    It builds the table and serves every value the table does not.
+    """
     log1p_v = np.log1p(v)
     centre = np.log1p(-rho) + log1p_v - np.log(rho)
     scale = rho / (1.0 + v)
@@ -105,8 +128,74 @@ def _mmse_live(v, rho):
     return scale * _WEIGHT_MASS + excess
 
 
+def _chebyshev(coefs, s):
+    """sum_m coefs[i, m] T_m(s[i]) per row, T_m(s) = cos(m arccos s).
+
+    One row-wise einsum (numpy's own loop, not BLAS) sums each row's terms
+    in the same order wherever the row sits, so a value does not depend on
+    its batch.
+    """
+    return np.einsum("ij,ij->i", coefs, np.cos(np.multiply.outer(np.arccos(s), _DEGREES)))
+
+
+@functools.lru_cache(maxsize=_TABLE_RHOS)
+def _table(rho):
+    """(coefs, built, certified) of rho's mmse table, every panel still to build."""
+    return (np.empty((_TABLE_PANELS, _DEGREES.size)), np.zeros(_TABLE_PANELS, bool),
+            np.zeros(_TABLE_PANELS, bool))
+
+
+def _build_panels(panels, rho):
+    """Interpolate q(x) = (1 + e^x) mmse(e^x) on the given unbuilt panels and certify each.
+
+    The node values and the check points come from one quadrature call.  A
+    panel is certified when its interpolant is within (strictly) _TABLE_TOL
+    relative of the quadrature at its check point; otherwise it never is,
+    and `_mmse_tabled` leaves its values on the quadrature.
+    """
+    coefs, built, certified = _table(rho)
+    v = np.exp((panels[:, None] + _PANEL_POINTS) / _PANELS_PER_UNIT + _TABLE_LO)
+    q = _mmse_live(v.ravel(), rho).reshape(v.shape) * (1.0 + v)
+    c = np.einsum("ij,mj->im", q[:, :-1], _DCT)
+    check = q[:, -1]
+    coefs[panels] = c
+    certified[panels] = (np.abs(_chebyshev(c, np.full(panels.size, _CHECK)) - check)
+                         < _TABLE_TOL * check)
+    built[panels] = True
+
+
+def _mmse_tabled(v, rho):
+    """mmse at precisions v > 0, shape (n,), for 0 < rho < 1: the table on its certified
+    panels, the quadrature elsewhere; each value depends on v and rho alone."""
+    coefs, built, certified = _table(rho)
+    pos = np.log(v)
+    pos -= _TABLE_LO
+    pos *= _PANELS_PER_UNIT   # panel k holds k <= pos < k + 1
+    k = pos.astype(np.intp)
+    # the common case: every value on a certified panel
+    if (0.0 <= pos.min(initial=np.inf) and pos.max(initial=0.0) < _TABLE_PANELS
+            and certified.take(k).all()):
+        s = pos - k
+        s *= 2.0
+        s -= 1.0
+        return _chebyshev(coefs.take(k, axis=0), s) / (1.0 + v)
+    inside = (0.0 <= pos) & (pos < _TABLE_PANELS)
+    hit = np.zeros(_TABLE_PANELS, bool)   # not np.unique, whose first call imports numpy.ma
+    hit[k[inside]] = True
+    new = np.flatnonzero(hit & ~built)
+    if new.size:
+        _build_panels(new, rho)
+    tabled = inside.copy()
+    tabled[inside] = certified.take(k[inside])
+    out = np.empty_like(v)
+    out[tabled] = _mmse_tabled(v[tabled], rho)
+    if not tabled.all():
+        out[~tabled] = _mmse_live(v[~tabled], rho)
+    return out
+
+
 def mmse(varsigma, prior: BernoulliGaussianPrior):
-    """Exact scalar mmse of the Bernoulli-Gaussian channel at precision varsigma.
+    """Scalar mmse of the Bernoulli-Gaussian channel at precision varsigma.
 
     Accepts a scalar or an ndarray of precisions and returns a float or an
     array of the same shape.  The radial reduction turns the complex-plane
@@ -129,13 +218,24 @@ def mmse(varsigma, prior: BernoulliGaussianPrior):
     Raises QuadratureError when the rule's embedded check disagrees by more
     than 1e-12, absolute: the excess lies in [0, rho vs / (1 + vs)), below
     1, so a bound relative to it would be tighter still.
+
+    For 0 < rho < 1 and x = log vs in [-30, 30), the value comes from a
+    table of rho: q(x) = (1 + e^x) mmse(e^x), which lies in [rho, 1], is
+    interpolated on 240 equal panels of x by Chebyshev polynomials of
+    degree 12, and mmse = q / (1 + vs).  A panel is built from 13
+    quadrature values the first time a precision lands in it, and is used
+    only if it agrees with the quadrature at one further point, between
+    its last two nodes, to within 1e-14 relative; its values stay on the
+    quadrature otherwise, as do precisions outside the range and rho 0 or
+    1.  Tables of recent rho values are kept.  A value depends on vs and
+    rho alone: not on the batch, and not on the calls made before it.
     """
     vs = np.asarray(varsigma, dtype=float)
     rho = prior.rho
     # the common case first: every precision finite and > 0 (NaN fails the test)
     if (0 < rho < 1 and 0 < np.minimum.reduce(vs, axis=None, initial=np.inf)
             and np.maximum.reduce(vs, axis=None, initial=0.0) < np.inf):
-        out = _mmse_live(vs.ravel(), rho).reshape(vs.shape)
+        out = _mmse_tabled(vs.ravel(), rho).reshape(vs.shape)
     else:
         ok = np.isfinite(vs) & (vs >= 0)
         if not ok.all():
@@ -146,7 +246,7 @@ def mmse(varsigma, prior: BernoulliGaussianPrior):
             out = np.full(vs.shape, rho)
             live = vs > 0
             if rho > 0 and live.any():
-                out[live] = _mmse_live(vs[live], rho)
+                out[live] = _mmse_tabled(vs[live], rho)
     return out if out.ndim else float(out)
 
 

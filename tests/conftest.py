@@ -11,6 +11,9 @@ from coupledcs.measurement_ops import DftBlock
 # dense oracles build an M x N complex matrix: 4096^2 entries are 256 MB
 DENSE_LIMIT = 4096
 
+# the sparsities the scalar kernels are swept over, from nearly empty to nearly dense
+SWEEP_RHO = (1e-3, 0.01, 0.1, 0.4, 0.5, 0.6, 0.9, 0.99, 0.995, 0.999)
+
 # overrides that give a 2-row seeding chain's spec document sizes L_r, L_c that are not
 # alpha's shape; spec_from_json must reject each
 BAD_SIZES = {

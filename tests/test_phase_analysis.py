@@ -308,7 +308,8 @@ class TestGridFreeSearch:
         curve = phase_analysis._search_curve(RHO, SIGMA2, kind)
         a_d, a_s = curve[-1]
         rate, h = a_s + share * (a_d - a_s), 1e-5
-        gap, slope = phase_analysis._maxwell_gap(rate, RHO, SIGMA2, kind, curve)
+        gap, slope = phase_analysis._maxwell_gap(rate, RHO, SIGMA2, kind,
+                                                 phase_analysis._rising_branches(curve))
         assert abs(gap + maxima_gap(rate, kind)) <= 1e-12
         central = (maxima_gap(rate - h, kind) - maxima_gap(rate + h, kind)) / (2.0 * h)
         assert slope < 0 and abs(slope / central - 1.0) <= 1e-7, (slope, central)

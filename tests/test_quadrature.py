@@ -11,8 +11,10 @@ from scipy.integrate import IntegrationWarning, quad, quad_vec
 from coupledcs import BernoulliGaussianPrior, QuadratureError, mmse
 from coupledcs import _quadrature, replica_core, scalar_channel
 from coupledcs.replica_core import channel_term_batch
+from coupledcs.scalar_channel import _mmse_live
 
-SWEEP_RHO = (1e-3, 0.01, 0.1, 0.4, 0.5, 0.6, 0.9, 0.99, 0.995, 0.999)
+from conftest import SWEEP_RHO
+
 SWEEP_VS = np.geomspace(1e-6, 1e12, 25)
 
 
@@ -75,12 +77,11 @@ class TestRule:
     def test_too_coarse_layout_trips_the_check(self, monkeypatch):
         monkeypatch.setattr(_quadrature, "_LADDER", np.array([0.0, 40.0]))
         monkeypatch.setattr(_quadrature, "_OFFSETS", np.array([0.0]))
-        prior = BernoulliGaussianPrior(0.4)
         with pytest.raises(QuadratureError, match="mmse") as info:
-            mmse(1.0, prior)
+            _mmse_live(np.array([1.0]), 0.4)
         assert info.value.error_estimate > 1e-12
         with pytest.raises(QuadratureError, match="channel term"):
-            channel_term_batch([1.0], prior)
+            channel_term_batch([1.0], BernoulliGaussianPrior(0.4))
 
     def test_import_leaves_scipy_unloaded(self):
         code = ("import sys, coupledcs; "
@@ -91,10 +92,10 @@ class TestRule:
 class TestAgainstAdaptiveOracles:
     @pytest.mark.parametrize("rho", SWEEP_RHO)
     def test_mmse_matches_quad(self, rho):
-        prior = BernoulliGaussianPrior(rho)
-        got = mmse(SWEEP_VS, prior)
+        # the quadrature, and mmse, which reads the table inside its range
         expect = np.array([_mmse_quad_oracle(v, rho) for v in SWEEP_VS])
-        assert np.all(np.abs(got - expect) <= 1e-12 * expect)
+        for got in (_mmse_live(SWEEP_VS, rho), mmse(SWEEP_VS, BernoulliGaussianPrior(rho))):
+            assert np.all(np.abs(got - expect) <= 1e-12 * expect)
 
     @pytest.mark.parametrize("rho", SWEEP_RHO)
     def test_channel_term_matches_quad_vec(self, rho):
@@ -140,6 +141,13 @@ def _dense_mmse(vs, rho):
     return out
 
 
+def _live_mmse(vs, rho):
+    """mmse by the quadrature alone, at every precision: rho at vs = 0, as mmse gives it."""
+    out = np.full(vs.shape, rho)
+    out[vs > 0] = _mmse_live(vs[vs > 0], rho)
+    return out
+
+
 def _dense_channel_term(vs, rho):
     def lse(x, y):
         return np.maximum(x, y) + np.log1p(np.exp(-np.abs(x - y)))
@@ -168,7 +176,7 @@ def test_sparse_rule_rounds_like_the_dense_one(rho):
     # spacing is 1.1e-13, and both rules sum their panels in different orders
     prior = BernoulliGaussianPrior(rho)
     dense = _dense_mmse(BYTE_VS, rho)
-    assert np.all(np.abs(mmse(BYTE_VS, prior) - dense) <= 2e-15 * dense + 1e-320)
+    assert np.all(np.abs(_live_mmse(BYTE_VS, rho) - dense) <= 2e-15 * dense + 1e-320)
     live = BYTE_VS[1:]
     dense = _dense_channel_term(live, rho)
     assert np.all(np.abs(channel_term_batch(live, prior) - dense)
@@ -181,9 +189,8 @@ def test_rule_clears_a_tenth_of_both_tolerances(rho, monkeypatch):
     # layout (the +-1 offsets are already gone) shows before it reaches the tolerance
     monkeypatch.setattr(scalar_channel, "_QUAD_TOL", scalar_channel._QUAD_TOL / 10)
     monkeypatch.setattr(replica_core, "_CHANNEL_TOL", replica_core._CHANNEL_TOL / 10)
-    prior = BernoulliGaussianPrior(rho)
-    assert np.all(np.isfinite(mmse(BYTE_VS, prior)))
-    assert np.all(np.isfinite(channel_term_batch(BYTE_VS[1:], prior)))
+    assert np.all(np.isfinite(_live_mmse(BYTE_VS, rho)))
+    assert np.all(np.isfinite(channel_term_batch(BYTE_VS[1:], BernoulliGaussianPrior(rho))))
 
 
 @pytest.mark.parametrize("rho", SWEEP_RHO)
@@ -193,7 +200,7 @@ def test_mmse_excess_lies_below_one(rho):
     # 1e-12 * |excess| would never be looser than the absolute 1e-12
     vs = np.geomspace(1e-8, 1e14, 400)
     mass = rho / (1.0 + vs) * scalar_channel._WEIGHT_MASS
-    excess = mmse(vs, BernoulliGaussianPrior(rho)) - mass
+    excess = _mmse_live(vs, rho) - mass
     assert np.all(excess >= 0.0) and np.all(excess < rho * vs / (1.0 + vs))
 
 
@@ -201,7 +208,7 @@ def test_check_raises_just_above_its_tolerance(monkeypatch):
     # the check is error <= atol for both callers: a tolerance at the error estimate
     # passes, and the next float below it raises
     prior = BernoulliGaussianPrior(0.4)
-    calls = ((scalar_channel, "_QUAD_TOL", lambda: mmse(np.array([1.0]), prior)),
+    calls = ((scalar_channel, "_QUAD_TOL", lambda: _mmse_live(np.array([1.0]), 0.4)),
              (replica_core, "_CHANNEL_TOL", lambda: channel_term_batch([1.0], prior)))
     for module, name, call in calls:
         monkeypatch.setattr(module, name, 0.0)

@@ -201,12 +201,15 @@ def test_inner_solve_work_on_the_benchmark_chains(monkeypatch):
 
 
 def test_mmse_work_on_the_benchmark_chains(monkeypatch):
-    # the four benchmark chains (both ensembles, sigma2 1e-6): no panel of zero width
-    # reaches the excess integrand, and it runs on at most 200 nodes per mmse value
-    # (192.8), against 408 of the dense layout's, each with the weight and the factor.
-    # Each iteration makes exactly one mmse call: 469 on the orthogonal pair
+    # the four benchmark chains (both ensembles, sigma2 1e-6) from a cold mmse table
+    # build 57 of its panels, and the quadrature runs only on their node and check
+    # points.  There no panel of zero width reaches the excess integrand, and it runs on
+    # at most 200 nodes per value (186.8), against 408 of the dense layout's, each with
+    # the weight and the factor.  Each iteration makes exactly one mmse call: 469 on the
+    # orthogonal pair
     nodes, values, calls = [0], [0], [0]
-    excess, chain_mmse = scalar_channel._mmse_excess, state_evolution.mmse
+    excess, live, chain_mmse = (scalar_channel._mmse_excess, scalar_channel._mmse_live,
+                                state_evolution.mmse)
 
     def counted_excess(t, *params):
         # node-major panels: the last node lies past the first one
@@ -214,13 +217,18 @@ def test_mmse_work_on_the_benchmark_chains(monkeypatch):
         nodes[0] += t.size
         return excess(t, *params)
 
+    def counted_live(v, rho):
+        values[0] += v.size
+        return live(v, rho)
+
     def counted_mmse(varsigma, prior):
         calls[0] += 1
-        values[0] += np.size(varsigma)
         return chain_mmse(varsigma, prior)
 
     monkeypatch.setattr(scalar_channel, "_mmse_excess", counted_excess)
+    monkeypatch.setattr(scalar_channel, "_mmse_live", counted_live)
     monkeypatch.setattr(state_evolution, "mmse", counted_mmse)
+    scalar_channel._table.cache_clear()
     for kind, chains, iterations in ((ORTH, ((10, 0.49, 0.5), (22, 0.484, 1.5)), 469),
                                      (GAUSS, ((10, 0.49, 0.5), (22, 0.489, 2.5)), 491)):
         calls[0], ran = 0, 0
@@ -230,6 +238,10 @@ def test_mmse_work_on_the_benchmark_chains(monkeypatch):
             assert trace.converged
             ran += trace.iterations
         assert ran == iterations and calls[0] == iterations, (kind, ran, calls)
+    _, built, certified = scalar_channel._table(0.4)
+    panels = np.count_nonzero(built)
+    assert panels <= 57 and np.array_equal(built, certified), panels
+    assert values[0] == panels * scalar_channel._PANEL_POINTS.size, (values, panels)
     assert 0 < nodes[0] <= 200 * values[0], (nodes, values)
 
 
