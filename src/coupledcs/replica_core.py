@@ -58,34 +58,36 @@ def _check_ensemble(kind) -> None:
 
 
 class _Band(NamedTuple):
-    """Per-spec constants of G and of the inner solve (`CouplingSpec._band`).
+    """Per-spec constants of G and of the conjugate step (`CouplingSpec._band`).
 
     live marks the blocks with J > 0 in rows that measure (alpha > 0); gamma
     J is zero off the band, so W = gamma J / Lambda and Delta vanish there
     unmasked.  rates_ok is alpha <= 1 on the band, which the row-orthogonal
     ensemble needs.
 
-    The inner solve runs in a band-compact (L_r, B) layout, B the largest
-    number of J > 0 blocks in a row: entry (q, b) is block (q, cols[q, b]),
-    and flat is its index in the flattened (L_r, L_c) grid.  Row q lists its
-    J > 0 columns in order, then J = 0 columns, where gamma J is zero too.
-    gJ_c, alpha_c and dead_c are gamma J, alpha and ~live in that layout; a
-    row without measurements is solved at alpha = 1/2 and then reset to
-    Delta = 0.  S = ones((B, B)) sums a compact row into each of its entries,
-    and ar numbers the entries of a row.  zero, one, half, four, tol and s2
-    hold 0, 1, 1/2, 4, _INNER_TOL and sigma2 in every entry: the solve's
-    numpy calls take operands of one shape, which costs less per call than a
-    Python scalar or a broadcast operand.
+    The conjugates are computed in a band-compact (L_r, B) layout, B the
+    largest number of J > 0 blocks in a row: entry (q, b) is block (q,
+    cols[q, b]).  Row q lists its J > 0 columns in order, then J = 0
+    columns, where gamma J is zero too, so a column's precisions sum as
+    np.bincount(cols.ravel(), ...) in row order.  gJ_c, alpha_c and dead_c
+    are gamma J, alpha and ~live in that layout; a row without
+    measurements is solved at alpha = 1/2 and then reset to Delta = 0.
+    agJ_c, alpha gamma J on live entries and 0 elsewhere, is the numerator
+    of the Gaussian precisions.  S = ones((B, B)) sums a compact row into
+    each of its entries, and ar numbers the entries of a row.  zero, one,
+    half, four, tol and s2 hold 0, 1, 1/2, 4, _INNER_TOL and sigma2 in
+    every entry: the solve's numpy calls take operands of one shape, which
+    costs less per call than a Python scalar or a broadcast operand.
     """
 
     live: np.ndarray
     gJ: np.ndarray
     rates_ok: bool
     cols: np.ndarray
-    flat: np.ndarray
     gJ_c: np.ndarray
     alpha_c: np.ndarray
     dead_c: np.ndarray
+    agJ_c: np.ndarray
     S: np.ndarray
     ar: np.ndarray
     zero: np.ndarray
@@ -159,16 +161,16 @@ class CouplingSpec:
 
     @cached_property
     def _band(self) -> _Band:
-        """Per-spec constants of G and of the inner solve; see `_Band`."""
+        """Per-spec constants of G and of the conjugate step; see `_Band`."""
         on = self.J > 0
         live = on & (self.alpha > 0)
         gJ = self.gamma * self.J
         B = int(np.add.reduce(on, axis=1).max())
         cols = np.argsort(~on, axis=1, kind="stable")[:, :B]
-        flat = cols + self.L_c * np.arange(self.L_r)[:, None]
         alpha = np.where(self.alpha[:, :1] > 0, self.alpha, 0.5)
-        return _Band(live, gJ, not np.logical_or.reduce(self.alpha[on] > 1.0), cols, flat,
-                     gJ.take(flat), alpha.take(flat), ~live.take(flat), np.ones((B, B)),
+        gJ_c, alpha_c, live_c = (np.take_along_axis(x, cols, axis=1) for x in (gJ, alpha, live))
+        return _Band(live, gJ, not np.logical_or.reduce(self.alpha[on] > 1.0), cols, gJ_c,
+                     alpha_c, ~live_c, np.where(live_c, alpha_c * gJ_c, 0.0), np.ones((B, B)),
                      np.arange(B), *(np.full(cols.shape, v) for v in
                                      (0.0, 1.0, 0.5, 4.0, _INNER_TOL, float(self.sigma2))))
 
@@ -219,10 +221,12 @@ def channel_term_batch(varsigma, prior: BernoulliGaussianPrior) -> np.ndarray:
     (1+vs)/vs and 1/vs; the shared fixed rule (`coupledcs._quadrature`)
     puts breakpoints around both.  Every precision is integrated on its
     own layout, so a point's value does not depend on the rest of the
-    batch.  Raises QuadratureError when the rule's embedded check
-    disagrees by more than 1e-10.
+    batch, nor on how varsigma is laid out in memory: the integrand runs on
+    a contiguous copy (np.log1p rounds some values differently on a
+    negative-stride view).  Raises QuadratureError when the rule's embedded
+    check disagrees by more than 1e-10.
     """
-    vs = np.atleast_1d(np.asarray(varsigma, dtype=float))
+    vs = np.ascontiguousarray(varsigma, dtype=float)
     # NaN fails both comparisons
     if not (0 < np.minimum.reduce(vs, initial=np.inf)
             and np.maximum.reduce(vs, initial=0.0) < np.inf):
@@ -263,7 +267,7 @@ def _row_residual(z, row, k1, k0):
             ((cA / d) @ S + s2A) * e + k1)
 
 
-def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
+def _solve_lambda(eps, spec: CouplingSpec, omd0=None):
     """Solve Lambda = (1 - Delta(Lambda)) / eps, eps of shape (..., L_c), as one root per row.
 
     With tau = 1 / (sigma2 + S_q), c_p = gamma_p J_qp eps_p and w_p = Delta_p /
@@ -277,27 +281,31 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
     + c_p* + sigma2 >= 4 A.  Else Delta_p* = 1 - z and f = sum_{p != p*} w_p + sigma2
     tau + ((1 - alpha*) - z) / alpha* is >= 0 at z = 1 - alpha*, < 0 at 1/2 (the
     tests check that root unique).  Newton steps, bisecting when they leave the
-    bracket, start from the tau of Lambda0 (or 1/eps) and stop, taking the last step,
-    once each row's step or bracket is within _INNER_TOL z.
+    bracket, start from a tau and stop, taking the last step, once each row's step or
+    bracket is within _INNER_TOL z.  The start is tau = 1 / (sigma2 + sum_p c_p /
+    omd0_p): the tau the new eps gives at a previous 1 - Delta, omd0, of the
+    result's shape, or at 1 - Delta = 1 (Lambda = 1/eps) without one.
 
-    The solve runs in the band-compact layout of `CouplingSpec._band`, shape (...,
-    L_r, B), and holds each row's A, alpha*, z, bracket and step in every entry of
-    the row.  Returns (Lambda, Delta, 1 - Delta) of shape (..., L_r, L_c), the last
-    free of cancellation; J = 0 entries and rows that do not measure carry 1/eps, 0
-    and 1.
+    The solve runs in the band-compact layout of `CouplingSpec._band`, and holds
+    each row's A, alpha*, z, bracket and step in every entry of the row; a batch of
+    n MSE vectors runs as one (n L_r, B) layout, so that each row sum is a single
+    matrix product.  Returns (Delta, 1 - Delta) of shape (..., L_r, B), the second
+    free of cancellation; J = 0 entries and rows that do not measure carry 0 and 1.
     """
     band = spec._band
     if not band.rates_ok:
         # the replica counterpart of M_q <= N_p in `build_coupled_operator`
         raise ValueError("row-orthogonal blocks need alpha[q, p] <= 1 wherever J[q, p] > 0: "
                          "a block cannot have more orthogonal rows than columns")
-    alpha, S, flat = band.alpha_c, band.S, band.flat
-    zero, one, half, four, s2 = band.zero, band.one, band.half, band.four, band.s2
-    shape = eps.shape[:-1] + band.live.shape
-    if len(shape) > 2:   # the (L_r, L_c) grid of each MSE vector follows the last one's
-        batch = np.arange(eps.size // spec.L_c).reshape(shape[:-2] + (1, 1))
-        flat = flat + band.live.size * batch
+    S, alpha, dead = band.S, band.alpha_c, band.dead_c
+    zero, one, half, four, tol, s2 = band.zero, band.one, band.half, band.four, band.tol, band.s2
     c = band.gJ_c * eps.take(band.cols, axis=-1)
+    shape = c.shape
+    if c.ndim > 2:   # a batch: its rows stacked into one (n L_r, B) layout
+        n = c.size // alpha.size
+        c = c.reshape(-1, S.shape[0])
+        alpha, dead, zero, one, half, four, tol, s2 = (
+            np.tile(x, (n, 1)) for x in (alpha, dead, zero, one, half, four, tol, s2))
     ac = alpha * c
     is_star = ac.argmax(axis=-1)[..., None] == band.ar   # p*: the first block of largest alpha c
     star = is_star.astype(float)
@@ -316,14 +324,12 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
         k1, k0 = np.where(big, -k1, k1), np.where(big, (a_star - 1.0) * k1, 1.0)
         z_neg, z_pos = np.where(big, 0.5, 0.0), np.where(big, 1.0 - a_star, 0.5)
         low = np.minimum(z_neg, z_pos)
-    with np.errstate(all="ignore"):  # Lambda0 <= 0 gives a NaN or negative tau: start low
-        if Lambda0 is not None:
-            W0 = band.gJ / Lambda0
-            C = (W0 if W0.shape == shape else np.broadcast_to(W0, shape)).take(flat) @ S
+    with np.errstate(all="ignore"):  # omd0 <= 0 gives a NaN or negative tau: start low
+        if omd0 is not None:
+            C = (c / omd0.reshape(c.shape)) @ S
         t = A / (s2 + C)
         z = np.fmin(np.fmax((t + t) / (one + np.sqrt(np.fmax(one - four * t, zero))), low),
                     half)  # z (1 - z) = A tau
-    tol = band.tol
     for _ in range(_INNER_MAX_STEPS):
         f, df = _row_residual(z, row, k1, k0)
         step, below = f / df, f < zero
@@ -342,24 +348,40 @@ def _solve_lambda(eps, spec: CouplingSpec, Lambda0=None):
                                f"{_INNER_MAX_STEPS} steps", residual=float(abs(f).max()))
     zz, e = z * (one - z), one - (z + z)
     d1 = one + np.sqrt(e * e + row[2] * zz)
-    Delta_c, omd_c = alpha * row[0] * zz / d1, half * d1
+    Delta, omd = alpha * row[0] * zz / d1, half * d1
     if big is False:
-        Delta_c += star * z
+        Delta += star * z
     else:
-        Delta_c += star * np.where(big, 1.0 - z, z)
-        np.putmask(omd_c, is_star & big, z)
-    np.copyto(Delta_c, 0.0, where=band.dead_c)
-    np.copyto(omd_c, 1.0, where=band.dead_c)
+        Delta += star * np.where(big, 1.0 - z, z)
+        np.putmask(omd, is_star & big, z)
+    np.copyto(Delta, 0.0, where=dead)
+    np.copyto(omd, 1.0, where=dead)
+    Delta, omd = Delta.reshape(shape), omd.reshape(shape)
     # 1 - Delta = (1 + d) / 2 >= 1/2 but on the p* of a big row
-    if big is not False and np.count_nonzero(omd_c <= 0.0):
-        *_, q, b = np.unravel_index(int(np.argmax(Delta_c)), Delta_c.shape)
+    if big is not False and np.count_nonzero(omd <= 0.0):
+        *_, q, b = np.unravel_index(int(np.argmax(Delta)), shape)
         raise ConvergenceError(f"Delta >= 1 in inner extremization at block (q, p) = "
-                               f"({q}, {band.cols[q, b]})", residual=float(Delta_c.max()))
-    Delta = np.zeros(shape)
-    omd = Delta + 1.0
-    Delta.put(flat, Delta_c)
-    omd.put(flat, omd_c)
-    return omd / eps[..., None, :], Delta, omd
+                               f"({q}, {band.cols[q, b]})", residual=float(Delta.max()))
+    return Delta, omd
+
+
+def _conjugates(eps, spec: CouplingSpec, kind: Ensemble, omd0=None):
+    """The conjugate step: varsigma = Delta / eps in the band-compact layout of `_Band`.
+
+    eps of shape (..., L_c) must be finite and > 0; it is not checked here.
+    Returns (varsigma, 1 - Delta) of shape (..., L_r, B) for the row-orthogonal
+    ensemble, whose inner solve starts from omd0, a previous 1 - Delta (see
+    `_solve_lambda`), and (varsigma, None) for the Gaussian one, where
+    varsigma = alpha gamma J / (sigma2 + sum_l gamma_l J_{q,l} eps_l).  J = 0
+    entries and rows that do not measure carry varsigma = 0.
+    """
+    band = spec._band
+    if kind is Ensemble.ROW_ORTHOGONAL:
+        Delta, omd = _solve_lambda(eps, spec, omd0)
+        return Delta / eps.take(band.cols, axis=-1), omd
+    c = band.gJ_c * eps.take(band.cols, axis=-1)
+    rows = (c.reshape(-1, band.S.shape[0]) @ band.S).reshape(c.shape)   # one product on a batch
+    return band.agJ_c / (band.s2 + rows), None
 
 
 def _g_values(eps, spec: CouplingSpec, Lam):
@@ -375,17 +397,16 @@ def _g_values(eps, spec: CouplingSpec, Lam):
 # conjugate parameters and free entropy
 # ----------------------------------------------------------------------
 
-def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble, Lambda0=None):
+def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble):
     """(varsigma, Lambda) at stationarity of F for block MSE vectors eps of shape (..., L_c).
 
     Both arrays have shape (..., L_r, L_c).  varsigma = Delta / eps, and
     Lambda solves the inner extremization Lambda = (1 - Delta) / eps
-    (row-orthogonal, warm-started at Lambda0) or is 1/eps (Gaussian,
-    Lambda0 unused), which makes varsigma alpha gamma J / (sigma2 +
-    sum_l gamma_l J_{q,l} eps_l).  Entries with J[q, p] = 0 carry varsigma
-    = 0 and Lambda = 1/eps[p].  Delta is not returned: it is varsigma *
-    eps.  Raises ValueError unless kind is an Ensemble and eps is finite
-    and > 0.
+    (row-orthogonal) or is 1/eps (Gaussian), which makes varsigma alpha
+    gamma J / (sigma2 + sum_l gamma_l J_{q,l} eps_l).  Entries with J[q, p]
+    = 0 carry varsigma = 0 and Lambda = 1/eps[p].  Delta is not returned: it
+    is varsigma * eps.  Raises ValueError unless kind is an Ensemble and eps
+    is finite and > 0.
     """
     _check_ensemble(kind)
     eps = np.asarray(eps, dtype=float)
@@ -395,14 +416,14 @@ def conjugate_fixed_point(eps, spec: CouplingSpec, kind: Ensemble, Lambda0=None)
     if not (0 < np.minimum.reduce(eps, axis=None, initial=np.inf)
             and np.maximum.reduce(eps, axis=None, initial=0.0) < np.inf):
         raise ValueError("eps must be > 0 and finite on every coupled block")
-    eps_b = eps[..., None, :]
-    if kind is Ensemble.ROW_ORTHOGONAL:
-        Lam, Delta, _ = _solve_lambda(eps, spec, Lambda0=Lambda0)
-    else:
-        Lam = (1.0 / eps_b).repeat(spec.L_r, axis=-2)
-        W = spec._band.gJ / Lam
-        Delta = spec.alpha * W / (spec.sigma2 + np.add.reduce(W, axis=-1, keepdims=True))
-    return Delta / eps_b, Lam
+    varsigma_c, omd_c = _conjugates(eps, spec, kind)
+    varsigma = np.zeros(eps.shape[:-1] + spec.alpha.shape)
+    omd = varsigma + 1.0
+    at = (..., np.arange(spec.L_r)[:, None], spec._band.cols)   # entry (q, b) of the band
+    varsigma[at] = varsigma_c
+    if omd_c is not None:
+        omd[at] = omd_c
+    return varsigma, omd / eps[..., None, :]
 
 
 def free_entropy_grid(eps_grid, spec: CouplingSpec, kind: Ensemble) -> np.ndarray:

@@ -4,10 +4,10 @@ One iteration refreshes the per-block MSE through the scalar channel,
 
     eps_p <- mmse(sum_q varsigma[q, p]),
 
-then re-solves the conjugate precisions at the new eps, warm-started from
-the previous Lambda rescaled by eps / eps_new.  That keeps the previous
-1 - Delta = Lambda eps, so each row's root starts from the tau the new
-eps gives at the old 1 - Delta.  Fixed points of this map
+then re-solves the conjugate precisions at the new eps.  Both live in the
+band-compact layout of `replica_core._Band`, and the orthogonal inner solve
+is warm-started from the previous 1 - Delta, so each row's root starts from
+the tau the new eps gives at the old 1 - Delta.  Fixed points of this map
 are stationary points of the replica free entropy; iterating from eps = rho
 tracks what message passing can reach, since large MSE is the only
 algorithmically possible initialization.  At sigma2 = 0 the conjugate
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .replica_core import CouplingSpec, Ensemble, conjugate_fixed_point
+from .replica_core import CouplingSpec, Ensemble, _check_ensemble, _conjugates
 from .scalar_channel import _whole_number, mmse
 
 DEFAULT_TOL = 1e-12
@@ -88,16 +88,17 @@ def run_evolution(spec: CouplingSpec, kind: Ensemble,
     if rho == 0.0:
         raise ValueError("rho = 0 has no state evolution: its only fixed point is eps = 0, "
                          "where the conjugate precisions are undefined")
+    _check_ensemble(kind)
     eps = np.full(spec.L_c, rho)
-
-    varsigma, Lam = conjugate_fixed_point(eps, spec, kind)
+    cols = spec._band.cols.ravel()
+    varsigma, omd = _conjugates(eps, spec, kind)
     history = [eps]
     converged, last = False, np.inf
-    warm = kind is Ensemble.ROW_ORTHOGONAL   # the Gaussian Lambda = 1/eps needs no start
     for t in range(max_iter):
-        eps_new = mmse(np.add.reduce(varsigma, axis=0), spec.prior)
-        new, Lam = conjugate_fixed_point(eps_new, spec, kind,
-                                         Lambda0=Lam * (eps / eps_new) if warm else None)
+        # each column's precisions summed in row order, as a sum over the (L_r, L_c) grid
+        eps_new = mmse(np.bincount(cols, varsigma.ravel(), spec.L_c), spec.prior)
+        # mmse checks its precisions and is finite and > 0 on them: the step takes eps_new as is
+        new, omd = _conjugates(eps_new, spec, kind, omd)
         varsigma = (1.0 - damping) * new + damping * varsigma if damping > 0.0 and t > 0 else new
         history.append(eps_new)
         step = np.maximum.reduce(np.abs(eps_new - eps))

@@ -11,7 +11,8 @@ import coupledcs as cc
 from coupledcs import (BernoulliGaussianPrior, CouplingSpec, ConvergenceError, Ensemble,
                        SeedingParams, build_seeding_spec, conjugate_fixed_point,
                        free_entropy_grid, mmse, single_block_spec)
-from coupledcs.replica_core import _g_values, _solve_lambda, channel_term_batch
+from coupledcs.replica_core import (_INNER_TOL, _conjugates, _g_values, _solve_lambda,
+                                   channel_term_batch)
 
 from conftest import random_coupled_spec
 
@@ -129,6 +130,14 @@ class TestChannelTerm:
         got = channel_term_batch([5.0], BernoulliGaussianPrior(0.0))[0]
         assert got == pytest.approx(-1.0, abs=1e-12)
 
+    def test_value_does_not_depend_on_memory_layout(self):
+        # np.log1p rounds some values of a negative-stride view differently from the
+        # same values contiguous; the channel term must give both the same bytes
+        vs = np.exp(np.linspace(-30.0, 30.0, 1000))
+        prior = BernoulliGaussianPrior(0.4)
+        assert np.array_equal(channel_term_batch(vs[::-1], prior),
+                              channel_term_batch(vs[::-1].copy(), prior))
+
     def test_dense_prior_closed_form(self):
         # single Gaussian component: -log(1 + vs) - 1
         got = channel_term_batch([1.0], BernoulliGaussianPrior(1.0))[0]
@@ -191,11 +200,28 @@ class TestChannelTerm:
         assert np.all(np.abs(got + 1.0) <= 1e-15)
 
 
+def _solve_full(eps, spec, Lambda0=None):
+    """`_solve_lambda` on the (..., L_r, L_c) grids: (Lambda, Delta, 1 - Delta).
+
+    A warm start Lambda0 enters the solve as the 1 - Delta it stands for,
+    Lambda0 eps gathered at the band's entries (q, cols[q, b]); off the band
+    the grids carry Lambda = 1/eps, Delta = 0 and 1 - Delta = 1.
+    """
+    shape = eps.shape[:-1] + spec.alpha.shape
+    at = (..., np.arange(spec.L_r)[:, None], spec._band.cols)
+    omd0 = None if Lambda0 is None else np.broadcast_to(Lambda0 * eps[..., None, :], shape)[at]
+    Delta_c, omd_c = _solve_lambda(eps, spec, omd0)
+    Delta = np.zeros(shape)
+    omd = Delta + 1.0
+    Delta[at], omd[at] = Delta_c, omd_c
+    return omd / eps[..., None, :], Delta, omd
+
+
 class TestGOrth:
     def test_noise_free_single_block_stationarity(self):
         # sigma2 = 0 makes Delta = alpha independently of Lambda
         spec = single_block_spec(0.4, 0.0, 0.5)
-        Lam, Delta, _ = _solve_lambda(np.array([0.1]), spec)
+        Lam, Delta, _ = _solve_full(np.array([0.1]), spec)
         assert Delta[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert Lam[0, 0] == pytest.approx(5.0, abs=1e-9)
 
@@ -203,7 +229,7 @@ class TestGOrth:
         # J[q,p] = 0 entries sit at Lambda = 1/eps, Delta = 0 and add nothing to G
         spec = two_block_spec()
         eps = np.array([0.05, 0.2])
-        Lam, Delta, _ = _solve_lambda(eps, spec)
+        Lam, Delta, _ = _solve_full(eps, spec)
         assert Delta[0, 1] == 0.0
         assert Lam[0, 1] == pytest.approx(1.0 / eps[1], abs=1e-12)
         moved = Lam.copy()
@@ -214,13 +240,13 @@ class TestGOrth:
         spec = single_block_spec(0.4, 1e-4, 0.49)
         for eps0 in (0.1, 1e-3):
             eps = np.array([eps0])
-            Lam, _, _ = _solve_lambda(eps, spec)
+            Lam, _, _ = _solve_full(eps, spec)
             assert _g_gradient_norm(eps, spec, Lam) <= 1e-8
 
     def test_finite_difference_stationarity_coupled(self):
         spec = two_block_spec()
         eps = np.array([0.03, 0.15])
-        Lam, _, _ = _solve_lambda(eps, spec)
+        Lam, _, _ = _solve_full(eps, spec)
         assert _g_gradient_norm(eps, spec, Lam) <= 1e-8
 
 
@@ -318,7 +344,7 @@ def _big_branch_sign_changes(spec, eps, n=1001):
 class TestInnerSolve:
     @staticmethod
     def _check(eps, spec, Lambda0=None):
-        Lam, Delta, omd = _solve_lambda(eps, spec, Lambda0=Lambda0)
+        Lam, Delta, omd = _solve_full(eps, spec, Lambda0)
         active = spec.J > 0
         # the residual of the stationarity map, formed as the solver forms it
         resid = np.log(omd) - np.log(eps)[None, :] - np.log(Lam)
@@ -326,8 +352,7 @@ class TestInnerSolve:
         ref = _damped_lambda_oracle(eps, spec, Lambda0=Lambda0)
         if ref is None:
             # the oracle stalled: the solve from another start is the reference
-            ref = _solve_lambda(eps, spec, Lambda0=None if Lambda0 is not None
-                                else 4.0 / eps[None, :])[0]
+            ref = _solve_full(eps, spec, None if Lambda0 is not None else 4.0 / eps[None, :])[0]
         # both solves stop within 1e-12 of the map; on a near-singular row
         # (rates near one, little noise) that moves Lambda by up to
         # 1e-12 ||A^-1|| each, which the 1e-10 agreement must allow for
@@ -356,7 +381,7 @@ class TestInnerSolve:
         if warm_shift is not None:
             # warm start at the solution for a shifted MSE profile, as the evolution does
             shift = np.exp(warm_shift * np.linspace(-1.0, 1.0, L))
-            Lambda0 = _solve_lambda(eps * shift, spec)[0]
+            Lambda0 = _solve_full(eps * shift, spec)[0]
         self._check(eps, spec, Lambda0)
 
     def test_block_at_one_half(self):
@@ -431,10 +456,10 @@ class TestInnerSolve:
         # of Lambda0 cannot move the solution
         spec = two_block_spec()
         eps = np.array([0.05, 0.2])
-        cold = _solve_lambda(eps, spec)[0]
+        cold = _solve_full(eps, spec)[0]
         for Lambda0 in (np.array([[-1.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2)),
                         np.full((2, 2), -3.0), 1e-8 * cold, 1e8 * cold):
-            Lam = _solve_lambda(eps, spec, Lambda0=Lambda0)[0]
+            Lam = _solve_full(eps, spec, Lambda0)[0]
             assert np.abs(Lam / cold - 1.0).max() <= 1e-10
 
     @pytest.mark.parametrize("spec, eps, big", [
@@ -447,10 +472,10 @@ class TestInnerSolve:
         # the evolution solves one (L_c,) vector at a time and the phase point (n, L_c)
         # batches through free_entropy_grid: a batch of one is the same solve, cold or
         # warm, with a batched or a shared warm start
-        warm = _solve_lambda(eps * 1.5, spec)[0]
+        warm = _solve_full(eps * 1.5, spec)[0]
         for Lambda0, batched in ((None, None), (warm, warm[None]), (warm, warm)):
-            one = _solve_lambda(eps, spec, Lambda0=Lambda0)
-            batch = _solve_lambda(eps[None, :], spec, Lambda0=batched)
+            one = _solve_full(eps, spec, Lambda0)
+            batch = _solve_full(eps[None, :], spec, batched)
             assert np.any(one[1] > 0.5) == big
             for a, b in zip(one, batch):
                 assert b.shape == (1,) + a.shape and np.array_equal(a, b[0])
@@ -568,6 +593,31 @@ class TestConjugateFixedPoint:
         recon = Lam * Delta / (1.0 - Delta)
         assert np.abs(np.where(act, recon, 0.0) - varsigma).max() <= 1e-10
 
+
+    def test_compact_step_matches_the_public_conjugates(self, rng):
+        # `run_evolution` sums the step's compact precisions per column with bincount
+        # and warm-starts each orthogonal solve at the last compact 1 - Delta; the draws
+        # hold rows that do not measure, J = 0 entries and bands narrower than L_c
+        seen = {"alpha = 0 row": 0, "J = 0 entry": 0, "B < L_c": 0}
+        for _ in range(40):
+            spec = random_coupled_spec(rng, max_blocks=6)
+            spec = dataclasses.replace(
+                spec, alpha=spec.alpha * (rng.random(spec.L_r) < 0.7)[:, None])
+            cols = spec._band.cols
+            seen["alpha = 0 row"] += bool(np.any(spec.alpha[:, 0] == 0.0))
+            seen["J = 0 entry"] += bool(np.any(spec.J == 0.0))
+            seen["B < L_c"] += cols.shape[1] < spec.L_c
+            eps = spec.prior.rho * 10.0 ** rng.uniform(-6.0, 0.0, spec.L_c)
+            for kind in (GAUSS, ORTH):
+                varsigma, _ = _conjugates(eps, spec, kind)
+                assert np.array_equal(np.bincount(cols.ravel(), varsigma.ravel(), spec.L_c),
+                                      conjugate_fixed_point(eps, spec, kind)[0].sum(axis=0))
+            previous = eps * np.exp(rng.uniform(-1.0, 1.0, spec.L_c))
+            cold = _solve_lambda(eps, spec)
+            warm = _solve_lambda(eps, spec, _solve_lambda(previous, spec)[1])
+            for a, b in zip(cold, warm):
+                assert np.all(np.abs(b - a) <= _INNER_TOL * np.abs(a))
+        assert min(seen.values()) > 0, seen
 
     def test_orthogonal_rate_above_one_is_rejected(self):
         # a block cannot hold more orthogonal rows than columns (M_q <= N_p)

@@ -200,6 +200,26 @@ def test_inner_solve_work_on_the_benchmark_chains(monkeypatch):
     assert calls["residual"] <= 3.0 * calls["solve"], calls
 
 
+def test_no_conjugate_fixed_point_call_on_the_benchmark_chains(monkeypatch):
+    # the four benchmark chains (both ensembles, sigma2 1e-6) run the conjugate step in
+    # the band-compact layout: the public conjugate_fixed_point, which checks eps and
+    # scatters to full (L_r, L_c) grids, is not called, under any module's binding
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_evolution called conjugate_fixed_point")
+
+    monkeypatch.setattr(replica_core, "conjugate_fixed_point", forbidden)
+    monkeypatch.setattr(state_evolution, "conjugate_fixed_point", forbidden, raising=False)
+    for kind, chains, iterations in ((ORTH, ((10, 0.49, 0.5), (22, 0.484, 1.5)), [200, 269]),
+                                     (GAUSS, ((10, 0.49, 0.5), (22, 0.489, 2.5)), [210, 281])):
+        ran = []
+        for L, a_bulk, J in chains:
+            params = SeedingParams(L=L, W=2, alpha_seed=0.70, alpha_bulk=a_bulk, J=J)
+            trace = run_evolution(build_seeding_spec(params, 0.4, 1e-6), kind)
+            assert trace.converged
+            ran.append(trace.iterations)
+        assert ran == iterations, kind
+
+
 def test_mmse_work_on_the_benchmark_chains(monkeypatch):
     # the four benchmark chains (both ensembles, sigma2 1e-6) from a cold mmse table
     # build 57 of its panels, and the quadrature runs only on their node and check
