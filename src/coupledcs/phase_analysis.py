@@ -135,25 +135,43 @@ def _illinois(residual, a, b, fa, fb):
     moves to half a tolerance inside the bracket, which closes it in one
     evaluation when the root is that close.  A zero at an end is that
     bracket's root.
+
+    Every caller passes at most two brackets, so the bookkeeping runs on
+    Python floats, which round as numpy's float64 operations do: a numpy
+    call costs about 1 µs even on two elements, and a step of this
+    bookkeeping on arrays made about 30 of them (np.where chains, np.clip).
+    The residual stays one call per step, on an array of every bracket's
+    step (closed brackets included), so each step is still one mmse call.
     """
-    moved = np.zeros(a.size)   # +1: a moved last, -1: b moved last
+    a, b, fa, fb = (x.tolist() for x in (a, b, fa, fb))
+    moved = [0] * len(a)   # +1: a moved last, -1: b moved last
     for _ in range(_ROOT_MAX_ITER):
-        tol = _ROOT_XTOL * np.maximum(1.0, np.abs(a))
-        live = (fa != 0) & (fb != 0) & (b - a > tol)
-        if not live.any():
+        steps, live = [], []
+        for ai, bi, fai, fbi in zip(a, b, fa, fb):
+            tol = _ROOT_XTOL * max(1.0, abs(ai))
+            live.append(fai != 0 and fbi != 0 and bi - ai > tol)
+            # finite on a live bracket (fa > 0 > fb); 0 / 0 = NaN where both ends are zeros
+            c = bi - fbi * (bi - ai) / (fbi - fai) if fbi != fai else np.nan
+            steps.append(min(max(c, ai + 0.5 * tol), bi - 0.5 * tol))
+        if not any(live):
             break
-        c = b - fb * (b - a) / (fb - fa)   # fa > 0 or fb < 0: the step is finite
-        c = np.clip(c, a + 0.5 * tol, b - 0.5 * tol)
-        fc = residual(c)
-        up, down = live & (fc > 0), live & (fc <= 0)
-        fa = np.where(up, fc, np.where(down & (moved < 0), 0.5 * fa, fa))
-        fb = np.where(down, fc, np.where(up & (moved > 0), 0.5 * fb, fb))
-        a, b = np.where(up, c, a), np.where(down, c, b)
-        moved = np.where(up, 1.0, np.where(down, -1.0, moved))
+        for i, fc in enumerate(residual(np.array(steps)).tolist()):
+            if not live[i]:
+                continue
+            if fc > 0:
+                if moved[i] > 0:
+                    fb[i] *= 0.5
+                a[i], fa[i], moved[i] = steps[i], fc, 1
+            elif fc <= 0:   # a NaN residual moves neither end
+                if moved[i] < 0:
+                    fa[i] *= 0.5
+                b[i], fb[i], moved[i] = steps[i], fc, -1
     else:
         raise ConvergenceError(f"root find did not converge in {_ROOT_MAX_ITER} steps",
-                               residual=float(np.minimum(fa, -fb).max()))
-    return np.where((moved > 0) | (fa == 0), a, b)   # the last iterate
+                               residual=float(np.minimum(fa, np.negative(fb)).max()))
+    # the last iterate
+    return np.array([ai if m > 0 or fai == 0 else bi for ai, bi, fai, m in zip(a, b, fa, moved)],
+                    dtype=float)
 
 
 def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
@@ -247,37 +265,49 @@ def _folds(rho, sigma2, kind, log_v, alpha):
     share one loop and one two-point mmse call per step, so the rates do
     not depend on the grid.  NoTransitionError when alpha(v) does not turn
     twice or its maximum is not below alpha = 1.
+
+    Each fold's bracket is three (log v, f) pairs of Python floats, which
+    round as numpy's float64 operations do: on two brackets, numpy's cost
+    per call, about 1 µs even on two elements, outweighed the arithmetic,
+    and a step on (2, 3) arrays made about 45 calls (np.where chains,
+    argsort, take_along_axis).  The two new points of a step are still
+    evaluated in one mmse call.
     """
     rising = np.diff(alpha) > 0
     turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
     if turns.size != 2:
         raise NoTransitionError(f"alpha(v) turns {turns.size} times: no two-maxima window")
     prior = BernoulliGaussianPrior(rho)
-    sign = np.array([1.0, -1.0])   # both folds as maxima of f = sign * alpha
-    cells = turns[:, None] + np.arange(-1, 2)
-    x, f = log_v[cells], sign[:, None] * alpha[cells]   # rows a < b < c with f(b) >= f(a), f(c)
+    sign = (1.0, -1.0)   # both folds as maxima of f = sign * alpha
+    # per fold, points a < b < c as (log v, f) with f(b) >= f(a), f(c)
+    brackets = [[(log_v[j].item(), s * alpha[j].item()) for j in (t - 1, t, t + 1)]
+                for t, s in zip(turns.tolist(), sign)]
     for _ in range(_ROOT_MAX_ITER):
-        (a, b, c), (fa, fb, fc) = x.T, f.T
-        p, q = (b - a) * (fb - fc), (b - c) * (fb - fa)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = b - 0.5 * ((b - a) * p - (b - c) * q) / (p - q)
-        u = np.where((a < u) & (u < c), u, b + _GOLDEN * (np.where(c - b > b - a, c, a) - b))
-        if np.all(np.abs(u - b) <= _FOLD_XTOL):
+        steps = []
+        for (a, fa), (b, fb), (c, fc) in brackets:
+            p, q = (b - a) * (fb - fc), (b - c) * (fb - fa)
+            # a flat parabola (p = q) has no vertex: the golden step
+            u = b - 0.5 * ((b - a) * p - (b - c) * q) / (p - q) if p != q else np.nan
+            if not a < u < c:
+                u = b + _GOLDEN * ((c if c - b > b - a else a) - b)
+            steps.append(u)
+        if all(abs(u - br[1][0]) <= _FOLD_XTOL for u, br in zip(steps, brackets)):
             break
-        fu = sign * _fixed_point_rates(u, prior, sigma2, kind)[0]
-        # the new bracket centres on the better of b and u, the two interior points
-        order = np.argsort(np.column_stack([x, u]), axis=1)
-        x = np.take_along_axis(np.column_stack([x, u]), order, axis=1)
-        f = np.take_along_axis(np.column_stack([f, fu]), order, axis=1)
-        keep = (1 + (f[:, 2] > f[:, 1]))[:, None] + np.arange(-1, 2)
-        x, f = np.take_along_axis(x, keep, axis=1), np.take_along_axis(f, keep, axis=1)
+        new = _fixed_point_rates(np.array(steps), prior, sigma2, kind)[0].tolist()
+        for i, (u, fu, s) in enumerate(zip(steps, new, sign)):
+            # the new bracket centres on the better of b and u, the two interior points
+            # (u lies inside (a, c); where it ties b, on a converged fold, it is b's point)
+            points = sorted([*brackets[i], (u, s * fu)], key=lambda point: point[0])
+            brackets[i] = points[1:] if points[2][1] > points[1][1] else points[:3]
     else:
         raise ConvergenceError(f"root find did not converge in {_ROOT_MAX_ITER} steps "
-                               "(folds of alpha(v))", residual=float(np.abs(u - b).max()))
-    rates = sign * f[:, 1]
+                               "(folds of alpha(v))",
+                               residual=max(abs(u - br[1][0]) for u, br in zip(steps, brackets)))
+    x = np.array([b for _, (b, _), _ in brackets])
+    rates = np.array([s * fb for (_, (_, fb), _), s in zip(brackets, sign)])
     if rates[0] > _ALPHA_SEARCH_CAP:
         raise NoTransitionError("two-maxima window extends beyond alpha = 1")
-    return x[:, 1], rates
+    return x, rates
 
 
 def _search_slice(log_v, sigma2):

@@ -267,8 +267,8 @@ def _row_residual(z, row, k1, k0):
             ((cA / d) @ S + s2A) * e + k1)
 
 
-def _solve_lambda(eps, spec: CouplingSpec, omd0=None):
-    """Solve Lambda = (1 - Delta(Lambda)) / eps, eps of shape (..., L_c), as one root per row.
+def _solve_lambda(eps_c, spec: CouplingSpec, omd0=None):
+    """Solve Lambda = (1 - Delta(Lambda)) / eps as one root per row, eps_c = eps in the band layout.
 
     With tau = 1 / (sigma2 + S_q), c_p = gamma_p J_qp eps_p and w_p = Delta_p /
     alpha_qp, row q needs Delta_p (1 - Delta_p) = alpha_qp c_p tau and sum_p w_p +
@@ -286,11 +286,13 @@ def _solve_lambda(eps, spec: CouplingSpec, omd0=None):
     omd0_p): the tau the new eps gives at a previous 1 - Delta, omd0, of the
     result's shape, or at 1 - Delta = 1 (Lambda = 1/eps) without one.
 
-    The solve runs in the band-compact layout of `CouplingSpec._band`, and holds
-    each row's A, alpha*, z, bracket and step in every entry of the row; a batch of
-    n MSE vectors runs as one (n L_r, B) layout, so that each row sum is a single
-    matrix product.  Returns (Delta, 1 - Delta) of shape (..., L_r, B), the second
-    free of cancellation; J = 0 entries and rows that do not measure carry 0 and 1.
+    The solve runs in the band-compact layout of `CouplingSpec._band`: eps_c, of
+    shape (..., L_r, B), holds eps_p at entry (q, b), p = cols[q, b] (the gather
+    `_conjugates` also divides Delta by), and each row's A, alpha*, z, bracket and
+    step sit in every entry of the row; a batch of n MSE vectors runs as one
+    (n L_r, B) layout, so that each row sum is a single matrix product.
+    Returns (Delta, 1 - Delta) of shape (..., L_r, B), the second free of
+    cancellation; J = 0 entries and rows that do not measure carry 0 and 1.
     """
     band = spec._band
     if not band.rates_ok:
@@ -299,7 +301,7 @@ def _solve_lambda(eps, spec: CouplingSpec, omd0=None):
                          "a block cannot have more orthogonal rows than columns")
     S, alpha, dead = band.S, band.alpha_c, band.dead_c
     zero, one, half, four, tol, s2 = band.zero, band.one, band.half, band.four, band.tol, band.s2
-    c = band.gJ_c * eps.take(band.cols, axis=-1)
+    c = band.gJ_c * eps_c
     shape = c.shape
     if c.ndim > 2:   # a batch: its rows stacked into one (n L_r, B) layout
         n = c.size // alpha.size
@@ -376,10 +378,11 @@ def _conjugates(eps, spec: CouplingSpec, kind: Ensemble, omd0=None):
     entries and rows that do not measure carry varsigma = 0.
     """
     band = spec._band
+    eps_c = eps.take(band.cols, axis=-1)
     if kind is Ensemble.ROW_ORTHOGONAL:
-        Delta, omd = _solve_lambda(eps, spec, omd0)
-        return Delta / eps.take(band.cols, axis=-1), omd
-    c = band.gJ_c * eps.take(band.cols, axis=-1)
+        Delta, omd = _solve_lambda(eps_c, spec, omd0)
+        return Delta / eps_c, omd
+    c = band.gJ_c * eps_c
     rows = (c.reshape(-1, band.S.shape[0]) @ band.S).reshape(c.shape)   # one product on a batch
     return band.agJ_c / (band.s2 + rows), None
 

@@ -370,6 +370,56 @@ def test_step_onto_a_bracket_end_closes_the_bracket():
     assert len(calls) == 1 and abs(root[0]) <= phase_analysis._ROOT_XTOL
 
 
+def test_nan_residual_leaves_its_bracket_and_raises():
+    # a NaN residual moves neither end of its bracket, which stays open until the step
+    # budget runs out; the other bracket closes on its root meanwhile
+    steps = []
+
+    def residual(x):
+        steps.append(x.copy())
+        return np.array([np.nan, 0.3 - x[1]])
+
+    with pytest.raises(ConvergenceError, match="did not converge") as failure:
+        phase_analysis._illinois(residual, np.zeros(2), np.ones(2), np.array([1.0, 0.3]),
+                                 np.array([-1.0, -0.7]))
+    assert len(steps) == phase_analysis._ROOT_MAX_ITER
+    assert all(x[0] == 0.5 for x in steps)   # the secant step of the unmoved bracket
+    assert abs(steps[-1][1] - 0.3) <= phase_analysis._ROOT_XTOL
+    assert failure.value.residual == 1.0   # min(f(a), -f(b)) of the open bracket
+
+
+def test_no_brackets_make_no_residual_call():
+    def residual(x):
+        raise AssertionError("residual called")
+
+    root = phase_analysis._illinois(residual, *(np.zeros(0),) * 4)
+    assert root.dtype == float and root.shape == (0,)
+
+
+def test_flat_parabola_takes_the_golden_step(monkeypatch):
+    # a curve whose minimum lies on a level stretch: the first parabolic step of the
+    # alpha_s fold lands on it, after which its bracket's three points are level, the
+    # parabola through them is flat (p = q) and has no vertex, so the fold steps by the
+    # golden section towards the wider side, here a
+    def curve(x):
+        return np.where(x < 3.5, 0.9 - 0.1 * (x - 1.8) ** 2,
+                        np.where(x < 5.5, 0.3, 0.3 + 0.4 * (x - 5.5)))
+
+    steps = []
+
+    def rates(log_v, *args):
+        steps.append(log_v.copy())
+        return curve(log_v), np.zeros(log_v.shape)
+
+    monkeypatch.setattr(phase_analysis, "_fixed_point_rates", rates)
+    log_v = np.arange(8.0)
+    x, (a_d, a_s) = phase_analysis._folds(RHO, SIGMA2, GAUSS, log_v, curve(log_v))
+    assert steps[0][1] == 4.5   # the vertex through (4, 0.3), (5, 0.3), (6, 0.5)
+    assert steps[1][1] == 4.5 + phase_analysis._GOLDEN * (4.0 - 4.5)
+    assert abs(x[0] - 1.8) <= 1e-6 and abs(a_d - 0.9) <= 1e-12
+    assert 4.0 < x[1] < 4.5 and a_s == 0.3
+
+
 @settings(deadline=None, max_examples=20)
 @given(log_sigma2=st.floats(min_value=-6.0, max_value=-3.0),
        kind=st.sampled_from([GAUSS, ORTH]))
@@ -470,6 +520,27 @@ def test_rates_agree_with_the_bisection_search(kind, phase_sweeps):
         if ref is not None:
             got = (pt.alpha_s, pt.alpha_c, pt.alpha_d)
             assert np.abs(np.subtract(got, ref)).max() <= ALPHA_TOL, (pt.sigma2, got, ref)
+
+
+# (alpha_d, alpha_s) of a 30-digit mpmath oracle, printed by tests/fold_oracle.py: mmse by
+# mp.quad, alpha(log v) in closed form and each fold by mp.findroot on mp.diff; the sweep
+# was within 1.6e-15 of every rate when they were frozen
+FOLD_ORACLE = {
+    (0.4, 0.0001, Ensemble.ROW_ORTHOGONAL): (0.51431412286854972663, 0.44248513096783457292),
+    (0.4, 0.0001, Ensemble.GAUSSIAN_IID): (0.5148623835192317304, 0.45289531792101607546),
+    (0.4, 1e-06, Ensemble.ROW_ORTHOGONAL): (0.5138047580885782048, 0.40619111188922187835),
+    (0.4, 1e-06, Ensemble.GAUSSIAN_IID): (0.51381017394185877526, 0.40775352635497801996),
+    (0.1, 1e-05, Ensemble.ROW_ORTHOGONAL): (0.16922592693957396191, 0.11152399789365170055),
+    (0.1, 1e-05, Ensemble.GAUSSIAN_IID): (0.16923821166059259306, 0.112097016579625201),
+}
+
+
+@pytest.mark.parametrize("rho, sigma2, kind", list(FOLD_ORACLE))
+def test_folds_match_the_30_digit_oracle(rho, sigma2, kind):
+    (pt,) = sweep_phase_diagram(rho, [sigma2], kind)
+    assert pt.sharp
+    for got, want in zip((pt.alpha_d, pt.alpha_s), FOLD_ORACLE[rho, sigma2, kind]):
+        assert abs(got - want) <= 1e-12, (got, want)
 
 
 # the last sharp level of a 400-level noise sweep over [1e-6, 3e-3], as (index, whether the

@@ -210,7 +210,7 @@ def _solve_full(eps, spec, Lambda0=None):
     shape = eps.shape[:-1] + spec.alpha.shape
     at = (..., np.arange(spec.L_r)[:, None], spec._band.cols)
     omd0 = None if Lambda0 is None else np.broadcast_to(Lambda0 * eps[..., None, :], shape)[at]
-    Delta_c, omd_c = _solve_lambda(eps, spec, omd0)
+    Delta_c, omd_c = _solve_lambda(eps.take(spec._band.cols, axis=-1), spec, omd0)
     Delta = np.zeros(shape)
     omd = Delta + 1.0
     Delta[at], omd[at] = Delta_c, omd_c
@@ -419,13 +419,13 @@ class TestInnerSolve:
     def test_rejects_rates_above_one(self):
         spec = single_block_spec(0.4, 1e-4, 1.5)
         with pytest.raises(ValueError, match="alpha"):
-            _solve_lambda(np.array([0.1]), spec)
+            _solve_full(np.array([0.1]), spec)
 
     def test_delta_one_is_a_convergence_error(self):
         # alpha = 1 on a lone block without noise: 1 - Delta = 0 at any Lambda
         spec = single_block_spec(0.4, 0.0, 1.0)
         with pytest.raises(ConvergenceError, match="Delta >= 1"):
-            _solve_lambda(np.array([0.1]), spec)
+            _solve_full(np.array([0.1]), spec)
 
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 2 ** 32 - 1), seeding=st.booleans(),
@@ -613,8 +613,9 @@ class TestConjugateFixedPoint:
                 assert np.array_equal(np.bincount(cols.ravel(), varsigma.ravel(), spec.L_c),
                                       conjugate_fixed_point(eps, spec, kind)[0].sum(axis=0))
             previous = eps * np.exp(rng.uniform(-1.0, 1.0, spec.L_c))
-            cold = _solve_lambda(eps, spec)
-            warm = _solve_lambda(eps, spec, _solve_lambda(previous, spec)[1])
+            cold = _solve_full(eps, spec)
+            # the warm start is the previous solve's 1 - Delta, as a Lambda at eps
+            warm = _solve_full(eps, spec, _solve_full(previous, spec)[2] / eps)
             for a, b in zip(cold, warm):
                 assert np.all(np.abs(b - a) <= _INNER_TOL * np.abs(a))
         assert min(seen.values()) > 0, seen
