@@ -29,7 +29,10 @@ SPEC_SCHEMA = "coupledcs-spec-v1"
 
 @dataclass(frozen=True)
 class SeedingParams:
-    """Chain length L, coupling window W, seed/bulk rates, forward strength J."""
+    """Chain length L, coupling window W, seed/bulk rates, forward strength J.
+
+    L and W are whole numbers (10.0 counts, bool does not), stored as int.
+    """
 
     L: int
     W: int
@@ -38,9 +41,9 @@ class SeedingParams:
     J: float
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
-        if not (1 <= self.W <= self.L):
+        for name in ("L", "W"):
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name), 1))
+        if self.W > self.L:
             raise ValueError("W must satisfy 1 <= W <= L")
         if not self.alpha_seed > 0:
             raise ValueError("alpha_seed must be > 0")

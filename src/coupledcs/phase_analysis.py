@@ -21,15 +21,16 @@ maxima: the maxima at a rate are its rising crossings of that rate,
 alpha_d and alpha_s are its folds, and alpha_c equalizes F on its two
 rising branches.
 
-The transition search samples the curve on a coarse grid that only has
-to show the two turns and bracket the branch roots, and evaluates it only
-where they can lie, over 1 <= v <= 1 / sigma2.  Above that slice,
-alpha(v) >= min(1, v sigma2) = 1 lies above every window; below it,
-v mmse(v) rises (checked, not proved), so alpha(v) rises there, on the
-large-MSE branch below alpha_s.  A slice that does not show the window
-thus has none on the full grid either.  Each fold is refined to the
-extremum of alpha(log v) near its turn, so alpha_d and alpha_s do not
-depend on the grid.  alpha_c is the Newton root of the height gap G(a) =
+The transition search samples the curve on a coarse grid, one log v step
+anchored at v = 1 for every noise level, that only has to show the two
+turns and bracket the branch roots, and evaluates it only where they can
+lie, over 1 <= v <= 1 / sigma2.  Above that range, alpha(v) >=
+min(1, v sigma2) = 1 lies above every window; below it, v mmse(v) rises
+(checked, not proved), so alpha(v) rises there, on the large-MSE branch
+below alpha_s.  A range that does not show the window thus has none on
+any longer grid either.  Each fold is refined to the extremum of
+alpha(log v) near its turn, so alpha_d and alpha_s do not depend on the
+grid.  alpha_c is the Newton root of the height gap G(a) =
 F(large-MSE maximum) - F(small-MSE maximum).  Each maximum is a curve
 point (v, eps = mmse(v)), where varsigma = v: its height is F in closed
 form, with no replica solve (`_curve_free_entropy`).  Both maxima are
@@ -39,7 +40,7 @@ same two points.  Every curve point is stationary, so along the curve the
 same derivative integrates to G itself: G(a) is the integral of
 log(1 + S / sigma2) d alpha between the two rising crossings of a (the
 equal-area rule).  Its trapezoid sums on the grid, from values the curve
-already holds, start Newton within 3e-7 of alpha_c.
+already holds, start Newton within 5e-7 of alpha_c.
 """
 
 from dataclasses import dataclass, field
@@ -61,10 +62,10 @@ _ROOT_MAX_ITER = 100
 # windows are searched below alpha = 1: the orthogonal ensemble takes no rate above it, and
 # toward it a maximum with eps > sigma2 has Delta -> 1, where F's log(1 - Delta) diverges
 _ALPHA_SEARCH_CAP = 1.0 - 1e-7
-# the transition search's curve (`scan_curve` keeps DEFAULT_GRID_POINTS): it only has to
-# show the two turns and bracket the branch roots.  On 400-level noise sweeps at rho 0.1,
-# 0.4 and 0.7, both ensembles, 500 points flag the same levels sharp as 2000
-_SEARCH_GRID_POINTS = 500
+# the transition search's log v step (`scan_curve` keeps its own grid): the curve only has
+# to show the two turns and bracket the branch roots.  On 400-level noise sweeps at rho 0.1,
+# 0.4 and 0.7, both ensembles, it flags the same levels sharp as a 2000-point grid
+_SEARCH_STEP = 0.0646
 # fold search stop on the log v step: at 3e-7 the folds of 41 sharp points (rho 0.1, 0.4,
 # 0.7, both ensembles) were within 2.3e-15 of a bounded Brent search, in at most 6 steps
 _FOLD_XTOL = 3e-7
@@ -74,8 +75,8 @@ _GOLDEN = 0.5 * (3.0 - 5.0 ** 0.5)
 # sigma2 1e-4 and 1e-3, both ensembles), far below 1e-12 of rate
 _MAXWELL_STEP_TOL = 1e-12
 # the bound's margin: on 400-level sweeps at rho 0.1, 0.4 and 0.7, both ensembles, 10 moved
-# alpha_c by up to 9.6e-14 from a search that confirms every step and 30 by 3.5e-14, with
-# 2146 and 2037 of the 2177 sharp levels stopping after one evaluation
+# alpha_c by up to 9.9e-14 from a search that confirms every step and 30 by 7.7e-14, with
+# 2104 and 1989 of the 2177 sharp levels stopping after one evaluation
 _NEWTON_SAFETY = 30.0
 
 
@@ -179,11 +180,11 @@ def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
                refine: bool = True) -> FreeEntropyCurve:
     """Locate the maxima of F at rate alpha on the fixed-point curve alpha(v).
 
-    The curve is sampled at n_points of log v over [floor, 1 / floor], the
-    transition search's range; each rising crossing
-    alpha(v_k) < alpha <= alpha(v_k+1) is a maximum.  refine=True, the curve
-    product, refines each to its root and evaluates F on a log eps grid over
-    [floor, rho] and at the roots; refine=False, for counting, evaluates no F.
+    The curve is sampled at n_points of log v over [floor, 1 / floor]; each
+    rising crossing alpha(v_k) < alpha <= alpha(v_k+1) is a maximum.
+    refine=True, the curve product, refines each to its root and evaluates F
+    on a log eps grid over [floor, rho] and at the roots; refine=False, for
+    counting, evaluates no F.
     """
     _check_ensemble(kind)
     n_points = _whole_number("n_points", n_points, 3)
@@ -310,42 +311,38 @@ def _folds(rho, sigma2, kind, log_v, alpha):
     return x, rates
 
 
-def _search_slice(log_v, sigma2):
-    """(lo, hi) on a log v grid: 1 <= v <= 1 / sigma2, one more cell at each end, lo even."""
-    lo = max(int(np.searchsorted(log_v, 0.0)) - 1, 0) // 2 * 2
-    return lo, min(int(np.searchsorted(log_v, -np.log(sigma2), side="right")) + 1, log_v.size)
+def _search_grid(sigma2):
+    """log v = k _SEARCH_STEP, k from -1 to ceil(log(1 / sigma2) / _SEARCH_STEP) + 1."""
+    _default_eps_floor(sigma2)   # ValueError unless 0 < sigma2 < inf
+    return _SEARCH_STEP * np.arange(-1.0, np.ceil(-np.log(sigma2) / _SEARCH_STEP) + 2.0)
 
 
 def _search_curve(rho, sigma2, kind):
     """(log v, alpha, eps, fold log v, fold rates): the transition search's curve and its folds.
 
-    The curve is `_log_v_grid`'s grid of `_SEARCH_GRID_POINTS` points,
-    evaluated only on its slice over 1 <= v <= 1 / sigma2 with one cell of
-    margin at each end (`_search_slice`).  Nothing the search reads lies
-    outside it:
+    The curve is evaluated on `_search_grid`, one log v step anchored at
+    v = 1 for every noise level, over 1 <= v <= 1 / sigma2 with one cell of
+    margin at each end; a level's grid is a prefix of every lower level's.
+    Nothing the search reads lies outside it:
     - above v = 1 / sigma2, alpha(v) >= min(1, v sigma2) = 1 > _ALPHA_SEARCH_CAP
       (Gaussian: alpha = v (eps + sigma2) >= v sigma2; orthogonal: alpha =
       Delta + (1 - Delta) v sigma2, a mean of 1 and v sigma2 since Delta =
       v eps lies in [0, 1)), so no fold and no crossing of a window rate;
     - below v = 1, v mmse(v) rises, so alpha(v) rises for both ensembles (checked
       on a grid of rho, not proved): only the large-MSE branch below alpha_s.
-    So a slice that does not turn exactly twice, or whose fold alpha_d is not
-    below the cap, has no window on the full grid either (NoTransitionError).
-    The slice starts at an even index, so its every second point is also
-    one of the grid's every second points (`_equal_area_rate`).
-    ConvergenceError when the slice's first point is not below the refined
+    So a curve that does not turn exactly twice, or whose fold alpha_d is not
+    below the cap, has no window on any longer grid either (NoTransitionError).
+    ConvergenceError when the curve's first point is not below the refined
     alpha_s, so that the large-MSE branch would not bracket every window rate
-    (at the 1409 sharp points of a grid of rho in [1e-4, 0.995] and sigma2 in
-    [1e-10, 0.1], both ensembles, it lay at most at 0.86 alpha_s).
+    (at the 1909 sharp points of a grid of 28 rho in [1e-4, 0.995] and 45 sigma2
+    in [1e-10, 0.1], both ensembles, it lay at most at 0.912 alpha_s).
     """
     _check_ensemble(kind)  # every find_alpha_* and sweep_phase_diagram level comes here
-    log_v = _log_v_grid(sigma2, _SEARCH_GRID_POINTS)
-    lo, hi = _search_slice(log_v, sigma2)
-    log_v = log_v[lo:hi]
+    log_v = _search_grid(sigma2)
     alpha, eps = _fixed_point_rates(log_v, BernoulliGaussianPrior(rho), sigma2, kind)
     x_folds, rates = _folds(rho, sigma2, kind, log_v, alpha)
     if alpha[0] >= rates[1]:
-        raise ConvergenceError("the search slice starts above alpha_s: the large-MSE branch "
+        raise ConvergenceError("the search grid starts above alpha_s: the large-MSE branch "
                                "does not bracket the window", residual=float(alpha[0] - rates[1]))
     return log_v, alpha, eps, x_folds, rates
 
@@ -392,23 +389,21 @@ def _area_gap(rates, log_v, alpha, gain, x_d, x_s):
     return np.where(inside, to_crossing[1] - to_crossing[0], np.nan)
 
 
-def _equal_area_rate(curve, sigma2, kind):
-    """The search grid's Maxwell rate; None when the grid shows G no sign change in the window.
+def _equal_area_rate(curve, gain):
+    """The search curve's Maxwell rate; None when the curve shows G no sign change in the window.
 
     Every curve point is stationary in eps at its own rate, so along the
     curve dF = -(log(1 + S / sigma2) + 1) d alpha, and G(a) is the integral
     of log(1 + S / sigma2) d alpha from the large-MSE to the small-MSE
-    crossing of a (the equal-area rule).  Its trapezoid sums on the grid and
-    on every second grid point (`_area_gap`) are extrapolated to zero step
-    (their error is O(step^2)) at as many rates across the window as the
-    full search grid has points; the rate is interpolated linearly where
-    that G changes sign.  The curve is `_search_curve`'s slice, which holds
-    both crossings of every rate in the window and whose every second point
-    is one of the grid's.
+    crossing of a (the equal-area rule).  Its trapezoid sums on the curve
+    and on every second curve point (`_area_gap`, gain = `_log_gain` at the
+    curve's points) are extrapolated to zero step (their error is O(step^2))
+    at as many rates across the window as the curve has points; the rate is
+    interpolated linearly where that G changes sign.  The curve is
+    `_search_curve`'s, which holds both crossings of every rate in the window.
     """
-    log_v, alpha, eps, x_folds, (a_d, a_s) = curve
-    gain = _log_gain(log_v, eps, sigma2, kind)
-    rates = np.linspace(a_s, a_d, _SEARCH_GRID_POINTS)[1:-1]
+    log_v, alpha, _, x_folds, (a_d, a_s) = curve
+    rates = np.linspace(a_s, a_d, log_v.size)[1:-1]
     fine, coarse = (_area_gap(rates, log_v[::m], alpha[::m], gain[::m], *x_folds) for m in (1, 2))
     gap = (4.0 * fine - coarse) / 3.0
     change = np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))
@@ -481,10 +476,11 @@ def _maxwell_rate(rho, sigma2, kind, curve):
     change, is NoTransitionError.
     """
     lo, hi = ends = tuple(curve[-1][::-1].tolist())
-    start = _equal_area_rate(curve, sigma2, kind)
-    rate = 0.5 * (lo + hi) if start is None else start
     log_v, alpha, eps = curve[:3]
-    grid = (log_v, *np.gradient(np.stack([_log_gain(log_v, eps, sigma2, kind), alpha]), axis=1))
+    gain = _log_gain(log_v, eps, sigma2, kind)
+    start = _equal_area_rate(curve, gain)
+    rate = 0.5 * (lo + hi) if start is None else start
+    grid = (log_v, *np.gradient(np.stack([gain, alpha]), axis=1))
     branches = _rising_branches(curve)
     for _ in range(_ROOT_MAX_ITER):
         gap, slope = _maxwell_gap(rate, rho, sigma2, kind, branches)

@@ -61,6 +61,23 @@ def test_param_validation():
         SeedingParams(L=4, W=2, alpha_seed=0.7, alpha_bulk=0.5, J=-0.1)
 
 
+def test_whole_float_sizes_build_the_int_spec():
+    params = SeedingParams(L=10.0, W=2.0, alpha_seed=0.7, alpha_bulk=0.5, J=0.5)
+    assert (type(params.L), type(params.W)) == (int, int)
+    got = build_seeding_spec(params, 0.4, 1e-4)
+    want = build_seeding_spec(SeedingParams(L=10, W=2, alpha_seed=0.7, alpha_bulk=0.5, J=0.5),
+                              0.4, 1e-4)
+    for field in ("gamma", "alpha", "J"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("sizes", [{"L": 2.5}, {"L": True}, {"L": np.inf}, {"L": np.nan},
+                                   {"L": None}, {"W": 1.5}, {"W": False}])
+def test_sizes_must_be_whole_numbers(sizes):
+    with pytest.raises(ValueError, match="whole number"):
+        SeedingParams(**{"L": 4, "W": 2, **sizes}, alpha_seed=0.7, alpha_bulk=0.5, J=0.5)
+
+
 @settings(deadline=None, max_examples=50)
 @given(L=st.integers(1, 24), W=st.integers(1, 6),
        a_seed=st.floats(0.05, 0.95), a_bulk=st.floats(0.05, 0.95),

@@ -249,7 +249,7 @@ class TestFixedPointCurve:
     @given(rho=st.floats(1e-4, 1.0), log_sigma2=st.floats(-10.0, 0.0),
            log_v=st.floats(-23.0, 23.0), kind=st.sampled_from([GAUSS, ORTH]))
     def test_rate_is_at_least_min_of_one_and_v_sigma2(self, rho, log_sigma2, log_v, kind):
-        # the upper cut of the search slice: beyond v = 1 / sigma2 the curve lies above the
+        # the upper end of the search grid: beyond v = 1 / sigma2 the curve lies above the
         # rate cap (Gaussian: alpha = v (eps + sigma2); orthogonal: alpha is a mean of 1 and
         # v sigma2 with weights Delta = v eps and 1 - Delta); 1e-15 covers the rounding of
         # alpha, far below the 1e-7 by which _ALPHA_SEARCH_CAP sits under 1
@@ -259,7 +259,7 @@ class TestFixedPointCurve:
         assert alpha >= min(1.0, v * sigma2) * (1.0 - 1e-15)
 
     def test_v_mmse_rises_up_to_v_one(self):
-        # the lower cut of the search slice: below v = 1, v mmse(v) rises, so the Gaussian
+        # the lower end of the search grid: below v = 1, v mmse(v) rises, so the Gaussian
         # alpha = v mmse + v sigma2 rises, and so does the orthogonal alpha = Delta +
         # (1 - Delta) v sigma2 (its slope is Delta' (1 - v sigma2) + sigma2 (1 - Delta));
         # checked on this grid, not proved
@@ -332,13 +332,14 @@ class TestGridFreeSearch:
     @pytest.mark.parametrize("kind", [GAUSS, ORTH])
     @pytest.mark.parametrize("sigma2", [1e-4, 1e-3])
     def test_equal_area_start_is_near_the_maxwell_rate(self, kind, sigma2):
-        # the trapezoid sums extrapolated to zero step start Newton within 1.5e-7 of alpha_c
-        # at rho 0.1, 0.4 and 0.7 and sigma2 1e-5, 1e-4 and 1e-3 (2.8e-7 over 100-level
+        # the trapezoid sums extrapolated to zero step start Newton within 2.3e-7 of alpha_c
+        # at rho 0.1, 0.4 and 0.7 and sigma2 1e-5, 1e-4 and 1e-3 (4.3e-7 over 100-level
         # sweeps); the search relies on that: one step from there lands within the step
         # tolerance by its own error bound, so G is evaluated once; the plain grid sum is
-        # off by up to 6e-6
+        # off by up to 2.7e-6 at the same points
         curve = phase_analysis._search_curve(RHO, sigma2, kind)
-        start = phase_analysis._equal_area_rate(curve, sigma2, kind)
+        gain = phase_analysis._log_gain(curve[0], curve[2], sigma2, kind)
+        start = phase_analysis._equal_area_rate(curve, gain)
         assert abs(start - phase_analysis._maxwell_rate(RHO, sigma2, kind, curve)) <= 2.5e-7
 
     @pytest.mark.parametrize("kind", [GAUSS, ORTH])
@@ -543,13 +544,33 @@ def test_folds_match_the_30_digit_oracle(rho, sigma2, kind):
         assert abs(got - want) <= 1e-12, (got, want)
 
 
+# alpha_c of the same oracle: each maximum at a rate by mp.findroot of alpha(log v) = rate on
+# its rising branch, its height F in closed form with the channel term by mp.quad, and
+# alpha_c by mp.findroot of the height gap; the sweep was within 1.6e-14 of every rate
+# when they were frozen
+MAXWELL_ORACLE = {
+    (0.4, 0.0001, Ensemble.ROW_ORTHOGONAL): 0.47387546594029384186,
+    (0.4, 0.0001, Ensemble.GAUSSIAN_IID): 0.48096931367906307744,
+    (0.4, 1e-06, Ensemble.ROW_ORTHOGONAL): 0.44218194125987823947,
+    (0.4, 1e-06, Ensemble.GAUSSIAN_IID): 0.44456688550795449266,
+    (0.1, 1e-05, Ensemble.ROW_ORTHOGONAL): 0.13437473631540930375,
+    (0.1, 1e-05, Ensemble.GAUSSIAN_IID): 0.13493819207408450184,
+}
+
+
+@pytest.mark.parametrize("rho, sigma2, kind", list(MAXWELL_ORACLE))
+def test_maxwell_rate_matches_the_30_digit_oracle(rho, sigma2, kind):
+    (pt,) = sweep_phase_diagram(rho, [sigma2], kind)
+    assert pt.sharp and abs(pt.alpha_c - MAXWELL_ORACLE[rho, sigma2, kind]) <= 1e-12, pt
+
+
 # the last sharp level of a 400-level noise sweep over [1e-6, 3e-3], as (index, whether the
 # grid sums show no sign change and Newton starts mid-window): the window is 2.9e-6 to 4.4e-5
-# wide and holds 3 to 8 points of the search curve
+# wide and holds 2 to 6 points of the search curve
 NEAR_CUSP_SWEEP = np.geomspace(1e-6, 3e-3, 400)
 NEAR_CUSP_LEVELS = {(0.1, ORTH): (366, True), (0.1, GAUSS): (358, True),
-                    (0.4, ORTH): (393, True), (0.4, GAUSS): (361, True),
-                    (0.7, ORTH): (382, False), (0.7, GAUSS): (311, True)}
+                    (0.4, ORTH): (393, False), (0.4, GAUSS): (361, True),
+                    (0.7, ORTH): (382, True), (0.7, GAUSS): (311, True)}
 
 
 @pytest.mark.parametrize("rho, kind", list(NEAR_CUSP_LEVELS))
@@ -593,8 +614,8 @@ def count_phase_point_work(rho, sigma2, kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", [GAUSS, ORTH])
 def test_phase_point_work(kind, monkeypatch):
-    # at the benchmark's point: one mmse call for the curve on the search slice (146 of
-    # the grid's 500 values), 4-5 fold steps, then one Newton step: a joint root solve of
+    # at the benchmark's point: one mmse call for the curve on the search grid (146
+    # values), 4-5 fold steps, then one Newton step: a joint root solve of
     # both maxima (6 mmse calls) and their heights in closed form from the two roots, with
     # no replica solve, after which the step's error bound stops the search; 11 mmse calls
     # on 166 values for each ensemble, and one warm-started call (2 values) of margin
@@ -647,40 +668,58 @@ def test_error_bound_stop_keeps_the_confirmed_rate(kind, monkeypatch):
     assert all(pt.sharp for pt in stopped + confirmed)
     for got, want in zip(stopped, confirmed, strict=True):
         assert abs(got.alpha_c - want.alpha_c) <= 1e-13, (got, want)
-    # 14 of 22 (Gaussian) and 17 of 23 (orthogonal), all of the far levels; the largest
-    # difference is 3.0e-14, and a margin of 3 in place of 30 fails at 2.1e-13
+    # 15 of 22 (Gaussian) and 14 of 23 (orthogonal), all but one of the far levels; the
+    # largest difference is 2.1e-14, and a margin of 3 in place of 30 fails at 3.2e-13
     assert evaluations.count(1) > 0.5 * len(levels), evaluations
 
 
 @pytest.mark.parametrize("kind", [GAUSS, ORTH])
 def test_work_past_the_cusp(kind, monkeypatch):
-    # no window: the slice, each value once, plus two values per fold step
+    # no window: the search grid, each value once, plus two values per fold step
     pt, calls = count_phase_point_work(RHO, 1e-2, kind, monkeypatch)
     assert not pt.sharp
-    log_v = phase_analysis._log_v_grid(1e-2, phase_analysis._SEARCH_GRID_POINTS)
-    lo, hi = phase_analysis._search_slice(log_v, 1e-2)
-    assert calls["values"] <= hi - lo + 2 * (calls["mmse"] - 1), calls
+    size = phase_analysis._search_grid(1e-2).size
+    assert calls["values"] <= size + 2 * (calls["mmse"] - 1), calls
+
+
+def test_search_grids_are_prefixes_of_one_another():
+    # one step anchored at v = 1 for every level: a level's grid, bit for bit, starts every
+    # lower level's, and it reaches one step past v = 1 / sigma2
+    grids = [phase_analysis._search_grid(sigma2) for sigma2 in (1e-2, 1e-4, 1e-6)]
+    for short, long in zip(grids, grids[1:]):
+        assert short.size < long.size and np.array_equal(short, long[:short.size])
+    for sigma2, grid in zip((1e-2, 1e-4, 1e-6), grids):
+        assert grid[0] < 0.0 == grid[1] and grid[-3] < -np.log(sigma2) <= grid[-2]
+        assert np.array_equal(grid, phase_analysis._SEARCH_STEP * np.arange(-1, grid.size - 1))
 
 
 @pytest.mark.parametrize("kind", [GAUSS, ORTH])
 @pytest.mark.parametrize("rho", [0.1, 0.4, 0.9])
-def test_slice_search_matches_the_full_grid_search(rho, kind, monkeypatch):
-    # levels with and without a window, up to past the cusp: the search on the whole grid
-    # finds the same folds bit for bit, and alpha_c up to the rounding of its area sums
+def test_longer_grid_search_matches_the_search(rho, kind, monkeypatch):
+    # levels with and without a window, up to past the cusp: the search on a grid six cells
+    # longer at each end (an even number, so its every second point is still the search
+    # grid's) finds the same folds bit for bit, and alpha_c up to the rounding of its area
+    # sums and the error bound of its Newton stop
     levels = np.geomspace(1e-6, 3e-2, 9)
-    sliced = sweep_phase_diagram(rho, levels, kind)
-    monkeypatch.setattr(phase_analysis, "_search_slice", lambda log_v, sigma2: (0, log_v.size))
-    full = sweep_phase_diagram(rho, levels, kind)
-    assert any(pt.sharp for pt in full) and not all(pt.sharp for pt in full)
-    for got, want in zip(sliced, full, strict=True):
+    searched = sweep_phase_diagram(rho, levels, kind)
+    search_grid = phase_analysis._search_grid
+
+    def longer(sigma2):
+        grid = search_grid(sigma2)
+        return phase_analysis._SEARCH_STEP * np.arange(-7.0, grid.size + 5.0)
+
+    monkeypatch.setattr(phase_analysis, "_search_grid", longer)
+    extended = sweep_phase_diagram(rho, levels, kind)
+    assert any(pt.sharp for pt in extended) and not all(pt.sharp for pt in extended)
+    for got, want in zip(searched, extended, strict=True):
         assert (got.sharp, got.alpha_d, got.alpha_s) == (want.sharp, want.alpha_d, want.alpha_s)
         if want.sharp:
-            assert abs(got.alpha_c - want.alpha_c) <= 1e-13 * want.alpha_c
+            assert abs(got.alpha_c - want.alpha_c) <= 1e-13, (got, want)
 
 
 class TestPhasePointFailures:
     def test_curve_is_built_once_per_phase_point(self, monkeypatch):
-        # one curve evaluation, on the search slice; the folds and the branch roots then
+        # one curve evaluation, on the search grid; the folds and the branch roots then
         # evaluate two points at a time
         sizes = []
         rates = phase_analysis._fixed_point_rates
@@ -692,20 +731,17 @@ class TestPhasePointFailures:
         monkeypatch.setattr(phase_analysis, "_fixed_point_rates", counted)
         (pt,) = sweep_phase_diagram(RHO, [SIGMA2], GAUSS)
         assert pt.sharp and pt.alpha_s < pt.alpha_c < pt.alpha_d
-        log_v = phase_analysis._log_v_grid(SIGMA2, phase_analysis._SEARCH_GRID_POINTS)
-        lo, hi = phase_analysis._search_slice(log_v, SIGMA2)
-        assert sizes[0] == hi - lo < log_v.size and max(sizes[1:]) == 2
+        assert sizes[0] == phase_analysis._search_grid(SIGMA2).size == 146
+        assert max(sizes[1:]) == 2
 
     @pytest.mark.parametrize("kind", [GAUSS, ORTH])
-    def test_slice_above_alpha_s_raises_out_of_the_sweep(self, kind, monkeypatch):
-        # a slice whose first point is on the large-MSE branch above alpha_s cannot bracket
+    def test_grid_above_alpha_s_raises_out_of_the_sweep(self, kind, monkeypatch):
+        # a grid whose first point is on the large-MSE branch above alpha_s cannot bracket
         # the window's rates on that branch
         log_v, alpha, _, _, (_, a_s) = phase_analysis._search_curve(RHO, SIGMA2, kind)
-        grid = phase_analysis._log_v_grid(SIGMA2, phase_analysis._SEARCH_GRID_POINTS)
-        lo = int(np.searchsorted(grid, log_v[np.flatnonzero(alpha >= a_s)[0]]))
-        hi = phase_analysis._search_slice(grid, SIGMA2)[1]
-        monkeypatch.setattr(phase_analysis, "_search_slice", lambda log_v, sigma2: (lo, hi))
-        with pytest.raises(ConvergenceError, match="the search slice starts above alpha_s"):
+        start = np.flatnonzero(alpha >= a_s)[0]
+        monkeypatch.setattr(phase_analysis, "_search_grid", lambda sigma2: log_v[start:])
+        with pytest.raises(ConvergenceError, match="the search grid starts above alpha_s"):
             sweep_phase_diagram(RHO, [SIGMA2], kind)
 
     def test_unconverged_root_find_raises_out_of_the_sweep(self, monkeypatch):
