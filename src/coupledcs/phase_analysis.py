@@ -23,24 +23,20 @@ rising branches.
 
 The transition search samples the curve on a coarse grid, one log v step
 anchored at v = 1 for every noise level, that only has to show the two
-turns and bracket the branch roots, and evaluates it only where they can
-lie, over 1 <= v <= 1 / sigma2.  Above that range, alpha(v) >=
-min(1, v sigma2) = 1 lies above every window; below it, v mmse(v) rises
-(checked, not proved), so alpha(v) rises there, on the large-MSE branch
-below alpha_s.  A range that does not show the window thus has none on
-any longer grid either.  Each fold is refined to the extremum of
-alpha(log v) near its turn, so alpha_d and alpha_s do not depend on the
-grid.  alpha_c is the Newton root of the height gap G(a) =
-F(large-MSE maximum) - F(small-MSE maximum).  Each maximum is a curve
-point (v, eps = mmse(v)), where varsigma = v: its height is F in closed
-form, with no replica solve (`_curve_free_entropy`).  Both maxima are
-stationary in eps, so G'(a) is the difference of the explicit rate
-derivatives of F, log((sigma2 + S_small) / (sigma2 + S_large)), from the
-same two points.  Every curve point is stationary, so along the curve the
-same derivative integrates to G itself: G(a) is the integral of
-log(1 + S / sigma2) d alpha between the two rising crossings of a (the
-equal-area rule).  Its trapezoid sums on the grid, from values the curve
-already holds, start Newton within 5e-7 of alpha_c.
+turns and bracket the branch roots, and evaluates it only over
+1 <= v <= 1 / sigma2, where they can lie (`_search_curve`).  Each fold
+is refined to the extremum of alpha(log v) near its turn, so alpha_d and
+alpha_s do not depend on the grid.  alpha_c is the Newton root of the
+height gap G(a) = F(large-MSE maximum) - F(small-MSE maximum).  Each
+maximum is a curve point (v, eps = mmse(v)), where varsigma = v: its
+height is F in closed form, with no replica solve (`_curve_free_entropy`).
+Both maxima are stationary in eps, so G'(a) is the difference of the
+explicit rate derivatives of F, log((sigma2 + S_small) / (sigma2 +
+S_large)), from the same two points.  Every curve point is stationary, so
+along the curve the same derivative integrates to G itself: G(a) is the
+integral of log(1 + S / sigma2) d alpha between the two rising crossings
+of a (the equal-area rule).  Its trapezoid sums on the grid, from values
+the curve already holds, start Newton within 5e-7 of alpha_c.
 """
 
 from dataclasses import dataclass, field
@@ -74,10 +70,12 @@ _GOLDEN = 0.5 * (3.0 - 5.0 ** 0.5)
 # (`_maxwell_rate`) is this small; near alpha_c the gap is smooth to about 2e-15 (rho 0.4,
 # sigma2 1e-4 and 1e-3, both ensembles), far below 1e-12 of rate
 _MAXWELL_STEP_TOL = 1e-12
-# the bound's margin: on 400-level sweeps at rho 0.1, 0.4 and 0.7, both ensembles, 10 moved
-# alpha_c by up to 9.9e-14 from a search that confirms every step and 30 by 7.7e-14, with
-# 2104 and 1989 of the 2177 sharp levels stopping after one evaluation
-_NEWTON_SAFETY = 30.0
+# the bound's margin, and the curve points it needs between the folds (with 4, the crossings'
+# differences reached across a fold: |G''| read 100x low, a stop 5.5e-13 off at rho 0.2): on
+# 400-level sweeps at rho 0.1, 0.4 and 0.7, both ensembles, 10 moved alpha_c by up to 9.9e-14
+# from a search that confirms every step and 30 by 7.7e-14, with 2101 and 1986 of the 2177
+# sharp levels stopping after one evaluation
+_NEWTON_SAFETY, _BOUND_POINTS = 30.0, 6
 
 
 class NoTransitionError(ValueError):
@@ -332,10 +330,12 @@ def _search_curve(rho, sigma2, kind):
       on a grid of rho, not proved): only the large-MSE branch below alpha_s.
     So a curve that does not turn exactly twice, or whose fold alpha_d is not
     below the cap, has no window on any longer grid either (NoTransitionError).
-    ConvergenceError when the curve's first point is not below the refined
-    alpha_s, so that the large-MSE branch would not bracket every window rate
-    (at the 1909 sharp points of a grid of 28 rho in [1e-4, 0.995] and 45 sigma2
-    in [1e-10, 0.1], both ensembles, it lay at most at 0.912 alpha_s).
+    ConvergenceError when the curve's first point, one step below v = 1, is
+    not below the refined alpha_s, so that the large-MSE branch would not
+    bracket every window rate (at the 3496 sharp points of 40 rho in [1e-12,
+    0.995] x 60 sigma2 in [1e-40, 0.3], both ensembles, alpha(1) lay below
+    alpha_s and the first point at most at 0.9374 alpha_s, e^-_SEARCH_STEP,
+    its limit as rho and sigma2 go to 0).
     """
     _check_ensemble(kind)  # every find_alpha_* and sweep_phase_diagram level comes here
     log_v = _search_grid(sigma2)
@@ -465,21 +465,23 @@ def _maxwell_rate(rho, sigma2, kind, curve):
     otherwise).  G falls with a, so the fold ends, where the branch roots
     are double roots, are never evaluated.  A step s inside the bracket
     leaves an error of about |G''| s^2 / (2 |G'|), G'' from central
-    differences on the search grid (`_gap_curvature`); after an equal-area
-    start (a grid that shows G no sign change is too coarse for G''), once
-    that bound times `_NEWTON_SAFETY` is within `_MAXWELL_STEP_TOL`, the
-    stepped rate is returned without evaluating G there, so the search
-    usually needs one evaluation.  Rounding in G can keep |G| above any
+    differences on the search grid (`_gap_curvature`); once that bound
+    times `_NEWTON_SAFETY` is within `_MAXWELL_STEP_TOL`, the stepped rate
+    is returned without evaluating G there, so the search usually needs one
+    evaluation.  A grid that shows G no sign change, or that holds fewer
+    than `_BOUND_POINTS` points between the folds, is too coarse for G'':
+    its steps are all confirmed.  Rounding in G can keep |G| above any
     fixed tolerance, or send Newton back and forth around the root, so the
     search also stops on the step size, on G = 0, or when its bracket
     closes; a bracket that closes on an end of the window, with no sign
     change, is NoTransitionError.
     """
     lo, hi = ends = tuple(curve[-1][::-1].tolist())
-    log_v, alpha, eps = curve[:3]
+    log_v, alpha, eps, (x_d, x_s) = curve[:4]
     gain = _log_gain(log_v, eps, sigma2, kind)
     start = _equal_area_rate(curve, gain)
     rate = 0.5 * (lo + hi) if start is None else start
+    bounded = start is not None and np.count_nonzero((log_v > x_d) & (log_v < x_s)) >= _BOUND_POINTS
     grid = (log_v, *np.gradient(np.stack([gain, alpha]), axis=1))
     branches = _rising_branches(curve)
     for _ in range(_ROOT_MAX_ITER):
@@ -488,7 +490,7 @@ def _maxwell_rate(rho, sigma2, kind, curve):
             return rate
         lo, hi = (rate, hi) if gap > 0 else (lo, rate)
         step = -gap / slope
-        if abs(step) <= _MAXWELL_STEP_TOL or (start is not None and lo < rate + step < hi and
+        if abs(step) <= _MAXWELL_STEP_TOL or (bounded and lo < rate + step < hi and
                 _NEWTON_SAFETY * _gap_curvature(rate, curve, grid) * step * step
                 <= 2.0 * abs(slope) * _MAXWELL_STEP_TOL):
             return rate + step

@@ -8,7 +8,8 @@ test_ prefix):
 
 It prints the tables `FOLD_ORACLE` (alpha_d, alpha_s) and `MAXWELL_ORACLE` (alpha_c) that
 tests/test_phase_analysis.py freezes, with the package's distance from each rate.  Nothing
-of the package's numerics enters a rate but the start of each root search:
+of the package's numerics enters a rate but the start of each root search (`channel_term`
+is also tests/test_replica_core.py's 40-digit oracle for the package's channel term):
 - mmse(v) is `mp.quad` of the radial form in the docstring of `coupledcs.mmse`,
   rho / (1 + v) (1 + v int_0^inf t e^{-t} sigmoid(u* - v t) dt), u* = log((1 - rho)
   (1 + v) / rho), split at the sigmoid's step t = u* / v;
@@ -34,8 +35,11 @@ import numpy as np
 from coupledcs import Ensemble, phase_analysis
 
 DIGITS = 30
-# (rho, sigma2) of the frozen points; each is sharp for both ensembles
-POINTS = ((0.4, 1e-4), (0.4, 1e-6), (0.1, 1e-5))
+# (rho, sigma2, ensemble) of the frozen points: three levels, each sharp for both ensembles,
+# and the last sharp level of np.geomspace(1e-8, 0.3, 300) at rho 0.2 (Gaussian), whose
+# window holds 4 points of the search curve, too few for the Newton stop's error bound
+POINTS = (*((rho, sigma2, kind) for rho, sigma2 in ((0.4, 1e-4), (0.4, 1e-6), (0.1, 1e-5))
+            for kind in Ensemble), (0.2, 0.0015902875371494082, Ensemble.GAUSSIAN_IID))
 # the second start of each secant search, next to the package's value
 _NUDGE = mp.mpf(2) ** -30
 
@@ -57,8 +61,9 @@ def channel_term(v, rho):
     E_x e^{-v |y - x|^2} = (1 - rho) e^{-v u} + rho / (1 + v) e^{-b u}, u = |y|^2 and
     b = v / (1 + v), and u follows the mixture (1 - rho) Exp(v) + rho Exp(b).  Each
     piece is integrated in s = v u or s = b u, split where the two terms of the log
-    are equal, at u = log((1 - rho) (1 + v) / rho) / (v - b).
+    are equal, at u = log((1 - rho) (1 + v) / rho) / (v - b).  At the working precision.
     """
+    v, rho = mp.mpf(v), mp.mpf(rho)
     b = v / (1 + v)
     elbow = mp.log((1 - rho) * (1 + v) / rho) / (v - b)
 
@@ -128,7 +133,7 @@ def main():
     mp.mp.dps = DIGITS
     start = time.perf_counter()
     rates = {(rho, sigma2, kind): (*folds(rho, sigma2, kind), maxwell(rho, sigma2, kind))
-             for rho, sigma2 in POINTS for kind in Ensemble}
+             for rho, sigma2, kind in POINTS}
     for name, columns in (("FOLD_ORACLE", slice(0, 2)), ("MAXWELL_ORACLE", slice(2, 3))):
         print(f"{name} = {{")
         for (rho, sigma2, kind), oracle in rates.items():

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,11 +16,12 @@ from coupledcs.replica_core import (_INNER_TOL, _conjugates, _g_values, _solve_l
                                    channel_term_batch)
 
 from conftest import random_coupled_spec
+from fold_oracle import channel_term
 
 GAUSS = Ensemble.GAUSSIAN_IID
 ORTH = Ensemble.ROW_ORTHOGONAL
 
-# Frozen output of `_channel_mpmath_oracle(vs, rho)` below, keyed by (rho, vs).
+# Frozen float of `fold_oracle.channel_term(vs, rho)` at 40 digits, keyed by (rho, vs).
 ORACLE_CHANNEL = {
     (0.999, 1000.0): -7.9075470633679386,
     (0.4, 1.0): -1.3307239272395504,
@@ -29,27 +31,6 @@ ORACLE_CHANNEL = {
     (0.9, 10.0): -3.2865451646767614,
     (0.25, 1e6): -5.0161808406356005,
 }
-
-
-def _channel_mpmath_oracle(vs, rho):
-    """E_u log((1-rho) e^{-vs u} + rho/(1+vs) e^{-vs u/(1+vs)}) at 40 digits.
-
-    u = |y|^2 follows its two-exponential mixture law; the log-sum switches
-    branch at u = elbow over a width w.
-    """
-    import mpmath as mp
-
-    with mp.workdps(40):
-        vs, rho = mp.mpf(vs), mp.mpf(rho)
-        b = vs / (1 + vs)
-        g = lambda u: mp.log((1 - rho) * mp.exp(-vs * u) + rho / (1 + vs) * mp.exp(-b * u))
-        dens = lambda u: (1 - rho) * vs * mp.exp(-vs * u) + rho * b * mp.exp(-b * u)
-        w = 1 / (vs - b)
-        elbow = (mp.log(1 - rho) - mp.log(rho) + mp.log(1 + vs)) * w
-        pts = {mp.mpf(0)} | {elbow + k * w for k in range(-40, 41, 2)}
-        pts |= {s / vs for s in (1, 2, 4, 8, 16, 32)} | {s / b for s in (1, 2, 4, 8, 16, 32)}
-        pts = sorted(p for p in pts if 0 <= p < 60 / b)
-        return float(mp.quad(lambda u: dens(u) * g(u), pts + [mp.inf]))
 
 
 def two_block_spec(rho=0.4, sigma2=1e-3):
@@ -191,8 +172,9 @@ class TestChannelTerm:
 
     def test_frozen_oracle_values_are_live(self):
         for rho, vs in [(0.999, 1000.0), (0.9, 10.0)]:
-            assert _channel_mpmath_oracle(vs, rho) == pytest.approx(ORACLE_CHANNEL[rho, vs],
-                                                                    rel=1e-15, abs=0)
+            with mp.workdps(40):
+                oracle = float(channel_term(vs, rho))
+            assert oracle == pytest.approx(ORACLE_CHANNEL[rho, vs], rel=1e-15, abs=0)
 
     def test_subnormal_precision_is_the_pure_noise_limit(self):
         # vs -> 0: y is pure noise and the channel term tends to -1
