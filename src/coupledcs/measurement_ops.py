@@ -25,11 +25,13 @@ only.  Each DftBlock keeps its row selection and column permutation
 composed with the layout's index maps once, when the operator is drawn,
 so a block application is a gather, one transform and a gather.
 
-All randomness flows from one counter-based Philox generator: the
-instance seed feeds a SeedSequence whose spawned children are assigned,
-in row-major block order, one stream per block (plus dedicated streams
-for the signal and the noise), so draws are reproducible across
-platforms and independent of block evaluation order.
+All randomness flows from counter-based Philox generators.  The operator
+seed's SeedSequence spawns L_r * L_c streams, and block (q, p) draws from
+stream q * L_c + p (a DFT block its rows, rng.choice(N_p, M_q,
+replace=False), then its permutation, rng.permutation(N_p)); the instance
+seed's spawns the signal's and the noise's.  So draws are reproducible
+across platforms and independent of block evaluation order, and the tests
+re-draw each DFT block by this protocol for their dense references.
 """
 
 import functools
@@ -84,27 +86,16 @@ class DftBlock:
     transform layout of `_layout(n)`: column j enters the stack at flat
     position time_map[j], time_inv is that map's inverse, and selected row
     r is read at freq_map[r].  int32 holds the three in (2n + m) * 4 bytes,
-    no more than the (n + m) * 8 of the drawn intp arrays.  gain is scale
-    times the layout's transform norm.
+    no more than the (n + m) * 8 of the drawn intp arrays.  gain is
+    sqrt(J n / N) times the layout's transform norm.
     """
 
     n: int
     m: int
-    scale: float
     gain: float
     time_map: np.ndarray
     time_inv: np.ndarray
     freq_map: np.ndarray
-
-    @property
-    def row_selection(self) -> np.ndarray:
-        """The drawn DFT rows, in draw order."""
-        return _drawn(self.freq_map, _layout(self.n)[2])
-
-    @property
-    def col_permutation(self) -> np.ndarray:
-        """The drawn column permutation: column j holds DFT time index col_permutation[j]."""
-        return _drawn(self.time_map, _layout(self.n)[1])
 
 
 @dataclass
@@ -264,14 +255,8 @@ def _dft_block(n: int, rows: np.ndarray, perm: np.ndarray, scale: float) -> DftB
     time_inv[time_map] = np.arange(n, dtype=np.int32)
     # Rader's stage leaves its transform unnormalized: the unitary norm goes into the gain
     gain = scale * (1.0 / np.sqrt(n)) if kernel is not None else scale
-    return DftBlock(n=n, m=len(rows), scale=scale, gain=gain, time_map=time_map,
-                    time_inv=time_inv, freq_map=rows.astype(np.int32))
-
-
-def _drawn(flat: np.ndarray, pos) -> np.ndarray:
-    """The DFT indices that a layout's positions pos (None: the identity) put at flat."""
-    # argsort inverts the permutation pos
-    return flat.astype(np.intp) if pos is None else np.argsort(pos)[flat]
+    return DftBlock(n=n, m=len(rows), gain=gain, time_map=time_map, time_inv=time_inv,
+                    freq_map=rows.astype(np.int32))
 
 
 def _transform(w: np.ndarray, kernel, adjoint: bool) -> np.ndarray:
@@ -374,7 +359,7 @@ def block_variance_report(op: CoupledOperator) -> dict:
         nominal = op.spec.J[q, p] / op.N
         if isinstance(block, DftBlock):
             # constant-modulus rows: the per-entry variance is pinned to
-            # scale^2 / n = J/N by construction, with no sampling error
+            # (J n / N) / n = J / N by construction, with no sampling error
             empirical = nominal
         else:
             empirical = float(np.mean(np.abs(block.matrix) ** 2))

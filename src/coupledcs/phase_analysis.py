@@ -200,7 +200,7 @@ def scan_curve(rho: float, sigma2: float, alpha: float, kind: Ensemble,
     # every single-block fixed point from one mmse call: rho / (1 + v) <= mmse(v) <=
     # rho / (1 + rho v), so over [floor, 1 / floor] they cover eps in [floor, rho (1 - floor)],
     # about the eps grid below
-    log_v = _log_v_grid(sigma2, n_points, floor)
+    log_v = np.linspace(np.log(floor), -np.log(floor), n_points)
     curve, eps = _fixed_point_rates(log_v, BernoulliGaussianPrior(rho), sigma2, kind)
     # eps = mmse(v) falls as v rises, so the crossings are listed from the last;
     # at rho = 0 every fixed point has eps = 0, below the grid
@@ -223,14 +223,12 @@ def _fixed_point_rates(log_v, prior, sigma2, kind):
     """
     v = np.exp(log_v)
     eps = mmse(v, prior)
-    delta = v * eps if kind is Ensemble.ROW_ORTHOGONAL else 0.0
-    return v * (eps + sigma2 * (1.0 - delta)), eps
+    return v * (eps + sigma2 * _omd(v, eps, kind)), eps
 
 
-def _log_v_grid(sigma2, n_points, floor=None):
-    """n_points of log v over [floor, 1 / floor], floor = _default_eps_floor(sigma2) by default."""
-    floor = _default_eps_floor(sigma2) if floor is None else floor
-    return np.linspace(np.log(floor), -np.log(floor), n_points)
+def _omd(v, eps, kind):
+    """1 - Delta at curve points (v, eps): Delta = v eps (orthogonal) or 0 (Gaussian)."""
+    return 1.0 - v * eps if kind is Ensemble.ROW_ORTHOGONAL else 1.0
 
 
 def _curve_roots(rates, k, points, rho, sigma2, kind):
@@ -347,14 +345,12 @@ def _search_curve(rho, sigma2, kind):
     return log_v, alpha, eps, x_folds, rates
 
 
-def _log_gain(log_v, eps, sigma2, kind):
-    """log(1 + S / sigma2) at curve points (log v, eps); -1 minus it is F's explicit d/d alpha.
+def _log_gain(eps, omd, sigma2):
+    """log(1 + S / sigma2) at curve points (eps, `_omd`); -1 minus it is F's explicit d/d alpha.
 
-    S = 1 / Lambda: eps for the Gaussian ensemble and eps / (1 - v eps) for
-    the orthogonal one (Lambda = (1 - Delta) / eps, Delta = v eps).
+    S = 1 / Lambda = eps / (1 - Delta), Lambda = (1 - Delta) / eps.
     """
-    s = eps if kind is Ensemble.GAUSSIAN_IID else eps / (1.0 - np.exp(log_v) * eps)
-    return np.log1p(s / sigma2)
+    return np.log1p(eps / omd / sigma2)
 
 
 def _curve_free_entropy(log_v, eps, rate, rho, sigma2, kind):
@@ -364,8 +360,9 @@ def _curve_free_entropy(log_v, eps, rate, rho, sigma2, kind):
     rate log(1 + S / sigma2) + (1 - rate) + (1 - Delta) - log(1 - Delta) - 1, ct the
     channel term, Delta = v eps and S = eps / (1 - Delta) (orthogonal) or 0 and eps (Gaussian).
     """
-    v, gain = np.exp(log_v), _log_gain(log_v, eps, sigma2, kind)
-    omd = 1.0 - v * eps if kind is Ensemble.ROW_ORTHOGONAL else 1.0   # 1 - Delta
+    v = np.exp(log_v)
+    omd = _omd(v, eps, kind)
+    gain = _log_gain(eps, omd, sigma2)
     return (channel_term_batch(v, BernoulliGaussianPrior(rho)) + v * eps - rate * gain
             + (omd - np.log(omd) - 1.0) + (1.0 - rate)), gain
 
@@ -478,7 +475,7 @@ def _maxwell_rate(rho, sigma2, kind, curve):
     """
     lo, hi = ends = tuple(curve[-1][::-1].tolist())
     log_v, alpha, eps, (x_d, x_s) = curve[:4]
-    gain = _log_gain(log_v, eps, sigma2, kind)
+    gain = _log_gain(eps, _omd(np.exp(log_v), eps, kind), sigma2)
     start = _equal_area_rate(curve, gain)
     rate = 0.5 * (lo + hi) if start is None else start
     bounded = start is not None and np.count_nonzero((log_v > x_d) & (log_v < x_s)) >= _BOUND_POINTS

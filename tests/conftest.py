@@ -6,7 +6,6 @@ from hypothesis import settings
 
 from coupledcs import (BernoulliGaussianPrior, CouplingSpec, Ensemble, NoTransitionError, apply,
                        find_alpha_d, run_evolution, single_block_spec)
-from coupledcs.measurement_ops import DftBlock
 
 # dense oracles build an M x N complex matrix: 4096^2 entries are 256 MB
 DENSE_LIMIT = 4096
@@ -57,14 +56,42 @@ def random_coupled_spec(rng, max_blocks=4, dft_safe=True):
     )
 
 
-def dense_from_blocks(op):
-    """Independent dense oracle assembled from block metadata (no FFT path)."""
+def dft_draws(op, seed):
+    """{(q, p): (rows, perm, scale)} of an orthogonal operator's DFT blocks, drawn again.
+
+    The stream protocol of `measurement_ops`, followed here without its code: block (q, p)
+    of an operator drawn with this seed draws from Philox on child q * L_c + p of
+    SeedSequence(seed).spawn(L_r * L_c), rng.choice(n_p, m_q, replace=False) and then
+    rng.permutation(n_p), with n_p and m_q read off the operator's offsets; its entries
+    are scale e^(-2 pi i rows[r] perm[j] / n_p) / sqrt(n_p), scale = sqrt(J[q, p] n_p / N).
+    An empty dict for a Gaussian operator.
+    """
+    if op.kind is not Ensemble.ROW_ORTHOGONAL:
+        return {}
+    spec = op.spec
+    streams = np.random.SeedSequence(seed).spawn(spec.L_r * spec.L_c)
+    draws = {}
+    for q, p in zip(*np.nonzero(spec.J)):
+        q, p = int(q), int(p)
+        n_p = int(op.col_offsets[p + 1] - op.col_offsets[p])
+        m_q = int(op.row_offsets[q + 1] - op.row_offsets[q])
+        rng = np.random.Generator(np.random.Philox(streams[q * spec.L_c + p]))
+        rows = rng.choice(n_p, m_q, replace=False)
+        draws[q, p] = rows, rng.permutation(n_p), float(np.sqrt(spec.J[q, p] * n_p / op.N))
+    return draws
+
+
+def dense_from_blocks(op, seed):
+    """Independent dense oracle: DFT blocks from their draws again (`dft_draws`, no FFT
+    path), Gaussian blocks from their stored matrices."""
     A = np.zeros((op.M, op.N), dtype=complex)
+    draws = dft_draws(op, seed)
     for (q, p), block in op.blocks.items():
         r0, c0 = op.row_offsets[q], op.col_offsets[p]
-        if isinstance(block, DftBlock):
-            jk = np.outer(block.row_selection, block.col_permutation)
-            sub = block.scale * np.exp(-2j * np.pi * jk / block.n) / np.sqrt(block.n)
+        if (q, p) in draws:
+            rows, perm, scale = draws[q, p]
+            n = perm.size
+            sub = scale * np.exp(-2j * np.pi * np.outer(rows, perm) / n) / np.sqrt(n)
         else:
             sub = block.matrix
         A[r0:r0 + sub.shape[0], c0:c0 + sub.shape[1]] += sub

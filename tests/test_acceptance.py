@@ -14,11 +14,11 @@ from coupledcs import (BernoulliGaussianPrior, Ensemble, SeedingParams, adjoint_
                        conjugate_fixed_point, find_alpha_c, find_alpha_d, find_alpha_s,
                        free_entropy_grid, mmse, mmse_mc_oracle, run_evolution,
                        single_block_spec)
-from coupledcs.measurement_ops import DftBlock
 from coupledcs.phase_analysis import ALPHA_TOL
 from coupledcs.state_evolution import iterations_to_good_mse
 
-from conftest import bp_mse_at, random_coupled_spec, window_exists
+from conftest import (bp_mse_at, dense_from_blocks, dense_materialize, random_coupled_spec,
+                      window_exists)
 
 GAUSS = Ensemble.GAUSSIAN_IID
 ORTH = Ensemble.ROW_ORTHOGONAL
@@ -304,17 +304,15 @@ def test_criterion_10_operator_correctness():
             kind = ORTH if trial % 2 == 0 else GAUSS
             N = int(rng.integers(128, 513))
             op = build_coupled_operator(spec, N, seed=trial, kind=kind)
-            A = np.zeros((op.M, op.N), dtype=complex)
-            for (q, p), block in op.blocks.items():
-                r0, c0 = op.row_offsets[q], op.col_offsets[p]
-                if isinstance(block, DftBlock):
-                    jk = np.outer(block.row_selection, block.col_permutation)
-                    sub = block.scale * np.exp(-2j * np.pi * jk / block.n) / np.sqrt(block.n)
+            A = dense_from_blocks(op, seed=trial)
+            if kind is ORTH:
+                # the operator's own entries, its action on the basis
+                entries = dense_materialize(op)
+                for q, p in op.blocks:
+                    sub = entries[op.row_offsets[q]:op.row_offsets[q + 1],
+                                  op.col_offsets[p]:op.col_offsets[p + 1]]
                     nominal = spec.J[q, p] / op.N
                     assert np.abs(np.abs(sub) ** 2 - nominal).max() <= 2e-16 + 1e-13 * nominal
-                else:
-                    sub = block.matrix
-                A[r0:r0 + sub.shape[0], c0:c0 + sub.shape[1]] = sub
             x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
             y = rng.standard_normal(op.M) + 1j * rng.standard_normal(op.M)
             assert np.abs(apply(op, x) - A @ x).max() <= 1e-10

@@ -15,7 +15,7 @@ from coupledcs.cli import export_instance
 from coupledcs.measurement_ops import DftBlock, _generator
 from coupledcs.scalar_channel import _sample_prior
 
-from conftest import dense_from_blocks, dense_materialize, random_coupled_spec
+from conftest import dense_from_blocks, dense_materialize, dft_draws, random_coupled_spec
 
 ORTH = Ensemble.ROW_ORTHOGONAL
 GAUSS = Ensemble.GAUSSIAN_IID
@@ -27,29 +27,32 @@ def read_complex_csv(path) -> np.ndarray:
     return data[:, 0] + 1j * data[:, 1]
 
 
-def dft_oracle(op, v, adjoint):
+def dft_oracle(op, seed, v, adjoint):
     """A v (A^H v when adjoint) block by block, added into the output in (q, p) order.
 
     A DFT block is the 1-D unitary DFT of its input scattered by the column
     permutation, read at the selected rows (the adjoint: the inverse DFT of
     the input scattered by the row selection, read at the permutation), with
-    no transform layout.  The Gaussian adjoint multiplies by the materialized
-    conjugate transpose: conj(y^H M) runs the same BLAS kernel on conjugated
-    inputs, and negating imaginary parts commutes with every rounding, so the
-    bytes agree.
+    no transform layout; the rows and permutation are drawn again from the
+    operator's seed (`dft_draws`).  The Gaussian adjoint multiplies by the
+    materialized conjugate transpose: conj(y^H M) runs the same BLAS kernel
+    on conjugated inputs, and negating imaginary parts commutes with every
+    rounding, so the bytes agree.
     """
     out = np.zeros(op.N if adjoint else op.M, dtype=complex)
+    draws = dft_draws(op, seed)
     for (q, p), block in op.blocks.items():
         rows = slice(op.row_offsets[q], op.row_offsets[q + 1])
         cols = slice(op.col_offsets[p], op.col_offsets[p + 1])
-        if isinstance(block, DftBlock):
-            w = np.zeros(block.n, dtype=complex)
+        if (q, p) in draws:
+            selection, perm, scale = draws[q, p]
+            w = np.zeros(perm.size, dtype=complex)
             if adjoint:
-                w[block.row_selection] = v[rows]
-                out[cols] += block.scale * np.fft.ifft(w, norm="ortho")[block.col_permutation]
+                w[selection] = v[rows]
+                out[cols] += scale * np.fft.ifft(w, norm="ortho")[perm]
             else:
-                w[block.col_permutation] = v[cols]
-                out[rows] += block.scale * np.fft.fft(w, norm="ortho")[block.row_selection]
+                w[perm] = v[cols]
+                out[rows] += scale * np.fft.fft(w, norm="ortho")[selection]
         elif adjoint:
             out[cols] += block.matrix.conj().T @ v[rows]
         else:
@@ -57,7 +60,7 @@ def dft_oracle(op, v, adjoint):
     return out
 
 
-def assert_matches_dft_oracle(op, v, adjoint):
+def assert_matches_dft_oracle(op, seed, v, adjoint):
     """Each output block row (column, when adjoint) against `dft_oracle`.
 
     The bytes where every block it sums keeps the 1-D transform; within
@@ -65,7 +68,7 @@ def assert_matches_dft_oracle(op, v, adjoint):
     whole prime transformed by Rader's stage.
     """
     got = (adjoint_apply if adjoint else apply)(op, v)
-    ref = dft_oracle(op, v, adjoint)
+    ref = dft_oracle(op, seed, v, adjoint)
     offsets = op.col_offsets if adjoint else op.row_offsets
     for k in range(len(offsets) - 1):
         seg = slice(offsets[k], offsets[k + 1])
@@ -74,6 +77,15 @@ def assert_matches_dft_oracle(op, v, adjoint):
             assert np.abs(got[seg] - ref[seg]).max() <= 1e-13 * np.abs(ref[seg]).max()
         else:
             assert np.array_equal(got[seg], ref[seg])
+
+
+def assert_same_maps(a, b):
+    """Two orthogonal operators hold the same blocks, index maps and gains, byte for byte."""
+    assert a.blocks.keys() == b.blocks.keys()
+    for key, block in a.blocks.items():
+        for name in ("time_map", "time_inv", "freq_map"):
+            assert getattr(block, name).tobytes() == getattr(b.blocks[key], name).tobytes()
+        assert block.gain == b.blocks[key].gain
 
 
 def equal_width_spec(spec):
@@ -116,7 +128,7 @@ class TestOperatorConstruction:
     def test_dft_entry_modulus_exact(self, rng):
         spec = random_coupled_spec(rng)
         op = build_coupled_operator(spec, 256, seed=1, kind=ORTH)
-        A = dense_from_blocks(op)
+        A = dense_materialize(op)
         for (q, p), block in op.blocks.items():
             sub = A[op.row_offsets[q]:op.row_offsets[q + 1],
                     op.col_offsets[p]:op.col_offsets[p + 1]]
@@ -127,7 +139,7 @@ class TestOperatorConstruction:
     def test_selected_rows_orthogonal(self):
         spec = single_block_spec(0.4, 1e-4, 0.5)
         op = build_coupled_operator(spec, 512, seed=2, kind=ORTH)
-        A = dense_from_blocks(op)
+        A = dense_materialize(op)
         G = A @ A.conj().T
         off = G - np.diag(np.diag(G))
         assert np.abs(off).max() <= 1e-12
@@ -151,22 +163,22 @@ class TestOperatorConstruction:
         spec = random_coupled_spec(rng)
         a = build_coupled_operator(spec, 128, seed=9, kind=ORTH)
         b = build_coupled_operator(spec, 128, seed=9, kind=ORTH)
-        for key in a.blocks:
-            assert np.array_equal(a.blocks[key].row_selection, b.blocks[key].row_selection)
-            assert np.array_equal(a.blocks[key].col_permutation, b.blocks[key].col_permutation)
+        assert_same_maps(a, b)
 
     @pytest.mark.parametrize("n", [64, 1174, 13107, 13109])
     def test_composed_maps_give_back_the_draws(self, n):
-        # the draws of `build_coupled_operator`, repeated from the block's own stream, against
-        # the maps a DftBlock keeps composed with the layout: 1-D, two-axis, two-axis with
-        # Rader's stage and a whole prime by Rader
+        # the draws of the stream protocol (`dft_draws`) composed with the layout's positions
+        # against the maps a DftBlock keeps: 1-D, two-axis, two-axis with Rader's stage and a
+        # whole prime by Rader
         op = build_coupled_operator(single_block_spec(0.4, 1e-4, 0.5), n, seed=n, kind=ORTH)
         block = op.blocks[(0, 0)]
-        rng = _generator(np.random.SeedSequence(n).spawn(1)[0])
-        rows = rng.choice(n, size=block.m, replace=False)
-        perm = rng.permutation(n)
-        for got, drawn in ((block.row_selection, rows), (block.col_permutation, perm)):
-            assert got.dtype == drawn.dtype and got.tobytes() == drawn.tobytes()
+        rows, perm, _ = dft_draws(op, n)[0, 0]
+        _, time_pos, freq_pos, _ = measurement_ops._layout(n)
+        if time_pos is not None:
+            rows, perm = freq_pos[rows], time_pos[perm]
+        for got, drawn in ((block.freq_map, rows), (block.time_map, perm)):
+            assert got.dtype == np.int32 and got.tobytes() == drawn.astype(np.int32).tobytes()
+        assert np.array_equal(block.time_inv[block.time_map], np.arange(n))
 
     @pytest.mark.parametrize("n", [64, 1174, 13107, 13109])
     def test_index_bytes_stay_within_the_draws(self, n):
@@ -192,9 +204,7 @@ class TestOperatorConstruction:
         a = build_coupled_operator(spec, 128, seed=9, kind=ORTH)
         b = build_coupled_operator(spec, np.int64(128), seed=np.uint8(9), kind=ORTH)
         assert b.N == 128 and type(b.N) is int
-        for key in a.blocks:
-            assert np.array_equal(a.blocks[key].row_selection, b.blocks[key].row_selection)
-            assert np.array_equal(a.blocks[key].col_permutation, b.blocks[key].col_permutation)
+        assert_same_maps(a, b)
 
 
 class TestApply:
@@ -210,7 +220,7 @@ class TestApply:
                               (GAUSS, random_coupled_spec(rng), 256),
                               (ORTH, single_block_spec(0.4, 1e-4, 0.5), 309)):
             op = build_coupled_operator(spec, N, seed=4, kind=kind)
-            A = dense_from_blocks(op)
+            A = dense_from_blocks(op, seed=4)
             x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
             y = rng.standard_normal(op.M) + 1j * rng.standard_normal(op.M)
             assert np.abs(apply(op, x) - A @ x).max() <= 1e-10
@@ -277,8 +287,8 @@ class TestBlockTransforms:
             op = build_coupled_operator(spec, N, seed=trial, kind=kind)
             x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
             y = rng.standard_normal(op.M) + 1j * rng.standard_normal(op.M)
-            assert_matches_dft_oracle(op, x, adjoint=False)
-            assert_matches_dft_oracle(op, y, adjoint=True)
+            assert_matches_dft_oracle(op, trial, x, adjoint=False)
+            assert_matches_dft_oracle(op, trial, y, adjoint=True)
             if kind is ORTH:
                 split |= {b.n for b in op.blocks.values()
                           if measurement_ops._layout(b.n)[1] is not None}
@@ -292,7 +302,7 @@ class TestBlockTransforms:
         (786, True), (1174, True), (13109, True), (1373, True),
         (5698, False), (10082, False), (1213, False), (13122, False), (16384, False)])
     def test_layout_matches_1d_transform(self, n, split):
-        # a full-rate single block (scale 1) against the 1-D DFT of its own draws:
+        # a full-rate single block (scale 1) against the 1-D DFT of its draws (`dft_draws`):
         # 17 * 257, 2 * 3 * 809, ... split on a prime above 100; 2 * 7 * 11 * 37,
         # 2 * 71^2, 2 * 3^8 and 2^14 keep the 1-D transform and its bytes.
         # Rader's stage takes a split prime axis above 100 whose p - 1 has no
@@ -302,7 +312,8 @@ class TestBlockTransforms:
         # as a (1, p) layout: 13109 (4 * 29 * 113) and 1373 (4 * 7^3), not the
         # prime 1213 (4 * 3 * 101), which keeps the 1-D transform and its bytes
         op = build_coupled_operator(single_block_spec(0.4, 1e-4, 1.0), n, seed=n, kind=ORTH)
-        block = op.blocks[(0, 0)]
+        rows, perm, scale = dft_draws(op, n)[0, 0]
+        assert scale == 1.0
         shape, time_pos, freq_pos, kernel = measurement_ops._layout(n)
         assert (time_pos is not None) is split
         assert (kernel is not None) is (n in (786, 4369, 8738, 13107, 21845, 13109, 1373))
@@ -312,11 +323,11 @@ class TestBlockTransforms:
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w = np.zeros(n, dtype=complex)
-        w[block.col_permutation] = x
-        ref_fwd = np.fft.fft(w, norm="ortho")[block.row_selection]
+        w[perm] = x
+        ref_fwd = np.fft.fft(w, norm="ortho")[rows]
         w[:] = 0
-        w[block.row_selection] = x
-        ref_adj = np.fft.ifft(w, norm="ortho")[block.col_permutation]
+        w[rows] = x
+        ref_adj = np.fft.ifft(w, norm="ortho")[perm]
         for got, ref in ((apply(op, x), ref_fwd), (adjoint_apply(op, x), ref_adj)):
             if split:
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -336,8 +347,8 @@ class TestBlockTransforms:
         assert measurement_ops._layout(13109)[3] is not None
         rng = np.random.default_rng(0)
         x = rng.standard_normal(op.N) + 1j * rng.standard_normal(op.N)
-        assert_matches_dft_oracle(op, x, adjoint=False)
-        assert_matches_dft_oracle(op, apply(op, x), adjoint=True)
+        assert_matches_dft_oracle(op, 0, x, adjoint=False)
+        assert_matches_dft_oracle(op, 0, apply(op, x), adjoint=True)
 
     @pytest.mark.parametrize("n", [257, 409, 1373, 13109, 786, 4369, 13107])
     def test_rader_power_table(self, n):

@@ -270,11 +270,11 @@ class TestFixedPointCurve:
     @pytest.mark.parametrize("kind", [GAUSS, ORTH])
     def test_grid_covers_the_scan_range(self, kind):
         # scan_curve's default curve: the fixed points of its log v grid span its eps grid
-        log_v = phase_analysis._log_v_grid(SIGMA2, phase_analysis.DEFAULT_GRID_POINTS)
+        floor = phase_analysis._default_eps_floor(SIGMA2)
+        log_v = np.linspace(np.log(floor), -np.log(floor), phase_analysis.DEFAULT_GRID_POINTS)
         prior = BernoulliGaussianPrior(RHO)
         alpha, eps = phase_analysis._fixed_point_rates(log_v, prior, SIGMA2, kind)
         assert np.array_equal(eps, mmse(np.exp(log_v), prior))
-        floor = phase_analysis._default_eps_floor(SIGMA2)
         assert eps[-1] <= floor and eps[0] >= RHO * (1 - floor)
         assert alpha.size == phase_analysis.DEFAULT_GRID_POINTS
 
@@ -286,7 +286,8 @@ class TestGridFreeSearch:
         # the reference owes nothing to the search grid: scipy's bounded Brent search for the
         # extrema of alpha(log v) in the cells around each turn of the 2000-point curve
         prior = BernoulliGaussianPrior(RHO)
-        log_v = phase_analysis._log_v_grid(sigma2, phase_analysis.DEFAULT_GRID_POINTS)
+        floor = phase_analysis._default_eps_floor(sigma2)
+        log_v = np.linspace(np.log(floor), -np.log(floor), phase_analysis.DEFAULT_GRID_POINTS)
         alpha = phase_analysis._fixed_point_rates(log_v, prior, sigma2, kind)[0]
         rising = np.diff(alpha) > 0
         turns = np.flatnonzero(rising[1:] != rising[:-1]) + 1
@@ -338,7 +339,8 @@ class TestGridFreeSearch:
         # tolerance by its own error bound, so G is evaluated once; the plain grid sum is
         # off by up to 2.7e-6 at the same points
         curve = phase_analysis._search_curve(RHO, sigma2, kind)
-        gain = phase_analysis._log_gain(curve[0], curve[2], sigma2, kind)
+        omd = phase_analysis._omd(np.exp(curve[0]), curve[2], kind)
+        gain = phase_analysis._log_gain(curve[2], omd, sigma2)
         start = phase_analysis._equal_area_rate(curve, gain)
         assert abs(start - phase_analysis._maxwell_rate(RHO, sigma2, kind, curve)) <= 2.5e-7
 
@@ -644,7 +646,8 @@ def test_closed_form_heights_match_the_replica_free_entropy(rho, sigma2, kind):
     # the transition search's heights (`_curve_free_entropy`) against free_entropy_grid,
     # which solves the conjugates again at each eps and rate: the largest gap was 3.6e-15
     prior = BernoulliGaussianPrior(rho)
-    log_v = phase_analysis._log_v_grid(sigma2, 41)
+    floor = phase_analysis._default_eps_floor(sigma2)
+    log_v = np.linspace(np.log(floor), -np.log(floor), 41)
     rates, eps = phase_analysis._fixed_point_rates(log_v, prior, sigma2, kind)
     inside = (rates < phase_analysis._ALPHA_SEARCH_CAP) & (eps > 1e-9)
     assert inside.sum() >= 10
